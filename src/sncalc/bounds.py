@@ -13,7 +13,9 @@ Conventions
 -----------
 * horizon: number of slots the series runs over; ``math.inf`` selects the
   geometric closed form (series must decay, i.e. the per-hop stability
-  margin beta(theta) - alpha(theta) must be positive).
+  margin beta(theta) - alpha(theta) must be positive).  A finite horizon
+  uses the exact closed form of the finite geometric sum, so it costs the
+  same as ``math.inf`` however many slots it spans.
 * violation probabilities returned by the ``*_at_theta`` functions are raw
   (may exceed 1); the engine clamps final results into [0, 1].
 * bound values are never negative; inversions that reach the trivial
@@ -214,9 +216,12 @@ def _check_epsilon(epsilon: float) -> None:
 # ---------------------------------------------------------------------------
 
 def _log_run_sum(log_ratio: float, n: float) -> float:
-    """log( sum_{u=0}^{n} exp(u * log_ratio) ), n integer or inf.
+    """log( sum_{u=0}^{n} exp(u * log_ratio) ), n inf or a slot count
+    (a fractional n is truncated to int).
 
-    Returns +inf for a divergent infinite series (log_ratio >= 0).
+    Finite n uses the exact finite geometric sum, so the cost does not
+    depend on n.  Returns +inf for a divergent infinite series
+    (log_ratio >= 0).
     """
     if math.isinf(n):
         if log_ratio < 0:
@@ -226,9 +231,12 @@ def _log_run_sum(log_ratio: float, n: float) -> float:
     n = int(n)
     if log_ratio == 0.0:
         return math.log(n + 1)
-    terms = np.arange(n + 1, dtype=float) * log_ratio
-    peak = max(0.0, n * log_ratio)
-    return peak + math.log(np.exp(terms - peak).sum())
+    if log_ratio < 0:
+        # (1 - q^{n+1}) / (1 - q) with q = e^{log_ratio} < 1
+        return math.log(-math.expm1((n + 1) * log_ratio)) - math.log(-math.expm1(log_ratio))
+    # factor out the largest term q^n so that expm1 only sees negative
+    # arguments and cannot overflow
+    return n * log_ratio + math.log(-math.expm1(-(n + 1) * log_ratio)) - math.log(-math.expm1(-log_ratio))
 
 
 def log_series_sum(
@@ -278,13 +286,35 @@ def log_series_sum(
         u += 1
 
 
-@dataclass(frozen=True)
-class _PathEval:
-    log_bound: float          # +inf when any hop series diverges
-    diverged: bool
-    truncation: Optional[int]
-    alpha: float
-    margins: tuple
+class _ThetaState(NamedTuple):
+    """The threshold-independent part of a path evaluation at one theta.
+
+    Built once per theta, so the delay bisection and the threshold
+    inversions pay for the envelopes and per-hop series only once.
+    """
+
+    theta: float
+    horizon: float
+    logs: tuple               # per-hop standard log-sums over the horizon
+    last_log_ratio: float     # log ratio of the last hop's series
+    beta_last: float
+    margins: tuple            # beta_i - alpha per hop
+    diverged: bool            # some hop series diverges: the bound is vacuous
+
+    @property
+    def truncation(self) -> Optional[int]:
+        return None if math.isinf(self.horizon) else int(self.horizon)
+
+
+def _theta_state(path: NetworkPath, horizon: float, theta: float) -> _ThetaState:
+    alpha = traffic_effective_bandwidth(path.through, theta)
+    betas = [service_effective_capacity(h, theta) for h in path.hops]
+    ratios = [0.5 * theta * (alpha - b) for b in betas]
+    logs = tuple(_log_run_sum(r, horizon) for r in ratios)
+    return _ThetaState(
+        theta, horizon, logs, ratios[-1], betas[-1],
+        tuple(b - alpha for b in betas), any(math.isinf(v) for v in logs),
+    )
 
 
 def _combine_root_logs(standard_logs: Sequence[float], last_log: Optional[float], hop_count: int) -> float:
@@ -306,39 +336,24 @@ def _combine_root_logs(standard_logs: Sequence[float], last_log: Optional[float]
     return (math.fsum(standard_logs) + last_log) / hop_count
 
 
-def _path_envelopes(path: NetworkPath, theta: float) -> tuple[float, list]:
-    alpha = traffic_effective_bandwidth(path.through, theta)
-    betas = [service_effective_capacity(h, theta) for h in path.hops]
-    return alpha, betas
+def _backlog_eval(state: _ThetaState, x: float) -> float:
+    """Log tail bound on P{backlog > x}; +inf when a hop series diverges."""
+    if state.diverged:
+        return math.inf
+    hop_count = len(state.logs)
+    return _combine_root_logs(state.logs, None, hop_count) - 0.5 * state.theta * x / hop_count
 
 
-def _backlog_eval(path: NetworkPath, x: float, horizon: float, theta: float) -> _PathEval:
-    alpha, betas = _path_envelopes(path, theta)
-    margins = tuple(b - alpha for b in betas)
-    logs = [_log_run_sum(0.5 * theta * (alpha - b), horizon) for b in betas]
-    if any(math.isinf(v) for v in logs):
-        return _PathEval(math.inf, True, None, alpha, margins)
-    trunc = None if math.isinf(horizon) else int(horizon)
-    hop_count = path.hop_count
-    log_bound = _combine_root_logs(logs, None, hop_count) - 0.5 * theta * x / hop_count
-    return _PathEval(log_bound, False, trunc, alpha, margins)
-
-
-def _delay_eval(path: NetworkPath, d: float, horizon: float, theta: float) -> _PathEval:
-    alpha, betas = _path_envelopes(path, theta)
-    margins = tuple(b - alpha for b in betas)
-    hop_count = path.hop_count
-    standard = [_log_run_sum(0.5 * theta * (alpha - b), horizon) for b in betas[:-1]]
-    beta_last = betas[-1]
+def _delay_eval(state: _ThetaState, d: float) -> float:
+    """Log tail bound on P{delay > d}; +inf when a hop series diverges."""
+    if state.diverged:
+        return math.inf
     # Last hop sums e^{(theta/2)((u-d) alpha - u beta)} for u from d; with
     # v = u - d this is e^{-theta d beta / 2} times the standard series.
+    horizon = state.horizon
     tail_len = horizon if math.isinf(horizon) else horizon - d
-    last = -0.5 * theta * d * beta_last + _log_run_sum(0.5 * theta * (alpha - beta_last), tail_len)
-    if any(math.isinf(v) for v in standard) or math.isinf(last):
-        return _PathEval(math.inf, True, None, alpha, margins)
-    trunc = None if math.isinf(horizon) else int(horizon)
-    log_bound = _combine_root_logs(standard, last, hop_count)
-    return _PathEval(log_bound, False, trunc, alpha, margins)
+    last = -0.5 * state.theta * d * state.beta_last + _log_run_sum(state.last_log_ratio, tail_len)
+    return _combine_root_logs(state.logs[:-1], last, len(state.logs))
 
 
 def _safe_exp(log_value: float) -> float:
@@ -364,10 +379,10 @@ def backlog_violation_at_theta(path: NetworkPath, x: float, horizon: float, thet
     if x < 0:
         raise ValueError("backlog threshold must be >= 0")
     _check_horizon(horizon)
-    ev = _backlog_eval(path, x, horizon, theta)
-    if ev.diverged:
+    state = _theta_state(path, horizon, theta)
+    if state.diverged:
         return 1.0
-    return _safe_exp(ev.log_bound)
+    return _safe_exp(_backlog_eval(state, x))
 
 
 def delay_violation_at_theta(path: NetworkPath, d: float, horizon: float, theta: float) -> float:
@@ -381,10 +396,10 @@ def delay_violation_at_theta(path: NetworkPath, d: float, horizon: float, theta:
     _check_horizon(horizon)
     if not math.isinf(horizon) and horizon < d:
         raise ValueError("finite horizon must be >= the delay threshold")
-    ev = _delay_eval(path, d, horizon, theta)
-    if ev.diverged:
+    state = _theta_state(path, horizon, theta)
+    if state.diverged:
         return 1.0
-    return _safe_exp(ev.log_bound)
+    return _safe_exp(_delay_eval(state, d))
 
 
 # ---------------------------------------------------------------------------
@@ -479,14 +494,10 @@ def _single_flow_burst(model: TrafficModel) -> float:
 # ---------------------------------------------------------------------------
 
 def _backlog_threshold_at_theta(path: NetworkPath, epsilon: float, horizon: float, theta: float) -> float:
-    alpha, betas = _path_envelopes(path, theta)
-    logs = [_log_run_sum(0.5 * theta * (alpha - b), horizon) for b in betas]
-    if any(math.isinf(v) for v in logs):
-        return math.inf
-    hop_count = path.hop_count
-    mean_log = _combine_root_logs(logs, None, hop_count)
-    # each series starts at 1, so mean_log >= 0 and the threshold is >= 0
-    return (2.0 * hop_count / theta) * (mean_log - math.log(epsilon))
+    # the log bound at x = 0 is the mean per-hop log-sum (+inf if divergent);
+    # each series starts at 1, so it is >= 0 and the threshold is >= 0
+    mean_log = _backlog_eval(_theta_state(path, horizon, theta), 0.0)
+    return (2.0 * path.hop_count / theta) * (mean_log - math.log(epsilon))
 
 
 def backlog_bound(
@@ -506,16 +517,15 @@ def backlog_bound(
         value, clamped = 0.0, True
     if value < 0.0:
         value, clamped = 0.0, True
-    ev = _backlog_eval(path, value, horizon, res.theta_star)
-    violation = _clamp01(_safe_exp(ev.log_bound)) if not ev.diverged else 1.0
+    state = _theta_state(path, horizon, res.theta_star)
     return BoundResult(
         kind="backlog",
         value=value,
         theta_star=res.theta_star,
-        violation_probability=violation,
-        stable_at_theta_star=all(m > 0 for m in ev.margins),
-        truncation_horizon_used=ev.truncation,
-        hop_margins=ev.margins,
+        violation_probability=_clamp01(_safe_exp(_backlog_eval(state, value))),
+        stable_at_theta_star=all(m > 0 for m in state.margins),
+        truncation_horizon_used=state.truncation,
+        hop_margins=state.margins,
         at_theta_boundary=res.at_boundary,
         clamped=clamped,
     )
@@ -528,20 +538,16 @@ def _smallest_delay_at_theta(path: NetworkPath, epsilon: float, horizon: float, 
     bound being nonincreasing in d, which holds whenever the series converge
     and the last hop's effective capacity is positive.
     """
+    state = _theta_state(path, horizon, theta)
+    if state.diverged:
+        return math.inf, "diverged"
 
     def clamped_bound(d: float) -> float:
-        ev = _delay_eval(path, d, horizon, theta)
-        if ev.diverged:
-            return math.inf
-        return _clamp01(_safe_exp(ev.log_bound))
+        return _clamp01(_safe_exp(_delay_eval(state, d)))
 
-    first = _delay_eval(path, 0, horizon, theta)
-    if first.diverged:
-        return math.inf, "diverged"
-    if _clamp01(_safe_exp(first.log_bound)) <= epsilon:
+    if clamped_bound(0) <= epsilon:
         return 0.0, "ok"
-    beta_last = service_effective_capacity(path.hops[-1], theta)
-    if beta_last <= 0:
+    if state.beta_last <= 0:
         # the last-hop series no longer decays in d; no threshold can work
         return math.inf, "diverged"
 
@@ -596,16 +602,15 @@ def delay_bound(
                 f"a violation bound of {epsilon:g}; increase the horizon"
             ) from None
         raise
-    ev = _delay_eval(path, res.value, horizon, res.theta_star)
-    violation = _clamp01(_safe_exp(ev.log_bound)) if not ev.diverged else 1.0
+    state = _theta_state(path, horizon, res.theta_star)
     return BoundResult(
         kind="delay",
         value=res.value,
         theta_star=res.theta_star,
-        violation_probability=violation,
-        stable_at_theta_star=all(m > 0 for m in ev.margins),
-        truncation_horizon_used=ev.truncation,
-        hop_margins=ev.margins,
+        violation_probability=_clamp01(_safe_exp(_delay_eval(state, res.value))),
+        stable_at_theta_star=all(m > 0 for m in state.margins),
+        truncation_horizon_used=state.truncation,
+        hop_margins=state.margins,
         at_theta_boundary=res.at_boundary,
         clamped=False,
     )
@@ -617,21 +622,16 @@ def delay_bound(
 
 def _violation_result(path, kind, threshold, horizon, theta_search, eval_fn) -> BoundResult:
     config = theta_search or default_theta_search(path)
-
-    def objective(theta: float) -> float:
-        ev = eval_fn(theta)
-        return math.inf if ev.diverged else ev.log_bound
-
-    res = minimize_over_theta(objective, config)
-    ev = eval_fn(res.theta_star)
+    res = minimize_over_theta(lambda th: eval_fn(_theta_state(path, horizon, th), threshold), config)
+    state = _theta_state(path, horizon, res.theta_star)
     return BoundResult(
         kind=kind,
         value=threshold,
         theta_star=res.theta_star,
         violation_probability=_clamp01(_safe_exp(res.value)),
-        stable_at_theta_star=all(m > 0 for m in ev.margins),
-        truncation_horizon_used=ev.truncation,
-        hop_margins=ev.margins,
+        stable_at_theta_star=all(m > 0 for m in state.margins),
+        truncation_horizon_used=state.truncation,
+        hop_margins=state.margins,
         at_theta_boundary=res.at_boundary,
         clamped=False,
     )
@@ -647,10 +647,7 @@ def backlog_violation(
     if x < 0:
         raise ValueError("backlog threshold must be >= 0")
     _check_horizon(horizon)
-    return _violation_result(
-        path, "backlog", x, horizon, theta_search,
-        lambda th: _backlog_eval(path, x, horizon, th),
-    )
+    return _violation_result(path, "backlog", x, horizon, theta_search, _backlog_eval)
 
 
 def delay_violation(
@@ -665,10 +662,7 @@ def delay_violation(
     _check_horizon(horizon)
     if not math.isinf(horizon) and horizon < d:
         raise ValueError("finite horizon must be >= the delay threshold")
-    return _violation_result(
-        path, "delay", d, horizon, theta_search,
-        lambda th: _delay_eval(path, d, horizon, th),
-    )
+    return _violation_result(path, "delay", d, horizon, theta_search, _delay_eval)
 
 
 def evaluate_query(path: NetworkPath, query: BoundQuery) -> BoundResult:

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
 
 from .bounds import BoundResult, StabilityError
 from .envelopes import MmooParams
@@ -354,7 +353,11 @@ def empirical_tail(samples: np.ndarray, threshold: float, confidence: float = 0.
     if k == n:
         upper = 1.0
     else:
-        upper = float(_beta_dist.ppf(confidence, k + 1, n - k))
+        # imported here so that `import sncalc` and the bound commands do
+        # not pay for loading scipy
+        from scipy.special import betaincinv
+
+        upper = float(betaincinv(k + 1, n - k, confidence))
     return TailEstimate(frequency=k / n, upper_confidence=upper, exceed_count=k, sample_count=n)
 
 

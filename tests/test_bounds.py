@@ -158,6 +158,20 @@ class TestSeriesSum:
         for r, n in [(-0.5, 200), (0.17, 300), (0.0, 9), (-3.0, 50)]:
             assert _log_run_sum(r, n) == pytest.approx(brute_force_tail_sum(r, n), rel=1e-12)
 
+    @pytest.mark.parametrize("r", [1e-12, -1e-12, 50.0, -50.0, 750.0])
+    @pytest.mark.parametrize("n", [0, 1, 7, 300])
+    def test_finite_edge_ratios_match_brute_force(self, r, n):
+        # 750 lies above expm1's overflow point: the sum must stay finite
+        got = _log_run_sum(r, n)
+        assert math.isfinite(got)
+        assert got == pytest.approx(brute_force_tail_sum(r, n), rel=1e-12)
+
+    def test_fractional_length_truncates(self):
+        # the delay series runs over horizon - d slots, fractional for a
+        # fractional d; the sum stops at the last whole slot
+        for r in (-0.5, 0.17):
+            assert _log_run_sum(r, 300 - 2.5) == pytest.approx(brute_force_tail_sum(r, 297), rel=1e-12)
+
     def test_truncation_convergence(self):
         # once the tail is negligible, doubling the horizon changes nothing
         s1 = _log_run_sum(-0.5, 100)
@@ -438,6 +452,16 @@ class TestQueries:
         inf_res = evaluate_query(p, BoundQuery(kind="backlog", epsilon=0.1))
         assert inf_res.truncation_horizon_used is None
         assert res.value == pytest.approx(inf_res.value, rel=1e-6)
+
+    def test_finite_horizon_cost_is_horizon_independent(self):
+        # the finite geometric sum is exact and O(1), so a horizon of 10**9
+        # slots is as cheap as 10**4 and, the tails being negligible at
+        # both, gives the same bounds
+        src = MmooTraffic(VOICE)
+        path = NetworkPath(Aggregate(781, src), (Leftover(100_000.0, 1953, src),) * 10)
+        for horizon in (10**4, 10**9):
+            assert delay_bound(path, 1e-9, horizon).value == 377.0
+            assert backlog_bound(path, 1e-9, horizon).value == 11176303.247672644
 
     def test_paths_accept_list_hops(self):
         p = NetworkPath(ConstantRate(1.0), [ConstantServer(2.0), ConstantServer(3.0)])

@@ -1,6 +1,10 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -242,3 +246,18 @@ class TestUsageAndResolution:
         f.write_text("id: x\nunits: {slot_length_s: -5, rate_unit: kbit/s}\n")
         code, _, err = run_cli(capsys, "bound", "--scenario", str(f))
         assert code == EXIT_USAGE and "slot_length_s" in err
+
+
+class TestImportCost:
+    def test_cli_import_loads_no_scipy(self):
+        # scipy.stats dominates the CLI's import time; only the
+        # Clopper-Pearson limit needs scipy, and it imports it lazily
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = (
+            "import sncalc.cli, sys; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.special') if m in sys.modules))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "[]"
