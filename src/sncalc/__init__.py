@@ -12,7 +12,6 @@ from .bounds import (
     BoundResult,
     HorizonError,
     NetworkPath,
-    SeriesTruncationError,
     StabilityError,
     ThetaSearchConfig,
     ThetaSearchResult,
@@ -63,7 +62,6 @@ from .simulator import (
     mmoo_source_step,
     simulate_replication,
     simulate_tandem,
-    validate_bound,
     validate_samples,
 )
 

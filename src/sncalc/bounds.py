@@ -9,6 +9,13 @@ the raw exponents theta*u*(alpha-beta)/2 routinely exceed the range of
 scan followed by golden-section refinement; any theta whose series diverges
 contributes a vacuous bound and is skipped.
 
+One engine inverts for epsilon: at each theta the threshold has the closed
+form H * v(theta), where v is one hop's share (see ``_per_hop_threshold``),
+and v is minimized over theta.  So a homogeneous path's bound is exactly H
+times the single-hop bound, at one theta* for every H.  ``closed_form_*``
+are thin wrappers that build the homogeneous leftover-service path and call
+this engine.
+
 Conventions
 -----------
 * horizon: number of slots the series runs over; ``math.inf`` selects the
@@ -20,13 +27,18 @@ Conventions
   (may exceed 1); the engine clamps final results into [0, 1].
 * bound values are never negative; inversions that reach the trivial
   threshold are clamped to 0 and flagged.
+* delays are real-valued slot counts at every horizon.  At a finite horizon
+  the delay inversion bounds the last hop by its full-horizon series, an
+  upper bound on the horizon - d terms it runs over, so the result stays a
+  valid bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from itertools import groupby
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -46,7 +58,6 @@ __all__ = [
     "INFINITE_HORIZON",
     "StabilityError",
     "HorizonError",
-    "SeriesTruncationError",
     "NetworkPath",
     "ThetaSearchConfig",
     "ThetaSearchResult",
@@ -64,7 +75,6 @@ __all__ = [
     "stability_margin",
     "default_theta_search",
     "evaluate_query",
-    "log_series_sum",
 ]
 
 INFINITE_HORIZON = math.inf
@@ -88,10 +98,6 @@ class StabilityError(RuntimeError):
 
 class HorizonError(RuntimeError):
     """No delay threshold within the requested finite horizon meets the target."""
-
-
-class SeriesTruncationError(RuntimeError):
-    """Series accumulation hit the term cap while terms were still growing."""
 
 
 @dataclass(frozen=True)
@@ -147,8 +153,9 @@ class ThetaSearchResult(NamedTuple):
 class BoundResult:
     """Outcome of a bound computation.
 
-    value                   backlog bits or delay slots (inversion queries),
-                            or the echoed threshold (violation queries)
+    value                   backlog bits or real-valued delay slots
+                            (inversion queries, any horizon), or the echoed
+                            threshold (violation queries)
     theta_star              optimizing theta, 1/bits
     violation_probability   clamped into [0, 1]
     stable_at_theta_star    all per-hop stability margins positive at theta*
@@ -239,109 +246,67 @@ def _log_run_sum(log_ratio: float, n: float) -> float:
     return n * log_ratio + math.log(-math.expm1(-(n + 1) * log_ratio)) - math.log(-math.expm1(-log_ratio))
 
 
-def log_series_sum(
-    log_term: Callable[[int], float],
-    start: int = 0,
-    rel_floor: float = 1e-12,
-    consecutive: int = 10,
-    cap: int = 10**6,
-) -> tuple[float, int]:
-    """Accumulate log(sum exp(log_term(u))) until the tail is negligible.
+def _hop_runs(path: NetworkPath) -> tuple:
+    """(hop, count) per run of equal consecutive hops, in path order.
 
-    Terms are added from ``start`` upward; accumulation stops once the last
-    ``consecutive`` terms each contributed less than ``rel_floor`` of the
-    running sum.  If the cap is reached while terms are still nondecreasing
-    the series is treated as divergent and :class:`SeriesTruncationError`
-    is raised.  Returns (log_sum, last_index_added).
+    Equal hops have equal envelopes, so a theta evaluation visits each run
+    once: a homogeneous path is one run and costs the same at any H.
     """
-    log_floor = math.log(rel_floor)
-    log_sum = -math.inf
-    small_streak = 0
-    prev_term = -math.inf
-    u = start
-    while True:
-        lt = log_term(u)
-        if lt == -math.inf:
-            negligible = True  # a zero term contributes nothing
-        else:
-            if log_sum == -math.inf:
-                log_sum = lt
-            else:
-                peak = max(log_sum, lt)
-                log_sum = peak + math.log1p(math.exp(-abs(log_sum - lt)))
-            negligible = (lt - log_sum) < log_floor
-        if negligible:
-            small_streak += 1
-            if small_streak >= consecutive:
-                return log_sum, u
-        else:
-            small_streak = 0
-        if u - start + 1 >= cap:
-            if lt >= prev_term:
-                raise SeriesTruncationError(
-                    f"series still growing after {cap} terms (last exponent {lt:.3g})"
-                )
-            return log_sum, u
-        prev_term = lt
-        u += 1
+    return tuple((hop, len(list(run))) for hop, run in groupby(path.hops))
 
 
 class _ThetaState(NamedTuple):
     """The threshold-independent part of a path evaluation at one theta.
 
-    Built once per theta, so the delay bisection and the threshold
-    inversions pay for the envelopes and per-hop series only once.
+    Holds one entry per run of equal hops (see :func:`_hop_runs`), so the
+    inversions and tail evaluations that read it pay for the envelopes and
+    per-hop series once per run, however many hops the path has.
     """
 
+    hop_count: int
+    runs: tuple               # (hop, count) per run of equal hops
     theta: float
     horizon: float
-    logs: tuple               # per-hop standard log-sums over the horizon
-    last_log_ratio: float     # log ratio of the last hop's series
-    beta_last: float
-    margins: tuple            # beta_i - alpha per hop
-    diverged: bool            # some hop series diverges: the bound is vacuous
+    alpha: float
+    betas: tuple              # effective capacity per run
+    logs: tuple               # standard log-sum over the horizon per run
+
+    @property
+    def diverged(self) -> bool:
+        """Some hop series diverges: the bound is vacuous."""
+        return math.inf in self.logs
 
     @property
     def truncation(self) -> Optional[int]:
         return None if math.isinf(self.horizon) else int(self.horizon)
 
+    @property
+    def margins(self) -> tuple:
+        """beta_i - alpha per hop of the path."""
+        margins = ()
+        for (_, count), beta in zip(self.runs, self.betas):
+            margins += (beta - self.alpha,) * count
+        return margins
 
-def _theta_state(path: NetworkPath, horizon: float, theta: float) -> _ThetaState:
+
+def _theta_state(path: NetworkPath, horizon: float, theta: float, runs: Optional[tuple] = None) -> _ThetaState:
+    runs = runs or _hop_runs(path)
     alpha = traffic_effective_bandwidth(path.through, theta)
-    betas = [service_effective_capacity(h, theta) for h in path.hops]
-    ratios = [0.5 * theta * (alpha - b) for b in betas]
-    logs = tuple(_log_run_sum(r, horizon) for r in ratios)
-    return _ThetaState(
-        theta, horizon, logs, ratios[-1], betas[-1],
-        tuple(b - alpha for b in betas), any(math.isinf(v) for v in logs),
-    )
-
-
-def _combine_root_logs(standard_logs: Sequence[float], last_log: Optional[float], hop_count: int) -> float:
-    """Mean of per-hop log sums = log of the product of H-th roots.
-
-    Identical per-hop values collapse without a divide so that a path of
-    structurally equal hops reproduces the single-series form bit for bit.
-    """
-    if last_log is None:
-        first = standard_logs[0]
-        if all(v == first for v in standard_logs[1:]):
-            return first
-        return math.fsum(standard_logs) / hop_count
-    if not standard_logs:
-        return last_log
-    first = standard_logs[0]
-    if all(v == first for v in standard_logs[1:]):
-        return ((hop_count - 1) * first + last_log) / hop_count
-    return (math.fsum(standard_logs) + last_log) / hop_count
+    betas = tuple([service_effective_capacity(hop, theta) for hop, _ in runs])
+    logs = tuple([_log_run_sum(0.5 * theta * (alpha - b), horizon) for b in betas])
+    return _ThetaState(path.hop_count, runs, theta, horizon, alpha, betas, logs)
 
 
 def _backlog_eval(state: _ThetaState, x: float) -> float:
-    """Log tail bound on P{backlog > x}; +inf when a hop series diverges."""
-    if state.diverged:
-        return math.inf
-    hop_count = len(state.logs)
-    return _combine_root_logs(state.logs, None, hop_count) - 0.5 * state.theta * x / hop_count
+    """Log tail bound on P{backlog > x}; +inf when a hop series diverges.
+
+    The mean per-hop log-sum is the log of the product of the H-th roots;
+    a single run (a homogeneous path) gives its log-sum exactly.
+    """
+    mean_log = 0.0
+    for (_, count), log in zip(state.runs, state.logs):
+        mean_log += count / state.hop_count * log
+    return mean_log - 0.5 * state.theta * x / state.hop_count
 
 
 def _delay_eval(state: _ThetaState, d: float) -> float:
@@ -350,10 +315,14 @@ def _delay_eval(state: _ThetaState, d: float) -> float:
         return math.inf
     # Last hop sums e^{(theta/2)((u-d) alpha - u beta)} for u from d; with
     # v = u - d this is e^{-theta d beta / 2} times the standard series.
-    horizon = state.horizon
+    horizon, beta_last = state.horizon, state.betas[-1]
     tail_len = horizon if math.isinf(horizon) else horizon - d
-    last = -0.5 * state.theta * d * state.beta_last + _log_run_sum(state.last_log_ratio, tail_len)
-    return _combine_root_logs(state.logs[:-1], last, len(state.logs))
+    last = -0.5 * state.theta * d * beta_last + _log_run_sum(0.5 * state.theta * (state.alpha - beta_last), tail_len)
+    counts = [count for _, count in state.runs]
+    counts[-1] -= 1  # the last hop's standard series is replaced by the shifted one
+    for count, log in zip(counts, state.logs):
+        last += count * log
+    return last / state.hop_count
 
 
 def _safe_exp(log_value: float) -> float:
@@ -388,8 +357,8 @@ def backlog_violation_at_theta(path: NetworkPath, x: float, horizon: float, thet
 def delay_violation_at_theta(path: NetworkPath, d: float, horizon: float, theta: float) -> float:
     """Raw tail bound on P{end-to-end delay > d slots} at a fixed theta.
 
-    ``d`` may be fractional (the last-hop series shifts continuously);
-    inversion still returns integer slot counts.  Divergence yields 1.
+    ``d`` may be fractional (the last-hop series shifts continuously and
+    runs over the horizon - d slots left).  Divergence yields 1.
     """
     if d < 0:
         raise ValueError("delay threshold must be >= 0")
@@ -493,105 +462,64 @@ def _single_flow_burst(model: TrafficModel) -> float:
 # inversion: bound value for a target violation probability
 # ---------------------------------------------------------------------------
 
-def _backlog_threshold_at_theta(path: NetworkPath, epsilon: float, horizon: float, theta: float) -> float:
-    # the log bound at x = 0 is the mean per-hop log-sum (+inf if divergent);
-    # each series starts at 1, so it is >= 0 and the threshold is >= 0
-    mean_log = _backlog_eval(_theta_state(path, horizon, theta), 0.0)
-    return (2.0 * path.hop_count / theta) * (mean_log - math.log(epsilon))
-
-
-def backlog_bound(
-    path: NetworkPath,
-    epsilon: float,
-    horizon: float = INFINITE_HORIZON,
-    theta_search: Optional[ThetaSearchConfig] = None,
-) -> BoundResult:
-    """Smallest backlog threshold x with tail bound <= epsilon, over theta."""
-    _check_epsilon(epsilon)
-    _check_horizon(horizon)
-    config = theta_search or default_theta_search(path)
-    res = minimize_over_theta(lambda th: _backlog_threshold_at_theta(path, epsilon, horizon, th), config)
-    value, clamped = res.value + 0.0, False  # normalize -0.0
-    if epsilon >= 1.0 and value > 0.0:
-        # the trivial bound P <= 1 already holds at threshold 0
-        value, clamped = 0.0, True
-    if value < 0.0:
-        value, clamped = 0.0, True
-    state = _theta_state(path, horizon, res.theta_star)
+def _result(kind, value, res: ThetaSearchResult, state: _ThetaState, log_violation, clamped=False) -> BoundResult:
+    """The result at theta*; the per-hop margins are expanded only here."""
+    margins = state.margins
     return BoundResult(
-        kind="backlog",
+        kind=kind,
         value=value,
         theta_star=res.theta_star,
-        violation_probability=_clamp01(_safe_exp(_backlog_eval(state, value))),
-        stable_at_theta_star=all(m > 0 for m in state.margins),
+        violation_probability=_clamp01(_safe_exp(log_violation)),
+        stable_at_theta_star=all(m > 0 for m in margins),
         truncation_horizon_used=state.truncation,
-        hop_margins=state.margins,
+        hop_margins=margins,
         at_theta_boundary=res.at_boundary,
         clamped=clamped,
     )
 
 
-def _smallest_delay_at_theta(path: NetworkPath, epsilon: float, horizon: float, theta: float) -> tuple[float, str]:
-    """Least integer d with clamped delay bound <= epsilon at this theta.
+def _per_hop_threshold(through: TrafficModel, runs: tuple, hop_count: int, horizon: float,
+                       theta: float, log_eps: float, delay: bool) -> float:
+    """v(theta) = 2 (L - ln eps) / (theta w), one hop's share of the threshold.
 
-    Returns (d, "ok"), (inf, "diverged") or (inf, "horizon").  Relies on the
-    bound being nonincreasing in d, which holds whenever the series converge
-    and the last hop's effective capacity is positive.
+    L is the mean per-hop standard log-sum over the horizon, and w is 1 for
+    backlog and the last hop's effective capacity for delay.  The log tail
+    bound L - theta w x / (2H) reaches ln eps at x = H v; for delay this
+    bounds the last hop by its full-horizon series.  +inf marks an
+    inadmissible theta: a divergent series or w <= 0.
+
+    This is the theta search's objective, so it builds no state: the same
+    sums as :func:`_theta_state` and :func:`_backlog_eval`, inline.
     """
-    state = _theta_state(path, horizon, theta)
-    if state.diverged:
-        return math.inf, "diverged"
-
-    def clamped_bound(d: float) -> float:
-        return _clamp01(_safe_exp(_delay_eval(state, d)))
-
-    if clamped_bound(0) <= epsilon:
-        return 0.0, "ok"
-    if state.beta_last <= 0:
-        # the last-hop series no longer decays in d; no threshold can work
-        return math.inf, "diverged"
-
-    hi = 1
-    hi_cap = horizon if not math.isinf(horizon) else None
-    while True:
-        if hi_cap is not None and hi >= hi_cap:
-            hi = int(hi_cap)
-            if clamped_bound(hi) > epsilon:
-                return math.inf, "horizon"
-            break
-        if clamped_bound(hi) <= epsilon:
-            break
-        hi *= 2
-        if hi > 2**62:
-            raise RuntimeError("delay bisection failed to bracket a finite threshold")
-    lo = 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if clamped_bound(mid) <= epsilon:
-            hi = mid
-        else:
-            lo = mid
-    return float(hi), "ok"
+    alpha = traffic_effective_bandwidth(through, theta)
+    mean_log = 0.0
+    for hop, count in runs:
+        beta = service_effective_capacity(hop, theta)
+        mean_log += count / hop_count * _log_run_sum(0.5 * theta * (alpha - beta), horizon)
+    w = beta if delay else 1.0  # the last run's beta is the last hop's
+    if w <= 0.0 or mean_log == math.inf:
+        return math.inf
+    return (2.0 / (theta * w)) * (mean_log - log_eps)
 
 
-def delay_bound(
-    path: NetworkPath,
-    epsilon: float,
-    horizon: float = INFINITE_HORIZON,
-    theta_search: Optional[ThetaSearchConfig] = None,
-) -> BoundResult:
-    """Smallest integer delay d (slots) with tail bound <= epsilon, over theta."""
+def _invert(path: NetworkPath, epsilon: float, horizon: float,
+            theta_search: Optional[ThetaSearchConfig], kind: str) -> BoundResult:
+    """Smallest threshold H v(theta) over theta; the per-hop value is
+    minimized, so theta* does not depend on H for a homogeneous path."""
     _check_epsilon(epsilon)
     _check_horizon(horizon)
     config = theta_search or default_theta_search(path)
+    through, runs, hop_count = path.through, _hop_runs(path), path.hop_count
+    log_eps, delay = math.log(epsilon), kind == "delay"
     saw_horizon_failure = False
 
     def objective(theta: float) -> float:
         nonlocal saw_horizon_failure
-        d, status = _smallest_delay_at_theta(path, epsilon, horizon, theta)
-        if status == "horizon":
+        v = _per_hop_threshold(through, runs, hop_count, horizon, theta, log_eps, delay)
+        if delay and math.isfinite(v) and hop_count * v > horizon:
             saw_horizon_failure = True
-        return d
+            return math.inf
+        return v
 
     try:
         res = minimize_over_theta(objective, config)
@@ -602,18 +530,40 @@ def delay_bound(
                 f"a violation bound of {epsilon:g}; increase the horizon"
             ) from None
         raise
-    state = _theta_state(path, horizon, res.theta_star)
-    return BoundResult(
-        kind="delay",
-        value=res.value,
-        theta_star=res.theta_star,
-        violation_probability=_clamp01(_safe_exp(_delay_eval(state, res.value))),
-        stable_at_theta_star=all(m > 0 for m in state.margins),
-        truncation_horizon_used=state.truncation,
-        hop_margins=state.margins,
-        at_theta_boundary=res.at_boundary,
-        clamped=False,
-    )
+    value, clamped = hop_count * res.value + 0.0, False  # normalize -0.0
+    if (epsilon >= 1.0 and value > 0.0) or value < 0.0:
+        # at epsilon = 1 the trivial bound P <= 1 already holds at threshold 0
+        value, clamped = 0.0, True
+    state = _theta_state(path, horizon, res.theta_star, runs)
+    log_violation = (_delay_eval if delay else _backlog_eval)(state, value)
+    return _result(kind, value, res, state, log_violation, clamped)
+
+
+def backlog_bound(
+    path: NetworkPath,
+    epsilon: float,
+    horizon: float = INFINITE_HORIZON,
+    theta_search: Optional[ThetaSearchConfig] = None,
+) -> BoundResult:
+    """Smallest backlog threshold x (bits) with tail bound <= epsilon, over theta."""
+    return _invert(path, epsilon, horizon, theta_search, "backlog")
+
+
+def delay_bound(
+    path: NetworkPath,
+    epsilon: float,
+    horizon: float = INFINITE_HORIZON,
+    theta_search: Optional[ThetaSearchConfig] = None,
+) -> BoundResult:
+    """Smallest delay d with tail bound <= epsilon, over theta.
+
+    d is in real-valued slots at every horizon.  A finite horizon bounds
+    the last hop's series by its full-horizon sum (an upper bound on the
+    horizon - d terms it runs over), and a theta whose d exceeds the
+    horizon is inadmissible; :class:`HorizonError` is raised when that
+    leaves no theta.
+    """
+    return _invert(path, epsilon, horizon, theta_search, "delay")
 
 
 # ---------------------------------------------------------------------------
@@ -622,19 +572,9 @@ def delay_bound(
 
 def _violation_result(path, kind, threshold, horizon, theta_search, eval_fn) -> BoundResult:
     config = theta_search or default_theta_search(path)
-    res = minimize_over_theta(lambda th: eval_fn(_theta_state(path, horizon, th), threshold), config)
-    state = _theta_state(path, horizon, res.theta_star)
-    return BoundResult(
-        kind=kind,
-        value=threshold,
-        theta_star=res.theta_star,
-        violation_probability=_clamp01(_safe_exp(res.value)),
-        stable_at_theta_star=all(m > 0 for m in state.margins),
-        truncation_horizon_used=state.truncation,
-        hop_margins=state.margins,
-        at_theta_boundary=res.at_boundary,
-        clamped=False,
-    )
+    runs = _hop_runs(path)
+    res = minimize_over_theta(lambda th: eval_fn(_theta_state(path, horizon, th, runs), threshold), config)
+    return _result(kind, threshold, res, _theta_state(path, horizon, res.theta_star, runs), res.value)
 
 
 def backlog_violation(
@@ -675,7 +615,7 @@ def evaluate_query(path: NetworkPath, query: BoundQuery) -> BoundResult:
 
 
 # ---------------------------------------------------------------------------
-# stationary closed forms (homogeneous leftover-service tandems, infinite horizon)
+# homogeneous leftover-service tandems: thin wrappers over the engine
 # ---------------------------------------------------------------------------
 
 def stability_margin(
@@ -693,7 +633,7 @@ def stability_margin(
     return capacity - total
 
 
-def _closed_form(
+def _homogeneous(
     n_through: int,
     through: TrafficModel,
     m_cross: int,
@@ -704,61 +644,14 @@ def _closed_form(
     theta_search: Optional[ThetaSearchConfig],
     kind: str,
 ) -> BoundResult:
-    _check_epsilon(epsilon)
-    if capacity <= 0:
-        raise ValueError("capacity must be positive")
-    if hop_count < 1:
-        raise ValueError("hop count must be >= 1")
+    # Leftover and NetworkPath reject a non-positive capacity or hop count
     if m_cross > 0 and cross is None:
         raise ValueError("cross model required when m_cross > 0")
-    cross_model = cross if cross is not None else ConstantRate(0.0)
-    config = theta_search or default_theta_search(
-        NetworkPath(
-            through=Aggregate(max(n_through, 1), through),
-            hops=(Leftover(capacity, m_cross, cross_model),),
-        )
-    )
-    log_eps = math.log(epsilon)
-
-    def single_hop_value(theta: float) -> float:
-        margin = stability_margin(n_through, through, m_cross, cross_model, capacity, theta)
-        if margin <= 0:
-            return math.inf
-        log_q = math.log(-math.expm1(-0.5 * theta * margin))  # log(1 - e^{-theta*margin/2})
-        if kind == "backlog":
-            return (2.0 / theta) * (-log_eps - log_q)
-        beta = capacity - m_cross * traffic_effective_bandwidth(cross_model, theta)
-        return (2.0 / (theta * beta)) * (-log_eps - log_q)
-
-    # hop_count is a plain multiplier of the objective: optimize the single
-    # hop form once and scale, which keeps theta* identical for every H and
-    # the linear scaling exact.
-    res = minimize_over_theta(single_hop_value, config)
-    value = hop_count * res.value + 0.0  # normalize -0.0
-    clamped = False
-    if epsilon >= 1.0 and value > 0.0:
-        value, clamped = 0.0, True
-    if value < 0.0:
-        value, clamped = 0.0, True
-    theta = res.theta_star
-    margin = stability_margin(n_through, through, m_cross, cross_model, capacity, theta)
-    log_q = math.log(-math.expm1(-0.5 * theta * margin)) if margin > 0 else math.inf
-    if kind == "backlog":
-        log_violation = -log_q - 0.5 * theta * value / hop_count
-    else:
-        beta = capacity - m_cross * traffic_effective_bandwidth(cross_model, theta)
-        log_violation = -log_q - 0.5 * theta * beta * value / hop_count
-    return BoundResult(
-        kind=kind,
-        value=value,
-        theta_star=theta,
-        violation_probability=_clamp01(_safe_exp(log_violation)),
-        stable_at_theta_star=margin > 0,
-        truncation_horizon_used=None,
-        hop_margins=(margin,) * hop_count,
-        at_theta_boundary=res.at_boundary,
-        clamped=clamped,
-    )
+    hops = (Leftover(capacity, m_cross, cross if cross is not None else ConstantRate(0.0)),) * hop_count
+    # the search window treats an empty through aggregate as one flow
+    config = theta_search or default_theta_search(NetworkPath(Aggregate(max(n_through, 1), through), hops))
+    path = NetworkPath(Aggregate(n_through, through) if n_through else ConstantRate(0.0), hops)
+    return _invert(path, epsilon, INFINITE_HORIZON, config, kind)
 
 
 def closed_form_backlog(
@@ -772,8 +665,12 @@ def closed_form_backlog(
     theta_search: Optional[ThetaSearchConfig] = None,
 ) -> BoundResult:
     """Backlog bound (bits) for H identical hops serving N through flows at
-    constant rate C with M fresh cross flows per hop, infinite horizon."""
-    return _closed_form(n_through, through, m_cross, cross, capacity, hop_count, epsilon, theta_search, "backlog")
+    constant rate C with M fresh cross flows per hop, infinite horizon.
+
+    A wrapper that builds the homogeneous path and calls :func:`backlog_bound`'s
+    engine: the result is H times the single-hop value, at one theta* for
+    every H."""
+    return _homogeneous(n_through, through, m_cross, cross, capacity, hop_count, epsilon, theta_search, "backlog")
 
 
 def closed_form_delay(
@@ -786,5 +683,6 @@ def closed_form_delay(
     epsilon: float,
     theta_search: Optional[ThetaSearchConfig] = None,
 ) -> BoundResult:
-    """Delay bound (slots, real-valued) for the same homogeneous setting."""
-    return _closed_form(n_through, through, m_cross, cross, capacity, hop_count, epsilon, theta_search, "delay")
+    """Delay bound (slots, real-valued) for the same homogeneous setting;
+    a wrapper over :func:`delay_bound`'s engine."""
+    return _homogeneous(n_through, through, m_cross, cross, capacity, hop_count, epsilon, theta_search, "delay")

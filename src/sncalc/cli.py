@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Subcommands: ``bound`` (bounds at the scenario's flow point), ``sweep-hops``
-(one row per hop count), ``sweep-flows`` (one row per (N, M) sweep point),
-``simulate`` (per-replication sample statistics) and ``validate`` (simulate
-and compare empirical tails against the analytic bounds).
+Subcommands: ``bound`` and ``sweep-hops`` (bounds at the scenario's flow
+point, one row per hop count), ``sweep-flows`` (one row per (N, M) sweep
+point), ``simulate`` (per-replication sample statistics) and ``validate``
+(simulate and compare empirical tails against the analytic bounds).
 
 Exit codes: 0 success or inconclusive-by-design, 1 usage/parse error,
 2 instability, 3 validation failure.
@@ -24,9 +24,9 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .bounds import HorizonError, StabilityError, closed_form_backlog, closed_form_delay
-from .bounds import backlog_bound, delay_bound
-from .envelopes import MmooTraffic
+from .bounds import HorizonError, StabilityError, backlog_bound, delay_bound
+# not called here: perfbench/tracing.py patches these names on this module
+from .bounds import closed_form_backlog, closed_form_delay  # noqa: F401
 from .scenario import (
     ResultRow,
     Scenario,
@@ -131,16 +131,9 @@ def _horizon(sc: Scenario) -> float:
 
 def _bound_row(task) -> ResultRow:
     sc, kind, hops, n, m, eps = task
-    horizon = _horizon(sc)
     path = sc.build_path(hops, n, m)
-    search = sc.build_theta_search(path)
-    if math.isinf(horizon):
-        source = MmooTraffic(sc.mmoo_per_slot())
-        fn = closed_form_delay if kind == "delay" else closed_form_backlog
-        result = fn(n, source, m, source, sc.capacity_bits_per_slot(), hops, eps, search)
-    else:
-        fn = delay_bound if kind == "delay" else backlog_bound
-        result = fn(path, eps, horizon, search)
+    fn = delay_bound if kind == "delay" else backlog_bound
+    result = fn(path, eps, _horizon(sc), sc.build_theta_search(path))
     if kind == "delay":
         value, unit = result.value * sc.units.slot_length_s, "s"
     else:
@@ -168,24 +161,12 @@ def _emit(text: str, args) -> None:
 
 
 def _cmd_bound(sc: Scenario, args) -> int:
+    """``bound`` and ``sweep-hops``: one row per hop count, kind and epsilon."""
     if sc.bound is None and args.epsilon is None:
-        raise _UsageError("bound command needs a bound block or --epsilon")
+        raise _UsageError(f"{args.command} needs a bound block or --epsilon")
     n, m = _flow_point(sc, args)
     tasks = [(sc, kind, h, n, m, eps)
              for h in _hop_list(sc, args)
-             for kind in _kinds(sc)
-             for eps in _epsilons(sc, args)]
-    rows = _map_tasks(tasks, args)
-    _emit(write_results_csv(rows), args)
-    return EXIT_OK
-
-
-def _cmd_sweep_hops(sc: Scenario, args) -> int:
-    if sc.bound is None and args.epsilon is None:
-        raise _UsageError("sweep-hops needs a bound block or --epsilon")
-    n, m = _flow_point(sc, args)
-    tasks = [(sc, kind, h, n, m, eps)
-             for h in sc.network.hop_counts
              for kind in _kinds(sc)
              for eps in _epsilons(sc, args)]
     rows = _map_tasks(tasks, args)
@@ -294,13 +275,15 @@ def _cmd_validate(sc: Scenario, args) -> int:
                 ))
                 _log(args, f"H={h} {kind} eps={eps:g}: verdict={report.verdict} "
                            f"freq={report.frequency:.3g} ucl={report.upper_confidence:.3g}")
+        # release this hop count's samples before the next one is simulated
+        del sim, samples
     _emit(write_results_csv(rows), args)
     return EXIT_VALIDATION if any_fail else EXIT_OK
 
 
 _COMMANDS = {
     "bound": _cmd_bound,
-    "sweep-hops": _cmd_sweep_hops,
+    "sweep-hops": _cmd_bound,
     "sweep-flows": _cmd_sweep_flows,
     "simulate": _cmd_simulate,
     "validate": _cmd_validate,

@@ -26,7 +26,6 @@ __all__ = [
     "service_effective_capacity",
     "traffic_mean_rate",
     "traffic_peak_rate",
-    "service_mean_capacity",
 ]
 
 
@@ -139,11 +138,6 @@ def _check_theta(theta: float) -> None:
         raise ValueError(f"theta must be positive and finite, got {theta!r}")
 
 
-def _check_t(t: int) -> None:
-    if t < 1:
-        raise ValueError(f"interval length t must be >= 1 slot, got {t!r}")
-
-
 def mmoo_effective_bandwidth(params: MmooParams, theta: float) -> float:
     """Effective bandwidth of an on-off source, in bits per slot.
 
@@ -162,31 +156,29 @@ def mmoo_mean_rate(params: MmooParams) -> float:
     return params.mean_rate
 
 
-def traffic_effective_bandwidth(model: TrafficModel, theta: float, t: int = 1) -> float:
-    """Effective bandwidth alpha(theta, t) of a traffic model, bits per slot.
+def traffic_effective_bandwidth(model: TrafficModel, theta: float) -> float:
+    """Effective bandwidth alpha(theta) of a traffic model, bits per slot.
 
-    Every supported variant is independent of the interval length ``t``;
-    the parameter is validated (t >= 1) and kept for interface uniformity.
+    Every supported variant is independent of the interval length, so it
+    takes none.
     """
     _check_theta(theta)
-    _check_t(t)
     if isinstance(model, ConstantRate):
         return model.rate
     if isinstance(model, MmooTraffic):
         return mmoo_effective_bandwidth(model.params, theta)
     if isinstance(model, Aggregate):
-        return model.count * traffic_effective_bandwidth(model.inner, theta, t)
+        return model.count * traffic_effective_bandwidth(model.inner, theta)
     raise TypeError(f"unsupported traffic model: {model!r}")
 
 
-def service_effective_capacity(model: ServiceModel, theta: float, t: int = 1) -> float:
-    """Effective capacity beta(theta, t) of a service model, bits per slot."""
+def service_effective_capacity(model: ServiceModel, theta: float) -> float:
+    """Effective capacity beta(theta) of a service model, bits per slot."""
     _check_theta(theta)
-    _check_t(t)
     if isinstance(model, ConstantServer):
         return model.capacity
     if isinstance(model, Leftover):
-        return model.capacity - model.cross_count * traffic_effective_bandwidth(model.cross, theta, t)
+        return model.capacity - model.cross_count * traffic_effective_bandwidth(model.cross, theta)
     raise TypeError(f"unsupported service model: {model!r}")
 
 
@@ -210,12 +202,3 @@ def traffic_peak_rate(model: TrafficModel) -> float:
     if isinstance(model, Aggregate):
         return model.count * traffic_peak_rate(model.inner)
     raise TypeError(f"unsupported traffic model: {model!r}")
-
-
-def service_mean_capacity(model: ServiceModel) -> float:
-    """Capacity left after cross traffic at its mean rate (theta -> 0 limit)."""
-    if isinstance(model, ConstantServer):
-        return model.capacity
-    if isinstance(model, Leftover):
-        return model.capacity - model.cross_count * traffic_mean_rate(model.cross)
-    raise TypeError(f"unsupported service model: {model!r}")

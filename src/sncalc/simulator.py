@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .bounds import BoundResult, StabilityError
+from .bounds import StabilityError
 from .envelopes import MmooParams
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "simulate_tandem",
     "empirical_tail",
     "validate_samples",
-    "validate_bound",
 ]
 
 
@@ -410,11 +409,3 @@ def validate_samples(samples: np.ndarray, kind: str, threshold: float, epsilon: 
         verdict=verdict,
         warnings=tuple(warnings),
     )
-
-
-def validate_bound(scenario: SimScenario, bound: BoundResult, epsilon: float,
-                   slack: float = 0.0, jobs: int = 1) -> ValidationReport:
-    """Simulate the scenario and validate one bound against its tail."""
-    sim = simulate_tandem(scenario, jobs=jobs)
-    samples = sim.delay_samples if bound.kind == "delay" else sim.backlog_samples
-    return validate_samples(samples, bound.kind, bound.value, epsilon, slack=slack)

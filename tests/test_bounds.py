@@ -13,7 +13,6 @@ from sncalc import (
     MmooParams,
     MmooTraffic,
     NetworkPath,
-    SeriesTruncationError,
     StabilityError,
     ThetaSearchConfig,
     backlog_bound,
@@ -30,7 +29,7 @@ from sncalc import (
     traffic_effective_bandwidth,
 )
 from sncalc.bounds import INFINITE_HORIZON as INF
-from sncalc.bounds import _log_run_sum, log_series_sum
+from sncalc.bounds import _log_run_sum
 from helpers import brute_force_tail_sum, exhaustive_grid_min
 
 VOICE = MmooParams(peak_rate=64.0, r_on_off=0.0025, r_off_on=1.0 / 600.0)
@@ -178,26 +177,6 @@ class TestSeriesSum:
         s2 = _log_run_sum(-0.5, 200)
         assert abs(math.exp(s2) - math.exp(s1)) <= 1e-9 * math.exp(s1)
 
-    def test_accumulator_matches_geometric(self):
-        log_sum, last = log_series_sum(lambda u: -0.3 * u)
-        assert log_sum == pytest.approx(-math.log(-math.expm1(-0.3)), rel=1e-9)
-        assert last < 500
-
-    def test_accumulator_raises_on_growth(self):
-        with pytest.raises(SeriesTruncationError):
-            log_series_sum(lambda u: 0.1 * u, cap=500)
-
-    def test_accumulator_returns_partial_for_slow_decay(self):
-        # strictly decreasing terms that never meet the relative floor
-        log_sum, last = log_series_sum(lambda u: -0.5 * math.log(u + 1.0), cap=400)
-        assert math.isfinite(log_sum)
-        assert last == 399
-
-    def test_accumulator_handles_all_zero_terms(self):
-        log_sum, last = log_series_sum(lambda u: -math.inf)
-        assert log_sum == -math.inf
-        assert last == 9
-
 
 class TestMinimizeOverTheta:
     def test_quadratic_minimum(self):
@@ -283,10 +262,11 @@ class TestBacklogBound:
         assert pinned.clamped
 
     def test_per_theta_threshold_never_negative(self):
-        from sncalc.bounds import _backlog_threshold_at_theta
+        from sncalc.bounds import _hop_runs, _per_hop_threshold
         # the inner series starts at 1, so even eps = 1 keeps the log >= 0
+        p = unit_path()
         for theta in (0.3, 1.0, 4.0):
-            assert _backlog_threshold_at_theta(unit_path(), 1.0, INF, theta) >= 0.0
+            assert _per_hop_threshold(p.through, _hop_runs(p), 1, INF, theta, math.log(1.0), False) >= 0.0
 
     def test_unstable_path_raises(self):
         p = NetworkPath(ConstantRate(5.0), (ConstantServer(4.0),))
@@ -296,8 +276,9 @@ class TestBacklogBound:
 
 class TestDelayBound:
     def test_inverts_hand_anchor(self):
+        # the real root of e^{-d} / (1 - e^{-1/2}) = 0.127
         res = delay_bound(unit_path(), 0.127, INF, pinned_theta(1.0))
-        assert res.value == 3.0
+        assert res.value == pytest.approx(2.9963203183236664, rel=1e-9)
 
     def test_epsilon_one_gives_zero(self):
         res = delay_bound(unit_path(), 1.0)
@@ -373,7 +354,7 @@ class TestClosedForms:
         cf = closed_form_delay(50, src, 100, src, 8000.0, 2, 1e-6)
         path = NetworkPath(Aggregate(50, src), (Leftover(8000.0, 100, src),) * 2)
         general = delay_bound(path, 1e-6)
-        assert 0.0 <= general.value - cf.value <= 1.0
+        assert general.value == pytest.approx(cf.value, rel=1e-12)
 
     def test_delay_satisfies_implicit_inequality(self):
         # the real-valued closed-form threshold reproduces the target tail
@@ -460,8 +441,47 @@ class TestQueries:
         src = MmooTraffic(VOICE)
         path = NetworkPath(Aggregate(781, src), (Leftover(100_000.0, 1953, src),) * 10)
         for horizon in (10**4, 10**9):
-            assert delay_bound(path, 1e-9, horizon).value == 377.0
+            assert delay_bound(path, 1e-9, horizon).value == 376.55895209193767
             assert backlog_bound(path, 1e-9, horizon).value == 11176303.247672644
+
+    @pytest.mark.parametrize("hops", [1, 10])
+    def test_finite_horizon_delay_is_a_valid_bound(self, hops):
+        # the inversion bounds the last hop by its full-horizon series, so
+        # the exact (horizon - d)-term tail at the returned d stays <= eps
+        src = MmooTraffic(VOICE)
+        path = NetworkPath(Aggregate(781, src), (Leftover(100_000.0, 1953, src),) * hops)
+        res = delay_bound(path, 1e-9, 10**4)
+        assert delay_violation_at_theta(path, res.value, 10**4, res.theta_star) <= 1e-9 * (1 + 1e-9)
+
+    def test_objective_cost_is_hop_count_independent(self, monkeypatch):
+        # each theta evaluates every run of equal hops once, so a
+        # homogeneous path costs the same per theta at any hop count
+        import sncalc.bounds as bounds
+        calls = [0]
+        real_capacity, real_search = bounds.service_effective_capacity, bounds.minimize_over_theta
+
+        def capacity(*args):
+            calls[0] += 1
+            return real_capacity(*args)
+
+        def search(objective, config):
+            def counted(theta):
+                before = calls[0]
+                value = objective(theta)
+                per_eval.add(calls[0] - before)
+                return value
+            return real_search(counted, config)
+
+        monkeypatch.setattr(bounds, "service_effective_capacity", capacity)
+        monkeypatch.setattr(bounds, "minimize_over_theta", search)
+        src = MmooTraffic(VOICE)
+        seen = {}
+        for hops in (1, 21):
+            per_eval = set()
+            path = NetworkPath(Aggregate(781, src), (Leftover(100_000.0, 1953, src),) * hops)
+            delay_bound(path, 1e-9, 10**4)
+            seen[hops] = per_eval
+        assert seen[1] == seen[21] == {1}
 
     def test_paths_accept_list_hops(self):
         p = NetworkPath(ConstantRate(1.0), [ConstantServer(2.0), ConstantServer(3.0)])

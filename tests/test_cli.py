@@ -110,6 +110,11 @@ class TestSweepHops:
         for r in rows:
             assert float(r["bound_value"]) == pytest.approx(int(r["H"]) * base, rel=1e-9)
 
+    def test_hops_flag_selects_one_hop_count(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep-hops", "--scenario", "voice-fig3", "--hops", "3")
+        assert code == EXIT_OK
+        assert [r["H"] for r in parse_rows(out)] == ["3"]
+
     def test_single_hop_list_matches_bound(self, capsys, tiny):
         _, out_sweep, _ = run_cli(capsys, "sweep-hops", "--scenario", tiny, "--epsilon", "1e-2")
         _, out_bound, _ = run_cli(capsys, "bound", "--scenario", tiny, "--epsilon", "1e-2")

@@ -75,7 +75,7 @@ class TestMeanRate:
 class TestTrafficDispatch:
     def test_constant_rate_is_theta_independent(self):
         for theta in (1e-9, 1.0, 100.0):
-            assert traffic_effective_bandwidth(ConstantRate(5.0), theta, 3) == 5.0
+            assert traffic_effective_bandwidth(ConstantRate(5.0), theta) == 5.0
 
     def test_aggregate_scales_voice_limit(self):
         agg = Aggregate(781, MmooTraffic(VOICE))
@@ -103,8 +103,11 @@ class TestTrafficDispatch:
         assert traffic_peak_rate(nested) == 6 * 64.0
 
     def test_rejects_bad_interval(self):
-        with pytest.raises(ValueError):
+        # the envelopes do not depend on the interval length, so they take none
+        with pytest.raises(TypeError):
             traffic_effective_bandwidth(ConstantRate(1.0), 1.0, 0)
+        with pytest.raises(TypeError):
+            service_effective_capacity(ConstantServer(1.0), 1.0, 0)
 
     def test_mean_and_peak_helpers(self):
         agg = Aggregate(3, MmooTraffic(VOICE))
