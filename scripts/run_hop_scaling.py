@@ -18,7 +18,5 @@ from sncalc.cli import main as cli_main
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="hop_scaling.csv")
-    ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
-    sys.exit(cli_main(["sweep-hops", "--scenario", "voice-fig3",
-                       "--out", args.out, "--jobs", str(args.jobs)]))
+    sys.exit(cli_main(["sweep-hops", "--scenario", "voice-fig3", "--out", args.out]))

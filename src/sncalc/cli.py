@@ -5,12 +5,20 @@ point, one row per hop count), ``sweep-flows`` (one row per (N, M) sweep
 point), ``simulate`` (per-replication sample statistics) and ``validate``
 (simulate and compare empirical tails against the analytic bounds).
 
-Exit codes: 0 success or inconclusive-by-design, 1 usage/parse error,
-2 instability, 3 validation failure.
+Exit codes: 0 success or inconclusive-by-design, 1 usage, parse or file
+error, 2 instability, 3 validation failure.  A row whose bound does not exist
+(unstable load, or no delay within a finite horizon) is still written,
+flagged ``stable=false`` with ``bound_value=inf`` and no ``theta_star``; its
+reason goes to stderr and the command exits 2.  ``validate`` exits 3 on a
+failed check even when a row is flagged.  A simulation whose offered load
+exceeds the capacity ends the command with exit 2 and no rows.
 
 Flat flags override scenario fields (--epsilon, --hops, --through, --cross,
---seed); command-line values take precedence.  ``--scenario`` accepts a file
-path, a name resolved in ``$SNC_PRESET_DIR``, or a built-in preset name.
+--seed); command-line values take precedence.  ``sweep-flows`` takes its
+(N, M) points from the scenario only.  ``--jobs`` runs simulation
+replications in parallel; the bound commands accept it and run in one
+process.  ``--scenario`` accepts a file path, a name resolved in
+``$SNC_PRESET_DIR``, or a built-in preset name.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ import csv
 import io
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -35,7 +43,7 @@ from .scenario import (
     resolve_scenario_path,
     write_results_csv,
 )
-from .simulator import simulate_replication, simulate_tandem, validate_samples
+from .simulator import simulate_tandem, validate_samples
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -76,7 +84,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--through", type=int, help="override the through-flow count N")
         p.add_argument("--cross", type=int, help="override the cross-flow count M")
         p.add_argument("--seed", type=int, help="override the simulation base seed")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
+        p.add_argument("--jobs", type=int, default=1, help="parallel simulation workers (default 1)")
         p.add_argument("-v", "--verbose", action="store_true", help="progress on stderr")
         if name == "validate":
             p.add_argument("--self-test", action="store_true",
@@ -121,35 +129,48 @@ def _epsilons(sc: Scenario, args) -> tuple:
     return sc.bound.epsilons
 
 
-def _kinds(sc: Scenario) -> tuple:
-    return sc.bound.kinds if sc.bound is not None else ("delay",)
+def _bound_rows(sc: Scenario, args, flow_points) -> tuple:
+    """One row per (H, (N, M), kind, epsilon), in that nesting order.
+
+    A bound that raises :class:`StabilityError` or :class:`HorizonError`
+    becomes a flagged row (``stable=false``, ``bound_value=inf``, no
+    ``theta_star``) and its message goes to stderr.  Returns the rows and
+    whether any was flagged.
+    """
+    hops, epsilons = _hop_list(sc, args), _epsilons(sc, args)
+    kinds, horizon = (sc.bound.kinds, sc.bound.horizon) if sc.bound else (("delay",), math.inf)
+    rows, flagged = [], False
+    for h in hops:
+        for n, m in flow_points:
+            path = sc.build_path(h, n, m)
+            search = sc.build_theta_search(path)
+            for kind in kinds:
+                fn, unit, scale = ((delay_bound, "s", sc.units.slot_length_s) if kind == "delay"
+                                   else (backlog_bound, "bits", 1.0))
+                for eps in epsilons:
+                    try:
+                        result = fn(path, eps, horizon, search)
+                        theta, value = result.theta_star, result.value * scale
+                        stable = result.stable_at_theta_star
+                    except (StabilityError, HorizonError) as exc:
+                        theta, value, stable, flagged = None, math.inf, False, True
+                        print(f"H={h} N={n} M={m} {kind} epsilon={eps:g}: no bound: {exc}",
+                              file=sys.stderr)
+                    rows.append(ResultRow(
+                        scenario_id=sc.scenario_id, kind=kind, hops=h, through_flows=n,
+                        cross_flows=m, epsilon=eps, theta_star=theta, bound_value=value,
+                        bound_unit=unit, stable=stable,
+                    ))
+    return rows, flagged
 
 
-def _horizon(sc: Scenario) -> float:
-    return sc.bound.horizon if sc.bound is not None else math.inf
-
-
-def _bound_row(task) -> ResultRow:
-    sc, kind, hops, n, m, eps = task
-    path = sc.build_path(hops, n, m)
-    fn = delay_bound if kind == "delay" else backlog_bound
-    result = fn(path, eps, _horizon(sc), sc.build_theta_search(path))
-    if kind == "delay":
-        value, unit = result.value * sc.units.slot_length_s, "s"
-    else:
-        value, unit = result.value, "bits"
-    return ResultRow(
-        scenario_id=sc.scenario_id, kind=kind, hops=hops, through_flows=n,
-        cross_flows=m, epsilon=eps, theta_star=result.theta_star,
-        bound_value=value, bound_unit=unit, stable=result.stable_at_theta_star,
-    )
-
-
-def _map_tasks(tasks, args):
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            return list(pool.map(_bound_row, tasks))
-    return [_bound_row(t) for t in tasks]
+def _simulations(sc: Scenario, args, n: int, m: int):
+    """(SimScenario, SimResult) per hop count, replications in order."""
+    for h in _hop_list(sc, args):
+        sim = sc.build_sim_scenario(h, n, m, base_seed=args.seed)
+        _log(args, f"simulating H={h}: {sim.replications} x {sim.measure_slots} slots "
+                   f"(utilization {sim.utilization():.3f})")
+        yield sim, simulate_tandem(sim, jobs=args.jobs)
 
 
 def _emit(text: str, args) -> None:
@@ -161,74 +182,40 @@ def _emit(text: str, args) -> None:
 
 
 def _cmd_bound(sc: Scenario, args) -> int:
-    """``bound`` and ``sweep-hops``: one row per hop count, kind and epsilon."""
-    if sc.bound is None and args.epsilon is None:
-        raise _UsageError(f"{args.command} needs a bound block or --epsilon")
-    n, m = _flow_point(sc, args)
-    tasks = [(sc, kind, h, n, m, eps)
-             for h in _hop_list(sc, args)
-             for kind in _kinds(sc)
-             for eps in _epsilons(sc, args)]
-    rows = _map_tasks(tasks, args)
-    _emit(write_results_csv(rows), args)
-    return EXIT_OK
-
-
-def _cmd_sweep_flows(sc: Scenario, args) -> int:
-    if sc.network.flow_totals is None and sc.network.flow_pairs is None:
+    """``bound``, ``sweep-hops`` and ``sweep-flows``."""
+    if args.command != "sweep-flows":
+        flow_points = [_flow_point(sc, args)]
+    elif sc.network.flow_totals is None and sc.network.flow_pairs is None:
         raise _UsageError("sweep-flows needs network.flow_totals or network.flow_pairs")
-    if sc.bound is None and args.epsilon is None:
-        raise _UsageError("sweep-flows needs a bound block or --epsilon")
-    rows = []
-    for h in _hop_list(sc, args):
-        for n, m in sc.flow_points():
-            for kind in _kinds(sc):
-                for eps in _epsilons(sc, args):
-                    try:
-                        rows.append(_bound_row((sc, kind, h, n, m, eps)))
-                    except StabilityError:
-                        unit = "s" if kind == "delay" else "bits"
-                        rows.append(ResultRow(
-                            scenario_id=sc.scenario_id, kind=kind, hops=h,
-                            through_flows=n, cross_flows=m, epsilon=eps,
-                            theta_star=None, bound_value=math.inf, bound_unit=unit,
-                            stable=False,
-                        ))
-                        _log(args, f"flow point N={n} M={m}: unstable, bound diverges")
+    elif args.through is not None or args.cross is not None:
+        raise _UsageError("sweep-flows takes (N, M) from network.flow_totals or "
+                          "network.flow_pairs, not from --through/--cross")
+    else:
+        flow_points = sc.flow_points()
+    rows, flagged = _bound_rows(sc, args, flow_points)
     _emit(write_results_csv(rows), args)
-    return EXIT_OK
+    return EXIT_UNSTABLE if flagged else EXIT_OK
 
 
-def _sim_row(task):
-    sc, hops, n, m, seed, rep = task
-    sim = sc.build_sim_scenario(hops, n, m, base_seed=seed)
-    trace = simulate_replication(sim, rep)
-    d, b = trace.delay_samples, trace.backlog_samples
-    return [
-        sc.scenario_id, str(hops), str(n), str(m), str(rep), str(sim.base_seed),
-        str(d.size),
-        repr(float(d.mean())), repr(float(np.percentile(d, 99))), repr(float(d.max())),
-        repr(float(b.mean())), repr(float(np.percentile(b, 99))), repr(float(b.max())),
-    ]
+def _stats(samples) -> list:
+    """Mean, 99th percentile and maximum, as CSV fields."""
+    return [repr(float(v)) for v in (samples.mean(), np.percentile(samples, 99), samples.max())]
 
 
 def _cmd_simulate(sc: Scenario, args) -> int:
     if sc.sim is None:
         raise _UsageError("simulate needs a sim block in the scenario")
     n, m = _flow_point(sc, args)
-    seed = args.seed if args.seed is not None else sc.sim.base_seed
-    tasks = [(sc, h, n, m, seed, rep)
-             for h in _hop_list(sc, args)
-             for rep in range(sc.sim.replications)]
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sim_row, tasks))
-    else:
-        rows = [_sim_row(t) for t in tasks]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SIM_CSV_HEADER)
-    writer.writerows(rows)
+    for sim, result in _simulations(sc, args, n, m):
+        k = sim.measure_slots
+        for rep in range(sim.replications):
+            writer.writerow([sc.scenario_id, sim.hops, n, m, rep, sim.base_seed, k,
+                             *_stats(result.delay_samples[rep * k:(rep + 1) * k]),
+                             *_stats(result.backlog_samples[rep * k:(rep + 1) * k])])
+        del result
     _emit(buf.getvalue(), args)
     return EXIT_OK
 
@@ -236,82 +223,58 @@ def _cmd_simulate(sc: Scenario, args) -> int:
 def _cmd_validate(sc: Scenario, args) -> int:
     if sc.sim is None:
         raise _UsageError("validate needs a sim block in the scenario")
-    if sc.bound is None and args.epsilon is None:
-        raise _UsageError("validate needs a bound block or --epsilon")
     n, m = _flow_point(sc, args)
-    seed = args.seed if args.seed is not None else None
-    epsilons = _epsilons(sc, args)
-    kinds = _kinds(sc)
+    rows, flagged = _bound_rows(sc, args, [(n, m)])
     scenario_id = sc.scenario_id + ("#selftest" if args.self_test else "")
-    rows = []
+    slot = sc.units.slot_length_s
     any_fail = False
-    for h in _hop_list(sc, args):
-        sim_scenario = sc.build_sim_scenario(h, n, m, base_seed=seed)
-        _log(args, f"simulating H={h}: {sim_scenario.replications} x "
-                   f"{sim_scenario.measure_slots} slots "
-                   f"(utilization {sim_scenario.utilization():.3f})")
-        sim = simulate_tandem(sim_scenario, jobs=args.jobs)
-        for kind in kinds:
-            samples = sim.delay_samples if kind == "delay" else sim.backlog_samples
-            for eps in epsilons:
-                bound = _bound_row((sc, kind, h, n, m, eps))
-                # validation happens in internal units (slots / bits)
-                threshold = (bound.bound_value / sc.units.slot_length_s
-                             if kind == "delay" else bound.bound_value)
-                if args.self_test:
-                    threshold *= 0.5
-                report = validate_samples(samples, kind, threshold, eps, slack=args.slack)
-                for warning in report.warnings:
-                    print(f"warning: H={h} {kind}: {warning}", file=sys.stderr)
-                if report.verdict == "fail":
-                    any_fail = True
-                shown = threshold * sc.units.slot_length_s if kind == "delay" else threshold
-                rows.append(ResultRow(
-                    scenario_id=scenario_id, kind=kind, hops=h, through_flows=n,
-                    cross_flows=m, epsilon=eps, theta_star=bound.theta_star,
-                    bound_value=shown, bound_unit=bound.bound_unit, stable=bound.stable,
-                    empirical_frequency=report.frequency,
-                    confidence_limit=report.upper_confidence,
-                ))
-                _log(args, f"H={h} {kind} eps={eps:g}: verdict={report.verdict} "
-                           f"freq={report.frequency:.3g} ucl={report.upper_confidence:.3g}")
+    for sim, result in _simulations(sc, args, n, m):
+        for i, row in enumerate(rows):
+            if row.hops != sim.hops:
+                continue
+            delay = row.kind == "delay"
+            # validation happens in internal units (slots / bits)
+            threshold = row.bound_value / slot if delay else row.bound_value
+            if args.self_test:
+                threshold *= 0.5
+            report = validate_samples(result.delay_samples if delay else result.backlog_samples,
+                                      row.kind, threshold, row.epsilon, slack=args.slack)
+            for warning in report.warnings:
+                print(f"warning: H={row.hops} {row.kind}: {warning}", file=sys.stderr)
+            any_fail = any_fail or report.verdict == "fail"
+            rows[i] = replace(row, scenario_id=scenario_id,
+                              bound_value=threshold * slot if delay else threshold,
+                              empirical_frequency=report.frequency,
+                              confidence_limit=report.upper_confidence)
+            _log(args, f"H={row.hops} {row.kind} eps={row.epsilon:g}: verdict={report.verdict} "
+                       f"freq={report.frequency:.3g} ucl={report.upper_confidence:.3g}")
         # release this hop count's samples before the next one is simulated
-        del sim, samples
+        del result
     _emit(write_results_csv(rows), args)
-    return EXIT_VALIDATION if any_fail else EXIT_OK
+    return EXIT_VALIDATION if any_fail else EXIT_UNSTABLE if flagged else EXIT_OK
 
 
 _COMMANDS = {
     "bound": _cmd_bound,
     "sweep-hops": _cmd_bound,
-    "sweep-flows": _cmd_sweep_flows,
+    "sweep-flows": _cmd_bound,
     "simulate": _cmd_simulate,
     "validate": _cmd_validate,
 }
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command](_load(args), args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        sc = _load(args)
-    except (FileNotFoundError, ScenarioError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return _COMMANDS[args.command](sc, args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+    except (OSError, ScenarioError) as exc:  # scenario or --out file
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except StabilityError as exc:
         print(f"instability: {exc}", file=sys.stderr)
-        return EXIT_UNSTABLE
-    except HorizonError as exc:
-        print(f"horizon too small: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
 
 

@@ -16,7 +16,7 @@ import csv
 import io
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -159,16 +159,21 @@ class Scenario:
         )
 
     def build_theta_search(self, path: NetworkPath) -> ThetaSearchConfig:
+        """The path's derived theta window with ``bound.theta`` overrides
+        merged in; an empty or invalid merged window is a
+        :class:`ScenarioError`."""
         base = default_theta_search(path)
         overrides = self.bound.theta if self.bound else None
         if overrides is None:
             return base
-        return ThetaSearchConfig(
-            theta_min=overrides.theta_min if overrides.theta_min is not None else base.theta_min,
-            theta_max=overrides.theta_max if overrides.theta_max is not None else base.theta_max,
-            coarse_grid_points=overrides.grid_points if overrides.grid_points is not None else base.coarse_grid_points,
-            refine_tolerance=overrides.refine_tolerance if overrides.refine_tolerance is not None else base.refine_tolerance,
-        )
+        fields = {"theta_min": overrides.theta_min, "theta_max": overrides.theta_max,
+                  "coarse_grid_points": overrides.grid_points,
+                  "refine_tolerance": overrides.refine_tolerance}
+        try:
+            return replace(base, **{k: v for k, v in fields.items() if v is not None})
+        except ValueError as exc:
+            raise ScenarioError([f"bound.theta: {exc} (derived window "
+                                 f"[{base.theta_min:g}, {base.theta_max:g}])"]) from None
 
     def build_sim_scenario(self, hops: int, n_through: int, m_cross: int,
                            base_seed: Optional[int] = None) -> SimScenario:

@@ -22,6 +22,7 @@ through-source block at the ingress; cross sources use their hop number.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -311,22 +312,23 @@ def simulate_tandem(scenario: SimScenario, jobs: int = 1) -> SimResult:
             f"{scenario.source.mean_rate:.6g} bits/slot against capacity "
             f"{scenario.capacity_per_slot:.6g} bits/slot"
         )
-    reps = range(scenario.replications)
-    if jobs > 1 and scenario.replications > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    n, k = scenario.replications, scenario.measure_slots
+    delays, backlogs = np.empty(n * k, dtype=np.int64), np.empty(n * k)
+    with contextlib.ExitStack() as stack:
+        mapper = map
+        if jobs > 1 and n > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_replication_samples, [scenario] * scenario.replications, reps))
-    else:
-        results = [_replication_samples(scenario, r) for r in reps]
-    delays = np.concatenate([r[0] for r in results])
-    backlogs = np.concatenate([r[1] for r in results])
-    seeds = tuple((scenario.base_seed, r) for r in reps)
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
+        # filled one replication at a time, so no second copy of the samples is held
+        for r, (d, b) in enumerate(mapper(_replication_samples, [scenario] * n, range(n))):
+            delays[r * k:(r + 1) * k], backlogs[r * k:(r + 1) * k] = d, b
+    seeds = tuple((scenario.base_seed, r) for r in range(n))
     return SimResult(
         delay_samples=delays,
         backlog_samples=backlogs,
         replication_seeds=seeds,
-        measured_slots=scenario.measure_slots * scenario.replications,
+        measured_slots=n * k,
     )
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import math
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import sncalc.cli as cli
 from sncalc.cli import EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE, EXIT_VALIDATION, main
@@ -32,6 +35,21 @@ sim:
   measure_slots: 8000
   replications: 2
   base_seed: 5
+"""
+
+
+VOICE = """
+id: voice
+units: {slot_length_s: 0.001, rate_unit: kbit/s}
+traffic:
+  peak_rate: 64.0
+  mean_on_time_s: 0.4
+  mean_off_time_s: 0.6
+  through_flows: 781
+  cross_flows: 1953
+network:
+  capacity: 100000.0
+  hops: [1]
 """
 
 
@@ -92,9 +110,14 @@ class TestBoundCommand:
         _, out2, _ = run_cli(capsys, "bound", "--scenario", tiny)
         assert out1 == out2
 
-    def test_parallel_jobs_keep_row_order(self, capsys):
-        _, serial, _ = run_cli(capsys, "sweep-hops", "--scenario", "voice-fig3")
-        _, parallel, _ = run_cli(capsys, "sweep-hops", "--scenario", "voice-fig3", "--jobs", "3")
+    @pytest.mark.parametrize("command, scenario, jobs", [
+        ("sweep-hops", "voice-fig3", "3"),
+        ("simulate", None, "2"),
+    ], ids=["sweep-hops", "simulate"])
+    def test_parallel_jobs_keep_row_order(self, capsys, tiny, command, scenario, jobs):
+        scenario = scenario or tiny
+        _, serial, _ = run_cli(capsys, command, "--scenario", scenario)
+        _, parallel, _ = run_cli(capsys, command, "--scenario", scenario, "--jobs", jobs)
         assert serial == parallel
 
 
@@ -145,7 +168,7 @@ class TestSweepFlows:
         f = tmp_path / "sweep.yaml"
         f.write_text(doc)
         code, out, _ = run_cli(capsys, "sweep-flows", "--scenario", str(f))
-        assert code == EXIT_OK
+        assert code == EXIT_UNSTABLE
         rows = parse_rows(out)
         flags = {(r["N"], r["stable"]) for r in rows}
         assert ("2", "true") in flags
@@ -157,6 +180,44 @@ class TestSweepFlows:
         code, _, err = run_cli(capsys, "sweep-flows", "--scenario", tiny)
         assert code == EXIT_USAGE
         assert "flow_totals" in err
+
+    def test_flow_count_flags_are_usage_errors(self, capsys):
+        for flag in ("--through", "--cross"):
+            code, out, err = run_cli(capsys, "sweep-flows", "--scenario", "voice-fig4-H1", flag, "5")
+            assert code == EXIT_USAGE and out == ""
+            assert "network.flow_totals" in err and "flow_pairs" in err
+
+
+class TestFailedRows:
+    def test_horizon_failure_flags_only_its_row(self, capsys, tmp_path):
+        # at a 300-slot horizon the H=10 delay (about 377 slots) has no bound
+        f = tmp_path / "short.yaml"
+        f.write_text(VOICE.replace("hops: [1]", "hops: [1, 2, 5, 10]")
+                     + "bound: {kind: both, epsilon: 1.0e-9, horizon: 300}\n")
+        code, out, err = run_cli(capsys, "bound", "--scenario", str(f))
+        assert code == EXIT_UNSTABLE
+        rows = parse_rows(out)
+        assert len(rows) == 8
+        flagged = [(r["H"], r["kind"]) for r in rows if r["stable"] == "false"]
+        assert flagged == [("10", "delay")]
+        row = rows[-1]
+        assert row["bound_value"] == "inf" and row["theta_star"] == ""
+        assert "H=10" in err and "horizon" in err
+        assert all(math.isfinite(float(r["bound_value"])) for r in rows[:-1])
+
+    def test_overload_row_is_written(self, capsys):
+        code, out, _ = run_cli(capsys, "bound", "--scenario", "voice-fig3",
+                               "--hops", "1", "--through", "4000")
+        assert code == EXIT_UNSTABLE
+        [row] = parse_rows(out)
+        assert (row["stable"], row["bound_value"], row["theta_star"]) == ("false", "inf", "")
+
+    def test_empty_theta_window_exits_1(self, capsys, tmp_path):
+        f = tmp_path / "theta.yaml"
+        f.write_text(VOICE + "bound: {kind: delay, epsilon: 1.0e-9, theta: {min: 1.0}}\n")
+        code, out, err = run_cli(capsys, "bound", "--scenario", str(f))
+        assert code == EXIT_USAGE and out == ""
+        assert "bound.theta" in err and "theta_min" in err
 
 
 class TestSimulate:
@@ -175,6 +236,13 @@ class TestSimulate:
         _, out1, _ = run_cli(capsys, "simulate", "--scenario", tiny)
         _, out2, _ = run_cli(capsys, "simulate", "--scenario", tiny, "--seed", "99")
         assert out1 != out2
+
+    def test_overload_exits_2(self, capsys, tmp_path):
+        f = tmp_path / "overload.yaml"
+        f.write_text(TINY_SIM.replace("capacity: 30000.0", "capacity: 15000.0"))
+        code, out, err = run_cli(capsys, "simulate", "--scenario", str(f))
+        assert code == EXIT_UNSTABLE and out == ""
+        assert "exceeds 1" in err
 
     def test_requires_sim_block(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--scenario", "voice-fig3")
@@ -246,11 +314,63 @@ class TestUsageAndResolution:
         assert code == EXIT_OK
         assert parse_rows(out)
 
+    def test_unwritable_output_exits_1(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "bound", "--scenario", "voice-fig3", "--hops", "1",
+                               "--out", str(tmp_path))
+        assert code == EXIT_USAGE and str(tmp_path) in err
+
     def test_parse_error_exits_1(self, capsys, tmp_path):
         f = tmp_path / "broken.yaml"
         f.write_text("id: x\nunits: {slot_length_s: -5, rate_unit: kbit/s}\n")
         code, _, err = run_cli(capsys, "bound", "--scenario", str(f))
         assert code == EXIT_USAGE and "slot_length_s" in err
+
+
+@st.composite
+def cli_scenarios(draw):
+    """Valid scenario documents across stable and overloaded loads, finite
+    horizons, theta overrides and a simulation of at most 300 slots."""
+    n, m = draw(st.integers(1, 30)), draw(st.integers(0, 30))
+    peak = draw(st.floats(1.0, 100.0))
+    on, off = draw(st.floats(0.002, 0.05)), draw(st.floats(0.002, 0.05))
+    utilization = draw(st.floats(0.2, 1.5))
+    network = {"capacity": (n + m) * peak * on / (on + off) / utilization,
+               "hops": draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))}
+    if draw(st.booleans()):
+        network["flow_totals"] = draw(st.lists(st.integers(1, 30).map(lambda t: 2 * t),
+                                               min_size=1, max_size=3))
+    bound = {"kind": draw(st.sampled_from(["backlog", "delay", "both"])),
+             "epsilon": draw(st.lists(st.floats(-25.0, 0.0).map(math.exp), min_size=1, max_size=2)),
+             "horizon": draw(st.one_of(st.just("inf"), st.integers(0, 3000)))}
+    theta = draw(st.fixed_dictionaries({}, optional={
+        "min": st.floats(-22.0, 2.0).map(math.exp), "max": st.floats(-22.0, 2.0).map(math.exp),
+        "grid_points": st.integers(8, 24), "refine_tolerance": st.floats(1e-6, 1.5)}))
+    if "min" in theta and "max" in theta and theta["min"] > theta["max"]:
+        theta["min"], theta["max"] = theta["max"], theta["min"]
+    if theta:
+        bound["theta"] = theta
+    sim = {"measure_slots": draw(st.integers(1, 300)), "replications": draw(st.integers(1, 2)),
+           "base_seed": draw(st.integers(0, 1000))}
+    if draw(st.booleans()):
+        sim["warmup_slots"] = draw(st.integers(0, 50))
+    return {"id": "prop", "units": {"slot_length_s": 0.001, "rate_unit": "kbit/s"},
+            "traffic": {"peak_rate": peak, "mean_on_time_s": on, "mean_off_time_s": off,
+                        "through_flows": n, "cross_flows": m},
+            "network": network, "bound": bound, "sim": sim}
+
+
+@given(cli_scenarios())
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_every_command_ends_in_an_exit_code(tmp_path_factory, doc):
+    f = tmp_path_factory.mktemp("prop") / "scenario.yaml"
+    f.write_text(yaml.safe_dump(doc))
+    for command in ("bound", "sweep-hops", "sweep-flows", "simulate", "validate"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--scenario", str(f)])
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_UNSTABLE, EXIT_VALIDATION), (command, err.getvalue())
+        if code == EXIT_OK:
+            assert out.getvalue().startswith("scenario_id,"), command
 
 
 class TestImportCost:

@@ -173,6 +173,16 @@ class TestSimulateTandem:
         assert np.array_equal(a.backlog_samples, b.backlog_samples)
         assert a.replication_seeds == b.replication_seeds
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_samples_are_the_replications_in_order(self, jobs):
+        sc = small_scenario(capacity_per_slot=30.0, replications=3)
+        out = simulate_tandem(sc, jobs=jobs)
+        traces = [simulate_replication(sc, r) for r in range(sc.replications)]
+        assert out.delay_samples.dtype == np.int64
+        assert np.array_equal(out.delay_samples, np.concatenate([t.delay_samples for t in traces]))
+        assert np.array_equal(out.backlog_samples,
+                              np.concatenate([t.backlog_samples for t in traces]))
+
     def test_different_seed_changes_samples(self):
         # capacity below the 40-bit aggregate peak so queues actually form
         a = simulate_tandem(small_scenario(capacity_per_slot=30.0))
