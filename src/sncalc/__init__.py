@@ -8,7 +8,6 @@ modulated on-off sources.
 
 from .bounds import (
     INFINITE_HORIZON,
-    BoundQuery,
     BoundResult,
     HorizonError,
     NetworkPath,
@@ -24,7 +23,6 @@ from .bounds import (
     delay_bound,
     delay_violation,
     delay_violation_at_theta,
-    evaluate_query,
     minimize_over_theta,
     stability_margin,
 )
@@ -38,7 +36,6 @@ from .envelopes import (
     ServiceModel,
     TrafficModel,
     mmoo_effective_bandwidth,
-    mmoo_mean_rate,
     service_effective_capacity,
     traffic_effective_bandwidth,
     traffic_mean_rate,

@@ -62,7 +62,6 @@ __all__ = [
     "ThetaSearchConfig",
     "ThetaSearchResult",
     "BoundResult",
-    "BoundQuery",
     "backlog_violation_at_theta",
     "delay_violation_at_theta",
     "minimize_over_theta",
@@ -74,7 +73,6 @@ __all__ = [
     "closed_form_delay",
     "stability_margin",
     "default_theta_search",
-    "evaluate_query",
 ]
 
 INFINITE_HORIZON = math.inf
@@ -115,12 +113,6 @@ class NetworkPath:
     @property
     def hop_count(self) -> int:
         return len(self.hops)
-
-    @property
-    def homogeneous(self) -> bool:
-        """True iff all hops are structurally identical."""
-        first = self.hops[0]
-        return all(h == first for h in self.hops[1:])
 
 
 @dataclass(frozen=True)
@@ -175,35 +167,6 @@ class BoundResult:
     hop_margins: tuple
     at_theta_boundary: bool = False
     clamped: bool = False
-
-
-@dataclass(frozen=True)
-class BoundQuery:
-    """One bound question: invert for epsilon, or evaluate at a threshold."""
-
-    kind: str
-    threshold: Optional[float] = None
-    epsilon: Optional[float] = None
-    horizon: float = INFINITE_HORIZON
-    theta_search: Optional[ThetaSearchConfig] = None
-
-    def __post_init__(self):
-        if self.kind not in ("backlog", "delay"):
-            raise ValueError(f"kind must be 'backlog' or 'delay', got {self.kind!r}")
-        if (self.threshold is None) == (self.epsilon is None):
-            raise ValueError("provide exactly one of threshold, epsilon")
-        if self.epsilon is not None and not (0 < self.epsilon <= 1):
-            raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon!r}")
-        if self.threshold is not None and self.threshold < 0:
-            raise ValueError("threshold must be >= 0")
-        _check_horizon(self.horizon)
-        if (
-            self.kind == "delay"
-            and self.threshold is not None
-            and not math.isinf(self.horizon)
-            and self.horizon < self.threshold
-        ):
-            raise ValueError("finite horizon must be >= the delay threshold")
 
 
 def _check_horizon(horizon) -> None:
@@ -603,15 +566,6 @@ def delay_violation(
     if not math.isinf(horizon) and horizon < d:
         raise ValueError("finite horizon must be >= the delay threshold")
     return _violation_result(path, "delay", d, horizon, theta_search, _delay_eval)
-
-
-def evaluate_query(path: NetworkPath, query: BoundQuery) -> BoundResult:
-    """Dispatch a :class:`BoundQuery` to the matching bound operation."""
-    if query.epsilon is not None:
-        fn = backlog_bound if query.kind == "backlog" else delay_bound
-        return fn(path, query.epsilon, query.horizon, query.theta_search)
-    fn = backlog_violation if query.kind == "backlog" else delay_violation
-    return fn(path, query.threshold, query.horizon, query.theta_search)
 
 
 # ---------------------------------------------------------------------------

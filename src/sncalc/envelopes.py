@@ -21,7 +21,6 @@ __all__ = [
     "Leftover",
     "ServiceModel",
     "mmoo_effective_bandwidth",
-    "mmoo_mean_rate",
     "traffic_effective_bandwidth",
     "service_effective_capacity",
     "traffic_mean_rate",
@@ -149,11 +148,6 @@ def mmoo_effective_bandwidth(params: MmooParams, theta: float) -> float:
     p, r10, r01 = params.peak_rate, params.r_on_off, params.r_off_on
     root = math.sqrt((p * theta - r10 + r01) ** 2 + 4.0 * r10 * r01)
     return (p * theta - r10 - r01 + root) / (2.0 * theta)
-
-
-def mmoo_mean_rate(params: MmooParams) -> float:
-    """Long-run average rate P * r_off_on / (r_on_off + r_off_on)."""
-    return params.mean_rate
 
 
 def traffic_effective_bandwidth(model: TrafficModel, theta: float) -> float:

@@ -7,12 +7,13 @@ cascade to the next hop within the same slot.  Within one slot, cross
 arrivals enqueue ahead of through arrivals, which is the harsher order for
 the through flow and keeps bound validation conservative.
 
-The per-hop queue dynamics are computed from cumulative arrival/service
-curves (exactly equivalent to walking an ordered queue of (class, bits)
-chunks, which the test suite cross-checks against a literal chunk-queue
-implementation).  End-to-end measurements follow the cumulative-curve
-definitions: backlog B(t) = A(t) - D(t) and virtual delay
-W(t) = inf{d >= 0 : A(t - d) <= D(t)}.
+The per-hop queue dynamics use cumulative curves only: each hop's through
+departures are the next hop's through arrivals as they are, and departures
+are A - queue, which equals the arrivals exactly at an empty queue for any
+real rates.  The test suite cross-checks them against a literal chunk-queue
+implementation, also in rational arithmetic.  End-to-end measurements
+follow the cumulative-curve definitions: backlog B(t) = A(t) - D(t) and
+virtual delay W(t) = inf{d >= 0 : A(t - d) <= D(t)}.
 
 Randomness: every source draws from its own counter-based Philox stream
 keyed by (base_seed, replication, hop, source index), so adding sources,
@@ -213,82 +214,75 @@ def _on_count(base_seed: int, replication: int, hop: int, count: int,
     return np.cumsum(delta[:total])
 
 
+def _arrival_curve(scenario: SimScenario, replication: int, hop: int, count: int,
+                   total: int) -> np.ndarray:
+    """Cumulative bits of ``count`` sources, length total + 1 (index = slot)."""
+    on = np.zeros(total + 1, dtype=np.int64)
+    np.cumsum(_on_count(scenario.base_seed, replication, hop, count, scenario.source, total), out=on[1:])
+    return scenario.source.peak_rate * on
+
+
 # ---------------------------------------------------------------------------
 # queueing
 # ---------------------------------------------------------------------------
 
-def _hop_curves(through_per_slot: np.ndarray, cross_per_slot: np.ndarray, capacity: float):
-    """FIFO work-conserving hop over cumulative curves.
+def _hop_curves(thr_cum: np.ndarray, cross_cum: np.ndarray, capacity: float):
+    """FIFO work-conserving hop over cumulative through and cross arrivals.
 
-    Arrivals of slot s are available for service in slot s; within the slot
-    the cross bits sit ahead of the through bits in the queue.
-    Returns (A_total, D_total, A_through, D_through), length T + 1.
+    Arrivals of slot s are served from slot s on, cross bits ahead of through
+    bits.  With excess = A - C*t, the queue is excess - min.accumulate(excess)
+    and the departures D = A - queue are exactly A at an empty queue.  All
+    slots before e - 1, with e the first slot boundary where A(e) > D, have
+    left, and slot e - 1 sends its cross bits before its through bits.
+    Returns (A_total, D_total, D_through, largest queue), curves of length T + 1.
     """
-    total_slots = len(through_per_slot)
-    a_tot = through_per_slot + cross_per_slot
-    arr_cum = np.empty(total_slots + 1)
-    arr_cum[0] = 0.0
-    np.cumsum(a_tot, out=arr_cum[1:])
-    service_line = capacity * np.arange(total_slots + 1, dtype=float)
-    dep_cum = service_line + np.minimum.accumulate(arr_cum - service_line)
-
-    thr_cum = np.empty(total_slots + 1)
-    thr_cum[0] = 0.0
-    np.cumsum(through_per_slot, out=thr_cum[1:])
-    # slots fully drained by dep_cum[t], then a partial slot served cross-first
-    full = np.searchsorted(arr_cum, dep_cum, side="right") - 1
-    thr_pad = np.append(through_per_slot, 0.0)
-    cross_pad = np.append(cross_per_slot, 0.0)
-    in_partial = dep_cum - arr_cum[full]
-    thr_partial = np.clip(in_partial - cross_pad[full], 0.0, thr_pad[full])
-    dep_thr = thr_cum[full] + thr_partial
-    return arr_cum, dep_cum, thr_cum, dep_thr
+    arr_cum = thr_cum + cross_cum
+    queue = capacity * np.arange(len(arr_cum), dtype=float)
+    np.subtract(arr_cum, queue, out=queue)
+    queue -= np.minimum.accumulate(queue)
+    max_queue = float(queue.max())
+    dep_cum = np.subtract(arr_cum, queue, out=queue)
+    e = np.searchsorted(arr_cum, dep_cum, side="right")
+    # only the upper index is capped, so a queue that drains in the last
+    # slot gives thr_cum[T] exactly
+    lower = thr_cum[e - 1]
+    np.minimum(e, len(arr_cum) - 1, out=e)
+    dep_thr = dep_cum - cross_cum[e]
+    np.clip(dep_thr, lower, thr_cum[e], out=dep_thr)
+    return arr_cum, dep_cum, dep_thr, max_queue
 
 
 def simulate_replication(scenario: SimScenario, replication: int, keep_hops: bool = False) -> ReplicationTrace:
     """Run one replication; deterministic in (scenario, replication)."""
     warmup = scenario.resolved_warmup()
     total = warmup + scenario.measure_slots
-    peak = scenario.source.peak_rate
-    cap = scenario.capacity_per_slot
 
-    through_per_slot = peak * _on_count(
-        scenario.base_seed, replication, 0, scenario.through_count, scenario.source, total
-    ).astype(float)
-
+    ingress = thr_cum = _arrival_curve(scenario, replication, 0, scenario.through_count, total)
     hop_traces = []
-    ingress = None
-    dep_thr = None
-    incoming = through_per_slot
     for hop in range(1, scenario.hops + 1):
-        cross_per_slot = peak * _on_count(
-            scenario.base_seed, replication, hop, scenario.cross_count, scenario.source, total
-        ).astype(float)
-        arr_cum, dep_cum, thr_cum, dep_thr = _hop_curves(incoming, cross_per_slot, cap)
-        max_queue = float(np.max(arr_cum - dep_cum))
+        cross_cum = _arrival_curve(scenario, replication, hop, scenario.cross_count, total)
+        arr_cum, dep_cum, dep_thr, max_queue = _hop_curves(thr_cum, cross_cum, scenario.capacity_per_slot)
         if max_queue > scenario.backlog_guard_bits:
             raise StabilityError(
                 f"hop {hop} queue reached {max_queue:.3g} bits "
                 f"(guard {scenario.backlog_guard_bits:.3g}); "
                 f"offered load utilization is {scenario.utilization():.3f}"
             )
-        if hop == 1:
-            ingress = thr_cum
         if keep_hops:
             hop_traces.append(HopTrace(arr_cum, dep_cum, thr_cum, dep_thr,
-                                       incoming.copy(), cross_per_slot))
-        incoming = np.diff(dep_thr)
+                                       np.diff(thr_cum), np.diff(cross_cum)))
+        thr_cum = dep_thr
 
-    slots = np.arange(warmup + 1, total + 1)
-    egress = dep_thr
-    backlog = ingress[slots] - egress[slots]
-    latest_served = np.searchsorted(ingress, egress[slots], side="right") - 1
-    delays = np.maximum(0, slots - latest_served)
+    egress = thr_cum
+    measured = egress[warmup + 1:]
+    # slot t has delay t - (last slot s with ingress[s] <= egress[t]), at least 0
+    delays = np.arange(warmup + 2, total + 2) - np.searchsorted(ingress, measured, side="right")
+    np.maximum(delays, 0, out=delays)
     return ReplicationTrace(
         ingress=ingress,
         egress=egress,
-        delay_samples=delays.astype(np.int64),
-        backlog_samples=backlog,
+        delay_samples=delays,
+        backlog_samples=ingress[warmup + 1:] - measured,
         hops=tuple(hop_traces),
     )
 

@@ -68,9 +68,11 @@ class ReferenceTandem:
         self.capacity = capacity
         self.hops = hops
         self.queues = [deque() for _ in range(hops)]
-        self.cum_through_dep = [0.0] * hops
-        self.cum_arr_total = [0.0] * hops
-        self.cum_dep_total = [0.0] * hops
+        # zero of the capacity's type, so Fraction inputs stay exact
+        zero = capacity * 0
+        self.cum_through_dep = [zero] * hops
+        self.cum_arr_total = [zero] * hops
+        self.cum_dep_total = [zero] * hops
 
     def step(self, through_bits: float, cross_bits_per_hop):
         """Advance one slot; returns per-hop cumulative through departures."""
@@ -84,8 +86,7 @@ class ReferenceTandem:
                 q.append([True, incoming])
             self.cum_arr_total[h] += cross + incoming
             budget = self.capacity
-            through_out = 0.0
-            served = 0.0
+            through_out = served = self.capacity * 0
             while budget > 0 and q:
                 chunk = q[0]
                 take = min(budget, chunk[1])

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from sncalc import (
     Aggregate,
-    BoundQuery,
     ConstantRate,
     ConstantServer,
     HorizonError,
@@ -23,7 +22,6 @@ from sncalc import (
     delay_bound,
     delay_violation,
     delay_violation_at_theta,
-    evaluate_query,
     minimize_over_theta,
     stability_margin,
     traffic_effective_bandwidth,
@@ -399,38 +397,19 @@ class TestStabilityMargin:
 
 
 class TestQueries:
-    def test_query_validation(self):
-        with pytest.raises(ValueError):
-            BoundQuery(kind="delay")
-        with pytest.raises(ValueError):
-            BoundQuery(kind="delay", threshold=1.0, epsilon=0.1)
-        with pytest.raises(ValueError):
-            BoundQuery(kind="nope", epsilon=0.1)
-        with pytest.raises(ValueError):
-            BoundQuery(kind="delay", epsilon=0.0)
-        with pytest.raises(ValueError):
-            BoundQuery(kind="delay", threshold=20.0, horizon=10)
-
-    def test_dispatch(self):
-        p = unit_path()
-        inv = evaluate_query(p, BoundQuery(kind="backlog", epsilon=0.1))
-        assert inv.kind == "backlog" and inv.value > 0
-        tail = evaluate_query(p, BoundQuery(kind="delay", threshold=3.0))
-        assert tail.kind == "delay" and tail.value == 3.0
-        assert 0 <= tail.violation_probability <= DELAY_ANCHOR * (1 + 1e-9)
-
     def test_violation_queries_clamp(self):
         p = unit_path()
         res = backlog_violation(p, 0.0)
         assert res.violation_probability == 1.0
         res2 = delay_violation(p, 50.0)
         assert res2.violation_probability < 1e-9
+        assert delay_violation(p, 3.0).violation_probability <= DELAY_ANCHOR * (1 + 1e-9)
 
     def test_finite_horizon_query_records_truncation(self):
         p = unit_path()
-        res = evaluate_query(p, BoundQuery(kind="backlog", epsilon=0.1, horizon=500))
+        res = backlog_bound(p, 0.1, 500)
         assert res.truncation_horizon_used == 500
-        inf_res = evaluate_query(p, BoundQuery(kind="backlog", epsilon=0.1))
+        inf_res = backlog_bound(p, 0.1)
         assert inf_res.truncation_horizon_used is None
         assert res.value == pytest.approx(inf_res.value, rel=1e-6)
 
@@ -486,7 +465,7 @@ class TestQueries:
     def test_paths_accept_list_hops(self):
         p = NetworkPath(ConstantRate(1.0), [ConstantServer(2.0), ConstantServer(3.0)])
         assert p.hop_count == 2
-        assert not p.homogeneous
+        assert len(set(p.hops)) > 1
         assert isinstance(p.hops, tuple)
 
 

@@ -11,7 +11,6 @@ from sncalc import (
     MmooParams,
     MmooTraffic,
     mmoo_effective_bandwidth,
-    mmoo_mean_rate,
     service_effective_capacity,
     traffic_effective_bandwidth,
     traffic_mean_rate,
@@ -33,7 +32,7 @@ class TestMmooEffectiveBandwidth:
 
     def test_voice_mean_rate_limit(self):
         # the theta -> 0 limit is the average rate, 25.6 kbit/s
-        assert mmoo_mean_rate(VOICE) == pytest.approx(25.6, rel=1e-12)
+        assert VOICE.mean_rate == pytest.approx(25.6, rel=1e-12)
         assert mmoo_effective_bandwidth(VOICE, 1e-9) == pytest.approx(25.6, rel=1e-3)
 
     def test_symmetric_unit_rate_point(self):
@@ -66,10 +65,10 @@ class TestMmooEffectiveBandwidth:
 
 class TestMeanRate:
     def test_always_on(self):
-        assert mmoo_mean_rate(MmooParams(1.0, 0.0, 1.0)) == 1.0
+        assert MmooParams(1.0, 0.0, 1.0).mean_rate == 1.0
 
     def test_symmetric(self):
-        assert mmoo_mean_rate(MmooParams(1.0, 1.0, 1.0)) == 0.5
+        assert MmooParams(1.0, 1.0, 1.0).mean_rate == 0.5
 
 
 class TestTrafficDispatch:

@@ -128,7 +128,7 @@ class TestRoundTrip:
         path = sc.build_path(2, 10, 10)
         assert isinstance(path, NetworkPath)
         assert path.hop_count == 2
-        assert path.homogeneous
+        assert len(set(path.hops)) == 1
 
 
 class TestUnits:
