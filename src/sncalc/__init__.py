@@ -4,6 +4,10 @@ Computes probabilistic end-to-end backlog and delay bounds for flows
 crossing a series of work-conserving hops with cross traffic, and validates
 them against a discrete-time FIFO tandem simulator driven by Markov-
 modulated on-off sources.
+
+``import sncalc`` loads neither numpy nor scipy.  The simulator names
+(``simulate_tandem``, ``validate_samples``, ...) load :mod:`sncalc.simulator`,
+and with it numpy, on first use.
 """
 
 from .bounds import (
@@ -51,15 +55,16 @@ from .scenario import (
     serialize_scenario,
     write_results_csv,
 )
-from .simulator import (
-    SimResult,
-    SimScenario,
-    ValidationReport,
-    empirical_tail,
-    mmoo_source_step,
-    simulate_replication,
-    simulate_tandem,
-    validate_samples,
-)
 
 __version__ = "0.1.0"
+
+_SIMULATOR_NAMES = {"SimResult", "SimScenario", "ValidationReport", "empirical_tail",
+                    "mmoo_source_step", "simulate_replication", "simulate_tandem",
+                    "validate_samples"}
+
+
+def __getattr__(name):
+    if name in _SIMULATOR_NAMES:
+        from . import simulator
+        return getattr(simulator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -40,8 +40,6 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, NamedTuple, Optional
 
-import numpy as np
-
 from .envelopes import (
     Aggregate,
     ConstantRate,
@@ -338,6 +336,16 @@ def delay_violation_at_theta(path: NetworkPath, d: float, horizon: float, theta:
 # theta optimization
 # ---------------------------------------------------------------------------
 
+def _log_grid(lo: float, hi: float, points: int) -> list:
+    """``numpy.geomspace(lo, hi, points)`` in pure Python, endpoints exact;
+    inner points may differ from it in the last bits."""
+    start = math.log10(lo)
+    step = (math.log10(hi) - start) / (points - 1)
+    grid = [10.0 ** (i * step + start) for i in range(points)]
+    grid[0], grid[-1] = float(lo), float(hi)
+    return grid
+
+
 def minimize_over_theta(objective: Callable[[float], float], config: ThetaSearchConfig) -> ThetaSearchResult:
     """Minimize a scalar objective over theta > 0.
 
@@ -348,8 +356,8 @@ def minimize_over_theta(objective: Callable[[float], float], config: ThetaSearch
     the smaller theta.  Raises :class:`StabilityError` when the objective is
     infinite on the whole grid.
     """
-    grid = np.geomspace(config.theta_min, config.theta_max, config.coarse_grid_points)
-    values = [objective(float(t)) for t in grid]
+    grid = _log_grid(config.theta_min, config.theta_max, config.coarse_grid_points)
+    values = [objective(t) for t in grid]
     finite = [v for v in values if math.isfinite(v)]
     if not finite:
         raise StabilityError(
@@ -357,7 +365,7 @@ def minimize_over_theta(objective: Callable[[float], float], config: ThetaSearch
             + _STABILITY_HINT
         )
     best_idx = min(range(len(values)), key=lambda i: (values[i], grid[i]))
-    best_theta = float(grid[best_idx])
+    best_theta = grid[best_idx]
     best_value = values[best_idx]
     at_boundary = best_idx in (0, len(grid) - 1)
 

@@ -11,7 +11,10 @@ error, 2 instability, 3 validation failure.  A row whose bound does not exist
 flagged ``stable=false`` with ``bound_value=inf`` and no ``theta_star``; its
 reason goes to stderr and the command exits 2.  ``validate`` exits 3 on a
 failed check even when a row is flagged.  A simulation whose offered load
-exceeds the capacity ends the command with exit 2 and no rows.
+exceeds the capacity ends the command with exit 2 and no rows.  A theta*
+at an edge of its search window is warned about on stderr.
+``validate --self-test`` replaces each bound by a threshold that at least
+10 epsilon n of the n samples exceed, so it exits 3 when epsilon is resolved.
 
 Flat flags override scenario fields (--epsilon, --hops, --through, --cross,
 --seed); command-line values take precedence.  ``sweep-flows`` takes its
@@ -30,8 +33,6 @@ import math
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .bounds import HorizonError, StabilityError, backlog_bound, delay_bound
 # not called here: perfbench/tracing.py patches these names on this module
 from .bounds import closed_form_backlog, closed_form_delay  # noqa: F401
@@ -43,7 +44,6 @@ from .scenario import (
     resolve_scenario_path,
     write_results_csv,
 )
-from .simulator import simulate_tandem, validate_samples
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,6 +58,18 @@ SIM_CSV_HEADER = (
 
 class _UsageError(Exception):
     pass
+
+
+# Looked up here at call time (tests and perfbench/tracing.py patch them);
+# each loads the simulator, and numpy, on first call.
+def simulate_tandem(*args, **kwargs):
+    from . import simulator
+    return simulator.simulate_tandem(*args, **kwargs)
+
+
+def validate_samples(*args, **kwargs):
+    from . import simulator
+    return simulator.validate_samples(*args, **kwargs)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,7 +100,8 @@ def _build_parser() -> _Parser:
         p.add_argument("-v", "--verbose", action="store_true", help="progress on stderr")
         if name == "validate":
             p.add_argument("--self-test", action="store_true",
-                           help="halve the bound thresholds to exercise harness sensitivity")
+                           help="check against a threshold that at least 10*epsilon of the "
+                                "samples exceed, so the check must fail (exit 3)")
             p.add_argument("--slack", type=float, default=0.0,
                            help="relative slack on epsilon for the pass criterion")
     return parser
@@ -148,14 +161,19 @@ def _bound_rows(sc: Scenario, args, flow_points) -> tuple:
                 fn, unit, scale = ((delay_bound, "s", sc.units.slot_length_s) if kind == "delay"
                                    else (backlog_bound, "bits", 1.0))
                 for eps in epsilons:
+                    where = f"H={h} N={n} M={m} {kind} epsilon={eps:g}"
                     try:
                         result = fn(path, eps, horizon, search)
                         theta, value = result.theta_star, result.value * scale
                         stable = result.stable_at_theta_star
+                        if result.at_theta_boundary:
+                            lo, hi = search.theta_min, search.theta_max
+                            edge = "lower" if theta * theta < lo * hi else "upper"
+                            print(f"warning: {where}: theta*={theta:.6g} is at the {edge} edge "
+                                  f"of the theta window [{lo:.6g}, {hi:.6g}]", file=sys.stderr)
                     except (StabilityError, HorizonError) as exc:
                         theta, value, stable, flagged = None, math.inf, False, True
-                        print(f"H={h} N={n} M={m} {kind} epsilon={eps:g}: no bound: {exc}",
-                              file=sys.stderr)
+                        print(f"{where}: no bound: {exc}", file=sys.stderr)
                     rows.append(ResultRow(
                         scenario_id=sc.scenario_id, kind=kind, hops=h, through_flows=n,
                         cross_flows=m, epsilon=eps, theta_star=theta, bound_value=value,
@@ -199,6 +217,7 @@ def _cmd_bound(sc: Scenario, args) -> int:
 
 def _stats(samples) -> list:
     """Mean, 99th percentile and maximum, as CSV fields."""
+    import numpy as np
     return [repr(float(v)) for v in (samples.mean(), np.percentile(samples, 99), samples.max())]
 
 
@@ -220,6 +239,15 @@ def _cmd_simulate(sc: Scenario, args) -> int:
     return EXIT_OK
 
 
+def _self_test_threshold(samples, epsilon: float) -> float:
+    """Just below the ceil(10 epsilon n)-th largest of the n samples, so at
+    least 10 epsilon n samples exceed it whatever the ties."""
+    import numpy as np
+    n = samples.size
+    k = min(n, math.ceil(10 * epsilon * n))
+    return math.nextafter(float(np.partition(samples, n - k)[n - k]), -math.inf)
+
+
 def _cmd_validate(sc: Scenario, args) -> int:
     if sc.sim is None:
         raise _UsageError("validate needs a sim block in the scenario")
@@ -234,11 +262,10 @@ def _cmd_validate(sc: Scenario, args) -> int:
                 continue
             delay = row.kind == "delay"
             # validation happens in internal units (slots / bits)
-            threshold = row.bound_value / slot if delay else row.bound_value
-            if args.self_test:
-                threshold *= 0.5
-            report = validate_samples(result.delay_samples if delay else result.backlog_samples,
-                                      row.kind, threshold, row.epsilon, slack=args.slack)
+            samples = result.delay_samples if delay else result.backlog_samples
+            threshold = (_self_test_threshold(samples, row.epsilon) if args.self_test
+                         else row.bound_value / slot if delay else row.bound_value)
+            report = validate_samples(samples, row.kind, threshold, row.epsilon, slack=args.slack)
             for warning in report.warnings:
                 print(f"warning: H={row.hops} {row.kind}: {warning}", file=sys.stderr)
             any_fail = any_fail or report.verdict == "fail"
@@ -249,7 +276,7 @@ def _cmd_validate(sc: Scenario, args) -> int:
             _log(args, f"H={row.hops} {row.kind} eps={row.epsilon:g}: verdict={report.verdict} "
                        f"freq={report.frequency:.3g} ucl={report.upper_confidence:.3g}")
         # release this hop count's samples before the next one is simulated
-        del result
+        result = samples = None
     _emit(write_results_csv(rows), args)
     return EXIT_VALIDATION if any_fail else EXIT_UNSTABLE if flagged else EXIT_OK
 

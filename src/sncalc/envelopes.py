@@ -145,6 +145,11 @@ def mmoo_effective_bandwidth(params: MmooParams, theta: float) -> float:
     rate as theta -> 0 and increases to the peak rate as theta -> inf.
     """
     _check_theta(theta)
+    return _mmoo_eb(params, theta)
+
+
+# The public functions check theta once; the recursion runs unchecked.
+def _mmoo_eb(params: MmooParams, theta: float) -> float:
     p, r10, r01 = params.peak_rate, params.r_on_off, params.r_off_on
     root = math.sqrt((p * theta - r10 + r01) ** 2 + 4.0 * r10 * r01)
     return (p * theta - r10 - r01 + root) / (2.0 * theta)
@@ -157,12 +162,16 @@ def traffic_effective_bandwidth(model: TrafficModel, theta: float) -> float:
     takes none.
     """
     _check_theta(theta)
+    return _traffic_eb(model, theta)
+
+
+def _traffic_eb(model: TrafficModel, theta: float) -> float:
     if isinstance(model, ConstantRate):
         return model.rate
     if isinstance(model, MmooTraffic):
-        return mmoo_effective_bandwidth(model.params, theta)
+        return _mmoo_eb(model.params, theta)
     if isinstance(model, Aggregate):
-        return model.count * traffic_effective_bandwidth(model.inner, theta)
+        return model.count * _traffic_eb(model.inner, theta)
     raise TypeError(f"unsupported traffic model: {model!r}")
 
 
@@ -172,7 +181,7 @@ def service_effective_capacity(model: ServiceModel, theta: float) -> float:
     if isinstance(model, ConstantServer):
         return model.capacity
     if isinstance(model, Leftover):
-        return model.capacity - model.cross_count * traffic_effective_bandwidth(model.cross, theta)
+        return model.capacity - model.cross_count * _traffic_eb(model.cross, theta)
     raise TypeError(f"unsupported service model: {model!r}")
 
 

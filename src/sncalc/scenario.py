@@ -16,15 +16,17 @@ import csv
 import io
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import yaml
 
 from .bounds import NetworkPath, ThetaSearchConfig, default_theta_search
 from .envelopes import Aggregate, Leftover, MmooParams, MmooTraffic
-from .simulator import SimScenario
+
+if TYPE_CHECKING:  # the simulator (and numpy) load only when a simulation is built
+    from .simulator import SimScenario
 
 __all__ = [
     "ScenarioError",
@@ -179,6 +181,8 @@ class Scenario:
                            base_seed: Optional[int] = None) -> SimScenario:
         if self.sim is None:
             raise ScenarioError(["sim: block required for simulation commands"])
+        from .simulator import SimScenario
+
         return SimScenario(
             hops=hops,
             capacity_per_slot=self.capacity_bits_per_slot(),
@@ -436,17 +440,9 @@ def serialize_scenario(scenario: Scenario) -> str:
     """Canonical YAML form; parse(serialize(parse(x))) == parse(x)."""
     doc: dict = {
         "id": scenario.scenario_id,
-        "units": {
-            "slot_length_s": scenario.units.slot_length_s,
-            "rate_unit": scenario.units.rate_unit,
-        },
-        "traffic": {
-            "peak_rate": scenario.traffic.peak_rate,
-            "mean_on_time_s": scenario.traffic.mean_on_time_s,
-            "mean_off_time_s": scenario.traffic.mean_off_time_s,
-            "through_flows": scenario.traffic.through_flows,
-            "cross_flows": scenario.traffic.cross_flows,
-        },
+        # these blocks' field names are their YAML keys
+        "units": asdict(scenario.units),
+        "traffic": asdict(scenario.traffic),
         "network": {
             "capacity": scenario.network.capacity,
             "hops": list(scenario.network.hop_counts),
@@ -464,27 +460,14 @@ def serialize_scenario(scenario: Scenario) -> str:
         b["horizon"] = "inf" if math.isinf(scenario.bound.horizon) else int(scenario.bound.horizon)
         theta = scenario.bound.theta
         if theta is not None:
-            tnode = {}
-            if theta.theta_min is not None:
-                tnode["min"] = theta.theta_min
-            if theta.theta_max is not None:
-                tnode["max"] = theta.theta_max
-            if theta.grid_points is not None:
-                tnode["grid_points"] = theta.grid_points
-            if theta.refine_tolerance is not None:
-                tnode["refine_tolerance"] = theta.refine_tolerance
+            tnode = {"min": theta.theta_min, "max": theta.theta_max,
+                     "grid_points": theta.grid_points, "refine_tolerance": theta.refine_tolerance}
+            tnode = {key: value for key, value in tnode.items() if value is not None}
             if tnode:
                 b["theta"] = tnode
         doc["bound"] = b
     if scenario.sim is not None:
-        s: dict = {
-            "measure_slots": scenario.sim.measure_slots,
-            "replications": scenario.sim.replications,
-            "base_seed": scenario.sim.base_seed,
-        }
-        if scenario.sim.warmup_slots is not None:
-            s["warmup_slots"] = scenario.sim.warmup_slots
-        doc["sim"] = s
+        doc["sim"] = {key: value for key, value in asdict(scenario.sim).items() if value is not None}
     return yaml.safe_dump(doc, sort_keys=False)
 
 

@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,7 +29,7 @@ from sncalc import (
     traffic_effective_bandwidth,
 )
 from sncalc.bounds import INFINITE_HORIZON as INF
-from sncalc.bounds import _log_run_sum
+from sncalc.bounds import _log_grid, _log_run_sum
 from helpers import brute_force_tail_sum, exhaustive_grid_min
 
 VOICE = MmooParams(peak_rate=64.0, r_on_off=0.0025, r_off_on=1.0 / 600.0)
@@ -216,6 +218,38 @@ class TestMinimizeOverTheta:
 
         _, oracle_value = exhaustive_grid_min(objective, cfg, points=10_000)
         assert result.value == pytest.approx(oracle_value, rel=5e-3)
+
+    @staticmethod
+    def _preset_windows():
+        from sncalc.scenario import builtin_preset_names, parse_scenario_file, resolve_scenario_path
+
+        for name in builtin_preset_names():
+            sc = parse_scenario_file(resolve_scenario_path(name))
+            for n, m in sc.flow_points():
+                cfg = sc.build_theta_search(sc.build_path(1, n, m))
+                yield cfg.theta_min, cfg.theta_max, cfg.coarse_grid_points
+
+    @staticmethod
+    def _random_windows(count=500):
+        rng = random.Random(11)
+        for _ in range(count):
+            lo = 10.0 ** rng.uniform(-20.0, 2.0)
+            yield lo, lo * 10.0 ** rng.uniform(0.5, 15.0), rng.choice((8, 64, rng.randint(9, 300)))
+
+    @pytest.mark.parametrize("windows", ["_preset_windows", "_random_windows"])
+    def test_grid_tracks_numpy_geomspace(self, windows):
+        # the pure-Python grid keeps numpy's exact endpoints; inside, a
+        # one-ulp log10 difference is amplified by 10**y, so the comparison
+        # is relative, not in ulps
+        count = 0
+        for lo, hi, points in getattr(self, windows)():
+            grid = _log_grid(lo, hi, points)
+            assert len(grid) == points and grid[0] == lo and grid[-1] == hi
+            assert all(a < b for a, b in zip(grid, grid[1:]))
+            reference = np.geomspace(lo, hi, points)
+            assert all(abs(g - r) <= 1e-12 * r for g, r in zip(grid, reference.tolist()))
+            count += 1
+        assert count >= 20
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

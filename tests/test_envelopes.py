@@ -138,6 +138,20 @@ class TestServiceDispatch:
             service_effective_capacity(ConstantServer(1.0), 0.0)
 
 
+@pytest.mark.parametrize("theta", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda theta: mmoo_effective_bandwidth(VOICE, theta),
+    lambda theta: traffic_effective_bandwidth(ConstantRate(1.0), theta),
+    lambda theta: traffic_effective_bandwidth(Aggregate(3, MmooTraffic(VOICE)), theta),
+    lambda theta: service_effective_capacity(ConstantServer(1.0), theta),
+    lambda theta: service_effective_capacity(Leftover(100.0, 2, MmooTraffic(VOICE)), theta),
+], ids=["mmoo", "traffic-constant", "traffic-aggregate", "service-constant", "service-leftover"])
+def test_public_envelopes_reject_bad_theta(call, theta):
+    # theta is checked once, at the public entry, before any recursion
+    with pytest.raises(ValueError, match="theta"):
+        call(theta)
+
+
 # ---------------------------------------------------------------------------
 # randomized envelope properties
 # ---------------------------------------------------------------------------
