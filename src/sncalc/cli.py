@@ -32,6 +32,7 @@ import io
 import math
 import sys
 from dataclasses import replace
+from functools import partial
 
 from .bounds import HorizonError, StabilityError, backlog_bound, delay_bound
 # not called here: perfbench/tracing.py patches these names on this module
@@ -61,7 +62,8 @@ class _UsageError(Exception):
 
 
 # Looked up here at call time (tests and perfbench/tracing.py patch them);
-# each loads the simulator, and numpy, on first call.
+# each loads the simulator, and numpy, on first call.  simulate and validate
+# call only validate_exceedances; the other two stay for the tracer.
 def simulate_tandem(*args, **kwargs):
     from . import simulator
     return simulator.simulate_tandem(*args, **kwargs)
@@ -70,6 +72,11 @@ def simulate_tandem(*args, **kwargs):
 def validate_samples(*args, **kwargs):
     from . import simulator
     return simulator.validate_samples(*args, **kwargs)
+
+
+def validate_exceedances(*args, **kwargs):
+    from . import simulator
+    return simulator.validate_exceedances(*args, **kwargs)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -182,13 +189,18 @@ def _bound_rows(sc: Scenario, args, flow_points) -> tuple:
     return rows, flagged
 
 
-def _simulations(sc: Scenario, args, n: int, m: int):
-    """(SimScenario, SimResult) per hop count, replications in order."""
-    for h in _hop_list(sc, args):
-        sim = sc.build_sim_scenario(h, n, m, base_seed=args.seed)
-        _log(args, f"simulating H={h}: {sim.replications} x {sim.measure_slots} slots "
-                   f"(utilization {sim.utilization():.3f})")
-        yield sim, simulate_tandem(sim, jobs=args.jobs)
+def _replications(sc: Scenario, args, n: int, m: int, reduce: dict):
+    """Run max(H) hops once per replication and hand each hop count H's
+    end-to-end samples to ``reduce[H]`` (see ``simulate_replication``).
+    Returns the SimScenario and a generator of per-replication ``{H: result}``.
+    """
+    from .simulator import reduce_replications
+
+    sim = sc.build_sim_scenario(max(reduce), n, m, base_seed=args.seed)
+    _log(args, f"simulating H={','.join(map(str, reduce))} in one {sim.hops}-hop pass: "
+               f"{sim.replications} x {sim.measure_slots} slots "
+               f"(utilization {sim.utilization():.3f})")
+    return sim, reduce_replications(sim, reduce, jobs=args.jobs)
 
 
 def _emit(text: str, args) -> None:
@@ -215,37 +227,143 @@ def _cmd_bound(sc: Scenario, args) -> int:
     return EXIT_UNSTABLE if flagged else EXIT_OK
 
 
-def _stats(samples) -> list:
-    """Mean, 99th percentile and maximum, as CSV fields."""
+def _sample_stats(delays, backlogs) -> list:
+    """Mean, 99th percentile and maximum of the delays, then of the
+    backlogs, as CSV fields."""
     import numpy as np
-    return [repr(float(v)) for v in (samples.mean(), np.percentile(samples, 99), samples.max())]
+    return [repr(float(v)) for s in (delays, backlogs) for v in (s.mean(), np.percentile(s, 99), s.max())]
 
 
 def _cmd_simulate(sc: Scenario, args) -> int:
     if sc.sim is None:
         raise _UsageError("simulate needs a sim block in the scenario")
     n, m = _flow_point(sc, args)
+    hops = _hop_list(sc, args)
+    sim, results = _replications(sc, args, n, m, dict.fromkeys(hops, _sample_stats))
+    per_rep = list(results)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SIM_CSV_HEADER)
-    for sim, result in _simulations(sc, args, n, m):
-        k = sim.measure_slots
-        for rep in range(sim.replications):
-            writer.writerow([sc.scenario_id, sim.hops, n, m, rep, sim.base_seed, k,
-                             *_stats(result.delay_samples[rep * k:(rep + 1) * k]),
-                             *_stats(result.backlog_samples[rep * k:(rep + 1) * k])])
-        del result
+    for h in hops:
+        for rep, stats in enumerate(per_rep):
+            writer.writerow([sc.scenario_id, h, n, m, rep, sim.base_seed, sim.measure_slots, *stats[h]])
     _emit(buf.getvalue(), args)
     return EXIT_OK
 
 
-def _self_test_threshold(samples, epsilon: float) -> float:
-    """Just below the ceil(10 epsilon n)-th largest of the n samples, so at
-    least 10 epsilon n samples exceed it whatever the ties."""
+def _self_test_rank(epsilon: float, n: int) -> int:
+    return min(n, math.ceil(10 * epsilon * n))
+
+
+def _kth_largest_index(values, counts, k: int) -> int:
+    """Index of the first entry equal to the k-th largest of the multiset
+    with ``counts[i]`` copies of ``values[i]`` (0 when it has fewer than k
+    elements); ``values`` ascending, equal values possibly in several entries."""
     import numpy as np
-    n = samples.size
-    k = min(n, math.ceil(10 * epsilon * n))
-    return math.nextafter(float(np.partition(samples, n - k)[n - k]), -math.inf)
+    j = int(np.searchsorted(np.cumsum(counts[::-1]), k))
+    return 0 if j >= values.size else int(np.searchsorted(values, values[values.size - 1 - j]))
+
+
+def _self_test_threshold(tail, epsilon: float, sample_count: int) -> float:
+    """Just below the ceil(10 epsilon n)-th largest of n = ``sample_count``
+    samples, so at least 10 epsilon n of them exceed it whatever the ties.
+    ``tail`` holds the distinct values at or above it, ascending, and their
+    counts."""
+    values, counts = tail
+    i = _kth_largest_index(values, counts, _self_test_rank(epsilon, sample_count))
+    return math.nextafter(float(values[i]), -math.inf)
+
+
+def _exceedances(thresholds, delays, backlogs) -> tuple:
+    """Samples strictly above each (kind, threshold), in order."""
+    import numpy as np
+    return tuple(int(np.count_nonzero((delays if kind == "delay" else backlogs) > t))
+                 for kind, t in thresholds)
+
+
+def _upper_tails(k: int, delays, backlogs) -> tuple:
+    """Per kind, the distinct samples at or above the k-th largest,
+    ascending, and their counts."""
+    import numpy as np
+    tails = []
+    for samples in (delays, backlogs):
+        values, counts = np.unique(samples, return_counts=True)
+        i = _kth_largest_index(values, counts, k)
+        tails.append((values[i:], counts[i:]))
+    return tuple(tails)
+
+
+class _TailPool:
+    """The distinct samples at or above the k-th largest seen so far, with
+    their count per replication.  A sample is dropped only below the k-th
+    largest of some of the samples, so strictly below the k-th largest of
+    all of them: the pool keeps every sample at or above any final threshold
+    of rank <= k, ties included.
+    """
+
+    def __init__(self, k: int):
+        self.k = k
+        self.values = self.counts = self.replications = None
+
+    def add(self, replication: int, values, counts) -> None:
+        import numpy as np
+        reps = np.full(values.size, replication)
+        if self.values is not None:
+            values = np.concatenate([self.values, values])
+            order = np.argsort(values)
+            values = values[order]
+            counts = np.concatenate([self.counts, counts])[order]
+            reps = np.concatenate([self.replications, reps])[order]
+        i = _kth_largest_index(values, counts, self.k)
+        self.values, self.counts, self.replications = values[i:], counts[i:], reps[i:]
+
+    def exceedances(self, threshold: float, replications: int) -> tuple:
+        """Samples strictly above ``threshold`` per replication; exact for a
+        threshold just below a value of rank <= k."""
+        import numpy as np
+        above = self.values > threshold
+        per_rep = np.bincount(self.replications[above], weights=self.counts[above],
+                              minlength=replications)
+        return tuple(int(c) for c in per_rep)
+
+
+def _self_test_counts(sc: Scenario, args, n: int, m: int, rows) -> tuple:
+    """Self-test thresholds of the rows and their per-replication exceedance
+    counts, from a running pool of each (H, kind)'s upper tail."""
+    sample_count = sc.sim.replications * sc.sim.measure_slots
+    k = max(_self_test_rank(row.epsilon, sample_count) for row in rows)
+    sim, results = _replications(sc, args, n, m,
+                                 dict.fromkeys(_hop_list(sc, args), partial(_upper_tails, k)))
+    pools = {}
+    for rep, tails in enumerate(results):
+        for h, pair in tails.items():
+            for kind, tail in zip(("delay", "backlog"), pair):
+                pools.setdefault((h, kind), _TailPool(k)).add(rep, *tail)
+    thresholds, counts = [], []
+    for row in rows:
+        pool = pools[row.hops, row.kind]
+        thresholds.append(_self_test_threshold((pool.values, pool.counts), row.epsilon, sample_count))
+        counts.append(pool.exceedances(thresholds[-1], sim.replications))
+    return sim, thresholds, counts
+
+
+def _bound_counts(sc: Scenario, args, n: int, m: int, rows) -> tuple:
+    """The rows' bounds as thresholds and their per-replication exceedance
+    counts; validation happens in internal units (slots / bits)."""
+    slot = sc.units.slot_length_s
+    thresholds = [row.bound_value / slot if row.kind == "delay" else row.bound_value for row in rows]
+    members = {}
+    for i, row in enumerate(rows):
+        members.setdefault(row.hops, []).append(i)
+    reduce = {h: partial(_exceedances, tuple((rows[i].kind, thresholds[i]) for i in idx))
+              for h, idx in members.items()}
+    sim, results = _replications(sc, args, n, m, reduce)
+    per_rep = list(results)
+    counts = [None] * len(rows)
+    for h, idx in members.items():
+        for j, i in enumerate(idx):
+            counts[i] = tuple(reduced[h][j] for reduced in per_rep)
+    return sim, thresholds, counts
 
 
 def _cmd_validate(sc: Scenario, args) -> int:
@@ -253,30 +371,28 @@ def _cmd_validate(sc: Scenario, args) -> int:
         raise _UsageError("validate needs a sim block in the scenario")
     n, m = _flow_point(sc, args)
     rows, flagged = _bound_rows(sc, args, [(n, m)])
+    sim, thresholds, counts = (_self_test_counts if args.self_test else _bound_counts)(sc, args, n, m, rows)
     scenario_id = sc.scenario_id + ("#selftest" if args.self_test else "")
     slot = sc.units.slot_length_s
     any_fail = False
-    for sim, result in _simulations(sc, args, n, m):
-        for i, row in enumerate(rows):
-            if row.hops != sim.hops:
-                continue
-            delay = row.kind == "delay"
-            # validation happens in internal units (slots / bits)
-            samples = result.delay_samples if delay else result.backlog_samples
-            threshold = (_self_test_threshold(samples, row.epsilon) if args.self_test
-                         else row.bound_value / slot if delay else row.bound_value)
-            report = validate_samples(samples, row.kind, threshold, row.epsilon, slack=args.slack)
-            for warning in report.warnings:
-                print(f"warning: H={row.hops} {row.kind}: {warning}", file=sys.stderr)
-            any_fail = any_fail or report.verdict == "fail"
-            rows[i] = replace(row, scenario_id=scenario_id,
-                              bound_value=threshold * slot if delay else threshold,
-                              empirical_frequency=report.frequency,
-                              confidence_limit=report.upper_confidence)
-            _log(args, f"H={row.hops} {row.kind} eps={row.epsilon:g}: verdict={report.verdict} "
-                       f"freq={report.frequency:.3g} ucl={report.upper_confidence:.3g}")
-        # release this hop count's samples before the next one is simulated
-        result = samples = None
+    per_kind = {}
+    for i, (row, threshold, per_rep) in enumerate(zip(rows, thresholds, counts)):
+        delay = row.kind == "delay"
+        report = validate_exceedances(sum(per_rep), sim.replications * sim.measure_slots, row.kind,
+                                      threshold, row.epsilon, slack=args.slack)
+        for warning in report.warnings:
+            print(f"warning: H={row.hops} {row.kind}: {warning}", file=sys.stderr)
+        any_fail = any_fail or report.verdict == "fail"
+        rows[i] = replace(row, scenario_id=scenario_id,
+                          bound_value=threshold * slot if delay else threshold,
+                          empirical_frequency=report.frequency,
+                          confidence_limit=report.upper_confidence)
+        _log(args, f"H={row.hops} {row.kind} eps={row.epsilon:g}: verdict={report.verdict} "
+                   f"freq={report.frequency:.3g} ucl={report.upper_confidence:.3g}")
+        per_kind.setdefault((row.hops, row.kind), []).append(
+            f"eps={row.epsilon:g}: {' '.join(map(str, per_rep))}")
+    for (h, kind), parts in per_kind.items():
+        _log(args, f"H={h} {kind} exceedances per replication: {'; '.join(parts)}")
     _emit(write_results_csv(rows), args)
     return EXIT_VALIDATION if any_fail else EXIT_UNSTABLE if flagged else EXIT_OK
 

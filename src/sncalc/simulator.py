@@ -43,8 +43,10 @@ __all__ = [
     "mmoo_source_step",
     "stationary_on_state",
     "simulate_replication",
+    "reduce_replications",
     "simulate_tandem",
     "empirical_tail",
+    "validate_exceedances",
     "validate_samples",
 ]
 
@@ -115,9 +117,10 @@ class HopTrace:
 class ReplicationTrace:
     ingress: np.ndarray           # cumulative through arrivals at hop 1
     egress: np.ndarray            # cumulative through departures from hop H
-    delay_samples: np.ndarray     # int slots, one per measured slot
-    backlog_samples: np.ndarray   # bits, one per measured slot
+    delay_samples: Optional[np.ndarray]    # int slots, one per measured slot; None when reduced
+    backlog_samples: Optional[np.ndarray]  # bits, one per measured slot; None when reduced
     hops: tuple                   # HopTrace per hop when requested, else ()
+    reduced: dict                 # hop count -> result of its reduction
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,13 +255,32 @@ def _hop_curves(thr_cum: np.ndarray, cross_cum: np.ndarray, capacity: float):
     return arr_cum, dep_cum, dep_thr, max_queue
 
 
-def simulate_replication(scenario: SimScenario, replication: int, keep_hops: bool = False) -> ReplicationTrace:
-    """Run one replication; deterministic in (scenario, replication)."""
+def _end_to_end(ingress: np.ndarray, egress: np.ndarray, warmup: int):
+    """Delay (int slots) and backlog (bits) samples of the measured slots."""
+    measured = egress[warmup + 1:]
+    # slot t has delay t - (last slot s with ingress[s] <= egress[t]), at least 0
+    delays = np.arange(warmup + 2, len(ingress) + 1) - np.searchsorted(ingress, measured, side="right")
+    np.maximum(delays, 0, out=delays)
+    return delays, ingress[warmup + 1:] - measured
+
+
+def simulate_replication(scenario: SimScenario, replication: int, keep_hops: bool = False,
+                         reduce: Optional[dict] = None) -> ReplicationTrace:
+    """Run one replication; deterministic in (scenario, replication).
+
+    Every source stream is keyed by its own hop, so the first h hops of this
+    run are bit-identical to an h-hop run.  ``reduce`` maps hop counts
+    h <= ``scenario.hops`` to functions of that h-hop prefix's end-to-end
+    ``(delay_samples, backlog_samples)``.  Each is called as soon as hop h is
+    done, its result goes to the trace's ``reduced[h]``, and the prefix's
+    samples are dropped; the trace then holds no samples.  Without
+    ``reduce`` the trace holds the samples of all ``scenario.hops`` hops.
+    """
     warmup = scenario.resolved_warmup()
     total = warmup + scenario.measure_slots
 
     ingress = thr_cum = _arrival_curve(scenario, replication, 0, scenario.through_count, total)
-    hop_traces = []
+    hop_traces, reduced = [], {}
     for hop in range(1, scenario.hops + 1):
         cross_cum = _arrival_curve(scenario, replication, hop, scenario.cross_count, total)
         arr_cum, dep_cum, dep_thr, max_queue = _hop_curves(thr_cum, cross_cum, scenario.capacity_per_slot)
@@ -271,32 +293,36 @@ def simulate_replication(scenario: SimScenario, replication: int, keep_hops: boo
         if keep_hops:
             hop_traces.append(HopTrace(arr_cum, dep_cum, thr_cum, dep_thr,
                                        np.diff(thr_cum), np.diff(cross_cum)))
+        # only one hop's curves are live at a time
+        del arr_cum, dep_cum, cross_cum
         thr_cum = dep_thr
+        if reduce is not None and hop in reduce:
+            reduced[hop] = reduce[hop](*_end_to_end(ingress, thr_cum, warmup))
 
-    egress = thr_cum
-    measured = egress[warmup + 1:]
-    # slot t has delay t - (last slot s with ingress[s] <= egress[t]), at least 0
-    delays = np.arange(warmup + 2, total + 2) - np.searchsorted(ingress, measured, side="right")
-    np.maximum(delays, 0, out=delays)
+    delays, backlogs = _end_to_end(ingress, thr_cum, warmup) if reduce is None else (None, None)
     return ReplicationTrace(
         ingress=ingress,
-        egress=egress,
+        egress=thr_cum,
         delay_samples=delays,
-        backlog_samples=ingress[warmup + 1:] - measured,
+        backlog_samples=backlogs,
         hops=tuple(hop_traces),
+        reduced=reduced,
     )
 
 
-def _replication_samples(scenario: SimScenario, replication: int):
-    trace = simulate_replication(scenario, replication)
-    return trace.delay_samples, trace.backlog_samples
+def _reduced_replication(scenario: SimScenario, reduce: dict, replication: int) -> dict:
+    return simulate_replication(scenario, replication, reduce=reduce).reduced
 
 
-def simulate_tandem(scenario: SimScenario, jobs: int = 1) -> SimResult:
-    """All replications of a scenario, merged in replication order.
+def reduce_replications(scenario: SimScenario, reduce: dict, jobs: int = 1):
+    """Each replication's ``reduced`` (see :func:`simulate_replication`), in
+    replication order, from ``jobs`` worker processes when above 1.
 
-    Aborts with :class:`StabilityError` when the offered load exceeds the
-    capacity (utilization > 1) or a queue outgrows the configured guard.
+    A generator: one replication's samples are live per worker, and the
+    caller holds only what the reductions return.  ``reduce`` and its
+    results cross process boundaries, so they must pickle.  Raises
+    :class:`StabilityError` when the offered load exceeds the capacity
+    (utilization > 1) or a queue outgrows the configured guard.
     """
     util = scenario.utilization()
     if util > 1.0:
@@ -306,17 +332,31 @@ def simulate_tandem(scenario: SimScenario, jobs: int = 1) -> SimResult:
             f"{scenario.source.mean_rate:.6g} bits/slot against capacity "
             f"{scenario.capacity_per_slot:.6g} bits/slot"
         )
-    n, k = scenario.replications, scenario.measure_slots
-    delays, backlogs = np.empty(n * k, dtype=np.int64), np.empty(n * k)
+    n = scenario.replications
     with contextlib.ExitStack() as stack:
         mapper = map
         if jobs > 1 and n > 1:
             from concurrent.futures import ProcessPoolExecutor
 
             mapper = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
-        # filled one replication at a time, so no second copy of the samples is held
-        for r, (d, b) in enumerate(mapper(_replication_samples, [scenario] * n, range(n))):
-            delays[r * k:(r + 1) * k], backlogs[r * k:(r + 1) * k] = d, b
+        yield from mapper(_reduced_replication, [scenario] * n, [reduce] * n, range(n))
+
+
+def _samples(delays: np.ndarray, backlogs: np.ndarray):
+    return delays, backlogs
+
+
+def simulate_tandem(scenario: SimScenario, jobs: int = 1) -> SimResult:
+    """All replications of a scenario, merged in replication order.
+
+    Aborts with :class:`StabilityError` when the offered load exceeds the
+    capacity (utilization > 1) or a queue outgrows the configured guard.
+    """
+    n, k, h = scenario.replications, scenario.measure_slots, scenario.hops
+    delays, backlogs = np.empty(n * k, dtype=np.int64), np.empty(n * k)
+    # filled one replication at a time, so no second copy of the samples is held
+    for r, reduced in enumerate(reduce_replications(scenario, {h: _samples}, jobs)):
+        delays[r * k:(r + 1) * k], backlogs[r * k:(r + 1) * k] = reduced[h]
     seeds = tuple((scenario.base_seed, r) for r in range(n))
     return SimResult(
         delay_samples=delays,
@@ -337,14 +377,11 @@ class TailEstimate(NamedTuple):
     sample_count: int
 
 
-def empirical_tail(samples: np.ndarray, threshold: float, confidence: float = 0.95) -> TailEstimate:
-    """Fraction of samples strictly above threshold, with a one-sided
-    Clopper-Pearson upper confidence limit."""
-    samples = np.asarray(samples)
-    n = samples.size
-    if n == 0:
+def _tail_estimate(exceed_count: int, sample_count: int, confidence: float = 0.95) -> TailEstimate:
+    """Exceedance frequency with a one-sided Clopper-Pearson upper confidence limit."""
+    if sample_count < 1:
         raise ValueError("samples must be non-empty")
-    k = int(np.count_nonzero(samples > threshold))
+    k, n = exceed_count, sample_count
     if k == n:
         upper = 1.0
     else:
@@ -354,6 +391,13 @@ def empirical_tail(samples: np.ndarray, threshold: float, confidence: float = 0.
 
         upper = float(betaincinv(k + 1, n - k, confidence))
     return TailEstimate(frequency=k / n, upper_confidence=upper, exceed_count=k, sample_count=n)
+
+
+def empirical_tail(samples: np.ndarray, threshold: float, confidence: float = 0.95) -> TailEstimate:
+    """Fraction of samples strictly above threshold, with a one-sided
+    Clopper-Pearson upper confidence limit."""
+    samples = np.asarray(samples)
+    return _tail_estimate(int(np.count_nonzero(samples > threshold)), samples.size, confidence)
 
 
 @dataclass(frozen=True)
@@ -374,16 +418,18 @@ class ValidationReport:
         return self.verdict == "pass"
 
 
-def validate_samples(samples: np.ndarray, kind: str, threshold: float, epsilon: float,
-                     slack: float = 0.0, min_expected_exceedances: float = 100.0) -> ValidationReport:
-    """Check that an analytic tail bound dominates the empirical tail.
+def validate_exceedances(exceed_count: int, sample_count: int, kind: str, threshold: float,
+                         epsilon: float, slack: float = 0.0,
+                         min_expected_exceedances: float = 100.0) -> ValidationReport:
+    """Check that an analytic tail bound dominates the empirical tail, given
+    that ``exceed_count`` of ``sample_count`` samples exceed ``threshold``.
 
     Pass means the one-sided 95% upper confidence limit of the exceedance
     frequency stays at or below epsilon * (1 + slack).  When the sample
     budget cannot resolve epsilon (epsilon * n below the expected-exceedance
     floor) the verdict is "inconclusive" and a warning is attached.
     """
-    tail = empirical_tail(samples, threshold)
+    tail = _tail_estimate(exceed_count, sample_count)
     warnings = []
     if epsilon * tail.sample_count < min_expected_exceedances:
         warnings.append(
@@ -405,3 +451,11 @@ def validate_samples(samples: np.ndarray, kind: str, threshold: float, epsilon: 
         verdict=verdict,
         warnings=tuple(warnings),
     )
+
+
+def validate_samples(samples: np.ndarray, kind: str, threshold: float, epsilon: float,
+                     slack: float = 0.0, min_expected_exceedances: float = 100.0) -> ValidationReport:
+    """:func:`validate_exceedances` on the samples strictly above ``threshold``."""
+    samples = np.asarray(samples)
+    return validate_exceedances(int(np.count_nonzero(samples > threshold)), samples.size, kind,
+                                threshold, epsilon, slack, min_expected_exceedances)

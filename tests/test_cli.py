@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -14,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import sncalc.cli as cli
 from sncalc.cli import EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE, EXIT_VALIDATION, main
 from sncalc.scenario import CSV_HEADER, parse_scenario_file, resolve_scenario_path
+from sncalc.simulator import simulate_tandem, validate_samples
 
 TINY_SIM = """
 id: tiny
@@ -111,14 +114,16 @@ class TestBoundCommand:
         assert out1 == out2
 
     @pytest.mark.parametrize("command, scenario, jobs", [
-        ("sweep-hops", "voice-fig3", "3"),
-        ("simulate", None, "2"),
-    ], ids=["sweep-hops", "simulate"])
+        (("sweep-hops",), "voice-fig3", "3"),
+        (("simulate",), None, "2"),
+        (("validate",), None, "2"),
+        (("validate", "--self-test"), None, "2"),
+    ], ids=["sweep-hops", "simulate", "validate", "validate-self-test"])
     def test_parallel_jobs_keep_row_order(self, capsys, tiny, command, scenario, jobs):
         scenario = scenario or tiny
-        _, serial, _ = run_cli(capsys, command, "--scenario", scenario)
-        _, parallel, _ = run_cli(capsys, command, "--scenario", scenario, "--jobs", jobs)
-        assert serial == parallel
+        serial_code, serial, _ = run_cli(capsys, *command, "--scenario", scenario)
+        code, parallel, _ = run_cli(capsys, *command, "--scenario", scenario, "--jobs", jobs)
+        assert serial == parallel and serial_code == code
 
 
 class TestSweepHops:
@@ -273,16 +278,72 @@ class TestValidate:
             assert float(r["confidence_limit"]) > float(r["epsilon"])
 
     def test_failing_verdict_exits_3(self, capsys, tiny, monkeypatch):
-        # force a failing report through the real code path
-        real = cli.validate_samples
+        # force a failing report through the real code path: every sample
+        # counts as an exceedance
+        real = cli.validate_exceedances
 
-        def corrupt(samples, kind, threshold, epsilon, slack=0.0):
-            return real(samples, kind, -1.0, epsilon, slack=slack)
+        def corrupt(exceed_count, sample_count, *args, **kwargs):
+            return real(sample_count, sample_count, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "validate_samples", corrupt)
+        monkeypatch.setattr(cli, "validate_exceedances", corrupt)
         code, out, _ = run_cli(capsys, "validate", "--scenario", tiny, "--hops", "1")
         assert code == EXIT_VALIDATION
         assert all(float(r["empirical_frequency"]) == 1.0 for r in parse_rows(out))
+
+    @pytest.mark.parametrize("mode", ["bounds", "shrunk-bounds", "self-test"])
+    def test_rows_match_pooled_reference(self, capsys, tiny, monkeypatch, mode):
+        # validate streams one replication at a time; the reference pools
+        # every sample of each hop count, as simulate_tandem returns them
+        self_test = mode == "self-test"
+        if mode == "shrunk-bounds":
+            # thresholds that each row's samples exceed a different number of times
+            for name in ("delay_bound", "backlog_bound"):
+                def shrunk(*args, real=getattr(cli, name)):
+                    result = real(*args)
+                    return dataclasses.replace(result, value=result.value / 30)
+                monkeypatch.setattr(cli, name, shrunk)
+        flags = ("--self-test",) if self_test else ()
+        code, out, _ = run_cli(capsys, "validate", "--scenario", tiny, *flags)
+        _, bound_out, _ = run_cli(capsys, "bound", "--scenario", tiny)
+        sc = parse_scenario_file(tiny)
+        slot = sc.units.slot_length_s
+        rows, verdicts = parse_rows(out), []
+        assert len(rows) == 4
+        for row, bound_row in zip(rows, parse_rows(bound_out)):
+            kind, h, eps = row["kind"], int(row["H"]), float(row["epsilon"])
+            assert (kind, h) == (bound_row["kind"], int(bound_row["H"]))
+            sim = simulate_tandem(sc.build_sim_scenario(h, 3, 2))
+            samples = sim.delay_samples if kind == "delay" else sim.backlog_samples
+            scale = slot if kind == "delay" else 1.0
+            if self_test:
+                n = samples.size
+                k = math.ceil(10 * eps * n)
+                threshold = math.nextafter(float(np.partition(samples, n - k)[n - k]), -math.inf)
+                tail = np.unique(samples, return_counts=True)
+                assert cli._self_test_threshold(tail, eps, n) == threshold
+            else:
+                threshold = float(bound_row["bound_value"]) / scale
+            report = validate_samples(samples, kind, threshold, eps)
+            assert float(row["bound_value"]) == threshold * scale
+            assert float(row["empirical_frequency"]) == report.frequency
+            assert float(row["confidence_limit"]) == report.upper_confidence
+            verdicts.append(report.verdict)
+        frequencies = {row["empirical_frequency"] for row in rows}
+        assert frequencies == {"0.0"} if mode == "bounds" else len(frequencies) == 4
+        assert ("fail" in verdicts) == (mode != "bounds")
+        assert code == (EXIT_OK if mode == "bounds" else EXIT_VALIDATION)
+
+    def test_verbose_prints_per_replication_counts(self, capsys, tiny):
+        _, quiet, _ = run_cli(capsys, "validate", "--scenario", tiny, "--self-test")
+        _, out, err = run_cli(capsys, "validate", "--scenario", tiny, "--self-test", "-v")
+        assert out == quiet
+        lines = [line for line in err.splitlines() if "exceedances per replication" in line]
+        keys = [line.split(" exceedances")[0] for line in lines]
+        assert keys == ["H=1 backlog", "H=1 delay", "H=2 backlog", "H=2 delay"]
+        for line, row in zip(lines, parse_rows(out)):
+            counts = [int(c) for c in line.split("eps=0.01: ")[1].split()]
+            assert len(counts) == 2
+            assert sum(counts) / 16000 == float(row["empirical_frequency"])
 
     def test_infeasible_epsilon_warns_and_exits_0(self, capsys, tiny):
         code, out, err = run_cli(capsys, "validate", "--scenario", tiny,
@@ -399,6 +460,30 @@ def test_every_command_ends_in_an_exit_code(tmp_path_factory, doc):
         assert code in (EXIT_OK, EXIT_USAGE, EXIT_UNSTABLE, EXIT_VALIDATION), (command, err.getvalue())
         if code == EXIT_OK:
             assert out.getvalue().startswith("scenario_id,"), command
+
+
+@given(st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=40), min_size=1, max_size=6),
+       st.floats(1e-3, 0.1))
+@settings(max_examples=200, deadline=None)
+def test_tail_pool_is_exact_under_ties(replications, epsilon):
+    # the self-test pool keeps each replication's upper tail only, and must
+    # give the pooled samples' threshold and per-replication exceedances at
+    # the pool's rank and at a smaller one
+    samples = [np.array(r, dtype=np.int64) for r in replications]
+    pooled = np.concatenate(samples)
+    n = pooled.size
+    pool = cli._TailPool(cli._self_test_rank(epsilon, n))
+    for rep, s in enumerate(samples):
+        delay_tail, backlog_tail = cli._upper_tails(pool.k, s, s.astype(float))
+        assert np.array_equal(delay_tail[0], backlog_tail[0])
+        pool.add(rep, *delay_tail)
+    for eps in (epsilon, epsilon / 3):
+        k = cli._self_test_rank(eps, n)
+        threshold = cli._self_test_threshold((pool.values, pool.counts), eps, n)
+        assert threshold == math.nextafter(float(np.sort(pooled)[n - k]), -math.inf)
+        expected = tuple(int(np.count_nonzero(s > threshold)) for s in samples)
+        assert pool.exceedances(threshold, len(samples)) == expected
+        assert sum(expected) >= k
 
 
 class TestImportCost:

@@ -196,6 +196,29 @@ class TestTandemAgainstChunkQueue:
             assert np.all(np.diff(hop.departures_through) >= 0)
 
 
+class TestHopPrefixes:
+    def test_prefix_samples_equal_separate_runs(self):
+        # one 3-hop pass reduces each hop prefix; every prefix must be the
+        # h-hop run bit for bit, since source streams are keyed by hop
+        sc = small_scenario(hops=3, capacity_per_slot=30.0, replications=3)
+        keep = dict.fromkeys((1, 2, 3), lambda d, b: (d.copy(), b.copy()))
+        for r in range(sc.replications):
+            trace = simulate_replication(sc, r, reduce=keep)
+            assert trace.delay_samples is None and trace.backlog_samples is None
+            for h in (1, 2, 3):
+                alone = simulate_replication(small_scenario(hops=h, capacity_per_slot=30.0), r)
+                delays, backlogs = trace.reduced[h]
+                assert alone.delay_samples.max() > 0
+                assert delays.dtype == alone.delay_samples.dtype
+                assert np.array_equal(delays, alone.delay_samples)
+                assert np.array_equal(backlogs, alone.backlog_samples)
+
+    def test_reductions_only_at_requested_prefixes(self):
+        sc = small_scenario(hops=3)
+        trace = simulate_replication(sc, 0, reduce={2: lambda d, b: d.size})
+        assert trace.reduced == {2: sc.measure_slots}
+
+
 class TestSimulateTandem:
     def test_reproducible_bit_identical(self):
         a = simulate_tandem(small_scenario())
