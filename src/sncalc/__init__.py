@@ -19,13 +19,11 @@ from .bounds import (
     ThetaSearchConfig,
     ThetaSearchResult,
     backlog_bound,
-    backlog_violation,
     backlog_violation_at_theta,
     closed_form_backlog,
     closed_form_delay,
     default_theta_search,
     delay_bound,
-    delay_violation,
     delay_violation_at_theta,
     minimize_over_theta,
     stability_margin,
@@ -42,7 +40,6 @@ from .envelopes import (
     mmoo_effective_bandwidth,
     service_effective_capacity,
     traffic_effective_bandwidth,
-    traffic_mean_rate,
     traffic_peak_rate,
 )
 from .scenario import (
@@ -52,15 +49,13 @@ from .scenario import (
     ScenarioError,
     parse_scenario,
     parse_scenario_file,
-    serialize_scenario,
     write_results_csv,
 )
 
 __version__ = "0.1.0"
 
-_SIMULATOR_NAMES = {"SimResult", "SimScenario", "ValidationReport", "empirical_tail",
-                    "mmoo_source_step", "simulate_replication", "simulate_tandem",
-                    "validate_samples"}
+_SIMULATOR_NAMES = {"SimResult", "SimScenario", "ValidationReport", "mmoo_source_step",
+                    "simulate_replication", "simulate_tandem", "validate_samples"}
 
 
 def __getattr__(name):

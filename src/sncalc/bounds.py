@@ -45,7 +45,6 @@ from .envelopes import (
     ConstantRate,
     Leftover,
     MmooTraffic,
-    ServiceModel,
     TrafficModel,
     service_effective_capacity,
     traffic_effective_bandwidth,
@@ -65,8 +64,6 @@ __all__ = [
     "minimize_over_theta",
     "backlog_bound",
     "delay_bound",
-    "backlog_violation",
-    "delay_violation",
     "closed_form_backlog",
     "closed_form_delay",
     "stability_margin",
@@ -433,22 +430,6 @@ def _single_flow_burst(model: TrafficModel) -> float:
 # inversion: bound value for a target violation probability
 # ---------------------------------------------------------------------------
 
-def _result(kind, value, res: ThetaSearchResult, state: _ThetaState, log_violation, clamped=False) -> BoundResult:
-    """The result at theta*; the per-hop margins are expanded only here."""
-    margins = state.margins
-    return BoundResult(
-        kind=kind,
-        value=value,
-        theta_star=res.theta_star,
-        violation_probability=_clamp01(_safe_exp(log_violation)),
-        stable_at_theta_star=all(m > 0 for m in margins),
-        truncation_horizon_used=state.truncation,
-        hop_margins=margins,
-        at_theta_boundary=res.at_boundary,
-        clamped=clamped,
-    )
-
-
 def _per_hop_threshold(through: TrafficModel, runs: tuple, hop_count: int, horizon: float,
                        theta: float, log_eps: float, delay: bool) -> float:
     """v(theta) = 2 (L - ln eps) / (theta w), one hop's share of the threshold.
@@ -507,7 +488,18 @@ def _invert(path: NetworkPath, epsilon: float, horizon: float,
         value, clamped = 0.0, True
     state = _theta_state(path, horizon, res.theta_star, runs)
     log_violation = (_delay_eval if delay else _backlog_eval)(state, value)
-    return _result(kind, value, res, state, log_violation, clamped)
+    margins = state.margins  # expanded only here, not in the theta search
+    return BoundResult(
+        kind=kind,
+        value=value,
+        theta_star=res.theta_star,
+        violation_probability=_clamp01(_safe_exp(log_violation)),
+        stable_at_theta_star=all(m > 0 for m in margins),
+        truncation_horizon_used=state.truncation,
+        hop_margins=margins,
+        at_theta_boundary=res.at_boundary,
+        clamped=clamped,
+    )
 
 
 def backlog_bound(
@@ -535,45 +527,6 @@ def delay_bound(
     leaves no theta.
     """
     return _invert(path, epsilon, horizon, theta_search, "delay")
-
-
-# ---------------------------------------------------------------------------
-# violation-probability queries (threshold given, minimize the tail bound)
-# ---------------------------------------------------------------------------
-
-def _violation_result(path, kind, threshold, horizon, theta_search, eval_fn) -> BoundResult:
-    config = theta_search or default_theta_search(path)
-    runs = _hop_runs(path)
-    res = minimize_over_theta(lambda th: eval_fn(_theta_state(path, horizon, th, runs), threshold), config)
-    return _result(kind, threshold, res, _theta_state(path, horizon, res.theta_star, runs), res.value)
-
-
-def backlog_violation(
-    path: NetworkPath,
-    x: float,
-    horizon: float = INFINITE_HORIZON,
-    theta_search: Optional[ThetaSearchConfig] = None,
-) -> BoundResult:
-    """Best (smallest) tail bound on P{backlog > x} over theta."""
-    if x < 0:
-        raise ValueError("backlog threshold must be >= 0")
-    _check_horizon(horizon)
-    return _violation_result(path, "backlog", x, horizon, theta_search, _backlog_eval)
-
-
-def delay_violation(
-    path: NetworkPath,
-    d: float,
-    horizon: float = INFINITE_HORIZON,
-    theta_search: Optional[ThetaSearchConfig] = None,
-) -> BoundResult:
-    """Best (smallest) tail bound on P{delay > d} over theta."""
-    if d < 0:
-        raise ValueError("delay threshold must be >= 0")
-    _check_horizon(horizon)
-    if not math.isinf(horizon) and horizon < d:
-        raise ValueError("finite horizon must be >= the delay threshold")
-    return _violation_result(path, "delay", d, horizon, theta_search, _delay_eval)
 
 
 # ---------------------------------------------------------------------------

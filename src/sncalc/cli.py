@@ -103,14 +103,14 @@ def _build_parser() -> _Parser:
         p.add_argument("--through", type=int, help="override the through-flow count N")
         p.add_argument("--cross", type=int, help="override the cross-flow count M")
         p.add_argument("--seed", type=int, help="override the simulation base seed")
-        p.add_argument("--jobs", type=int, default=1, help="parallel simulation workers (default 1)")
+        p.add_argument("--jobs", type=int, default=1, help="parallel simulation workers, >= 1 (default 1)")
         p.add_argument("-v", "--verbose", action="store_true", help="progress on stderr")
         if name == "validate":
             p.add_argument("--self-test", action="store_true",
                            help="check against a threshold that at least 10*epsilon of the "
                                 "samples exceed, so the check must fail (exit 3)")
             p.add_argument("--slack", type=float, default=0.0,
-                           help="relative slack on epsilon for the pass criterion")
+                           help="relative slack on epsilon for the pass criterion, finite and >= 0")
     return parser
 
 
@@ -409,6 +409,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if args.jobs < 1:
+            raise _UsageError("--jobs must be >= 1")
+        if args.command == "validate" and not 0.0 <= args.slack < math.inf:  # rejects nan too
+            raise _UsageError("--slack must be finite and >= 0")
         return _COMMANDS[args.command](_load(args), args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -23,7 +23,6 @@ __all__ = [
     "mmoo_effective_bandwidth",
     "traffic_effective_bandwidth",
     "service_effective_capacity",
-    "traffic_mean_rate",
     "traffic_peak_rate",
 ]
 
@@ -183,17 +182,6 @@ def service_effective_capacity(model: ServiceModel, theta: float) -> float:
     if isinstance(model, Leftover):
         return model.capacity - model.cross_count * _traffic_eb(model.cross, theta)
     raise TypeError(f"unsupported service model: {model!r}")
-
-
-def traffic_mean_rate(model: TrafficModel) -> float:
-    """Long-run mean rate of a traffic model (the theta -> 0 limit)."""
-    if isinstance(model, ConstantRate):
-        return model.rate
-    if isinstance(model, MmooTraffic):
-        return model.params.mean_rate
-    if isinstance(model, Aggregate):
-        return model.count * traffic_mean_rate(model.inner)
-    raise TypeError(f"unsupported traffic model: {model!r}")
 
 
 def traffic_peak_rate(model: TrafficModel) -> float:

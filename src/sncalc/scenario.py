@@ -16,7 +16,7 @@ import csv
 import io
 import math
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
@@ -42,7 +42,6 @@ __all__ = [
     "RATE_UNITS",
     "parse_scenario",
     "parse_scenario_file",
-    "serialize_scenario",
     "write_results_csv",
     "rate_to_bits_per_slot",
     "bits_per_slot_to_rate",
@@ -430,45 +429,6 @@ def _parse_sim(ck: _Checker, node) -> Optional[SimBlock]:
 
 def parse_scenario_file(path) -> Scenario:
     return parse_scenario(Path(path).read_text(encoding="utf-8"))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def serialize_scenario(scenario: Scenario) -> str:
-    """Canonical YAML form; parse(serialize(parse(x))) == parse(x)."""
-    doc: dict = {
-        "id": scenario.scenario_id,
-        # these blocks' field names are their YAML keys
-        "units": asdict(scenario.units),
-        "traffic": asdict(scenario.traffic),
-        "network": {
-            "capacity": scenario.network.capacity,
-            "hops": list(scenario.network.hop_counts),
-        },
-    }
-    if scenario.network.flow_totals is not None:
-        doc["network"]["flow_totals"] = list(scenario.network.flow_totals)
-    if scenario.network.flow_pairs is not None:
-        doc["network"]["flow_pairs"] = [list(p) for p in scenario.network.flow_pairs]
-    if scenario.bound is not None:
-        b: dict = {
-            "kind": "both" if len(scenario.bound.kinds) == 2 else scenario.bound.kinds[0],
-            "epsilon": list(scenario.bound.epsilons),
-        }
-        b["horizon"] = "inf" if math.isinf(scenario.bound.horizon) else int(scenario.bound.horizon)
-        theta = scenario.bound.theta
-        if theta is not None:
-            tnode = {"min": theta.theta_min, "max": theta.theta_max,
-                     "grid_points": theta.grid_points, "refine_tolerance": theta.refine_tolerance}
-            tnode = {key: value for key, value in tnode.items() if value is not None}
-            if tnode:
-                b["theta"] = tnode
-        doc["bound"] = b
-    if scenario.sim is not None:
-        doc["sim"] = {key: value for key, value in asdict(scenario.sim).items() if value is not None}
-    return yaml.safe_dump(doc, sort_keys=False)
 
 
 # ---------------------------------------------------------------------------

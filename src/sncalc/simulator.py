@@ -26,7 +26,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -38,14 +38,12 @@ __all__ = [
     "SimResult",
     "ReplicationTrace",
     "HopTrace",
-    "TailEstimate",
     "ValidationReport",
     "mmoo_source_step",
     "stationary_on_state",
     "simulate_replication",
     "reduce_replications",
     "simulate_tandem",
-    "empirical_tail",
     "validate_exceedances",
     "validate_samples",
 ]
@@ -191,6 +189,9 @@ def _on_runs(rng: np.random.Generator, params: MmooParams, total: int):
         lengths = np.empty(2 * block, dtype=np.int64)
         lengths[0::2] = cur
         lengths[1::2] = alt
+        # a sojourn of total slots already ends the run; the cap keeps a
+        # saturated draw (2**63 - 1) from wrapping the cumsum negative
+        np.minimum(lengths, total, out=lengths)
         ends = t + np.cumsum(lengths)
         starts = np.empty_like(ends)
         starts[0] = t
@@ -370,36 +371,6 @@ def simulate_tandem(scenario: SimScenario, jobs: int = 1) -> SimResult:
 # empirical tails and bound validation
 # ---------------------------------------------------------------------------
 
-class TailEstimate(NamedTuple):
-    frequency: float
-    upper_confidence: float
-    exceed_count: int
-    sample_count: int
-
-
-def _tail_estimate(exceed_count: int, sample_count: int, confidence: float = 0.95) -> TailEstimate:
-    """Exceedance frequency with a one-sided Clopper-Pearson upper confidence limit."""
-    if sample_count < 1:
-        raise ValueError("samples must be non-empty")
-    k, n = exceed_count, sample_count
-    if k == n:
-        upper = 1.0
-    else:
-        # imported here so that `import sncalc` and the bound commands do
-        # not pay for loading scipy
-        from scipy.special import betaincinv
-
-        upper = float(betaincinv(k + 1, n - k, confidence))
-    return TailEstimate(frequency=k / n, upper_confidence=upper, exceed_count=k, sample_count=n)
-
-
-def empirical_tail(samples: np.ndarray, threshold: float, confidence: float = 0.95) -> TailEstimate:
-    """Fraction of samples strictly above threshold, with a one-sided
-    Clopper-Pearson upper confidence limit."""
-    samples = np.asarray(samples)
-    return _tail_estimate(int(np.count_nonzero(samples > threshold)), samples.size, confidence)
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     kind: str
@@ -413,40 +384,44 @@ class ValidationReport:
     verdict: str                  # "pass" | "fail" | "inconclusive"
     warnings: tuple
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
-
 
 def validate_exceedances(exceed_count: int, sample_count: int, kind: str, threshold: float,
-                         epsilon: float, slack: float = 0.0,
-                         min_expected_exceedances: float = 100.0) -> ValidationReport:
+                         epsilon: float, slack: float = 0.0) -> ValidationReport:
     """Check that an analytic tail bound dominates the empirical tail, given
     that ``exceed_count`` of ``sample_count`` samples exceed ``threshold``.
 
-    Pass means the one-sided 95% upper confidence limit of the exceedance
-    frequency stays at or below epsilon * (1 + slack).  When the sample
-    budget cannot resolve epsilon (epsilon * n below the expected-exceedance
-    floor) the verdict is "inconclusive" and a warning is attached.
+    The report carries the exceedance frequency and its one-sided 95%
+    Clopper-Pearson upper confidence limit.  Pass means that limit stays at
+    or below epsilon * (1 + slack).  When the sample budget cannot resolve
+    epsilon (fewer than 100 expected exceedances, epsilon * n < 100) the
+    verdict is "inconclusive" and a warning is attached.
     """
-    tail = _tail_estimate(exceed_count, sample_count)
+    if sample_count < 1:
+        raise ValueError("samples must be non-empty")
+    k, n = exceed_count, sample_count
+    if k == n:
+        upper = 1.0
+    else:
+        # imported here so that `import sncalc` and the bound commands do
+        # not pay for loading scipy
+        from scipy.special import betaincinv
+
+        upper = float(betaincinv(k + 1, n - k, 0.95))
     warnings = []
-    if epsilon * tail.sample_count < min_expected_exceedances:
-        warnings.append(
-            f"sample budget too small for epsilon={epsilon:g}: expected "
-            f"exceedances {epsilon * tail.sample_count:.3g} < {min_expected_exceedances:g}"
-        )
+    if epsilon * n < 100:
+        warnings.append(f"sample budget too small for epsilon={epsilon:g}: expected "
+                        f"exceedances {epsilon * n:.3g} < 100")
         verdict = "inconclusive"
     else:
-        verdict = "pass" if tail.upper_confidence <= epsilon * (1.0 + slack) else "fail"
+        verdict = "pass" if upper <= epsilon * (1.0 + slack) else "fail"
     return ValidationReport(
         kind=kind,
         threshold=threshold,
         epsilon=epsilon,
-        sample_count=tail.sample_count,
-        exceed_count=tail.exceed_count,
-        frequency=tail.frequency,
-        upper_confidence=tail.upper_confidence,
+        sample_count=n,
+        exceed_count=k,
+        frequency=k / n,
+        upper_confidence=upper,
         slack=slack,
         verdict=verdict,
         warnings=tuple(warnings),
@@ -454,8 +429,8 @@ def validate_exceedances(exceed_count: int, sample_count: int, kind: str, thresh
 
 
 def validate_samples(samples: np.ndarray, kind: str, threshold: float, epsilon: float,
-                     slack: float = 0.0, min_expected_exceedances: float = 100.0) -> ValidationReport:
+                     slack: float = 0.0) -> ValidationReport:
     """:func:`validate_exceedances` on the samples strictly above ``threshold``."""
     samples = np.asarray(samples)
     return validate_exceedances(int(np.count_nonzero(samples > threshold)), samples.size, kind,
-                                threshold, epsilon, slack, min_expected_exceedances)
+                                threshold, epsilon, slack)

@@ -17,12 +17,10 @@ from sncalc import (
     StabilityError,
     ThetaSearchConfig,
     backlog_bound,
-    backlog_violation,
     backlog_violation_at_theta,
     closed_form_backlog,
     closed_form_delay,
     delay_bound,
-    delay_violation,
     delay_violation_at_theta,
     minimize_over_theta,
     stability_margin,
@@ -431,14 +429,6 @@ class TestStabilityMargin:
 
 
 class TestQueries:
-    def test_violation_queries_clamp(self):
-        p = unit_path()
-        res = backlog_violation(p, 0.0)
-        assert res.violation_probability == 1.0
-        res2 = delay_violation(p, 50.0)
-        assert res2.violation_probability < 1e-9
-        assert delay_violation(p, 3.0).violation_probability <= DELAY_ANCHOR * (1 + 1e-9)
-
     def test_finite_horizon_query_records_truncation(self):
         p = unit_path()
         res = backlog_bound(p, 0.1, 500)

@@ -249,6 +249,16 @@ class TestSimulate:
         assert code == EXIT_UNSTABLE and out == ""
         assert "exceeds 1" in err
 
+    def test_sojourns_beyond_int64(self, capsys, tmp_path):
+        # mean on time 1e23 slots: the geometric sojourn draws saturate
+        f = tmp_path / "long.yaml"
+        f.write_text(TINY_SIM.replace("mean_on_time_s: 0.02", "mean_on_time_s: 1.0e+20")
+                     .replace("capacity: 30000.0", "capacity: 50000.0")
+                     .replace("warmup_slots: 100", "warmup_slots: 0"))
+        code, out, _ = run_cli(capsys, "simulate", "--scenario", str(f))
+        assert code == EXIT_OK
+        assert len(parse_rows(out)) == 4
+
     def test_requires_sim_block(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--scenario", "voice-fig3")
         assert code == EXIT_USAGE
@@ -390,6 +400,15 @@ class TestUsageAndResolution:
     def test_bad_flag_value_exits_1(self, capsys, tiny):
         code, _, err = run_cli(capsys, "bound", "--scenario", tiny, "--epsilon", "2.0")
         assert code == EXIT_USAGE and "epsilon" in err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("validate", "--slack=-1"), ("validate", "--slack=nan"), ("validate", "--slack=inf"),
+        ("validate", "--jobs=-3"), ("simulate", "--jobs=0"), ("bound", "--jobs=0"),
+    ])
+    def test_nonsense_slack_or_jobs_exits_1(self, capsys, tiny, command, flag):
+        code, out, err = run_cli(capsys, command, "--scenario", tiny, flag)
+        assert code == EXIT_USAGE and out == ""
+        assert flag.split("=")[0] in err
 
     def test_missing_subcommand_exits_1(self, capsys):
         code, _, _ = run_cli(capsys)

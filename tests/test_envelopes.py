@@ -13,7 +13,6 @@ from sncalc import (
     mmoo_effective_bandwidth,
     service_effective_capacity,
     traffic_effective_bandwidth,
-    traffic_mean_rate,
     traffic_peak_rate,
 )
 from helpers import mc_effective_bandwidth
@@ -108,9 +107,8 @@ class TestTrafficDispatch:
         with pytest.raises(TypeError):
             service_effective_capacity(ConstantServer(1.0), 1.0, 0)
 
-    def test_mean_and_peak_helpers(self):
+    def test_peak_rate_helper(self):
         agg = Aggregate(3, MmooTraffic(VOICE))
-        assert traffic_mean_rate(agg) == pytest.approx(3 * 25.6)
         assert traffic_peak_rate(agg) == pytest.approx(3 * 64.0)
 
 

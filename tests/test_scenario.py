@@ -9,7 +9,6 @@ from sncalc import (
     ScenarioError,
     parse_scenario,
     parse_scenario_file,
-    serialize_scenario,
     write_results_csv,
 )
 from sncalc.scenario import (
@@ -102,13 +101,12 @@ network: {capacity: 0, hops: []}
             parse_scenario(doc)
 
 
-class TestRoundTrip:
+class TestPresets:
     @pytest.mark.parametrize("name", ["voice-fig3", "voice-fig4-H1", "voice-fig4-H2",
                                       "voice-fig4-H5", "voice-fig4-H10", "desk-validation"])
-    def test_presets_parse_and_round_trip(self, name):
+    def test_presets_parse(self, name):
         sc = parse_scenario_file(resolve_scenario_path(name))
-        again = parse_scenario(serialize_scenario(sc))
-        assert again == sc
+        assert sc.scenario_id == name
 
     def test_voice_preset_values(self):
         sc = parse_scenario_file(resolve_scenario_path("voice-fig3"))

@@ -8,13 +8,12 @@ from sncalc import (
     MmooParams,
     StabilityError,
     SimScenario,
-    empirical_tail,
     mmoo_source_step,
     simulate_replication,
     simulate_tandem,
     validate_samples,
 )
-from sncalc.simulator import _on_count, _on_runs, _source_rng, stationary_on_state
+from sncalc.simulator import _on_count, _on_runs, _source_rng, stationary_on_state, validate_exceedances
 from helpers import ReferenceTandem, reference_curves, virtual_delays
 
 VOICE = MmooParams(peak_rate=64.0, r_on_off=0.0025, r_off_on=1.0 / 600.0)
@@ -93,6 +92,16 @@ class TestRunGeneration:
         always_off = MmooParams(1.0, 1.0, 0.0)
         starts, ends = _on_runs(_source_rng(1, 0, 0, 1), always_off, 1000)
         assert (ends - starts).sum() == 0
+
+    def test_sojourns_beyond_int64_are_capped(self):
+        # at rates of 1e-19 the geometric draws saturate at 2**63 - 1, and
+        # their running sum must not wrap to negative starts
+        params = MmooParams(1.0, 1e-19, 1e-19)
+        runs = set()
+        for index in range(8):
+            starts, ends = _on_runs(_source_rng(3, 0, 0, index), params, 1000)
+            runs.add((tuple(starts.tolist()), tuple(ends.tolist())))
+        assert runs == {((0,), (1000,)), ((), ())}
 
     def test_adding_sources_never_perturbs_existing_streams(self):
         params = small_scenario().source
@@ -272,39 +281,41 @@ class TestSimulateTandem:
 
 class TestEmpiricalTail:
     def test_all_zero_samples(self):
-        tail = empirical_tail(np.zeros(100), 0.0)
+        tail = validate_samples(np.zeros(100), "delay", 0.0, 0.5)
         assert tail.frequency == 0.0
         assert 0 < tail.upper_confidence < 0.05
 
     def test_direct_count(self):
-        tail = empirical_tail(np.array([1.0, 2.0, 3.0, 4.0]), 2.0)
-        assert tail.frequency == 0.5
+        tail = validate_samples(np.array([1.0, 2.0, 3.0, 4.0]), "delay", 2.0, 0.5)
+        assert (tail.exceed_count, tail.sample_count, tail.frequency) == (2, 4, 0.5)
 
     def test_bernoulli_synthetic(self):
         rng = np.random.default_rng(7)
         samples = (rng.random(10**6) < 0.01).astype(float)
-        tail = empirical_tail(samples, 0.5)
+        tail = validate_samples(samples, "backlog", 0.5, 0.01)
         sigma = (0.01 * 0.99 / 10**6) ** 0.5
         assert abs(tail.frequency - 0.01) < 3 * sigma
         assert tail.upper_confidence > tail.frequency
 
     def test_all_exceed(self):
-        tail = empirical_tail(np.full(10, 5.0), 1.0)
+        tail = validate_exceedances(10, 10, "delay", 1.0, 0.5)
         assert tail.frequency == 1.0
         assert tail.upper_confidence == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            empirical_tail(np.array([]), 1.0)
+            validate_samples(np.array([]), "delay", 1.0, 0.5)
+        with pytest.raises(ValueError):
+            validate_exceedances(0, 0, "delay", 1.0, 0.5)
 
 
 class TestStatisticalDominance:
     def test_analytic_tail_dominates_empirical_lower_bound(self):
-        # at any threshold, the optimized analytic violation probability
-        # must sit above the empirical frequency's lower confidence bound
+        # at the delay bound for epsilon, the empirical frequency's 95% lower
+        # confidence limit must not exceed epsilon
         from scipy.stats import beta as beta_dist
 
-        from sncalc import Aggregate, Leftover, MmooTraffic, NetworkPath, delay_violation
+        from sncalc import Aggregate, Leftover, MmooTraffic, NetworkPath, delay_bound
 
         capacity = 8 * 25.6 / 0.8  # utilization 0.8
         scenario = SimScenario(hops=1, capacity_per_slot=capacity, through_count=4,
@@ -313,13 +324,12 @@ class TestStatisticalDominance:
         sim = simulate_tandem(scenario)
         src = MmooTraffic(VOICE)
         path = NetworkPath(Aggregate(4, src), (Leftover(capacity, 4, src),))
-        for q in (50, 90, 99):
-            threshold = float(np.percentile(sim.delay_samples, q))
-            analytic = delay_violation(path, threshold).violation_probability
+        n = sim.delay_samples.size
+        for eps in (0.5, 0.1, 0.01):
+            threshold = delay_bound(path, eps).value
             k = int(np.count_nonzero(sim.delay_samples > threshold))
-            n = sim.delay_samples.size
             lower = float(beta_dist.ppf(0.05, k, n - k + 1)) if k > 0 else 0.0
-            assert analytic >= lower
+            assert lower <= eps
 
 
 class TestValidation:
