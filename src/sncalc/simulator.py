@@ -207,30 +207,41 @@ def _on_runs(rng: np.random.Generator, params: MmooParams, total: int):
 
 
 def _on_count(base_seed: int, replication: int, hop: int, count: int,
-              params: MmooParams, total: int) -> np.ndarray:
-    """Number of on sources per slot, summed over ``count`` sources."""
-    delta = np.zeros(total + 1, dtype=np.int64)
+              params: MmooParams, total: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """On sources per slot among ``count`` sources, as ``out[:total]`` (int64, total + 1 long)."""
+    out = np.empty(total + 1, dtype=np.int64) if out is None else out
+    out.fill(0)
     for j in range(count):
         rng = _source_rng(base_seed, replication, hop, j)
         starts, ends = _on_runs(rng, params, total)
-        np.add.at(delta, starts, 1)
-        np.add.at(delta, ends, -1)
-    return np.cumsum(delta[:total])
+        np.add.at(out, starts, 1)
+        np.add.at(out, ends, -1)
+    return np.cumsum(out[:total], out=out[:total])
 
 
 def _arrival_curve(scenario: SimScenario, replication: int, hop: int, count: int,
-                   total: int) -> np.ndarray:
-    """Cumulative bits of ``count`` sources, length total + 1 (index = slot)."""
-    on = np.zeros(total + 1, dtype=np.int64)
-    np.cumsum(_on_count(scenario.base_seed, replication, hop, count, scenario.source, total), out=on[1:])
-    return scenario.source.peak_rate * on
+                   out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Cumulative bits of ``count`` sources (index = slot) into ``out``; ``scratch`` is int64."""
+    on = _on_count(scenario.base_seed, replication, hop, count, scenario.source, len(out) - 1, scratch)
+    np.multiply(np.cumsum(on, out=on), scenario.source.peak_rate, out=out[1:])
+    out[0] = 0.0
+    return out
+
+
+def _search_right(a: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(a, v, side="right")`` into ``out``, 2**16 keys at a time."""
+    for i in range(0, len(v), 1 << 16):
+        out[i:i + (1 << 16)] = np.searchsorted(a, v[i:i + (1 << 16)], side="right")
+    return out
 
 
 # ---------------------------------------------------------------------------
 # queueing
 # ---------------------------------------------------------------------------
 
-def _hop_curves(thr_cum: np.ndarray, cross_cum: np.ndarray, capacity: float):
+def _hop_curves(thr_cum: np.ndarray, cross_cum: np.ndarray, capacity: float, slots: np.ndarray,
+                arr_cum: np.ndarray, dep_cum: np.ndarray, out: np.ndarray, index: np.ndarray,
+                lower: np.ndarray, upper: np.ndarray) -> float:
     """FIFO work-conserving hop over cumulative through and cross arrivals.
 
     Arrivals of slot s are served from slot s on, cross bits ahead of through
@@ -238,31 +249,37 @@ def _hop_curves(thr_cum: np.ndarray, cross_cum: np.ndarray, capacity: float):
     and the departures D = A - queue are exactly A at an empty queue.  All
     slots before e - 1, with e the first slot boundary where A(e) > D, have
     left, and slot e - 1 sends its cross bits before its through bits.
-    Returns (A_total, D_total, D_through, largest queue), curves of length T + 1.
+    Writes A_total, D_total and D_through into ``arr_cum``, ``dep_cum`` and
+    ``out`` and returns the largest queue; ``slots`` is 0, 1, ..., T.  The
+    scratch curves ``lower`` and ``upper`` may be ``arr_cum`` and ``cross_cum``.
     """
-    arr_cum = thr_cum + cross_cum
-    queue = capacity * np.arange(len(arr_cum), dtype=float)
-    np.subtract(arr_cum, queue, out=queue)
-    queue -= np.minimum.accumulate(queue)
+    np.add(thr_cum, cross_cum, out=arr_cum)
+    queue = np.subtract(arr_cum, np.multiply(slots, capacity, out=dep_cum), out=dep_cum)
+    queue -= np.minimum.accumulate(queue, out=out)
     max_queue = float(queue.max())
-    dep_cum = np.subtract(arr_cum, queue, out=queue)
-    e = np.searchsorted(arr_cum, dep_cum, side="right")
+    dep_cum = np.subtract(arr_cum, queue, out=dep_cum)
+    e = _search_right(arr_cum, dep_cum, index)
+    e -= 1  # takes wrap like indexing does; mode "raise" would copy out first
+    np.take(thr_cum, e, out=lower, mode="wrap")
+    e += 1
     # only the upper index is capped, so a queue that drains in the last
     # slot gives thr_cum[T] exactly
-    lower = thr_cum[e - 1]
-    np.minimum(e, len(arr_cum) - 1, out=e)
-    dep_thr = dep_cum - cross_cum[e]
-    np.clip(dep_thr, lower, thr_cum[e], out=dep_thr)
-    return arr_cum, dep_cum, dep_thr, max_queue
+    np.minimum(e, len(e) - 1, out=e)
+    dep_thr = np.subtract(dep_cum, np.take(cross_cum, e, out=out, mode="wrap"), out=out)
+    np.clip(dep_thr, lower, np.take(thr_cum, e, out=upper, mode="wrap"), out=dep_thr)
+    return max_queue
 
 
-def _end_to_end(ingress: np.ndarray, egress: np.ndarray, warmup: int):
-    """Delay (int slots) and backlog (bits) samples of the measured slots."""
+def _end_to_end(ingress: np.ndarray, egress: np.ndarray, warmup: int, slots: np.ndarray,
+                index: np.ndarray, out: np.ndarray):
+    """Delay (int slots) and backlog (bits) samples of the measured slots, in ``index`` and ``out``."""
     measured = egress[warmup + 1:]
     # slot t has delay t - (last slot s with ingress[s] <= egress[t]), at least 0
-    delays = np.arange(warmup + 2, len(ingress) + 1) - np.searchsorted(ingress, measured, side="right")
+    delays = _search_right(ingress, measured, index[warmup + 1:])
+    np.subtract(slots[warmup + 1:], delays, out=delays)
+    delays += 1
     np.maximum(delays, 0, out=delays)
-    return delays, ingress[warmup + 1:] - measured
+    return delays, np.subtract(ingress[warmup + 1:], measured, out=out[warmup + 1:])
 
 
 def simulate_replication(scenario: SimScenario, replication: int, keep_hops: bool = False,
@@ -274,33 +291,41 @@ def simulate_replication(scenario: SimScenario, replication: int, keep_hops: boo
     h <= ``scenario.hops`` to functions of that h-hop prefix's end-to-end
     ``(delay_samples, backlog_samples)``.  Each is called as soon as hop h is
     done, its result goes to the trace's ``reduced[h]``, and the prefix's
-    samples are dropped; the trace then holds no samples.  Without
-    ``reduce`` the trace holds the samples of all ``scenario.hops`` hops.
+    samples are dropped; the trace then holds no samples.  The samples are
+    views that the next hop overwrites, so a reduction must not keep them.
+    Without ``reduce`` the trace holds the samples of all ``scenario.hops`` hops.
     """
     warmup = scenario.resolved_warmup()
     total = warmup + scenario.measure_slots
-
-    ingress = thr_cum = _arrival_curve(scenario, replication, 0, scenario.through_count, total)
+    # Every curve is a row of one block, so no curve-sized array is freed per hop:
+    # freed ones left the heap, and peak memory, different from run to run.  Kept
+    # hops need two more rows, as their curves must be intact after the hop.
+    block = np.empty((10 if keep_hops else 8, total + 1))
+    ingress, *through, cross_cum, arr_cum, dep_cum = block[:6]
+    slots, index = block[6:8].view(np.int64)
+    lower, upper = block[8:] if keep_hops else (arr_cum, cross_cum)
+    slots[0] = 0
+    np.cumsum(np.broadcast_to(1, total), out=slots[1:])  # 0, 1, ..., total
+    thr_cum = _arrival_curve(scenario, replication, 0, scenario.through_count, ingress, index)
     hop_traces, reduced = [], {}
     for hop in range(1, scenario.hops + 1):
-        cross_cum = _arrival_curve(scenario, replication, hop, scenario.cross_count, total)
-        arr_cum, dep_cum, dep_thr, max_queue = _hop_curves(thr_cum, cross_cum, scenario.capacity_per_slot)
+        _arrival_curve(scenario, replication, hop, scenario.cross_count, cross_cum, index)
+        dep_thr = through[hop % 2]  # the row that thr_cum is not
+        max_queue = _hop_curves(thr_cum, cross_cum, scenario.capacity_per_slot, slots,
+                                arr_cum, dep_cum, dep_thr, index, lower, upper)
         if max_queue > scenario.backlog_guard_bits:
-            raise StabilityError(
-                f"hop {hop} queue reached {max_queue:.3g} bits "
-                f"(guard {scenario.backlog_guard_bits:.3g}); "
-                f"offered load utilization is {scenario.utilization():.3f}"
-            )
+            raise StabilityError(f"hop {hop} queue reached {max_queue:.3g} bits (guard "
+                                 f"{scenario.backlog_guard_bits:.3g}); offered load "
+                                 f"utilization is {scenario.utilization():.3f}")
         if keep_hops:
-            hop_traces.append(HopTrace(arr_cum, dep_cum, thr_cum, dep_thr,
+            hop_traces.append(HopTrace(arr_cum.copy(), dep_cum.copy(), thr_cum.copy(), dep_thr.copy(),
                                        np.diff(thr_cum), np.diff(cross_cum)))
-        # only one hop's curves are live at a time
-        del arr_cum, dep_cum, cross_cum
         thr_cum = dep_thr
         if reduce is not None and hop in reduce:
-            reduced[hop] = reduce[hop](*_end_to_end(ingress, thr_cum, warmup))
+            reduced[hop] = reduce[hop](*_end_to_end(ingress, thr_cum, warmup, slots, index, arr_cum))
 
-    delays, backlogs = _end_to_end(ingress, thr_cum, warmup) if reduce is None else (None, None)
+    delays, backlogs = ((None, None) if reduce is not None
+                        else _end_to_end(ingress, thr_cum, warmup, slots, index, arr_cum))
     return ReplicationTrace(
         ingress=ingress,
         egress=thr_cum,
