@@ -9,12 +9,15 @@ the raw exponents theta*u*(alpha-beta)/2 routinely exceed the range of
 scan followed by golden-section refinement; any theta whose series diverges
 contributes a vacuous bound and is skipped.
 
-One engine inverts for epsilon: at each theta the threshold has the closed
-form H * v(theta), where v is one hop's share (see ``_per_hop_threshold``),
-and v is minimized over theta.  So a homogeneous path's bound is exactly H
-times the single-hop bound, at one theta* for every H.  ``closed_form_*``
-are thin wrappers that build the homogeneous leftover-service path and call
-this engine.
+One engine serves every query.  ``_log_terms`` evaluates a path at one
+theta (the envelopes and one log-sum per run of equal hops) and
+``_log_tail`` turns that into the backlog or delay log tail; the per-theta
+tail functions, the theta search and the diagnostics at theta* all read
+them.  Inverting for epsilon, the threshold at each theta has the closed
+form H * v(theta), where v is one hop's share, and v is minimized over
+theta.  So a homogeneous path's bound is exactly H times the single-hop
+bound, at one theta* for every H.  ``closed_form_*`` are thin wrappers that
+build the homogeneous leftover-service path and call this engine.
 
 Conventions
 -----------
@@ -213,74 +216,50 @@ def _hop_runs(path: NetworkPath) -> tuple:
     return tuple((hop, len(list(run))) for hop, run in groupby(path.hops))
 
 
-class _ThetaState(NamedTuple):
-    """The threshold-independent part of a path evaluation at one theta.
+def _log_terms(through: TrafficModel, runs: tuple, hop_count: int, horizon: float, theta: float) -> tuple:
+    """(L, alpha, betas, logs): the threshold-independent part of the tail at theta.
 
-    Holds one entry per run of equal hops (see :func:`_hop_runs`), so the
-    inversions and tail evaluations that read it pay for the envelopes and
-    per-hop series once per run, however many hops the path has.
+    ``logs`` holds each run's standard log-sum over the horizon (+inf for a
+    divergent series), ``betas`` each run's effective capacity, and L is
+    their mean per hop, the log of the product of the H-th roots; a single
+    run (a homogeneous path) gives its log-sum exactly.  One capacity call
+    per run of equal hops (see :func:`_hop_runs`), however many hops the
+    path has.
     """
-
-    hop_count: int
-    runs: tuple               # (hop, count) per run of equal hops
-    theta: float
-    horizon: float
-    alpha: float
-    betas: tuple              # effective capacity per run
-    logs: tuple               # standard log-sum over the horizon per run
-
-    @property
-    def diverged(self) -> bool:
-        """Some hop series diverges: the bound is vacuous."""
-        return math.inf in self.logs
-
-    @property
-    def truncation(self) -> Optional[int]:
-        return None if math.isinf(self.horizon) else int(self.horizon)
-
-    @property
-    def margins(self) -> tuple:
-        """beta_i - alpha per hop of the path."""
-        margins = ()
-        for (_, count), beta in zip(self.runs, self.betas):
-            margins += (beta - self.alpha,) * count
-        return margins
+    alpha = traffic_effective_bandwidth(through, theta)
+    mean_log, betas, logs = 0.0, (), ()
+    for hop, count in runs:
+        beta = service_effective_capacity(hop, theta)
+        log = _log_run_sum(0.5 * theta * (alpha - beta), horizon)
+        mean_log += count / hop_count * log
+        betas += (beta,)
+        logs += (log,)
+    return mean_log, alpha, betas, logs
 
 
-def _theta_state(path: NetworkPath, horizon: float, theta: float, runs: Optional[tuple] = None) -> _ThetaState:
-    runs = runs or _hop_runs(path)
-    alpha = traffic_effective_bandwidth(path.through, theta)
-    betas = tuple([service_effective_capacity(hop, theta) for hop, _ in runs])
-    logs = tuple([_log_run_sum(0.5 * theta * (alpha - b), horizon) for b in betas])
-    return _ThetaState(path.hop_count, runs, theta, horizon, alpha, betas, logs)
+def _log_tail(terms: tuple, runs: tuple, hop_count: int, horizon: float,
+              theta: float, x: float, delay: bool) -> float:
+    """Log tail bound on P{backlog > x} or, with ``delay``, P{delay > x slots}.
 
-
-def _backlog_eval(state: _ThetaState, x: float) -> float:
-    """Log tail bound on P{backlog > x}; +inf when a hop series diverges.
-
-    The mean per-hop log-sum is the log of the product of the H-th roots;
-    a single run (a homogeneous path) gives its log-sum exactly.
+    Backlog is L - theta x / (2H).  Delay replaces the last hop's standard
+    series by a shifted one: it sums e^{(theta/2)((u-x) alpha - u beta)}
+    for u from x, which with v = u - x is e^{-theta x beta / 2} times the
+    standard series over the horizon - x slots left.  A divergent series
+    gives 0, the trivial bound 1.
     """
-    mean_log = 0.0
-    for (_, count), log in zip(state.runs, state.logs):
-        mean_log += count / state.hop_count * log
-    return mean_log - 0.5 * state.theta * x / state.hop_count
-
-
-def _delay_eval(state: _ThetaState, d: float) -> float:
-    """Log tail bound on P{delay > d}; +inf when a hop series diverges."""
-    if state.diverged:
-        return math.inf
-    # Last hop sums e^{(theta/2)((u-d) alpha - u beta)} for u from d; with
-    # v = u - d this is e^{-theta d beta / 2} times the standard series.
-    horizon, beta_last = state.horizon, state.betas[-1]
-    tail_len = horizon if math.isinf(horizon) else horizon - d
-    last = -0.5 * state.theta * d * beta_last + _log_run_sum(0.5 * state.theta * (state.alpha - beta_last), tail_len)
-    counts = [count for _, count in state.runs]
+    mean_log, alpha, betas, logs = terms
+    if mean_log == math.inf:
+        return 0.0
+    if not delay:
+        return mean_log - 0.5 * theta * x / hop_count
+    beta_last = betas[-1]
+    tail_len = horizon if math.isinf(horizon) else horizon - x
+    last = -0.5 * theta * x * beta_last + _log_run_sum(0.5 * theta * (alpha - beta_last), tail_len)
+    counts = [count for _, count in runs]
     counts[-1] -= 1  # the last hop's standard series is replaced by the shifted one
-    for count, log in zip(counts, state.logs):
+    for count, log in zip(counts, logs):
         last += count * log
-    return last / state.hop_count
+    return last / hop_count
 
 
 def _safe_exp(log_value: float) -> float:
@@ -306,10 +285,7 @@ def backlog_violation_at_theta(path: NetworkPath, x: float, horizon: float, thet
     if x < 0:
         raise ValueError("backlog threshold must be >= 0")
     _check_horizon(horizon)
-    state = _theta_state(path, horizon, theta)
-    if state.diverged:
-        return 1.0
-    return _safe_exp(_backlog_eval(state, x))
+    return _violation_at_theta(path, x, horizon, theta, False)
 
 
 def delay_violation_at_theta(path: NetworkPath, d: float, horizon: float, theta: float) -> float:
@@ -323,10 +299,13 @@ def delay_violation_at_theta(path: NetworkPath, d: float, horizon: float, theta:
     _check_horizon(horizon)
     if not math.isinf(horizon) and horizon < d:
         raise ValueError("finite horizon must be >= the delay threshold")
-    state = _theta_state(path, horizon, theta)
-    if state.diverged:
-        return 1.0
-    return _safe_exp(_delay_eval(state, d))
+    return _violation_at_theta(path, d, horizon, theta, True)
+
+
+def _violation_at_theta(path: NetworkPath, x: float, horizon: float, theta: float, delay: bool) -> float:
+    runs = _hop_runs(path)
+    terms = _log_terms(path.through, runs, path.hop_count, horizon, theta)
+    return _safe_exp(_log_tail(terms, runs, path.hop_count, horizon, theta, x, delay))
 
 
 # ---------------------------------------------------------------------------
@@ -430,30 +409,6 @@ def _single_flow_burst(model: TrafficModel) -> float:
 # inversion: bound value for a target violation probability
 # ---------------------------------------------------------------------------
 
-def _per_hop_threshold(through: TrafficModel, runs: tuple, hop_count: int, horizon: float,
-                       theta: float, log_eps: float, delay: bool) -> float:
-    """v(theta) = 2 (L - ln eps) / (theta w), one hop's share of the threshold.
-
-    L is the mean per-hop standard log-sum over the horizon, and w is 1 for
-    backlog and the last hop's effective capacity for delay.  The log tail
-    bound L - theta w x / (2H) reaches ln eps at x = H v; for delay this
-    bounds the last hop by its full-horizon series.  +inf marks an
-    inadmissible theta: a divergent series or w <= 0.
-
-    This is the theta search's objective, so it builds no state: the same
-    sums as :func:`_theta_state` and :func:`_backlog_eval`, inline.
-    """
-    alpha = traffic_effective_bandwidth(through, theta)
-    mean_log = 0.0
-    for hop, count in runs:
-        beta = service_effective_capacity(hop, theta)
-        mean_log += count / hop_count * _log_run_sum(0.5 * theta * (alpha - beta), horizon)
-    w = beta if delay else 1.0  # the last run's beta is the last hop's
-    if w <= 0.0 or mean_log == math.inf:
-        return math.inf
-    return (2.0 / (theta * w)) * (mean_log - log_eps)
-
-
 def _invert(path: NetworkPath, epsilon: float, horizon: float,
             theta_search: Optional[ThetaSearchConfig], kind: str) -> BoundResult:
     """Smallest threshold H v(theta) over theta; the per-hop value is
@@ -466,8 +421,20 @@ def _invert(path: NetworkPath, epsilon: float, horizon: float,
     saw_horizon_failure = False
 
     def objective(theta: float) -> float:
+        """v(theta) = 2 (L - ln eps) / (theta w), one hop's share of the threshold.
+
+        w is 1 for backlog and the last hop's effective capacity for delay:
+        the log tail L - theta w x / (2H) reaches ln eps at x = H v, and for
+        delay this bounds the last hop by its full-horizon series.  +inf
+        marks an inadmissible theta: a divergent series, w <= 0, or a delay
+        beyond a finite horizon.
+        """
         nonlocal saw_horizon_failure
-        v = _per_hop_threshold(through, runs, hop_count, horizon, theta, log_eps, delay)
+        mean_log, _, betas, _ = _log_terms(through, runs, hop_count, horizon, theta)
+        w = betas[-1] if delay else 1.0
+        if w <= 0.0 or mean_log == math.inf:
+            return math.inf
+        v = (2.0 / (theta * w)) * (mean_log - log_eps)
         if delay and math.isfinite(v) and hop_count * v > horizon:
             saw_horizon_failure = True
             return math.inf
@@ -486,16 +453,19 @@ def _invert(path: NetworkPath, epsilon: float, horizon: float,
     if (epsilon >= 1.0 and value > 0.0) or value < 0.0:
         # at epsilon = 1 the trivial bound P <= 1 already holds at threshold 0
         value, clamped = 0.0, True
-    state = _theta_state(path, horizon, res.theta_star, runs)
-    log_violation = (_delay_eval if delay else _backlog_eval)(state, value)
-    margins = state.margins  # expanded only here, not in the theta search
+    terms = _log_terms(through, runs, hop_count, horizon, res.theta_star)
+    _, alpha, betas, _ = terms
+    log_violation = _log_tail(terms, runs, hop_count, horizon, res.theta_star, value, delay)
+    margins = ()  # beta_i - alpha per hop, expanded only here
+    for (_, count), beta in zip(runs, betas):
+        margins += (beta - alpha,) * count
     return BoundResult(
         kind=kind,
         value=value,
         theta_star=res.theta_star,
         violation_probability=_clamp01(_safe_exp(log_violation)),
         stable_at_theta_star=all(m > 0 for m in margins),
-        truncation_horizon_used=state.truncation,
+        truncation_horizon_used=None if math.isinf(horizon) else int(horizon),
         hop_margins=margins,
         at_theta_boundary=res.at_boundary,
         clamped=clamped,

@@ -109,8 +109,6 @@ def _build_parser() -> _Parser:
             p.add_argument("--self-test", action="store_true",
                            help="check against a threshold that at least 10*epsilon of the "
                                 "samples exceed, so the check must fail (exit 3)")
-            p.add_argument("--slack", type=float, default=0.0,
-                           help="relative slack on epsilon for the pass criterion, finite and >= 0")
     return parser
 
 
@@ -379,7 +377,7 @@ def _cmd_validate(sc: Scenario, args) -> int:
     for i, (row, threshold, per_rep) in enumerate(zip(rows, thresholds, counts)):
         delay = row.kind == "delay"
         report = validate_exceedances(sum(per_rep), sim.replications * sim.measure_slots, row.kind,
-                                      threshold, row.epsilon, slack=args.slack)
+                                      threshold, row.epsilon)
         for warning in report.warnings:
             print(f"warning: H={row.hops} {row.kind}: {warning}", file=sys.stderr)
         any_fail = any_fail or report.verdict == "fail"
@@ -411,8 +409,6 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if args.jobs < 1:
             raise _UsageError("--jobs must be >= 1")
-        if args.command == "validate" and not 0.0 <= args.slack < math.inf:  # rejects nan too
-            raise _UsageError("--slack must be finite and >= 0")
         return _COMMANDS[args.command](_load(args), args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

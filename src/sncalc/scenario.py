@@ -66,6 +66,14 @@ class ScenarioError(ValueError):
         super().__init__("invalid scenario:\n" + "\n".join(f"  - {p}" for p in self.problems))
 
 
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where the platform does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
 def rate_to_bits_per_slot(value: float, unit: str, slot_length_s: float) -> float:
     return value * RATE_UNITS[unit] * slot_length_s
 
@@ -178,11 +186,15 @@ class Scenario:
 
     def build_sim_scenario(self, hops: int, n_through: int, m_cross: int,
                            base_seed: Optional[int] = None) -> SimScenario:
+        """The simulation at one flow point.  A run whose curve block (8
+        float64 curves over the warmup and measured slots, 64 bytes a slot)
+        exceeds physical memory is a :class:`ScenarioError`, raised before
+        anything is allocated."""
         if self.sim is None:
             raise ScenarioError(["sim: block required for simulation commands"])
         from .simulator import SimScenario
 
-        return SimScenario(
+        sim = SimScenario(
             hops=hops,
             capacity_per_slot=self.capacity_bits_per_slot(),
             through_count=n_through,
@@ -193,6 +205,18 @@ class Scenario:
             replications=self.sim.replications,
             base_seed=self.sim.base_seed if base_seed is None else base_seed,
         )
+        try:
+            warmup = sim.resolved_warmup()
+        except OverflowError:  # a mean sojourn beyond the float range
+            warmup = math.inf
+        block_bytes, memory = 64 * (warmup + sim.measure_slots + 1), _physical_memory()
+        if block_bytes > memory:
+            raise ScenarioError([
+                f"sim.warmup_slots/sim.measure_slots: {warmup:.4g} warmup and {sim.measure_slots} "
+                f"measured slots need {block_bytes / 2**30:.4g} GiB for the simulator's curves, "
+                f"more than the {memory / 2**30:.4g} GiB of physical memory (the default warmup "
+                f"is 10x the longer mean sojourn)"])
+        return sim
 
 
 # ---------------------------------------------------------------------------

@@ -405,21 +405,20 @@ class ValidationReport:
     exceed_count: int
     frequency: float
     upper_confidence: float
-    slack: float
     verdict: str                  # "pass" | "fail" | "inconclusive"
     warnings: tuple
 
 
 def validate_exceedances(exceed_count: int, sample_count: int, kind: str, threshold: float,
-                         epsilon: float, slack: float = 0.0) -> ValidationReport:
+                         epsilon: float) -> ValidationReport:
     """Check that an analytic tail bound dominates the empirical tail, given
     that ``exceed_count`` of ``sample_count`` samples exceed ``threshold``.
 
     The report carries the exceedance frequency and its one-sided 95%
     Clopper-Pearson upper confidence limit.  Pass means that limit stays at
-    or below epsilon * (1 + slack).  When the sample budget cannot resolve
-    epsilon (fewer than 100 expected exceedances, epsilon * n < 100) the
-    verdict is "inconclusive" and a warning is attached.
+    or below epsilon.  When the sample budget cannot resolve epsilon (fewer
+    than 100 expected exceedances, epsilon * n < 100) the verdict is
+    "inconclusive" and a warning is attached.
     """
     if sample_count < 1:
         raise ValueError("samples must be non-empty")
@@ -438,7 +437,7 @@ def validate_exceedances(exceed_count: int, sample_count: int, kind: str, thresh
                         f"exceedances {epsilon * n:.3g} < 100")
         verdict = "inconclusive"
     else:
-        verdict = "pass" if upper <= epsilon * (1.0 + slack) else "fail"
+        verdict = "pass" if upper <= epsilon else "fail"
     return ValidationReport(
         kind=kind,
         threshold=threshold,
@@ -447,15 +446,13 @@ def validate_exceedances(exceed_count: int, sample_count: int, kind: str, thresh
         exceed_count=k,
         frequency=k / n,
         upper_confidence=upper,
-        slack=slack,
         verdict=verdict,
         warnings=tuple(warnings),
     )
 
 
-def validate_samples(samples: np.ndarray, kind: str, threshold: float, epsilon: float,
-                     slack: float = 0.0) -> ValidationReport:
+def validate_samples(samples: np.ndarray, kind: str, threshold: float, epsilon: float) -> ValidationReport:
     """:func:`validate_exceedances` on the samples strictly above ``threshold``."""
     samples = np.asarray(samples)
     return validate_exceedances(int(np.count_nonzero(samples > threshold)), samples.size, kind,
-                                threshold, epsilon, slack)
+                                threshold, epsilon)

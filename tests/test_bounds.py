@@ -23,6 +23,7 @@ from sncalc import (
     delay_bound,
     delay_violation_at_theta,
     minimize_over_theta,
+    service_effective_capacity,
     stability_margin,
     traffic_effective_bandwidth,
 )
@@ -292,11 +293,12 @@ class TestBacklogBound:
         assert pinned.clamped
 
     def test_per_theta_threshold_never_negative(self):
-        from sncalc.bounds import _hop_runs, _per_hop_threshold
-        # the inner series starts at 1, so even eps = 1 keeps the log >= 0
+        from sncalc.bounds import _hop_runs, _log_terms
+        # the inner series starts at 1, so the mean log-sum L is >= 0 and
+        # even eps = 1 keeps the threshold share v = 2 (L - ln eps) / theta >= 0
         p = unit_path()
         for theta in (0.3, 1.0, 4.0):
-            assert _per_hop_threshold(p.through, _hop_runs(p), 1, INF, theta, math.log(1.0), False) >= 0.0
+            assert _log_terms(p.through, _hop_runs(p), 1, INF, theta)[0] >= 0.0
 
     def test_unstable_path_raises(self):
         p = NetworkPath(ConstantRate(5.0), (ConstantServer(4.0),))
@@ -517,3 +519,43 @@ def test_closed_form_results_are_clamped_and_stable(params):
     assert res.value >= 0
     assert 0 <= res.violation_probability <= 1
     assert res.stable_at_theta_star
+
+
+@st.composite
+def heterogeneous_queries(draw):
+    """A voice aggregate over 1-6 mixed constant-rate and leftover hops
+    (runs of equal hops included), with a target, horizon and kind."""
+    src = MmooTraffic(VOICE)
+    n = draw(st.integers(min_value=1, max_value=300))
+    hops = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        if hops and draw(st.booleans()):
+            hops.append(hops[-1])
+            continue
+        capacity = n * 25.6 / draw(st.floats(min_value=0.2, max_value=0.95))
+        m = draw(st.integers(min_value=0, max_value=300))
+        if draw(st.booleans()):
+            hops.append(ConstantServer(capacity))
+        else:
+            hops.append(Leftover(capacity + m * 25.6 / draw(st.floats(min_value=0.3, max_value=0.95)), m, src))
+    eps = draw(st.sampled_from([1e-9, 1e-6, 1e-3, 1e-2, 1.0]))
+    horizon = draw(st.sampled_from([INF, 10**4, 500]))
+    return NetworkPath(Aggregate(n, src), hops), eps, horizon, draw(st.sampled_from(["backlog", "delay"]))
+
+
+@given(heterogeneous_queries())
+@settings(max_examples=150, deadline=None)
+def test_diagnostics_match_the_per_theta_functions(query):
+    # the achieved violation probability and the per-hop margins at theta*
+    # are what the public per-theta functions and envelopes give there
+    path, eps, horizon, kind = query
+    bound, at_theta = {"backlog": (backlog_bound, backlog_violation_at_theta),
+                       "delay": (delay_bound, delay_violation_at_theta)}[kind]
+    try:
+        res = bound(path, eps, horizon)
+    except HorizonError:
+        return  # no delay within the horizon: nothing to compare
+    theta = res.theta_star
+    assert res.violation_probability == min(1, max(0, at_theta(path, res.value, horizon, theta)))
+    alpha = traffic_effective_bandwidth(path.through, theta)
+    assert res.hop_margins == tuple(service_effective_capacity(hop, theta) - alpha for hop in path.hops)

@@ -259,6 +259,25 @@ class TestSimulate:
         assert code == EXIT_OK
         assert len(parse_rows(out)) == 4
 
+    @pytest.mark.parametrize("command, mean_on_time", [
+        ("simulate", "1.0e+20"), ("simulate", "1.0e+8"), ("simulate", "1.0e+306"),
+        ("validate", "1.0e+20"), ("validate", "1.0e+8"),
+    ])
+    def test_warmup_beyond_memory_exits_1(self, tmp_path, command, mean_on_time):
+        # the default warmup is 10x the mean on time, 1e24 or 1e12 slots (or
+        # beyond the float range): far more curve memory than any host has,
+        # refused before allocation
+        f = tmp_path / "long.yaml"
+        f.write_text(TINY_SIM.replace("mean_on_time_s: 0.02", f"mean_on_time_s: {mean_on_time}")
+                     .replace("capacity: 30000.0", "capacity: 50000.0")
+                     .replace("  warmup_slots: 100\n", ""))
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        out = subprocess.run([sys.executable, "-m", "sncalc.cli", command, "--scenario", str(f)],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == EXIT_USAGE and out.stdout == ""
+        assert "Traceback" not in out.stderr
+        assert "error: " in out.stderr and "sim.warmup_slots/sim.measure_slots" in out.stderr
+
     def test_requires_sim_block(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--scenario", "voice-fig3")
         assert code == EXIT_USAGE
@@ -402,7 +421,6 @@ class TestUsageAndResolution:
         assert code == EXIT_USAGE and "epsilon" in err
 
     @pytest.mark.parametrize("command, flag", [
-        ("validate", "--slack=-1"), ("validate", "--slack=nan"), ("validate", "--slack=inf"),
         ("validate", "--jobs=-3"), ("simulate", "--jobs=0"), ("bound", "--jobs=0"),
     ])
     def test_nonsense_slack_or_jobs_exits_1(self, capsys, tiny, command, flag):
