@@ -16,8 +16,12 @@ tail functions, the theta search and the diagnostics at theta* all read
 them.  Inverting for epsilon, the threshold at each theta has the closed
 form H * v(theta), where v is one hop's share, and v is minimized over
 theta.  So a homogeneous path's bound is exactly H times the single-hop
-bound, at one theta* for every H.  ``closed_form_*`` are thin wrappers that
-build the homogeneous leftover-service path and call this engine.
+bound, at one theta* for every H.  ``hop_sweep`` uses this for the hop
+sweeps: it searches theta once per path shape (the through model and each
+run of equal hops with its share count/H) and reuses theta* and v* for
+every hop count of that shape; a finite-horizon delay search stays per H.
+``closed_form_*`` are thin wrappers that build the homogeneous
+leftover-service path and call this engine.
 
 Conventions
 -----------
@@ -67,10 +71,12 @@ __all__ = [
     "minimize_over_theta",
     "backlog_bound",
     "delay_bound",
+    "hop_sweep",
     "closed_form_backlog",
     "closed_form_delay",
     "stability_margin",
     "default_theta_search",
+    "default_theta_window",
 ]
 
 INFINITE_HORIZON = math.inf
@@ -376,12 +382,13 @@ def minimize_over_theta(objective: Callable[[float], float], config: ThetaSearch
     return ThetaSearchResult(best_theta, best_value, at_boundary)
 
 
-def default_theta_search(path: NetworkPath) -> ThetaSearchConfig:
-    """Search window derived from the path's rate scales.
+def default_theta_window(path: NetworkPath) -> tuple:
+    """(theta_min, theta_max) derived from the path's rate scales.
 
     theta_max keeps theta * peak-rate * one-slot exponents representable
     (<= 700); theta_min is 1e-9 scaled down by the largest single-flow
-    burst so the near-mean-rate regime is always covered.
+    burst so the near-mean-rate regime is always covered.  theta_min is 0
+    when that division underflows, for a burst beyond about 1e314 bits.
     """
     peaks = [traffic_peak_rate(path.through)]
     bursts = [_single_flow_burst(path.through)]
@@ -391,7 +398,12 @@ def default_theta_search(path: NetworkPath) -> ThetaSearchConfig:
             bursts.append(_single_flow_burst(hop.cross))
     peak_ref = max(max(peaks), 1e-12)
     burst_ref = max(max(bursts), 1e-12)
-    return ThetaSearchConfig(theta_min=1e-9 / burst_ref, theta_max=_EXP_CAP / peak_ref)
+    return 1e-9 / burst_ref, _EXP_CAP / peak_ref
+
+
+def default_theta_search(path: NetworkPath) -> ThetaSearchConfig:
+    """Search over :func:`default_theta_window` at the default resolution."""
+    return ThetaSearchConfig(*default_theta_window(path))
 
 
 def _single_flow_burst(model: TrafficModel) -> float:
@@ -409,13 +421,15 @@ def _single_flow_burst(model: TrafficModel) -> float:
 # inversion: bound value for a target violation probability
 # ---------------------------------------------------------------------------
 
-def _invert(path: NetworkPath, epsilon: float, horizon: float,
-            theta_search: Optional[ThetaSearchConfig], kind: str) -> BoundResult:
-    """Smallest threshold H v(theta) over theta; the per-hop value is
-    minimized, so theta* does not depend on H for a homogeneous path."""
-    _check_epsilon(epsilon)
-    _check_horizon(horizon)
-    config = theta_search or default_theta_search(path)
+def _search(path: NetworkPath, epsilon: float, horizon: float,
+            config: ThetaSearchConfig, kind: str) -> ThetaSearchResult:
+    """theta*, one hop's share v* = v(theta*) and the boundary flag.
+
+    The per-hop share is minimized, so theta* does not depend on H for a
+    homogeneous path.  Raises :class:`StabilityError` when no theta is
+    admissible, or :class:`HorizonError` when only the finite horizon
+    rules the last ones out.
+    """
     through, runs, hop_count = path.through, _hop_runs(path), path.hop_count
     log_eps, delay = math.log(epsilon), kind == "delay"
     saw_horizon_failure = False
@@ -441,7 +455,7 @@ def _invert(path: NetworkPath, epsilon: float, horizon: float,
         return v
 
     try:
-        res = minimize_over_theta(objective, config)
+        return minimize_over_theta(objective, config)
     except StabilityError:
         if saw_horizon_failure:
             raise HorizonError(
@@ -449,13 +463,20 @@ def _invert(path: NetworkPath, epsilon: float, horizon: float,
                 f"a violation bound of {epsilon:g}; increase the horizon"
             ) from None
         raise
+
+
+def _finish(path: NetworkPath, epsilon: float, horizon: float,
+            res: ThetaSearchResult, kind: str) -> BoundResult:
+    """The bound H v* of ``path`` from a theta search of its shape, with the
+    diagnostics at theta* evaluated for this path's H."""
+    runs, hop_count = _hop_runs(path), path.hop_count
     value, clamped = hop_count * res.value + 0.0, False  # normalize -0.0
     if (epsilon >= 1.0 and value > 0.0) or value < 0.0:
         # at epsilon = 1 the trivial bound P <= 1 already holds at threshold 0
         value, clamped = 0.0, True
-    terms = _log_terms(through, runs, hop_count, horizon, res.theta_star)
+    terms = _log_terms(path.through, runs, hop_count, horizon, res.theta_star)
     _, alpha, betas, _ = terms
-    log_violation = _log_tail(terms, runs, hop_count, horizon, res.theta_star, value, delay)
+    log_violation = _log_tail(terms, runs, hop_count, horizon, res.theta_star, value, kind == "delay")
     margins = ()  # beta_i - alpha per hop, expanded only here
     for (_, count), beta in zip(runs, betas):
         margins += (beta - alpha,) * count
@@ -470,6 +491,54 @@ def _invert(path: NetworkPath, epsilon: float, horizon: float,
         at_theta_boundary=res.at_boundary,
         clamped=clamped,
     )
+
+
+def _invert(path: NetworkPath, epsilon: float, horizon: float,
+            theta_search: Optional[ThetaSearchConfig], kind: str) -> BoundResult:
+    _check_epsilon(epsilon)
+    _check_horizon(horizon)
+    config = theta_search or default_theta_search(path)
+    return _finish(path, epsilon, horizon, _search(path, epsilon, horizon, config, kind), kind)
+
+
+def hop_sweep(
+    paths,
+    kind: str,
+    epsilon: float,
+    horizon: float = INFINITE_HORIZON,
+    theta_search: Optional[ThetaSearchConfig] = None,
+) -> list:
+    """:func:`backlog_bound` or :func:`delay_bound` (``kind``) of each path,
+    with one theta search per path shape.
+
+    The shape is the through model and each run of equal hops with its
+    share count/H of the path; it also fixes the default theta window.
+    Paths of one shape have bit-identical v(theta), since a single run's
+    mean log-sum is 1.0 * log at every H, so they share theta* and v*, and
+    each result equals the per-path call.  A finite-horizon delay search
+    stays per hop count, because its admissibility rule H v <= horizon
+    depends on H.  A path without a bound gets its :class:`StabilityError`
+    or :class:`HorizonError` in place of a result.
+    """
+    if kind not in ("backlog", "delay"):
+        raise ValueError(f"kind must be 'backlog' or 'delay', got {kind!r}")
+    _check_epsilon(epsilon)
+    _check_horizon(horizon)
+    per_hop_count = kind == "delay" and not math.isinf(horizon)
+    searches, results = {}, []
+    for path in paths:
+        shape = (path.through, tuple((hop, count / path.hop_count) for hop, count in _hop_runs(path)))
+        if per_hop_count:
+            shape += (path.hop_count,)
+        if shape not in searches:
+            try:
+                config = theta_search or default_theta_search(path)
+                searches[shape] = _search(path, epsilon, horizon, config, kind)
+            except (StabilityError, HorizonError) as exc:
+                searches[shape] = exc
+        res = searches[shape]
+        results.append(res if isinstance(res, Exception) else _finish(path, epsilon, horizon, res, kind))
+    return results
 
 
 def backlog_bound(

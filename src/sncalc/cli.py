@@ -34,9 +34,9 @@ import sys
 from dataclasses import replace
 from functools import partial
 
-from .bounds import HorizonError, StabilityError, backlog_bound, delay_bound
+from .bounds import StabilityError, hop_sweep
 # not called here: perfbench/tracing.py patches these names on this module
-from .bounds import closed_form_backlog, closed_form_delay  # noqa: F401
+from .bounds import backlog_bound, closed_form_backlog, closed_form_delay, delay_bound  # noqa: F401
 from .scenario import (
     ResultRow,
     Scenario,
@@ -150,25 +150,33 @@ def _epsilons(sc: Scenario, args) -> tuple:
 def _bound_rows(sc: Scenario, args, flow_points) -> tuple:
     """One row per (H, (N, M), kind, epsilon), in that nesting order.
 
-    A bound that raises :class:`StabilityError` or :class:`HorizonError`
-    becomes a flagged row (``stable=false``, ``bound_value=inf``, no
-    ``theta_star``) and its message goes to stderr.  Returns the rows and
-    whether any was flagged.
+    Each (N, M) gets one theta window and one :func:`hop_sweep` per kind
+    and epsilon, over every hop count, so paths of one shape share a theta
+    search.  A bound that does not exist (a :class:`StabilityError` or
+    :class:`HorizonError` in place of a result) becomes a flagged row
+    (``stable=false``, ``bound_value=inf``, no ``theta_star``) and its
+    message goes to stderr.  Returns the rows and whether any was flagged.
     """
     hops, epsilons = _hop_list(sc, args), _epsilons(sc, args)
     kinds, horizon = (sc.bound.kinds, sc.bound.horizon) if sc.bound else (("delay",), math.inf)
-    rows, flagged = [], False
-    for h in hops:
+    rows, flagged, sweeps = [], False, {}
+    for i, h in enumerate(hops):
         for n, m in flow_points:
-            path = sc.build_path(h, n, m)
-            search = sc.build_theta_search(path)
+            if (n, m) not in sweeps:  # at the first H, in the order rows are written
+                paths = [sc.build_path(hop_count, n, m) for hop_count in hops]
+                search = sc.build_theta_search(paths[0])
+                sweeps[n, m] = search, {(kind, eps): hop_sweep(paths, kind, eps, horizon, search)
+                                        for kind in kinds for eps in epsilons}
+            search, results = sweeps[n, m]
             for kind in kinds:
-                fn, unit, scale = ((delay_bound, "s", sc.units.slot_length_s) if kind == "delay"
-                                   else (backlog_bound, "bits", 1.0))
+                unit, scale = ("s", sc.units.slot_length_s) if kind == "delay" else ("bits", 1.0)
                 for eps in epsilons:
                     where = f"H={h} N={n} M={m} {kind} epsilon={eps:g}"
-                    try:
-                        result = fn(path, eps, horizon, search)
+                    result = results[kind, eps][i]
+                    if isinstance(result, Exception):
+                        theta, value, stable, flagged = None, math.inf, False, True
+                        print(f"{where}: no bound: {result}", file=sys.stderr)
+                    else:
                         theta, value = result.theta_star, result.value * scale
                         stable = result.stable_at_theta_star
                         if result.at_theta_boundary:
@@ -176,9 +184,6 @@ def _bound_rows(sc: Scenario, args, flow_points) -> tuple:
                             edge = "lower" if theta * theta < lo * hi else "upper"
                             print(f"warning: {where}: theta*={theta:.6g} is at the {edge} edge "
                                   f"of the theta window [{lo:.6g}, {hi:.6g}]", file=sys.stderr)
-                    except (StabilityError, HorizonError) as exc:
-                        theta, value, stable, flagged = None, math.inf, False, True
-                        print(f"{where}: no bound: {exc}", file=sys.stderr)
                     rows.append(ResultRow(
                         scenario_id=sc.scenario_id, kind=kind, hops=h, through_flows=n,
                         cross_flows=m, epsilon=eps, theta_star=theta, bound_value=value,

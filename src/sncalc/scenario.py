@@ -16,13 +16,13 @@ import csv
 import io
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 import yaml
 
-from .bounds import NetworkPath, ThetaSearchConfig, default_theta_search
+from .bounds import NetworkPath, ThetaSearchConfig, default_theta_window
 from .envelopes import Aggregate, Leftover, MmooParams, MmooTraffic
 
 if TYPE_CHECKING:  # the simulator (and numpy) load only when a simulation is built
@@ -170,19 +170,26 @@ class Scenario:
     def build_theta_search(self, path: NetworkPath) -> ThetaSearchConfig:
         """The path's derived theta window with ``bound.theta`` overrides
         merged in; an empty or invalid merged window is a
-        :class:`ScenarioError`."""
-        base = default_theta_search(path)
+        :class:`ScenarioError`, and so is a derived lower edge that
+        underflows to 0 with no ``bound.theta.min`` to replace it."""
+        lo, hi = default_theta_window(path)
+        window = {"theta_min": lo, "theta_max": hi}
         overrides = self.bound.theta if self.bound else None
-        if overrides is None:
-            return base
-        fields = {"theta_min": overrides.theta_min, "theta_max": overrides.theta_max,
-                  "coarse_grid_points": overrides.grid_points,
-                  "refine_tolerance": overrides.refine_tolerance}
+        if overrides is not None:
+            fields = {"theta_min": overrides.theta_min, "theta_max": overrides.theta_max,
+                      "coarse_grid_points": overrides.grid_points,
+                      "refine_tolerance": overrides.refine_tolerance}
+            window.update((k, v) for k, v in fields.items() if v is not None)
+        if window["theta_min"] == 0.0:
+            raise ScenarioError(["traffic.mean_on_time_s: a flow's burst (peak_rate times "
+                                 "mean_on_time_s) is too large for a theta window: its derived "
+                                 "lower edge, 1e-9 / burst, underflows to 0; shorten the on time "
+                                 "or set bound.theta.min"])
         try:
-            return replace(base, **{k: v for k, v in fields.items() if v is not None})
+            return ThetaSearchConfig(**window)
         except ValueError as exc:
             raise ScenarioError([f"bound.theta: {exc} (derived window "
-                                 f"[{base.theta_min:g}, {base.theta_max:g}])"]) from None
+                                 f"[{lo:g}, {hi:g}])"]) from None
 
     def build_sim_scenario(self, hops: int, n_through: int, m_cross: int,
                            base_seed: Optional[int] = None) -> SimScenario:

@@ -20,6 +20,7 @@ from sncalc import (
     backlog_violation_at_theta,
     closed_form_backlog,
     closed_form_delay,
+    default_theta_search,
     delay_bound,
     delay_violation_at_theta,
     minimize_over_theta,
@@ -28,7 +29,7 @@ from sncalc import (
     traffic_effective_bandwidth,
 )
 from sncalc.bounds import INFINITE_HORIZON as INF
-from sncalc.bounds import _log_grid, _log_run_sum
+from sncalc.bounds import _log_grid, _log_run_sum, hop_sweep
 from helpers import brute_force_tail_sum, exhaustive_grid_min
 
 VOICE = MmooParams(peak_rate=64.0, r_on_off=0.0025, r_off_on=1.0 / 600.0)
@@ -559,3 +560,89 @@ def test_diagnostics_match_the_per_theta_functions(query):
     assert res.violation_probability == min(1, max(0, at_theta(path, res.value, horizon, theta)))
     alpha = traffic_effective_bandwidth(path.through, theta)
     assert res.hop_margins == tuple(service_effective_capacity(hop, theta) - alpha for hop in path.hops)
+
+
+def _outcome(fn, *args):
+    """repr of a bound, or the type and message of the error it raises."""
+    try:
+        return repr(fn(*args))
+    except (StabilityError, HorizonError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_sweep_matches_per_path(paths, kind, eps, horizon, search):
+    bound = backlog_bound if kind == "backlog" else delay_bound
+    swept = hop_sweep(paths, kind, eps, horizon, search)
+    assert len(swept) == len(paths)
+    for path, result in zip(paths, swept):
+        got = (type(result), str(result)) if isinstance(result, Exception) else repr(result)
+        assert got == _outcome(bound, path, eps, horizon, search)
+
+
+@st.composite
+def homogeneous_sweeps(draw):
+    """One Leftover hop repeated over a list of hop counts with repeats and
+    gaps, at a load from light to unstable, with a target, horizon and kind."""
+    src = MmooTraffic(VOICE)
+    n = draw(st.integers(min_value=1, max_value=400))
+    m = draw(st.integers(min_value=0, max_value=800))
+    capacity = (n + m) * 25.6 / draw(st.floats(min_value=0.2, max_value=1.1))
+    hop = Leftover(capacity, m, src)
+    hop_counts = draw(st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=8))
+    paths = [NetworkPath(Aggregate(n, src), (hop,) * h) for h in hop_counts]
+    eps = draw(st.sampled_from([1e-9, 1e-6, 1e-3, 1e-2, 1.0]))
+    horizon = draw(st.sampled_from([INF, 10**4, 500]))
+    search = draw(st.sampled_from([None, default_theta_search(paths[0])]))
+    return paths, draw(st.sampled_from(["backlog", "delay"])), eps, horizon, search
+
+
+@given(homogeneous_sweeps())
+@settings(max_examples=150, deadline=None)
+def test_hop_sweep_equals_per_path_inversion(sweep):
+    # one theta search per shape gives, for every hop count, the result or
+    # the error of the per-path call
+    _assert_sweep_matches_per_path(*sweep)
+
+
+@st.composite
+def two_run_sweeps(draw):
+    """Paths of two runs of equal hops, a*k then b*k hops or the reverse:
+    paths with equal a:b and order are one shape (equal run shares
+    count/H), the others are not."""
+    src = MmooTraffic(VOICE)
+    n = draw(st.integers(min_value=1, max_value=300))
+    first = ConstantServer(n * 25.6 / draw(st.floats(min_value=0.2, max_value=0.95)))
+    m = draw(st.integers(min_value=0, max_value=300))
+    second = Leftover(n * 25.6 / 0.9 + m * 25.6 / draw(st.floats(min_value=0.3, max_value=0.95)), m, src)
+    paths = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        a, b, k = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+        hops = (first,) * (a * k) + (second,) * (b * k)
+        paths.append(NetworkPath(Aggregate(n, src), hops[::-1] if draw(st.booleans()) else hops))
+    eps = draw(st.sampled_from([1e-9, 1e-3, 1.0]))
+    horizon = draw(st.sampled_from([INF, 10**4, 500]))
+    return paths, draw(st.sampled_from(["backlog", "delay"])), eps, horizon, None
+
+
+@given(two_run_sweeps())
+@settings(max_examples=100, deadline=None)
+def test_hop_sweep_shares_heterogeneous_shapes_exactly(sweep):
+    _assert_sweep_matches_per_path(*sweep)
+
+
+def test_hop_sweep_searches_once_per_shape(monkeypatch):
+    import sncalc.bounds as bounds
+    searches = []
+    real = bounds.minimize_over_theta
+    monkeypatch.setattr(bounds, "minimize_over_theta",
+                        lambda objective, config: searches.append(config) or real(objective, config))
+    src = MmooTraffic(VOICE)
+    hop = Leftover(100_000.0, 1953, src)
+    paths = [NetworkPath(Aggregate(781, src), (hop,) * h) for h in (1, 5, 2, 5, 21)]
+    for kind, horizon, expected in [("backlog", INF, 1), ("delay", INF, 1),
+                                    ("backlog", 10**4, 1), ("delay", 10**4, 4)]:
+        searches.clear()
+        hop_sweep(paths, kind, 1e-9, horizon)
+        assert len(searches) == expected, (kind, horizon)
+    with pytest.raises(ValueError):
+        hop_sweep(paths, "throughput", 1e-9)

@@ -18,6 +18,8 @@ from sncalc.cli import EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE, EXIT_VALIDATION, main
 from sncalc.scenario import CSV_HEADER, parse_scenario_file, resolve_scenario_path
 from sncalc.simulator import simulate_tandem, validate_samples
 
+FINITE_HORIZON = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "finite-horizon.yaml"
+
 TINY_SIM = """
 id: tiny
 units: {slot_length_s: 0.001, rate_unit: bit/s}
@@ -147,6 +149,31 @@ class TestSweepHops:
         _, out_sweep, _ = run_cli(capsys, "sweep-hops", "--scenario", tiny, "--epsilon", "1e-2")
         _, out_bound, _ = run_cli(capsys, "bound", "--scenario", tiny, "--epsilon", "1e-2")
         assert parse_rows(out_sweep) == parse_rows(out_bound)
+
+    @pytest.mark.parametrize("argv, searches, row_count", [
+        (("sweep-hops", "--scenario", "voice-fig3"), 1, 21),
+        # one backlog search shared by the 4 hop counts; a finite-horizon
+        # delay search stays per hop count
+        (("bound", "--scenario", str(FINITE_HORIZON)), 5, 8),
+    ])
+    def test_one_theta_search_per_path_shape(self, capsys, monkeypatch, argv, searches, row_count):
+        import sncalc.bounds as bounds
+        calls = []
+        real = bounds.minimize_over_theta
+        monkeypatch.setattr(bounds, "minimize_over_theta",
+                            lambda objective, config: calls.append(config) or real(objective, config))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert len(parse_rows(out)) == row_count
+        assert len(calls) == searches
+
+    def test_rows_match_independent_per_hop_runs(self, capsys):
+        _, sweep, _ = run_cli(capsys, "sweep-hops", "--scenario", "voice-fig3")
+        rows = []
+        for h in range(1, 22):
+            _, out, _ = run_cli(capsys, "bound", "--scenario", "voice-fig3", "--hops", str(h))
+            rows += out.splitlines()[1:]
+        assert sweep.splitlines()[1:] == rows
 
 
 class TestSweepFlows:
@@ -326,11 +353,9 @@ class TestValidate:
         self_test = mode == "self-test"
         if mode == "shrunk-bounds":
             # thresholds that each row's samples exceed a different number of times
-            for name in ("delay_bound", "backlog_bound"):
-                def shrunk(*args, real=getattr(cli, name)):
-                    result = real(*args)
-                    return dataclasses.replace(result, value=result.value / 30)
-                monkeypatch.setattr(cli, name, shrunk)
+            def shrunk(*args, real=cli.hop_sweep):
+                return [dataclasses.replace(result, value=result.value / 30) for result in real(*args)]
+            monkeypatch.setattr(cli, "hop_sweep", shrunk)
         flags = ("--self-test",) if self_test else ()
         code, out, _ = run_cli(capsys, "validate", "--scenario", tiny, *flags)
         _, bound_out, _ = run_cli(capsys, "bound", "--scenario", tiny)
@@ -427,6 +452,28 @@ class TestUsageAndResolution:
         code, out, err = run_cli(capsys, command, "--scenario", tiny, flag)
         assert code == EXIT_USAGE and out == ""
         assert flag.split("=")[0] in err
+
+    @pytest.mark.parametrize("command", ["bound", "validate"])
+    def test_burst_beyond_theta_window_exits_1(self, tmp_path, command):
+        # a 1e309-slot mean on time: the derived theta window's lower edge,
+        # 1e-9 / burst, underflows to 0
+        f = tmp_path / "burst.yaml"
+        f.write_text(TINY_SIM.replace("mean_on_time_s: 0.02", "mean_on_time_s: 1.0e+306"))
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        out = subprocess.run([sys.executable, "-m", "sncalc.cli", command, "--scenario", str(f)],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == EXIT_USAGE and out.stdout == ""
+        assert "Traceback" not in out.stderr
+        assert "error: " in out.stderr and "traffic.mean_on_time_s" in out.stderr
+
+    def test_theta_min_override_rescues_the_window(self, capsys, tmp_path):
+        f = tmp_path / "burst.yaml"
+        f.write_text(TINY_SIM.replace("mean_on_time_s: 0.02", "mean_on_time_s: 1.0e+306")
+                     .replace("capacity: 30000.0", "capacity: 50000.0")
+                     .replace("  epsilon: [1.0e-2]\n", "  epsilon: [1.0e-2]\n  theta: {min: 1.0e-12}\n"))
+        code, out, _ = run_cli(capsys, "bound", "--scenario", str(f))
+        assert code == EXIT_OK
+        assert len(parse_rows(out)) == 4
 
     def test_missing_subcommand_exits_1(self, capsys):
         code, _, _ = run_cli(capsys)
