@@ -54,8 +54,8 @@ from .scenario import (
 
 __version__ = "0.1.0"
 
-_SIMULATOR_NAMES = {"SimResult", "SimScenario", "ValidationReport", "mmoo_source_step",
-                    "simulate_replication", "simulate_tandem", "validate_samples"}
+_SIMULATOR_NAMES = {"SimResult", "SimScenario", "ValidationReport", "simulate_replication",
+                    "simulate_tandem", "validate_samples"}
 
 
 def __getattr__(name):

@@ -39,7 +39,6 @@ __all__ = [
     "ReplicationTrace",
     "HopTrace",
     "ValidationReport",
-    "mmoo_source_step",
     "stationary_on_state",
     "simulate_replication",
     "reduce_replications",
@@ -72,8 +71,8 @@ class SimScenario:
     def __post_init__(self):
         if self.hops < 1:
             raise ValueError("hops must be >= 1")
-        if self.capacity_per_slot <= 0:
-            raise ValueError("capacity_per_slot must be positive")
+        if not (math.isfinite(self.capacity_per_slot) and self.capacity_per_slot > 0):
+            raise ValueError("capacity_per_slot must be finite and positive")
         if self.through_count < 1:
             raise ValueError("through_count must be >= 1")
         if self.cross_count < 0:
@@ -86,6 +85,8 @@ class SimScenario:
             raise ValueError("replications must be >= 1")
         if self.base_seed < 0:
             raise ValueError("base_seed must be a non-negative integer")
+        if not self.backlog_guard_bits > 0:
+            raise ValueError("backlog_guard_bits must be positive")
 
     def resolved_warmup(self) -> int:
         if self.warmup_slots is not None:
@@ -136,19 +137,6 @@ class SimResult:
 def stationary_on_state(rng: np.random.Generator, params: MmooParams) -> bool:
     """Draw the initial state from the stationary on-probability."""
     return bool(rng.random() < params.on_probability)
-
-
-def mmoo_source_step(on: bool, rng: np.random.Generator, params: MmooParams):
-    """One slot of a source: emit by the state at slot start, then switch.
-
-    Per-slot switching probabilities follow the exponential-holding
-    discretization 1 - e^{-rate}.  Returns (next_state, emitted_bits).
-    """
-    bits = params.peak_rate if on else 0.0
-    rate = params.r_on_off if on else params.r_off_on
-    if rate > 0 and rng.random() < -math.expm1(-rate):
-        on = not on
-    return on, bits
 
 
 def _source_rng(base_seed: int, replication: int, hop: int, index: int) -> np.random.Generator:
@@ -229,9 +217,37 @@ def _arrival_curve(scenario: SimScenario, replication: int, hop: int, count: int
 
 
 def _search_right(a: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(a, v, side="right")`` into ``out``, 2**16 keys at a time."""
+    """``np.searchsorted(a, v, side="right")`` into ``out``, 2**16 keys at a time.
+
+    Key i belongs to slot j = i + len(a) - len(v) of the curve ``a``, and most
+    keys are answered by j + 1: an empty queue at the hop split, a zero delay
+    at the delay inversion.  For a nondecreasing ``a`` that answer is exact
+    wherever a[j] <= v[i] < a[j + 1] (a[len(a)] counting as +inf), so only
+    the other keys of a chunk are searched (all of them when most miss), in
+    the part of ``a`` between the answers for their smallest and largest key;
+    that is exact for any key order.  The hop split and the delay inversion
+    rely on their haystacks, the total arrivals of a hop and the ingress,
+    being nondecreasing cumulative curves.
+    """
+    offset = len(a) - len(v)
     for i in range(0, len(v), 1 << 16):
-        out[i:i + (1 << 16)] = np.searchsorted(a, v[i:i + (1 << 16)], side="right")
+        keys = v[i:i + (1 << 16)]
+        res = out[i:i + (1 << 16)]
+        j = i + offset
+        hit = a[j:j + len(keys)] <= keys
+        upper = a[j + 1:j + 1 + len(keys)]  # one short at the end of ``a``
+        hit[:len(upper)] &= keys[:len(upper)] < upper
+        miss = np.flatnonzero(~hit)
+        if 2 * len(miss) > len(keys):
+            miss = slice(None)  # mostly misses: searching all keys beats a gather and scatter
+        else:
+            res[:] = np.arange(j + 1, j + 1 + len(keys))
+        missed = keys[miss]
+        if len(missed):
+            lo, hi = np.searchsorted(a, (missed.min(), missed.max()), side="right")
+            found = np.searchsorted(a[lo:hi], missed, side="right")
+            found += lo
+            res[miss] = found
     return out
 
 
@@ -248,7 +264,9 @@ def _hop_curves(thr_cum: np.ndarray, cross_cum: np.ndarray, capacity: float, slo
     bits.  With excess = A - C*t, the queue is excess - min.accumulate(excess)
     and the departures D = A - queue are exactly A at an empty queue.  All
     slots before e - 1, with e the first slot boundary where A(e) > D, have
-    left, and slot e - 1 sends its cross bits before its through bits.
+    left, and slot e - 1 sends its cross bits before its through bits.  The
+    search for e is exact because A is a nondecreasing cumulative curve; at
+    an empty queue D(t) = A(t) < A(t + 1) answers it with e = t + 1 unsearched.
     Writes A_total, D_total and D_through into ``arr_cum``, ``dep_cum`` and
     ``out`` and returns the largest queue; ``slots`` is 0, 1, ..., T.  The
     scratch curves ``lower`` and ``upper`` may be ``arr_cum`` and ``cross_cum``.
@@ -272,9 +290,14 @@ def _hop_curves(thr_cum: np.ndarray, cross_cum: np.ndarray, capacity: float, slo
 
 def _end_to_end(ingress: np.ndarray, egress: np.ndarray, warmup: int, slots: np.ndarray,
                 index: np.ndarray, out: np.ndarray):
-    """Delay (int slots) and backlog (bits) samples of the measured slots, in ``index`` and ``out``."""
+    """Delay (int slots) and backlog (bits) samples of the measured slots, in ``index`` and ``out``.
+
+    Slot t has delay t - s, at least 0, with s the last slot where
+    ingress[s] <= egress[t].  The search for s is exact because the ingress
+    is a nondecreasing cumulative curve; a zero delay, ingress[t] <=
+    egress[t] < ingress[t + 1], is answered without a search.
+    """
     measured = egress[warmup + 1:]
-    # slot t has delay t - (last slot s with ingress[s] <= egress[t]), at least 0
     delays = _search_right(ingress, measured, index[warmup + 1:])
     np.subtract(slots[warmup + 1:], delays, out=delays)
     delays += 1

@@ -30,6 +30,20 @@ def brute_force_tail_sum(log_ratio: float, n_terms: int) -> float:
     return peak + math.log(acc)
 
 
+def mmoo_source_step(on: bool, rng: np.random.Generator, params: MmooParams):
+    """One slot of a source: emit by the state at slot start, then switch.
+
+    The literal one-slot reference for the simulator's run-length sources.
+    Per-slot switching probabilities follow the exponential-holding
+    discretization 1 - e^{-rate}.  Returns (next_state, emitted_bits).
+    """
+    bits = params.peak_rate if on else 0.0
+    rate = params.r_on_off if on else params.r_off_on
+    if rate > 0 and rng.random() < -math.expm1(-rate):
+        on = not on
+    return on, bits
+
+
 def mc_effective_bandwidth(params: MmooParams, theta: float, t: int,
                            n_paths: int, seed: int) -> float:
     """Monte-Carlo estimate of (1/(theta*t)) * log E[e^{theta*A(t)}].

@@ -2,19 +2,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sncalc import (
     MmooParams,
     StabilityError,
     SimScenario,
-    mmoo_source_step,
     simulate_replication,
     simulate_tandem,
     validate_samples,
 )
-from sncalc.simulator import _on_count, _on_runs, _source_rng, stationary_on_state, validate_exceedances
-from helpers import ReferenceTandem, reference_curves, virtual_delays
+from sncalc.simulator import (_on_count, _on_runs, _search_right, _source_rng, stationary_on_state,
+                              validate_exceedances)
+from helpers import ReferenceTandem, mmoo_source_step, reference_curves, virtual_delays
 
 VOICE = MmooParams(peak_rate=64.0, r_on_off=0.0025, r_off_on=1.0 / 600.0)
 
@@ -274,6 +274,16 @@ class TestSimulateTandem:
         with pytest.raises(StabilityError, match="guard"):
             simulate_tandem(sc)
 
+    @pytest.mark.parametrize("capacity", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_capacity_must_be_finite_and_positive(self, capacity):
+        with pytest.raises(ValueError, match="capacity_per_slot"):
+            small_scenario(capacity_per_slot=capacity)
+
+    @pytest.mark.parametrize("guard", [float("nan"), -1.0, 0.0])
+    def test_backlog_guard_must_be_positive(self, guard):
+        with pytest.raises(ValueError, match="backlog_guard_bits"):
+            small_scenario(backlog_guard_bits=guard)
+
     def test_default_warmup_is_ten_sojourns(self):
         sc = small_scenario(warmup_slots=None)
         assert sc.resolved_warmup() == int(np.ceil(10.0 / min(0.05, 0.08)))
@@ -396,3 +406,82 @@ def test_random_scenarios_are_reproducible(cfg):
     b = simulate_replication(_build(cfg, measure=64), 0)
     assert np.array_equal(a.delay_samples, b.delay_samples)
     assert np.array_equal(a.backlog_samples, b.backlog_samples)
+
+
+# ---------------------------------------------------------------------------
+# curve inversion: the own-slot fast path against a plain binary search
+# ---------------------------------------------------------------------------
+
+@st.composite
+def search_inputs(draw):
+    """A nondecreasing haystack with flat runs (one may end it) and keys at,
+    between, below and above its values, aligned as the hop split aligns
+    them (one key per slot) or as the delay inversion does (warmup + 1
+    slots fewer)."""
+    steps = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=2, max_size=300))
+    steps += [0.0] * draw(st.integers(0, 5))
+    a = draw(st.floats(-1e3, 1e3)) + np.cumsum(steps)
+    offset = draw(st.sampled_from([0, draw(st.integers(1, len(a) - 1))]))
+    # mostly own-slot keys, or mostly others: both ways of searching a chunk
+    own = 8 if draw(st.booleans()) else 1
+    kinds = st.sampled_from(["own"] * own + ["value", "between", "below", "above"])
+    keys = []
+    for j in range(offset, len(a)):
+        kind = draw(kinds)
+        k = draw(st.integers(0, len(a) - 1))
+        keys.append({"own": a[j], "value": a[k], "between": (a[k] + a[min(k + 1, len(a) - 1)]) / 2,
+                     "below": a[0] - 1.0, "above": a[-1] + 1.0}[kind])
+    return a, np.array(keys)
+
+
+@given(search_inputs())
+@settings(max_examples=300, deadline=None)
+def test_search_right_equals_searchsorted(inputs):
+    a, v = inputs
+    out = np.full(len(v), -1, dtype=np.int64)
+    assert _search_right(a, v, out) is out
+    assert np.array_equal(out, np.searchsorted(a, v, side="right"))
+
+
+@pytest.mark.parametrize("miss_share", [0.1, 0.9])
+@pytest.mark.parametrize("offset", [0, 1001])
+def test_search_right_across_a_chunk_boundary(offset, miss_share):
+    # 2**16 + 3 keys: one full chunk and a short last one, with flat runs
+    # in the haystack (one at its end) and keys off their own slot
+    rng = np.random.default_rng(offset + int(10 * miss_share))
+    n = (1 << 16) + 3
+    steps = np.where(rng.random(n + offset) < 0.3, 0.0, rng.uniform(0.1, 5.0, n + offset))
+    steps[-4:] = 0.0
+    a = np.cumsum(steps)
+    v = a[offset:].copy()
+    off_slot = rng.random(n) < miss_share
+    v[off_slot] = rng.choice(a, off_slot.sum()) + rng.choice([-0.05, 0.0, 0.05], off_slot.sum())
+    v[-2] = a[-1] + 1.0
+    out = np.empty(n, dtype=np.int64)
+    assert np.array_equal(_search_right(a, v, out), np.searchsorted(a, v, side="right"))
+
+
+short_decimal = st.integers(1, 999).map(lambda k: k / 10)  # 6.4, 73.2, ...
+
+
+@given(peak=st.one_of(short_decimal, st.floats(0.01, 100.0)),
+       util=st.one_of(st.none(), st.floats(0.3, 0.98)),
+       capacity=short_decimal,
+       hops=st.integers(1, 3), through=st.integers(1, 4), cross=st.integers(0, 4),
+       seed=st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_inverted_curves_are_nondecreasing(peak, util, capacity, hops, through, cross, seed):
+    # the precondition of _search_right: the hop split inverts a hop's
+    # total arrivals and the delay inversion inverts the ingress
+    source = MmooParams(peak_rate=peak, r_on_off=0.2, r_off_on=0.15)
+    load = (through + cross) * source.mean_rate
+    if util is not None:
+        capacity = load / util
+    assume(load <= capacity)
+    scenario = SimScenario(hops=hops, capacity_per_slot=capacity, through_count=through,
+                           cross_count=cross, source=source, measure_slots=300,
+                           warmup_slots=20, base_seed=seed)
+    trace = simulate_replication(scenario, 0, keep_hops=True)
+    assert np.all(np.diff(trace.ingress) >= 0)
+    for hop in trace.hops:
+        assert np.all(np.diff(hop.arrivals_total) >= 0)
