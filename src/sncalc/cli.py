@@ -194,7 +194,7 @@ def _bound_rows(sc: Scenario, args, flow_points) -> tuple:
 
 def _replications(sc: Scenario, args, n: int, m: int, reduce: dict):
     """Run max(H) hops once per replication and hand each hop count H's
-    end-to-end samples to ``reduce[H]`` (see ``simulate_replication``).
+    end-to-end view to ``reduce[H]`` (see ``simulate_replication``).
     Returns the SimScenario and a generator of per-replication ``{H: result}``.
     """
     from .simulator import reduce_replications
@@ -230,10 +230,11 @@ def _cmd_bound(sc: Scenario, args) -> int:
     return EXIT_UNSTABLE if flagged else EXIT_OK
 
 
-def _sample_stats(delays, backlogs) -> list:
+def _sample_stats(e2e) -> list:
     """Mean, 99th percentile and maximum of the delays, then of the
     backlogs, as CSV fields."""
     import numpy as np
+    delays, backlogs = e2e.samples()
     return [repr(float(v)) for s in (delays, backlogs) for v in (s.mean(), np.percentile(s, 99), s.max())]
 
 
@@ -277,10 +278,10 @@ def _self_test_threshold(tail, epsilon: float, sample_count: int) -> float:
     return math.nextafter(float(values[i]), -math.inf)
 
 
-def _exceedances(thresholds, delays, backlogs) -> tuple:
-    """Samples strictly above each (kind, threshold), in order."""
-    import numpy as np
-    return tuple(int(np.count_nonzero((delays if kind == "delay" else backlogs) > t))
+def _exceedances(thresholds, e2e) -> tuple:
+    """Samples strictly above each (kind, threshold), in order, counted on
+    the end-to-end curves."""
+    return tuple(e2e.delay_exceedances(t) if kind == "delay" else e2e.backlog_exceedances(t)
                  for kind, t in thresholds)
 
 
@@ -294,6 +295,10 @@ def _upper_tails(k: int, delays, backlogs) -> tuple:
         i = _kth_largest_index(values, counts, k)
         tails.append((values[i:], counts[i:]))
     return tuple(tails)
+
+
+def _sample_tails(k: int, e2e) -> tuple:
+    return _upper_tails(k, *e2e.samples())
 
 
 class _TailPool:
@@ -336,7 +341,7 @@ def _self_test_counts(sc: Scenario, args, n: int, m: int, rows) -> tuple:
     sample_count = sc.sim.replications * sc.sim.measure_slots
     k = max(_self_test_rank(row.epsilon, sample_count) for row in rows)
     sim, results = _replications(sc, args, n, m,
-                                 dict.fromkeys(_hop_list(sc, args), partial(_upper_tails, k)))
+                                 dict.fromkeys(_hop_list(sc, args), partial(_sample_tails, k)))
     pools = {}
     for rep, tails in enumerate(results):
         for h, pair in tails.items():

@@ -47,8 +47,10 @@ class MmooParams:
     def __post_init__(self):
         if not (math.isfinite(self.peak_rate) and self.peak_rate > 0):
             raise ValueError(f"peak_rate must be positive and finite, got {self.peak_rate!r}")
-        if self.r_on_off < 0 or self.r_off_on < 0:
-            raise ValueError("transition rates must be non-negative")
+        for name in ("r_on_off", "r_off_on"):
+            rate = getattr(self, name)
+            if not (math.isfinite(rate) and rate >= 0):
+                raise ValueError(f"{name} must be non-negative and finite, got {rate!r}")
         if self.r_on_off == 0 and self.r_off_on == 0:
             raise ValueError(
                 "degenerate on-off source (r_on_off == r_off_on == 0); "

@@ -321,6 +321,11 @@ def parse_scenario(text: str) -> Scenario:
     bound = _parse_bound(ck, top["bound"]) if top.get("bound") is not None else None
     sim = _parse_sim(ck, top["sim"]) if top.get("sim") is not None else None
 
+    if units is not None and traffic is not None:
+        for label, mean_time in (("traffic.mean_on_time_s", traffic.mean_on_time_s),
+                                 ("traffic.mean_off_time_s", traffic.mean_off_time_s)):
+            if not math.isfinite(units.slot_length_s / mean_time):
+                ck.error(label, "conversion to a per-slot switching rate overflows")
     if units is not None and traffic is not None and network is not None:
         for label, value in (("traffic.peak_rate", traffic.peak_rate),
                              ("network.capacity", network.capacity)):

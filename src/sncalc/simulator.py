@@ -37,6 +37,7 @@ __all__ = [
     "SimScenario",
     "SimResult",
     "ReplicationTrace",
+    "EndToEnd",
     "HopTrace",
     "ValidationReport",
     "stationary_on_state",
@@ -227,7 +228,10 @@ def _search_right(a: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
     the part of ``a`` between the answers for their smallest and largest key;
     that is exact for any key order.  The hop split and the delay inversion
     rely on their haystacks, the total arrivals of a hop and the ingress,
-    being nondecreasing cumulative curves.
+    being nondecreasing cumulative curves.  Every hop runs the hop split;
+    the delay inversion runs only where delay samples are asked for
+    (:meth:`EndToEnd.samples`), since exceedance counts are read off the
+    curves without it (:meth:`EndToEnd.delay_exceedances`).
     """
     offset = len(a) - len(v)
     for i in range(0, len(v), 1 << 16):
@@ -288,21 +292,72 @@ def _hop_curves(thr_cum: np.ndarray, cross_cum: np.ndarray, capacity: float, slo
     return max_queue
 
 
-def _end_to_end(ingress: np.ndarray, egress: np.ndarray, warmup: int, slots: np.ndarray,
-                index: np.ndarray, out: np.ndarray):
-    """Delay (int slots) and backlog (bits) samples of the measured slots, in ``index`` and ``out``.
+class EndToEnd:
+    """End-to-end view of one hop prefix of a replication, given to its reduction.
 
-    Slot t has delay t - s, at least 0, with s the last slot where
-    ingress[s] <= egress[t].  The search for s is exact because the ingress
-    is a nondecreasing cumulative curve; a zero delay, ingress[t] <=
-    egress[t] < ingress[t + 1], is answered without a search.
+    ``ingress`` and ``egress`` are the cumulative through arrivals at hop 1
+    and through departures from the prefix's last hop, over slots 0..T; the
+    measured slots are warmup + 1..T.  Slot t has backlog ingress[t] -
+    egress[t] and delay t - s, at least 0, with s the last slot where
+    ingress[s] <= egress[t].  Every array here is a row of the replication's
+    curve block that the next hop overwrites, so a reduction must not keep
+    the view or the arrays it returns.
     """
-    measured = egress[warmup + 1:]
-    delays = _search_right(ingress, measured, index[warmup + 1:])
-    np.subtract(slots[warmup + 1:], delays, out=delays)
-    delays += 1
-    np.maximum(delays, 0, out=delays)
-    return delays, np.subtract(ingress[warmup + 1:], measured, out=out[warmup + 1:])
+
+    def __init__(self, ingress: np.ndarray, egress: np.ndarray, warmup: int, slots: np.ndarray,
+                 index: np.ndarray, scratch: np.ndarray):
+        self.ingress, self.egress, self.warmup = ingress, egress, warmup
+        self._slots, self._index, self._scratch = slots, index, scratch
+        self._backlogs = None
+
+    @property
+    def measured_slots(self) -> int:
+        return len(self.egress) - 1 - self.warmup
+
+    def backlogs(self) -> np.ndarray:
+        """Backlog samples (bits) of the measured slots, in the scratch row."""
+        if self._backlogs is None:
+            w = self.warmup + 1
+            self._backlogs = np.subtract(self.ingress[w:], self.egress[w:], out=self._scratch[w:])
+        return self._backlogs
+
+    def samples(self) -> tuple:
+        """Delay (int slots) and backlog (bits) samples of the measured slots.
+
+        The delays invert the ingress at every measured slot.  The search
+        for s is exact because the ingress is a nondecreasing cumulative
+        curve; a zero delay, ingress[t] <= egress[t] < ingress[t + 1], is
+        answered without a search.
+        """
+        w = self.warmup + 1
+        delays = _search_right(self.ingress, self.egress[w:], self._index[w:])
+        np.subtract(self._slots[w:], delays, out=delays)
+        delays += 1
+        np.maximum(delays, 0, out=delays)
+        return delays, self.backlogs()
+
+    def delay_exceedances(self, threshold: float) -> int:
+        """Measured slots whose delay exceeds ``threshold``, without inverting the ingress.
+
+        Delays are whole slots, so for d >= 0, delay(t) > d exactly when
+        delay(t) >= k = floor(d) + 1, that is when fewer than t + 2 - k
+        ingress values are at most egress[t]: ingress[t + 1 - k] > egress[t],
+        which no slot t < k - 1 meets.  Every delay exceeds a negative
+        threshold; none exceeds +inf or NaN.
+        """
+        if not threshold < math.inf:  # +inf or NaN
+            return 0
+        if threshold < 0:
+            return self.measured_slots
+        k = math.floor(threshold) + 1
+        first, last = max(self.warmup + 1, k - 1), len(self.egress) - 1
+        if first > last:
+            return 0
+        return int(np.count_nonzero(self.ingress[first + 1 - k:last + 2 - k] > self.egress[first:]))
+
+    def backlog_exceedances(self, threshold: float) -> int:
+        """Measured slots whose backlog exceeds ``threshold``."""
+        return int(np.count_nonzero(self.backlogs() > threshold))
 
 
 def simulate_replication(scenario: SimScenario, replication: int, keep_hops: bool = False,
@@ -311,12 +366,12 @@ def simulate_replication(scenario: SimScenario, replication: int, keep_hops: boo
 
     Every source stream is keyed by its own hop, so the first h hops of this
     run are bit-identical to an h-hop run.  ``reduce`` maps hop counts
-    h <= ``scenario.hops`` to functions of that h-hop prefix's end-to-end
-    ``(delay_samples, backlog_samples)``.  Each is called as soon as hop h is
-    done, its result goes to the trace's ``reduced[h]``, and the prefix's
-    samples are dropped; the trace then holds no samples.  The samples are
-    views that the next hop overwrites, so a reduction must not keep them.
-    Without ``reduce`` the trace holds the samples of all ``scenario.hops`` hops.
+    h <= ``scenario.hops`` to functions of that h-hop prefix's
+    :class:`EndToEnd` view.  Each is called as soon as hop h is done and its
+    result goes to the trace's ``reduced[h]``; the trace then holds no
+    samples.  The view's arrays are rows that the next hop overwrites, so a
+    reduction must not keep them.  Without ``reduce`` the trace holds the
+    samples of all ``scenario.hops`` hops.
     """
     warmup = scenario.resolved_warmup()
     total = warmup + scenario.measure_slots
@@ -345,10 +400,10 @@ def simulate_replication(scenario: SimScenario, replication: int, keep_hops: boo
                                        np.diff(thr_cum), np.diff(cross_cum)))
         thr_cum = dep_thr
         if reduce is not None and hop in reduce:
-            reduced[hop] = reduce[hop](*_end_to_end(ingress, thr_cum, warmup, slots, index, arr_cum))
+            reduced[hop] = reduce[hop](EndToEnd(ingress, thr_cum, warmup, slots, index, arr_cum))
 
     delays, backlogs = ((None, None) if reduce is not None
-                        else _end_to_end(ingress, thr_cum, warmup, slots, index, arr_cum))
+                        else EndToEnd(ingress, thr_cum, warmup, slots, index, arr_cum).samples())
     return ReplicationTrace(
         ingress=ingress,
         egress=thr_cum,
@@ -391,10 +446,6 @@ def reduce_replications(scenario: SimScenario, reduce: dict, jobs: int = 1):
         yield from mapper(_reduced_replication, [scenario] * n, [reduce] * n, range(n))
 
 
-def _samples(delays: np.ndarray, backlogs: np.ndarray):
-    return delays, backlogs
-
-
 def simulate_tandem(scenario: SimScenario, jobs: int = 1) -> SimResult:
     """All replications of a scenario, merged in replication order.
 
@@ -404,7 +455,7 @@ def simulate_tandem(scenario: SimScenario, jobs: int = 1) -> SimResult:
     n, k, h = scenario.replications, scenario.measure_slots, scenario.hops
     delays, backlogs = np.empty(n * k, dtype=np.int64), np.empty(n * k)
     # filled one replication at a time, so no second copy of the samples is held
-    for r, reduced in enumerate(reduce_replications(scenario, {h: _samples}, jobs)):
+    for r, reduced in enumerate(reduce_replications(scenario, {h: EndToEnd.samples}, jobs)):
         delays[r * k:(r + 1) * k], backlogs[r * k:(r + 1) * k] = reduced[h]
     seeds = tuple((scenario.base_seed, r) for r in range(n))
     return SimResult(

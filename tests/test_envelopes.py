@@ -61,6 +61,14 @@ class TestMmooEffectiveBandwidth:
         with pytest.raises(ValueError):
             MmooParams(peak_rate=1.0, r_on_off=-0.1, r_off_on=1.0)
 
+    @pytest.mark.parametrize("field", ["r_on_off", "r_off_on"])
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -float("inf"), -0.1])
+    def test_rejects_non_finite_or_negative_rates(self, field, rate):
+        # a NaN rate used to pass the `< 0` check and reach the simulator
+        rates = {"r_on_off": 0.1, "r_off_on": 0.1, field: rate}
+        with pytest.raises(ValueError, match=f"{field} must be non-negative and finite"):
+            MmooParams(peak_rate=1.0, **rates)
+
 
 class TestMeanRate:
     def test_always_on(self):

@@ -100,6 +100,13 @@ network: {capacity: 0, hops: []}
         with pytest.raises(ScenarioError, match="overflow"):
             parse_scenario(doc)
 
+    @pytest.mark.parametrize("key", ["mean_on_time_s", "mean_off_time_s"])
+    def test_switching_rate_overflow_rejected(self, key):
+        # 0.001 s / 1e-320 s is an infinite per-slot rate, which MmooParams rejects
+        doc = MINIMAL.replace(f"{key}: 0.", f"{key}: 1.0e-320 #")
+        with pytest.raises(ScenarioError, match=f"traffic.{key}: conversion to a per-slot"):
+            parse_scenario(doc)
+
 
 class TestPresets:
     @pytest.mark.parametrize("name", ["voice-fig3", "voice-fig4-H1", "voice-fig4-H2",

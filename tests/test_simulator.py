@@ -1,4 +1,7 @@
+import dataclasses
+import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -210,7 +213,7 @@ class TestHopPrefixes:
         # one 3-hop pass reduces each hop prefix; every prefix must be the
         # h-hop run bit for bit, since source streams are keyed by hop
         sc = small_scenario(hops=3, capacity_per_slot=30.0, replications=3)
-        keep = dict.fromkeys((1, 2, 3), lambda d, b: (d.copy(), b.copy()))
+        keep = dict.fromkeys((1, 2, 3), lambda e2e: tuple(s.copy() for s in e2e.samples()))
         for r in range(sc.replications):
             trace = simulate_replication(sc, r, reduce=keep)
             assert trace.delay_samples is None and trace.backlog_samples is None
@@ -224,7 +227,7 @@ class TestHopPrefixes:
 
     def test_reductions_only_at_requested_prefixes(self):
         sc = small_scenario(hops=3)
-        trace = simulate_replication(sc, 0, reduce={2: lambda d, b: d.size})
+        trace = simulate_replication(sc, 0, reduce={2: lambda e2e: e2e.measured_slots})
         assert trace.reduced == {2: sc.measure_slots}
 
 
@@ -483,3 +486,45 @@ def test_inverted_curves_are_nondecreasing(peak, util, capacity, hops, through, 
     assert np.all(np.diff(trace.ingress) >= 0)
     for hop in trace.hops:
         assert np.all(np.diff(hop.arrivals_total) >= 0)
+
+
+# ---------------------------------------------------------------------------
+# exceedance counts read off the end-to-end curves
+# ---------------------------------------------------------------------------
+
+def _thresholds(draw, samples, horizon):
+    """Sample values and their float neighbours on both sides, 0, negative
+    values, +inf, NaN, values above the horizon and arbitrary floats."""
+    at = st.sampled_from(sorted(set(samples.tolist())))
+    near = at.flatmap(lambda v: st.sampled_from([v, math.nextafter(v, -math.inf),
+                                                 math.nextafter(v, math.inf)]))
+    fixed = st.sampled_from([0.0, -0.0, -0.5, -1.0, -1e300, -math.inf, math.inf, math.nan,
+                             horizon, horizon + 0.5, horizon + 1.0, 1e300])
+    return draw(st.lists(st.one_of(near, fixed, st.floats(-10.0, 2.0 * horizon)), min_size=1, max_size=12))
+
+
+@given(sim_settings, st.one_of(st.just(0), st.integers(1, 40)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_curve_counts_equal_sample_counts(cfg, warmup, data):
+    sc = dataclasses.replace(_build(cfg), warmup_slots=warmup)
+    hops = range(1, sc.hops + 1)
+    kept = simulate_replication(sc, 0, reduce=dict.fromkeys(
+        hops, lambda e2e: tuple(s.copy() for s in e2e.samples()))).reduced
+    horizon = float(warmup + sc.measure_slots)
+    thresholds = {h: (_thresholds(data.draw, kept[h][0], horizon),
+                      _thresholds(data.draw, kept[h][1], horizon)) for h in hops}
+
+    def counts_then_samples(h, e2e):
+        delay_t, backlog_t = thresholds[h]
+        counts = ([e2e.delay_exceedances(t) for t in delay_t],
+                  [e2e.backlog_exceedances(t) for t in backlog_t])
+        return counts, tuple(s.copy() for s in e2e.samples())
+
+    trace = simulate_replication(sc, 0, reduce={h: partial(counts_then_samples, h) for h in hops})
+    for h in hops:
+        (delay_counts, backlog_counts), samples = trace.reduced[h]
+        delays, backlogs = kept[h]
+        assert delay_counts == [int(np.count_nonzero(delays > t)) for t in thresholds[h][0]]
+        assert backlog_counts == [int(np.count_nonzero(backlogs > t)) for t in thresholds[h][1]]
+        # counting leaves the samples as they were
+        assert np.array_equal(samples[0], delays) and np.array_equal(samples[1], backlogs)
