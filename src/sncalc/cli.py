@@ -102,7 +102,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--hops", type=int, help="override the hop-count list")
         p.add_argument("--through", type=int, help="override the through-flow count N")
         p.add_argument("--cross", type=int, help="override the cross-flow count M")
-        p.add_argument("--seed", type=int, help="override the simulation base seed")
+        p.add_argument("--seed", type=int, help="override the simulation base seed, >= 0")
         p.add_argument("--jobs", type=int, default=1, help="parallel simulation workers, >= 1 (default 1)")
         p.add_argument("-v", "--verbose", action="store_true", help="progress on stderr")
         if name == "validate":
@@ -419,6 +419,8 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if args.jobs < 1:
             raise _UsageError("--jobs must be >= 1")
+        if args.seed is not None and args.seed < 0:
+            raise _UsageError("--seed must be >= 0")
         return _COMMANDS[args.command](_load(args), args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

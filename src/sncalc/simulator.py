@@ -217,78 +217,93 @@ def _arrival_curve(scenario: SimScenario, replication: int, hop: int, count: int
     return out
 
 
-def _search_right(a: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(a, v, side="right")`` into ``out``, 2**16 keys at a time.
+# Slots per pass of a curve inversion.  A pass holds up to four arrays of
+# this length: at 2**16 slots that was 2 MB, more than anything else a
+# replication allocates beside its curves, and it raised desk-validation's
+# peak RSS by 0.8 MB.
+_CHUNK = 1 << 14
 
-    Key i belongs to slot j = i + len(a) - len(v) of the curve ``a``, and most
-    keys are answered by j + 1: an empty queue at the hop split, a zero delay
-    at the delay inversion.  For a nondecreasing ``a`` that answer is exact
-    wherever a[j] <= v[i] < a[j + 1] (a[len(a)] counting as +inf), so only
-    the other keys of a chunk are searched (all of them when most miss), in
-    the part of ``a`` between the answers for their smallest and largest key;
-    that is exact for any key order.  The hop split and the delay inversion
-    rely on their haystacks, the total arrivals of a hop and the ingress,
-    being nondecreasing cumulative curves.  Every hop runs the hop split;
-    the delay inversion runs only where delay samples are asked for
-    (:meth:`EndToEnd.samples`), since exceedance counts are read off the
-    curves without it (:meth:`EndToEnd.delay_exceedances`).
+
+def _search_right(a: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(a, keys, side="right")`` for a nondecreasing ``a`` and nonempty ``keys``.
+
+    Only the part of ``a`` between the answers for the smallest and the
+    largest key is searched, which is exact for any key order.
     """
-    offset = len(a) - len(v)
-    for i in range(0, len(v), 1 << 16):
-        keys = v[i:i + (1 << 16)]
-        res = out[i:i + (1 << 16)]
-        j = i + offset
-        hit = a[j:j + len(keys)] <= keys
-        upper = a[j + 1:j + 1 + len(keys)]  # one short at the end of ``a``
-        hit[:len(upper)] &= keys[:len(upper)] < upper
-        miss = np.flatnonzero(~hit)
-        if 2 * len(miss) > len(keys):
-            miss = slice(None)  # mostly misses: searching all keys beats a gather and scatter
-        else:
-            res[:] = np.arange(j + 1, j + 1 + len(keys))
-        missed = keys[miss]
-        if len(missed):
-            lo, hi = np.searchsorted(a, (missed.min(), missed.max()), side="right")
-            found = np.searchsorted(a[lo:hi], missed, side="right")
-            found += lo
-            res[miss] = found
-    return out
+    lo, hi = np.searchsorted(a, (keys.min(), keys.max()), side="right")
+    found = np.searchsorted(a[lo:hi], keys, side="right")
+    found += lo
+    return found
+
+
+def _busy_part(busy: np.ndarray):
+    """Index of a chunk's busy slots, or None when it has none.
+
+    That is their positions, or the whole chunk when most slots are busy:
+    a dense chunk is computed on its contiguous slice, without a gather and
+    a scatter, and :func:`_put_busy` keeps only its busy slots.
+    """
+    at = np.flatnonzero(busy)
+    if not len(at):
+        return None
+    return slice(None) if 2 * len(at) > len(busy) else at
+
+
+def _put_busy(row: np.ndarray, busy: np.ndarray, at, values: np.ndarray) -> None:
+    """Write ``values``, computed at ``_busy_part(busy)``, into the busy slots of ``row``."""
+    if isinstance(at, slice):
+        np.copyto(row, values, where=busy)
+    else:
+        row[at] = values
 
 
 # ---------------------------------------------------------------------------
 # queueing
 # ---------------------------------------------------------------------------
 
-def _hop_curves(thr_cum: np.ndarray, cross_cum: np.ndarray, capacity: float, slots: np.ndarray,
-                arr_cum: np.ndarray, dep_cum: np.ndarray, out: np.ndarray, index: np.ndarray,
-                lower: np.ndarray, upper: np.ndarray) -> float:
+def _hop_curves(thr_cum: np.ndarray, cross_cum: np.ndarray, cap_line: np.ndarray,
+                arr_cum: np.ndarray, dep_cum: np.ndarray, out: np.ndarray, keep: bool) -> float:
     """FIFO work-conserving hop over cumulative through and cross arrivals.
 
     Arrivals of slot s are served from slot s on, cross bits ahead of through
-    bits.  With excess = A - C*t, the queue is excess - min.accumulate(excess)
-    and the departures D = A - queue are exactly A at an empty queue.  All
-    slots before e - 1, with e the first slot boundary where A(e) > D, have
-    left, and slot e - 1 sends its cross bits before its through bits.  The
-    search for e is exact because A is a nondecreasing cumulative curve; at
-    an empty queue D(t) = A(t) < A(t + 1) answers it with e = t + 1 unsearched.
-    Writes A_total, D_total and D_through into ``arr_cum``, ``dep_cum`` and
-    ``out`` and returns the largest queue; ``slots`` is 0, 1, ..., T.  The
-    scratch curves ``lower`` and ``upper`` may be ``arr_cum`` and ``cross_cum``.
+    bits.  With excess = A - C*t (``cap_line`` is C*t), the queue is excess -
+    min.accumulate(excess) and the departures D = A - queue are exactly A at
+    an empty queue.  There every through bit that arrived before t has left,
+    so D_through(t) = thr_cum(t).  At a busy slot, with e the first slot
+    boundary where A(e) > D, all slots before e - 1 have left, and slot e - 1
+    sends its cross bits before its through bits:
+    D_through = clip(D - cross[e], thr[e - 1], thr[e]).  The search for e,
+    the only one per busy slot, is exact because A is a nondecreasing
+    cumulative curve.  Writes A_total and D_through into ``arr_cum`` and
+    ``out``, and D_total into ``dep_cum`` when ``keep`` (else ``dep_cum`` is
+    scratch).  Returns the largest queue, 0 when no slot is busy.
     """
     np.add(thr_cum, cross_cum, out=arr_cum)
-    queue = np.subtract(arr_cum, np.multiply(slots, capacity, out=dep_cum), out=dep_cum)
-    queue -= np.minimum.accumulate(queue, out=out)
-    max_queue = float(queue.max())
-    dep_cum = np.subtract(arr_cum, queue, out=dep_cum)
-    e = _search_right(arr_cum, dep_cum, index)
-    e -= 1  # takes wrap like indexing does; mode "raise" would copy out first
-    np.take(thr_cum, e, out=lower, mode="wrap")
-    e += 1
-    # only the upper index is capped, so a queue that drains in the last
-    # slot gives thr_cum[T] exactly
-    np.minimum(e, len(e) - 1, out=e)
-    dep_thr = np.subtract(dep_cum, np.take(cross_cum, e, out=out, mode="wrap"), out=out)
-    np.clip(dep_thr, lower, np.take(thr_cum, e, out=upper, mode="wrap"), out=dep_thr)
+    excess = np.subtract(arr_cum, cap_line, out=dep_cum)
+    np.copyto(out, thr_cum)
+    last, run_min, max_queue = len(out) - 1, math.inf, 0.0
+    for i in range(0, len(out), _CHUNK):
+        c = slice(i, i + _CHUNK)
+        low = np.minimum.accumulate(excess[c])
+        np.minimum(low, run_min, out=low)
+        run_min = low[-1]
+        queue = np.subtract(excess[c], low, out=low)
+        if keep:
+            np.subtract(arr_cum[c], queue, out=dep_cum[c])
+        busy = queue > 0
+        at = _busy_part(busy)
+        if at is None:
+            continue
+        dep = queue[at]
+        max_queue = max(max_queue, float(dep.max()))
+        np.subtract(arr_cum[c][at], dep, out=dep)
+        e = _search_right(arr_cum, dep)
+        lower = thr_cum[e - 1]
+        # e is T + 1 where D rounds to A(T); only the upper index is capped,
+        # which gives thr_cum[T]
+        np.minimum(e, last, out=e)
+        dep -= cross_cum[e]
+        _put_busy(out[c], busy, at, np.clip(dep, lower, thr_cum[e], out=dep))
     return max_queue
 
 
@@ -304,10 +319,10 @@ class EndToEnd:
     the view or the arrays it returns.
     """
 
-    def __init__(self, ingress: np.ndarray, egress: np.ndarray, warmup: int, slots: np.ndarray,
-                 index: np.ndarray, scratch: np.ndarray):
+    def __init__(self, ingress: np.ndarray, egress: np.ndarray, warmup: int, index: np.ndarray,
+                 scratch: np.ndarray):
         self.ingress, self.egress, self.warmup = ingress, egress, warmup
-        self._slots, self._index, self._scratch = slots, index, scratch
+        self._index, self._scratch = index, scratch
         self._backlogs = None
 
     @property
@@ -324,17 +339,25 @@ class EndToEnd:
     def samples(self) -> tuple:
         """Delay (int slots) and backlog (bits) samples of the measured slots.
 
-        The delays invert the ingress at every measured slot.  The search
-        for s is exact because the ingress is a nondecreasing cumulative
-        curve; a zero delay, ingress[t] <= egress[t] < ingress[t + 1], is
-        answered without a search.
+        A delay is at least 1 exactly when the backlog is positive, so the
+        delays invert the ingress only at those slots, and are 0 elsewhere.
+        The search for s is exact because the ingress is a nondecreasing
+        cumulative curve.
         """
         w = self.warmup + 1
-        delays = _search_right(self.ingress, self.egress[w:], self._index[w:])
-        np.subtract(self._slots[w:], delays, out=delays)
-        delays += 1
-        np.maximum(delays, 0, out=delays)
-        return delays, self.backlogs()
+        backlogs, egress = self.backlogs(), self.egress[w:]
+        delays = self._index[w:]
+        delays.fill(0)
+        for i in range(0, len(delays), _CHUNK):
+            c = slice(i, i + _CHUNK)
+            busy = backlogs[c] > 0
+            at = _busy_part(busy)
+            if at is None:
+                continue
+            # slot t = w + i + position has delay t + 1 - (ingress values <= egress[t])
+            found = _search_right(self.ingress, egress[c][at])
+            _put_busy(delays[c], busy, at, np.arange(w + i + 1, w + i + 1 + len(busy))[at] - found)
+        return delays, backlogs
 
     def delay_exceedances(self, threshold: float) -> int:
         """Measured slots whose delay exceeds ``threshold``, without inverting the ingress.
@@ -376,21 +399,20 @@ def simulate_replication(scenario: SimScenario, replication: int, keep_hops: boo
     warmup = scenario.resolved_warmup()
     total = warmup + scenario.measure_slots
     # Every curve is a row of one block, so no curve-sized array is freed per hop:
-    # freed ones left the heap, and peak memory, different from run to run.  Kept
-    # hops need two more rows, as their curves must be intact after the hop.
-    block = np.empty((10 if keep_hops else 8, total + 1))
-    ingress, *through, cross_cum, arr_cum, dep_cum = block[:6]
-    slots, index = block[6:8].view(np.int64)
-    lower, upper = block[8:] if keep_hops else (arr_cum, cross_cum)
-    slots[0] = 0
-    np.cumsum(np.broadcast_to(1, total), out=slots[1:])  # 0, 1, ..., total
+    # freed ones left the heap, and peak memory, different from run to run.
+    block = np.empty((8, total + 1))
+    ingress, *through, cross_cum, arr_cum, dep_cum, cap_line = block[:7]
+    index = block[7].view(np.int64)
+    # C*t for t = 0, 1, ..., total: the same values as an int64 ramp times C
+    cap_line[0] = 0.0
+    np.cumsum(np.broadcast_to(1.0, total), out=cap_line[1:])
+    cap_line *= scenario.capacity_per_slot
     thr_cum = _arrival_curve(scenario, replication, 0, scenario.through_count, ingress, index)
     hop_traces, reduced = [], {}
     for hop in range(1, scenario.hops + 1):
         _arrival_curve(scenario, replication, hop, scenario.cross_count, cross_cum, index)
         dep_thr = through[hop % 2]  # the row that thr_cum is not
-        max_queue = _hop_curves(thr_cum, cross_cum, scenario.capacity_per_slot, slots,
-                                arr_cum, dep_cum, dep_thr, index, lower, upper)
+        max_queue = _hop_curves(thr_cum, cross_cum, cap_line, arr_cum, dep_cum, dep_thr, keep_hops)
         if max_queue > scenario.backlog_guard_bits:
             raise StabilityError(f"hop {hop} queue reached {max_queue:.3g} bits (guard "
                                  f"{scenario.backlog_guard_bits:.3g}); offered load "
@@ -400,10 +422,10 @@ def simulate_replication(scenario: SimScenario, replication: int, keep_hops: boo
                                        np.diff(thr_cum), np.diff(cross_cum)))
         thr_cum = dep_thr
         if reduce is not None and hop in reduce:
-            reduced[hop] = reduce[hop](EndToEnd(ingress, thr_cum, warmup, slots, index, arr_cum))
+            reduced[hop] = reduce[hop](EndToEnd(ingress, thr_cum, warmup, index, arr_cum))
 
     delays, backlogs = ((None, None) if reduce is not None
-                        else EndToEnd(ingress, thr_cum, warmup, slots, index, arr_cum).samples())
+                        else EndToEnd(ingress, thr_cum, warmup, index, arr_cum).samples())
     return ReplicationTrace(
         ingress=ingress,
         egress=thr_cum,

@@ -447,8 +447,9 @@ class TestUsageAndResolution:
 
     @pytest.mark.parametrize("command, flag", [
         ("validate", "--jobs=-3"), ("simulate", "--jobs=0"), ("bound", "--jobs=0"),
+        ("simulate", "--seed=-1"), ("validate", "--seed=-1"),
     ])
-    def test_nonsense_slack_or_jobs_exits_1(self, capsys, tiny, command, flag):
+    def test_nonsense_jobs_or_seed_exits_1(self, capsys, tiny, command, flag):
         code, out, err = run_cli(capsys, command, "--scenario", tiny, flag)
         assert code == EXIT_USAGE and out == ""
         assert flag.split("=")[0] in err

@@ -15,8 +15,8 @@ from sncalc import (
     simulate_tandem,
     validate_samples,
 )
-from sncalc.simulator import (_on_count, _on_runs, _search_right, _source_rng, stationary_on_state,
-                              validate_exceedances)
+from sncalc.simulator import (EndToEnd, _hop_curves, _on_count, _on_runs, _search_right, _source_rng,
+                              stationary_on_state, validate_exceedances)
 from helpers import ReferenceTandem, mmoo_source_step, reference_curves, virtual_delays
 
 VOICE = MmooParams(peak_rate=64.0, r_on_off=0.0025, r_off_on=1.0 / 600.0)
@@ -412,27 +412,21 @@ def test_random_scenarios_are_reproducible(cfg):
 
 
 # ---------------------------------------------------------------------------
-# curve inversion: the own-slot fast path against a plain binary search
+# curve inversions: only the busy slots, against a search on every slot
 # ---------------------------------------------------------------------------
 
 @st.composite
 def search_inputs(draw):
-    """A nondecreasing haystack with flat runs (one may end it) and keys at,
-    between, below and above its values, aligned as the hop split aligns
-    them (one key per slot) or as the delay inversion does (warmup + 1
-    slots fewer)."""
+    """A nondecreasing haystack with flat runs (one may end it) and keys in
+    any order at, between, below and above its values."""
     steps = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=2, max_size=300))
     steps += [0.0] * draw(st.integers(0, 5))
     a = draw(st.floats(-1e3, 1e3)) + np.cumsum(steps)
-    offset = draw(st.sampled_from([0, draw(st.integers(1, len(a) - 1))]))
-    # mostly own-slot keys, or mostly others: both ways of searching a chunk
-    own = 8 if draw(st.booleans()) else 1
-    kinds = st.sampled_from(["own"] * own + ["value", "between", "below", "above"])
+    kinds = st.sampled_from(["value", "between", "below", "above"])
     keys = []
-    for j in range(offset, len(a)):
-        kind = draw(kinds)
-        k = draw(st.integers(0, len(a) - 1))
-        keys.append({"own": a[j], "value": a[k], "between": (a[k] + a[min(k + 1, len(a) - 1)]) / 2,
+    for _ in range(draw(st.integers(1, 300))):
+        kind, k = draw(kinds), draw(st.integers(0, len(a) - 1))
+        keys.append({"value": a[k], "between": (a[k] + a[min(k + 1, len(a) - 1)]) / 2,
                      "below": a[0] - 1.0, "above": a[-1] + 1.0}[kind])
     return a, np.array(keys)
 
@@ -441,27 +435,103 @@ def search_inputs(draw):
 @settings(max_examples=300, deadline=None)
 def test_search_right_equals_searchsorted(inputs):
     a, v = inputs
-    out = np.full(len(v), -1, dtype=np.int64)
-    assert _search_right(a, v, out) is out
-    assert np.array_equal(out, np.searchsorted(a, v, side="right"))
+    assert np.array_equal(_search_right(a, v), np.searchsorted(a, v, side="right"))
 
 
-@pytest.mark.parametrize("miss_share", [0.1, 0.9])
-@pytest.mark.parametrize("offset", [0, 1001])
-def test_search_right_across_a_chunk_boundary(offset, miss_share):
-    # 2**16 + 3 keys: one full chunk and a short last one, with flat runs
-    # in the haystack (one at its end) and keys off their own slot
-    rng = np.random.default_rng(offset + int(10 * miss_share))
-    n = (1 << 16) + 3
-    steps = np.where(rng.random(n + offset) < 0.3, 0.0, rng.uniform(0.1, 5.0, n + offset))
-    steps[-4:] = 0.0
-    a = np.cumsum(steps)
-    v = a[offset:].copy()
-    off_slot = rng.random(n) < miss_share
-    v[off_slot] = rng.choice(a, off_slot.sum()) + rng.choice([-0.05, 0.0, 0.05], off_slot.sum())
-    v[-2] = a[-1] + 1.0
-    out = np.empty(n, dtype=np.int64)
-    assert np.array_equal(_search_right(a, v, out), np.searchsorted(a, v, side="right"))
+def _hop_input(slots, loads, capacity, peak, seed):
+    """Cumulative through and cross arrivals (index = slot boundary) over
+    ``slots`` slots, in equal stretches at the offered ``loads`` (mean
+    arrivals per slot over capacity); a load of 0 sends nothing.  As in the
+    simulator, a curve is an integer count times ``peak``."""
+    rng = np.random.default_rng(seed)
+    load = np.repeat(loads, -(-slots // len(loads)))[:slots]
+    thr, cross = (peak * np.concatenate([[0], np.cumsum(rng.poisson(load * capacity / (2 * peak)))])
+                  for _ in range(2))
+    return thr, cross
+
+
+def _split_every_slot(thr, cross, capacity):
+    """The FIFO hop split searched at every slot, busy or idle: the queue,
+    D_total and D_through = clip(D - cross[e], thr[e - 1], thr[e])."""
+    arr = thr + cross
+    excess = arr - np.arange(len(arr)) * capacity
+    queue = excess - np.minimum.accumulate(excess)
+    dep = arr - queue
+    e = np.searchsorted(arr, dep, side="right")
+    lower = thr[e - 1]
+    e = np.minimum(e, len(arr) - 1)
+    return queue, dep, np.clip(dep - cross[e], lower, thr[e])
+
+
+def _split(thr, cross, capacity, keep):
+    arr, dep, out = (np.full(len(thr), np.nan) for _ in range(3))
+    max_queue = _hop_curves(thr, cross, np.arange(len(thr)) * capacity, arr, dep, out, keep)
+    return max_queue, arr, dep, out
+
+
+# 2**16 + 3 slots: several full chunks and a short one, which at load 1.5
+# are all busy but for slot 0; at load 0 no chunk has a busy slot, and at
+# 0.3 or 0.9 a chunk is mostly idle (searched at its busy slots) or mostly
+# busy (on its whole slice)
+hop_inputs = dict(
+    slots=st.sampled_from([1, 2, 37, 300, (1 << 16) + 3]),
+    loads=st.lists(st.sampled_from([0.0, 0.3, 0.9, 1.5]), min_size=1, max_size=4),
+    capacity=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@given(**hop_inputs, peak=st.integers(1, 9), keep=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_hop_split_equals_every_slot_search_on_integer_curves(slots, loads, capacity, seed, peak, keep):
+    thr, cross = _hop_input(slots, loads, capacity, peak, seed)
+    queue, dep, dep_thr = _split_every_slot(thr, cross, capacity)
+    max_queue, arr, dep_total, out = _split(thr, cross, capacity, keep)
+    assert np.array_equal(arr, thr + cross)
+    assert np.array_equal(out, dep_thr)
+    assert max_queue == queue.max()
+    if keep:
+        assert np.array_equal(dep_total, dep)
+
+
+@given(**hop_inputs, peak=st.floats(0.01, 10.0), rate_scale=st.floats(0.3, 3.0))
+@settings(max_examples=60, deadline=None)
+def test_hop_split_is_thr_cum_at_idle_slots_for_real_rates(slots, loads, capacity, seed, peak,
+                                                          rate_scale):
+    capacity *= rate_scale  # a real capacity against real peak rates
+    thr, cross = _hop_input(slots, loads, capacity, peak, seed)
+    queue, _, dep_thr = _split_every_slot(thr, cross, capacity)
+    max_queue, _, _, out = _split(thr, cross, capacity, False)
+    idle = queue == 0
+    assert np.array_equal(out[idle], thr[idle])
+    assert np.array_equal(out[~idle], dep_thr[~idle])
+    assert max_queue == queue.max()
+
+
+def test_hop_split_when_the_queue_drains_in_the_last_slot():
+    # 5 bits in slot 0 against a capacity of 4: one bit waits and leaves in
+    # slot 1, the last one
+    thr, cross = np.array([0.0, 3.0, 3.0]), np.array([0.0, 2.0, 2.0])
+    max_queue, _, dep_total, out = _split(thr, cross, 4.0, True)
+    assert max_queue == 1.0
+    assert np.array_equal(dep_total, [0.0, 4.0, 5.0])
+    assert np.array_equal(out, [0.0, 2.0, 3.0])  # cross bits first
+    assert np.array_equal(out, _split_every_slot(thr, cross, 4.0)[2])
+
+
+@given(**hop_inputs, peak=st.one_of(st.integers(1, 9).map(float), st.floats(0.01, 10.0)),
+       warmup=st.integers(0, 40))
+@settings(max_examples=60, deadline=None)
+def test_delays_equal_every_slot_search(slots, loads, capacity, seed, peak, warmup):
+    ingress, cross = _hop_input(slots + warmup, loads, capacity, peak, seed)
+    egress = _split(ingress, cross, capacity, False)[3]
+    n = len(ingress)
+    e2e = EndToEnd(ingress, egress, warmup, np.full(n, -7, dtype=np.int64), np.full(n, np.nan))
+    delays, backlogs = e2e.samples()
+    t = np.arange(warmup + 1, n)
+    assert np.array_equal(backlogs, ingress[t] - egress[t])
+    every_slot = np.maximum(t + 1 - np.searchsorted(ingress, egress[t], side="right"), 0)
+    assert delays.dtype == np.int64 and np.array_equal(delays, every_slot)
 
 
 short_decimal = st.integers(1, 999).map(lambda k: k / 10)  # 6.4, 73.2, ...
@@ -474,8 +544,9 @@ short_decimal = st.integers(1, 999).map(lambda k: k / 10)  # 6.4, 73.2, ...
        seed=st.integers(0, 2**32))
 @settings(max_examples=100, deadline=None)
 def test_inverted_curves_are_nondecreasing(peak, util, capacity, hops, through, cross, seed):
-    # the precondition of _search_right: the hop split inverts a hop's
-    # total arrivals and the delay inversion inverts the ingress
+    # the precondition of _search_right, which both inversions use at their
+    # busy slots: the hop split inverts a hop's total arrivals and the delay
+    # inversion inverts the ingress
     source = MmooParams(peak_rate=peak, r_on_off=0.2, r_off_on=0.15)
     if util is not None:
         capacity = (through + cross) * source.mean_rate / util
