@@ -5,9 +5,9 @@ crossing a series of work-conserving hops with cross traffic, and validates
 them against a discrete-time FIFO tandem simulator driven by Markov-
 modulated on-off sources.
 
-``import sncalc`` loads neither numpy nor scipy.  The simulator names
-(``simulate_tandem``, ``validate_samples``, ...) load :mod:`sncalc.simulator`,
-and with it numpy, on first use.
+``import sncalc`` loads no numpy, and no part of sncalc imports scipy.  The
+simulator names (``simulate_tandem``, ``validate_samples``, ...) load
+:mod:`sncalc.simulator`, and with it numpy, on first use.
 """
 
 from .bounds import (

@@ -15,6 +15,13 @@ implementation, also in rational arithmetic.  End-to-end measurements
 follow the cumulative-curve definitions: backlog B(t) = A(t) - D(t) and
 virtual delay W(t) = inf{d >= 0 : A(t - d) <= D(t)}.
 
+A replication touches only the curve rows it uses: C*t, the excess and the
+queue of a hop live in chunk-sized scratch, on-counts are summed in the
+int64 view of the curve they build, and D_total and the delay row are
+written only when asked for.  The validation statistics' one-sided
+Clopper-Pearson limit is computed here too, in numpy, so the package never
+imports scipy.
+
 Randomness: every source draws from its own counter-based Philox stream
 keyed by (base_seed, replication, hop, source index), so adding sources,
 hops or replications never perturbs existing streams.  Hop key 0 is the
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -197,23 +205,28 @@ def _on_runs(rng: np.random.Generator, params: MmooParams, total: int):
 
 def _on_count(base_seed: int, replication: int, hop: int, count: int,
               params: MmooParams, total: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """On sources per slot among ``count`` sources, as ``out[:total]`` (int64, total + 1 long)."""
-    out = np.empty(total + 1, dtype=np.int64) if out is None else out
+    """On sources per slot among ``count`` sources, in ``out`` (int64, ``total`` long)."""
+    out = np.empty(total, dtype=np.int64) if out is None else out
     out.fill(0)
     for j in range(count):
         rng = _source_rng(base_seed, replication, hop, j)
         starts, ends = _on_runs(rng, params, total)
         np.add.at(out, starts, 1)
-        np.add.at(out, ends, -1)
-    return np.cumsum(out[:total], out=out[:total])
+        np.add.at(out, ends[ends < total], -1)  # a run to the end never turns off
+    return np.cumsum(out, out=out)
 
 
 def _arrival_curve(scenario: SimScenario, replication: int, hop: int, count: int,
-                   out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Cumulative bits of ``count`` sources (index = slot) into ``out``; ``scratch`` is int64."""
-    on = _on_count(scenario.base_seed, replication, hop, count, scenario.source, len(out) - 1, scratch)
-    np.multiply(np.cumsum(on, out=on), scenario.source.peak_rate, out=out[1:])
-    out[0] = 0.0
+                   out: np.ndarray) -> np.ndarray:
+    """Cumulative bits of ``count`` sources (index = slot) into ``out``.
+
+    The on-counts are summed in ``out``'s own int64 view, one slot to the
+    right, so that the cumulative count up to slot t lands at index t.
+    """
+    counts = out.view(np.int64)
+    counts[0] = 0
+    _on_count(scenario.base_seed, replication, hop, count, scenario.source, len(out) - 1, counts[1:])
+    np.multiply(np.cumsum(counts, out=counts), scenario.source.peak_rate, out=out)
     return out
 
 
@@ -261,12 +274,12 @@ def _put_busy(row: np.ndarray, busy: np.ndarray, at, values: np.ndarray) -> None
 # queueing
 # ---------------------------------------------------------------------------
 
-def _hop_curves(thr_cum: np.ndarray, cross_cum: np.ndarray, cap_line: np.ndarray,
-                arr_cum: np.ndarray, dep_cum: np.ndarray, out: np.ndarray, keep: bool) -> float:
+def _hop_curves(thr_cum: np.ndarray, cross_cum: np.ndarray, capacity: float, arr_cum: np.ndarray,
+                dep_cum: Optional[np.ndarray], out: np.ndarray) -> float:
     """FIFO work-conserving hop over cumulative through and cross arrivals.
 
     Arrivals of slot s are served from slot s on, cross bits ahead of through
-    bits.  With excess = A - C*t (``cap_line`` is C*t), the queue is excess -
+    bits.  With excess = A - C*t, the queue is excess -
     min.accumulate(excess) and the departures D = A - queue are exactly A at
     an empty queue.  There every through bit that arrived before t has left,
     so D_through(t) = thr_cum(t).  At a busy slot, with e the first slot
@@ -275,20 +288,29 @@ def _hop_curves(thr_cum: np.ndarray, cross_cum: np.ndarray, cap_line: np.ndarray
     D_through = clip(D - cross[e], thr[e - 1], thr[e]).  The search for e,
     the only one per busy slot, is exact because A is a nondecreasing
     cumulative curve.  Writes A_total and D_through into ``arr_cum`` and
-    ``out``, and D_total into ``dep_cum`` when ``keep`` (else ``dep_cum`` is
-    scratch).  Returns the largest queue, 0 when no slot is busy.
+    ``out``, and D_total into ``dep_cum`` unless it is None.  Returns the
+    largest queue, 0 when no slot is busy.
+
+    Everything runs one chunk of slots at a time: C*t, the excess and the
+    queue live in chunk-sized scratch, and A_total is written up to one slot
+    past the chunk, because where D(t) rounds to A(t) the search from the
+    chunk's last slot t reads A(t + 1).
     """
-    np.add(thr_cum, cross_cum, out=arr_cum)
-    excess = np.subtract(arr_cum, cap_line, out=dep_cum)
-    np.copyto(out, thr_cum)
     last, run_min, max_queue = len(out) - 1, math.inf, 0.0
+    excess_buf, queue_buf = np.empty(_CHUNK), np.empty(_CHUNK)
     for i in range(0, len(out), _CHUNK):
-        c = slice(i, i + _CHUNK)
-        low = np.minimum.accumulate(excess[c])
+        stop = min(i + _CHUNK, len(out))
+        c = slice(i, stop)
+        np.add(thr_cum[i:stop + 1], cross_cum[i:stop + 1], out=arr_cum[i:stop + 1])
+        np.copyto(out[c], thr_cum[c])
+        # C*t as an exact float ramp times C
+        excess = np.multiply(np.arange(i, stop, dtype=float), capacity, out=excess_buf[:stop - i])
+        np.subtract(arr_cum[c], excess, out=excess)
+        low = np.minimum.accumulate(excess, out=queue_buf[:stop - i])
         np.minimum(low, run_min, out=low)
         run_min = low[-1]
-        queue = np.subtract(excess[c], low, out=low)
-        if keep:
+        queue = np.subtract(excess, low, out=low)
+        if dep_cum is not None:
             np.subtract(arr_cum[c], queue, out=dep_cum[c])
         busy = queue > 0
         at = _busy_part(busy)
@@ -297,7 +319,7 @@ def _hop_curves(thr_cum: np.ndarray, cross_cum: np.ndarray, cap_line: np.ndarray
         dep = queue[at]
         max_queue = max(max_queue, float(dep.max()))
         np.subtract(arr_cum[c][at], dep, out=dep)
-        e = _search_right(arr_cum, dep)
+        e = _search_right(arr_cum[:stop + 1], dep)
         lower = thr_cum[e - 1]
         # e is T + 1 where D rounds to A(T); only the upper index is capped,
         # which gives thr_cum[T]
@@ -400,19 +422,18 @@ def simulate_replication(scenario: SimScenario, replication: int, keep_hops: boo
     total = warmup + scenario.measure_slots
     # Every curve is a row of one block, so no curve-sized array is freed per hop:
     # freed ones left the heap, and peak memory, different from run to run.
-    block = np.empty((8, total + 1))
-    ingress, *through, cross_cum, arr_cum, dep_cum, cap_line = block[:7]
-    index = block[7].view(np.int64)
-    # C*t for t = 0, 1, ..., total: the same values as an int64 ramp times C
-    cap_line[0] = 0.0
-    np.cumsum(np.broadcast_to(1.0, total), out=cap_line[1:])
-    cap_line *= scenario.capacity_per_slot
-    thr_cum = _arrival_curve(scenario, replication, 0, scenario.through_count, ingress, index)
+    # The last row holds D_total when the hops are kept and the int64 delays
+    # when samples are taken, so validate's counts never touch it.
+    block = np.empty((6, total + 1))
+    ingress, *through, cross_cum, arr_cum, spare = block
+    index = spare.view(np.int64)
+    dep_cum = spare if keep_hops else None
+    thr_cum = _arrival_curve(scenario, replication, 0, scenario.through_count, ingress)
     hop_traces, reduced = [], {}
     for hop in range(1, scenario.hops + 1):
-        _arrival_curve(scenario, replication, hop, scenario.cross_count, cross_cum, index)
+        _arrival_curve(scenario, replication, hop, scenario.cross_count, cross_cum)
         dep_thr = through[hop % 2]  # the row that thr_cum is not
-        max_queue = _hop_curves(thr_cum, cross_cum, cap_line, arr_cum, dep_cum, dep_thr, keep_hops)
+        max_queue = _hop_curves(thr_cum, cross_cum, scenario.capacity_per_slot, arr_cum, dep_cum, dep_thr)
         if max_queue > scenario.backlog_guard_bits:
             raise StabilityError(f"hop {hop} queue reached {max_queue:.3g} bits (guard "
                                  f"{scenario.backlog_guard_bits:.3g}); offered load "
@@ -505,28 +526,104 @@ class ValidationReport:
     warnings: tuple
 
 
+# one-sided 95% confidence: the limit is the p with P(Bin(n, p) <= k) = _ALPHA
+_ALPHA = 0.05
+_LN_2PI = math.log(2.0 * math.pi)
+
+
+def _stirlerr(n: int) -> float:
+    """log(n!) - log(sqrt(2 pi n) (n / e)^n) for n >= 1, accurate to about 1e-16."""
+    if n <= 15:
+        return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - 0.5 * _LN_2PI
+    nn = float(n) * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn)) / nn) / nn) / nn) / n
+
+
+def _bd0(x: float, m: float) -> float:
+    """x log(x / m) + m - x, by its series in (x - m) / (x + m) when x is near m."""
+    if abs(x - m) >= 0.1 * (x + m):
+        return x * math.log(x / m) + m - x
+    v = (x - m) / (x + m)
+    total, term, j = (x - m) * v, 2.0 * x * v, 1
+    while True:
+        term *= v * v
+        nxt = total + term / (2 * j + 1)
+        if nxt == total:
+            return total
+        total, j = nxt, j + 1
+
+
+def _log_binomial_cdf(k: int, n: int, p: float) -> tuple:
+    """log P(Bin(n, p) <= k) and log P(Bin(n, p) = k), for 0 < k < n and k/n <= p < 1.
+
+    The pmf at k is Loader's saddle-point form ("Fast and accurate
+    computation of binomial probabilities", 2000), which has no lgamma
+    differences: at n = 2e7 those lose about 1e-7 of log C(n, k).  Below k
+    the pmf is stepped down by pmf(j - 1) / pmf(j) = j (1 - p) / ((n - j + 1) p)
+    over about 40 standard deviations.  With np >= k the pmf rises up to k,
+    so the terms left out are below e^-800 of pmf(k), and the cost is
+    O(sqrt(n p (1 - p))), not O(k).
+    """
+    q = 1.0 - p
+    log_pmf = (_stirlerr(n) - _stirlerr(k) - _stirlerr(n - k) - _bd0(k, n * p) - _bd0(n - k, n * q)
+               - 0.5 * (_LN_2PI + math.log(k) + math.log1p(-k / n)))
+    j = np.arange(k, max(k - int(40.0 * math.sqrt(n * p * q)) - 40, 0), -1, dtype=float)
+    steps = np.log(j / (n + 1.0 - j))
+    steps += math.log(q / p)
+    below = np.cumsum(steps, out=steps)  # log pmf(j - 1) - log pmf(k) for each j
+    return log_pmf + math.log1p(float(np.exp(below).sum())), log_pmf
+
+
+def _clopper_pearson_upper(k: int, n: int) -> float:
+    """One-sided 95% Clopper-Pearson upper limit for k successes in n trials.
+
+    That is the p with P(Bin(n, p) <= k) = 0.05, the 0.95 quantile of
+    Beta(k + 1, n - k) (Clopper & Pearson, 1934).  A Newton step on
+    log P(Bin(n, p) <= k), kept inside a shrinking bracket by bisection,
+    starts from the Wilson score limit.
+    """
+    if k == 0:
+        return -math.expm1(math.log(_ALPHA) / n)  # (1 - p)^n = alpha
+    if k == n:
+        return 1.0
+    # at p = k/n the median of Bin(n, p) is k, at p = 1 no count is <= k < n
+    lo, hi = k / n, 1.0
+    z2 = 1.6448536269514722 ** 2  # the standard normal 0.95 quantile, squared
+    wilson = (k + z2 / 2 + math.sqrt(z2 * (k * (n - k) / n + z2 / 4))) / (n + z2)
+    p = wilson if lo < wilson < hi else (lo + hi) / 2
+    for _ in range(100):
+        log_cdf, log_pmf = _log_binomial_cdf(k, n, p)
+        gap = log_cdf - math.log(_ALPHA)
+        if gap > 0:
+            lo = p
+        else:
+            hi = p
+        # d/dp log P(Bin(n, p) <= k) = -(n - k) pmf(k) / ((1 - p) cdf(k))
+        step = gap * (1.0 - p) / ((n - k) * math.exp(log_pmf - log_cdf))
+        if abs(step) <= 4e-16 * p:
+            return p + step
+        p = p + step if lo < p + step < hi else (lo + hi) / 2
+    return p
+
+
 def validate_exceedances(exceed_count: int, sample_count: int, kind: str, threshold: float,
                          epsilon: float) -> ValidationReport:
     """Check that an analytic tail bound dominates the empirical tail, given
     that ``exceed_count`` of ``sample_count`` samples exceed ``threshold``.
 
     The report carries the exceedance frequency and its one-sided 95%
-    Clopper-Pearson upper confidence limit.  Pass means that limit stays at
-    or below epsilon.  When the sample budget cannot resolve epsilon (fewer
-    than 100 expected exceedances, epsilon * n < 100) the verdict is
+    Clopper-Pearson upper confidence limit, computed here without scipy and
+    within about 1e-15 relative of the exact root.  Pass means that limit
+    stays at or below epsilon.  When the sample budget cannot resolve epsilon
+    (fewer than 100 expected exceedances, epsilon * n < 100) the verdict is
     "inconclusive" and a warning is attached.
     """
     if sample_count < 1:
         raise ValueError("samples must be non-empty")
     k, n = exceed_count, sample_count
-    if k == n:
-        upper = 1.0
-    else:
-        # imported here so that `import sncalc` and the bound commands do
-        # not pay for loading scipy
-        from scipy.special import betaincinv
-
-        upper = float(betaincinv(k + 1, n - k, 0.95))
+    if not (isinstance(k, numbers.Integral) and 0 <= k <= n):
+        raise ValueError(f"exceed_count must be an integer in 0..{n}, got {k!r}")
+    upper = _clopper_pearson_upper(int(k), int(n))  # Python ints: k (n - k) overflows int64
     warnings = []
     if epsilon * n < 100:
         warnings.append(f"sample budget too small for epsilon={epsilon:g}: expected "

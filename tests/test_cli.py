@@ -595,9 +595,9 @@ class TestImportCost:
         with pytest.raises(AttributeError, match="no_such_name"):
             sncalc.no_such_name
 
-    def test_cli_import_loads_no_scipy(self):
-        # scipy.stats dominates the CLI's import time; only the
-        # Clopper-Pearson limit needs scipy, and it imports it lazily
+    def test_cli_import_loads_no_scipy(self, tiny):
+        # scipy is a test dependency only: the Clopper-Pearson limit is
+        # computed in numpy, so validate runs with scipy blocked from import
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         code = (
@@ -607,3 +607,13 @@ class TestImportCost:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=60)
         assert out.stdout.strip() == "[]"
+        code = (
+            "import sys; sys.modules['scipy'] = None; import sncalc.cli; "
+            f"codes = [sncalc.cli.main(['validate', '--scenario', {tiny!r}, *flags]) "
+            "for flags in ([], ['--self-test'])]; "
+            "print(codes, sorted(m for m, v in sys.modules.items() "
+            "if m.split('.')[0] == 'scipy' and v is not None))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.splitlines()[-1] == "[0, 3] []"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from fractions import Fraction
 from functools import partial
 
@@ -321,6 +322,15 @@ class TestEmpiricalTail:
         with pytest.raises(ValueError):
             validate_exceedances(0, 0, "delay", 1.0, 0.5)
 
+    @pytest.mark.parametrize("count", [11, -1, 2.5, 3.0, math.nan, "3"])
+    def test_count_outside_0_to_n_rejected(self, count):
+        with pytest.raises(ValueError, match=re.escape(f"got {count!r}")):
+            validate_exceedances(count, 10, "delay", 1.0, 0.5)
+
+    def test_numpy_integer_count_accepted(self):
+        tail = validate_exceedances(np.int64(3), 10, "delay", 1.0, 0.5)
+        assert tail.frequency == 0.3
+
 
 class TestStatisticalDominance:
     def test_analytic_tail_dominates_empirical_lower_bound(self):
@@ -343,6 +353,53 @@ class TestStatisticalDominance:
             k = int(np.count_nonzero(sim.delay_samples > threshold))
             lower = float(beta_dist.ppf(0.05, k, n - k + 1)) if k > 0 else 0.0
             assert lower <= eps
+
+
+def _scipy_limit(k, n):
+    """betaincinv(k + 1, n - k, 0.95), refined by two Newton steps on scipy's
+    own betaincc.  betaincinv alone is off by up to 2e-10 relative at
+    n >= 1e6 and k < 100 (against a 60-digit root of the binomial sum), and
+    by at most 2e-13 elsewhere; the refined value was within 6e-14 at every
+    point checked."""
+    from scipy.special import betaincc, betaincinv, betaln
+
+    a, b = k + 1, n - k
+    x = float(betaincinv(a, b, 0.95))
+    for _ in range(2):
+        pdf = math.exp((a - 1) * math.log(x) + (b - 1) * math.log1p(-x) - betaln(a, b))
+        x -= (0.05 - float(betaincc(a, b, x))) / pdf
+    return x
+
+
+@st.composite
+def binomial_counts(draw):
+    """n up to 2e7 and k at 0, 1, a few, about eps*n, about 10*eps*n or n - 1."""
+    n = draw(st.one_of(st.integers(1, 100), st.integers(100, 20_000_000),
+                       st.sampled_from([10_060_000, 20_000_000])))
+    eps = draw(st.floats(1e-7, 0.09))
+    k = draw(st.sampled_from([0, 1, draw(st.integers(2, 30)), round(eps * n), round(10 * eps * n),
+                              n - 1]))
+    return min(max(k, 0), n - 1), n
+
+
+class TestClopperPearson:
+    @given(binomial_counts())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_scipy(self, kn):
+        k, n = kn
+        limit = validate_exceedances(k, n, "delay", 1.0, 0.5).upper_confidence
+        assert limit == pytest.approx(_scipy_limit(k, n), rel=1e-12, abs=0)
+        if k == 0:
+            assert limit == -math.expm1(math.log(0.05) / n)
+        assert validate_exceedances(k + 1, n, "delay", 1.0, 0.5).upper_confidence > limit
+
+    @pytest.mark.parametrize("k", [100, 1000, 99_900, 1_000_000, 9_999_999])
+    def test_equals_betaincinv_beyond_small_counts(self, k):
+        from scipy.special import betaincinv
+
+        n = 10**7
+        limit = validate_exceedances(k, n, "delay", 1.0, 0.5).upper_confidence
+        assert limit == pytest.approx(float(betaincinv(k + 1, n - k, 0.95)), rel=1e-12, abs=0)
 
 
 class TestValidation:
@@ -465,7 +522,7 @@ def _split_every_slot(thr, cross, capacity):
 
 def _split(thr, cross, capacity, keep):
     arr, dep, out = (np.full(len(thr), np.nan) for _ in range(3))
-    max_queue = _hop_curves(thr, cross, np.arange(len(thr)) * capacity, arr, dep, out, keep)
+    max_queue = _hop_curves(thr, cross, capacity, arr, dep if keep else None, out)
     return max_queue, arr, dep, out
 
 
@@ -517,6 +574,41 @@ def test_hop_split_when_the_queue_drains_in_the_last_slot():
     assert np.array_equal(dep_total, [0.0, 4.0, 5.0])
     assert np.array_equal(out, [0.0, 2.0, 3.0])  # cross bits first
     assert np.array_equal(out, _split_every_slot(thr, cross, 4.0)[2])
+
+
+@pytest.mark.parametrize("start, busy_slots", [
+    (0, (1 << 14) - 1), (0, 1 << 14), (0, (1 << 14) + 1),
+    (0, (2 << 14) - 1), (0, 2 << 14), (0, (2 << 14) + 1),
+    ((1 << 14) - 1, (1 << 14) - 1), ((1 << 14) - 1, (1 << 14) + 1),
+])
+def test_busy_period_across_chunk_boundaries(start, busy_slots):
+    # one bit of through and of cross traffic per slot against a capacity of
+    # 3, plus a burst in slot ``start`` that keeps hop 1 busy at the
+    # ``busy_slots`` boundaries after it, so its busy period ends next to a
+    # chunk edge (chunks are 2**14 slots); hop 2 gets the through departures
+    # and its own cross bit per slot, and is busy too
+    total = start + busy_slots + 40
+    through, crosses = np.ones(total), [np.ones(total), np.ones(total)]
+    burst = busy_slots + 1  # the queue drains one bit per slot
+    crosses[0][start] += burst // 2
+    through[start] += burst - burst // 2
+    ingress, egress, dep_thr, arr_tot, dep_tot = reference_curves(through, crosses, 3.0)
+    thr_cum = np.concatenate([[0.0], np.cumsum(through)])
+    for h, cross in enumerate(crosses):
+        cross_cum = np.concatenate([[0.0], np.cumsum(cross)])
+        arr, dep, out = (np.full(total + 1, np.nan) for _ in range(3))
+        _hop_curves(thr_cum, cross_cum, 3.0, arr, dep, out)
+        assert np.array_equal(arr, arr_tot[h]) and np.array_equal(dep, dep_tot[h])
+        assert np.array_equal(out, dep_thr[h])
+        thr_cum = out
+    assert np.count_nonzero(arr_tot[0] - dep_tot[0]) == busy_slots
+    e2e = EndToEnd(ingress, thr_cum, 0, np.empty(total + 1, dtype=np.int64), np.empty(total + 1))
+    delays, backlogs = e2e.samples()
+    t = np.arange(1, total + 1)
+    assert np.array_equal(backlogs, ingress[t] - egress[t])
+    # delays of thousands of slots, too long for virtual_delays' scan
+    every_slot = np.maximum(t + 1 - np.searchsorted(ingress, egress[t], side="right"), 0)
+    assert np.array_equal(delays, every_slot) and np.count_nonzero(delays) == busy_slots
 
 
 @given(**hop_inputs, peak=st.one_of(st.integers(1, 9).map(float), st.floats(0.01, 10.0)),
