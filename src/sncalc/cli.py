@@ -32,7 +32,7 @@ import io
 import math
 import sys
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 
 from .bounds import StabilityError, hop_sweep
 # not called here: perfbench/tracing.py patches these names on this module
@@ -84,7 +84,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process on first use; each
+    ``parse_args`` returns a fresh namespace, so calls share no state."""
     parser = _Parser(prog="sncalc", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -199,7 +202,7 @@ def _replications(sc: Scenario, args, n: int, m: int, reduce: dict):
     """
     from .simulator import reduce_replications
 
-    sim = sc.build_sim_scenario(max(reduce), n, m, base_seed=args.seed)
+    sim = sc.build_sim_scenario(max(reduce), n, m, base_seed=args.seed, jobs=args.jobs)
     _log(args, f"simulating H={','.join(map(str, reduce))} in one {sim.hops}-hop pass: "
                f"{sim.replications} x {sim.measure_slots} slots "
                f"(utilization {sim.utilization():.3f})")

@@ -28,6 +28,10 @@ from .envelopes import Aggregate, Leftover, MmooParams, MmooTraffic
 if TYPE_CHECKING:  # the simulator (and numpy) load only when a simulation is built
     from .simulator import SimScenario
 
+# libyaml's loader where PyYAML was built with it, else the pure-Python one;
+# both run the same SafeConstructor and resolver, so they build the same objects
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 __all__ = [
     "ScenarioError",
     "Scenario",
@@ -192,14 +196,15 @@ class Scenario:
                                  f"[{lo:g}, {hi:g}])"]) from None
 
     def build_sim_scenario(self, hops: int, n_through: int, m_cross: int,
-                           base_seed: Optional[int] = None) -> SimScenario:
-        """The simulation at one flow point.  A run whose curve block (8
-        float64 curves over the warmup and measured slots, 64 bytes a slot)
-        exceeds physical memory is a :class:`ScenarioError`, raised before
+                           base_seed: Optional[int] = None, jobs: int = 1) -> SimScenario:
+        """The simulation at one flow point.  A run whose curve blocks (one
+        per replication held at once, ``min(jobs, replications)`` of them, each
+        ``BLOCK_ROWS`` float64 curves over the warmup and measured slots)
+        exceed physical memory is a :class:`ScenarioError`, raised before
         anything is allocated."""
         if self.sim is None:
             raise ScenarioError(["sim: block required for simulation commands"])
-        from .simulator import SimScenario
+        from .simulator import BLOCK_ROWS, SimScenario
 
         sim = SimScenario(
             hops=hops,
@@ -216,13 +221,14 @@ class Scenario:
             warmup = sim.resolved_warmup()
         except OverflowError:  # a mean sojourn beyond the float range
             warmup = math.inf
-        block_bytes, memory = 64 * (warmup + sim.measure_slots + 1), _physical_memory()
-        if block_bytes > memory:
+        blocks = max(1, min(jobs, sim.replications))  # reduce_replications runs jobs < 2 serially
+        need, memory = 8 * BLOCK_ROWS * (warmup + sim.measure_slots + 1) * blocks, _physical_memory()
+        if need > memory:
             raise ScenarioError([
                 f"sim.warmup_slots/sim.measure_slots: {warmup:.4g} warmup and {sim.measure_slots} "
-                f"measured slots need {block_bytes / 2**30:.4g} GiB for the simulator's curves, "
-                f"more than the {memory / 2**30:.4g} GiB of physical memory (the default warmup "
-                f"is 10x the longer mean sojourn)"])
+                f"measured slots need {need / 2**30:.4g} GiB for the simulator's curves "
+                f"({blocks} replication(s) at once), more than the {memory / 2**30:.4g} GiB of "
+                f"physical memory (the default warmup is 10x the longer mean sojourn)"])
         return sim
 
 
@@ -301,7 +307,7 @@ class _Checker:
 def parse_scenario(text: str) -> Scenario:
     """Parse and fully validate a scenario document (strict keys)."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioError([f"document: YAML parse error: {exc}"]) from exc
     if doc is None:

@@ -236,6 +236,10 @@ def _arrival_curve(scenario: SimScenario, replication: int, hop: int, count: int
 # peak RSS by 0.8 MB.
 _CHUNK = 1 << 14
 
+# Rows of a replication's float64 curve block, over warmup + measured + 1
+# slots; Scenario.build_sim_scenario sizes its memory guard by it.
+BLOCK_ROWS = 6
+
 
 def _search_right(a: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """``np.searchsorted(a, keys, side="right")`` for a nondecreasing ``a`` and nonempty ``keys``.
@@ -424,7 +428,7 @@ def simulate_replication(scenario: SimScenario, replication: int, keep_hops: boo
     # freed ones left the heap, and peak memory, different from run to run.
     # The last row holds D_total when the hops are kept and the int64 delays
     # when samples are taken, so validate's counts never touch it.
-    block = np.empty((6, total + 1))
+    block = np.empty((BLOCK_ROWS, total + 1))
     ingress, *through, cross_cum, arr_cum, spare = block
     index = spare.view(np.int64)
     dep_cum = spare if keep_hops else None

@@ -14,6 +14,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import sncalc.cli as cli
+import sncalc.scenario as scenario
 from sncalc.cli import EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE, EXIT_VALIDATION, main
 from sncalc.scenario import CSV_HEADER, parse_scenario_file, resolve_scenario_path
 from sncalc.simulator import simulate_tandem, validate_samples
@@ -305,6 +306,24 @@ class TestSimulate:
         assert "Traceback" not in out.stderr
         assert "error: " in out.stderr and "sim.warmup_slots/sim.measure_slots" in out.stderr
 
+    def test_memory_guard_counts_one_block_per_live_replication(self, capsys, tiny, monkeypatch):
+        # a block is 6 float64 curves over 100 warmup + 8000 measured + 1
+        # slots; --jobs 4 holds both of the 2 replications' blocks at once
+        block = 48 * (100 + 8000 + 1)
+        monkeypatch.setattr(scenario, "_physical_memory", lambda: block)
+        code, out, _ = run_cli(capsys, "simulate", "--scenario", tiny, "--jobs", "1")
+        assert code == EXIT_OK and len(parse_rows(out)) == 4
+        code, out, err = run_cli(capsys, "simulate", "--scenario", tiny, "--jobs", "4")
+        assert code == EXIT_USAGE and out == ""
+        assert "error: " in err and "sim.warmup_slots/sim.measure_slots" in err
+        assert "2 replication(s) at once" in err
+        sc = parse_scenario_file(tiny)
+        monkeypatch.setattr(scenario, "_physical_memory", lambda: 2 * block)
+        assert sc.build_sim_scenario(2, 3, 2, jobs=4).replications == 2
+        monkeypatch.setattr(scenario, "_physical_memory", lambda: 2 * block - 1)
+        with pytest.raises(scenario.ScenarioError, match="sim.warmup_slots/sim.measure_slots"):
+            sc.build_sim_scenario(2, 3, 2, jobs=4)
+
     def test_requires_sim_block(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--scenario", "voice-fig3")
         assert code == EXIT_USAGE
@@ -498,6 +517,31 @@ class TestUsageAndResolution:
         f.write_text("id: x\nunits: {slot_length_s: -5, rate_unit: kbit/s}\n")
         code, _, err = run_cli(capsys, "bound", "--scenario", str(f))
         assert code == EXIT_USAGE and "slot_length_s" in err
+
+
+class TestParserReuse:
+    """One parser serves every main() call in a process; no call may see
+    another's arguments."""
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_earlier_call_leaves_no_state(self, capsys, tiny):
+        cli._build_parser.cache_clear()
+        alone = run_cli(capsys, "bound", "--scenario", tiny)
+        cli._build_parser.cache_clear()
+        assert len(parse_rows(run_cli(capsys, "bound", "--scenario", tiny, "--hops", "1")[1])) == 2
+        assert run_cli(capsys, "bound", "--scenario", tiny) == alone
+        assert alone[0] == EXIT_OK and len(parse_rows(alone[1])) == 4
+
+    @pytest.mark.parametrize("bad", [("--jobs", "0"), ("--hops", "x"), ("--no-such-flag",)])
+    def test_usage_error_leaves_no_state(self, capsys, tiny, bad):
+        cli._build_parser.cache_clear()
+        alone = run_cli(capsys, "bound", "--scenario", tiny)
+        code, out, _ = run_cli(capsys, "bound", "--scenario", tiny, *bad)
+        assert code == EXIT_USAGE and out == ""
+        assert run_cli(capsys, "bound", "--scenario", tiny) == alone
+        assert alone[0] == EXIT_OK
 
 
 @st.composite

@@ -1,8 +1,11 @@
 import math
+from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
+import sncalc.scenario as scenario
 from sncalc import (
     NetworkPath,
     ResultRow,
@@ -19,6 +22,11 @@ from sncalc.scenario import (
     rate_to_bits_per_slot,
     resolve_scenario_path,
 )
+
+FINITE_HORIZON = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "finite-horizon.yaml"
+
+# libyaml's loader where PyYAML has it, and the pure-Python fallback
+LOADERS = [loader for loader in (getattr(yaml, "CSafeLoader", None), yaml.SafeLoader) if loader]
 
 MINIMAL = """
 id: demo
@@ -78,9 +86,12 @@ network: {capacity: 0, hops: []}
             parse_scenario(doc)
         assert len(err.value.problems) >= 6
 
-    def test_yaml_syntax_error_carries_location(self):
-        with pytest.raises(ScenarioError, match="line"):
-            parse_scenario("id: [unclosed")
+    def test_yaml_syntax_error_carries_location(self, monkeypatch):
+        # the two loaders word the error differently; both give line and column
+        for loader in LOADERS:
+            monkeypatch.setattr(scenario, "_YAML_LOADER", loader)
+            with pytest.raises(ScenarioError, match=r"(?s)YAML parse error: .*line \d+, column \d+"):
+                parse_scenario("id: [unclosed")
 
     def test_odd_flow_total_rejected(self):
         doc = MINIMAL + "\nbound: {kind: delay, epsilon: [1.0e-2]}\n"
@@ -134,6 +145,23 @@ class TestPresets:
         assert isinstance(path, NetworkPath)
         assert path.hop_count == 2
         assert len(set(path.hops)) == 1
+
+
+class TestYamlLoaders:
+    def test_libyaml_where_pyyaml_has_it(self):
+        expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+        assert scenario._YAML_LOADER is expected
+
+    @pytest.mark.parametrize("name", [*builtin_preset_names(),
+                                      pytest.param(str(FINITE_HORIZON), id="finite-horizon.yaml")])
+    def test_both_loaders_build_equal_scenarios(self, name, monkeypatch):
+        path = resolve_scenario_path(name)
+        parsed = []
+        for loader in LOADERS:
+            monkeypatch.setattr(scenario, "_YAML_LOADER", loader)
+            parsed.append(parse_scenario_file(path))
+        assert all(sc == parsed[-1] for sc in parsed)
+        assert parsed[-1].scenario_id
 
 
 class TestUnits:
