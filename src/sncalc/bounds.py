@@ -333,7 +333,8 @@ def minimize_over_theta(objective: Callable[[float], float], config: ThetaSearch
 
     Scans a log-spaced coarse grid, then golden-section refines inside the
     bracket around the grid minimum until the bracket's relative width drops
-    below ``refine_tolerance``.  Inadmissible thetas must be signalled with
+    below ``refine_tolerance``, or until the doubles near log theta* cannot
+    split it any further.  Inadmissible thetas must be signalled with
     ``math.inf``.  Deterministic for a fixed configuration; exact ties keep
     the smaller theta.  Raises :class:`StabilityError` when the objective is
     infinite on the whole grid.
@@ -368,7 +369,7 @@ def minimize_over_theta(objective: Callable[[float], float], config: ThetaSearch
     consider(math.exp(c), fc)
     consider(math.exp(d), fd)
     tol = math.log1p(config.refine_tolerance)
-    while (b - a) > tol:
+    while (b - a) > tol and a < c < d < b:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)

@@ -137,6 +137,8 @@ def _flow_point(sc: Scenario, args) -> tuple:
     m = args.cross if args.cross is not None else sc.traffic.cross_flows
     if n < 1 or m < 0:
         raise _UsageError("--through must be >= 1 and --cross >= 0")
+    if max(n, m) > sys.float_info.max:  # flow counts enter float arithmetic
+        raise _UsageError(f"{'--through' if n > m else '--cross'} must be <= {sys.float_info.max:g}")
     return n, m
 
 

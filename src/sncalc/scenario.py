@@ -16,6 +16,7 @@ import csv
 import io
 import math
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
@@ -55,6 +56,9 @@ __all__ = [
 ]
 
 RATE_UNITS = {"bit/s": 1.0, "kbit/s": 1e3, "Mbit/s": 1e6}
+
+# flow counts, slot counts and a finite horizon enter float arithmetic
+_FLOAT_MAX = sys.float_info.max
 
 CSV_HEADER = (
     "scenario_id", "kind", "H", "N", "M", "epsilon", "theta_star",
@@ -236,6 +240,32 @@ class Scenario:
 # parsing
 # ---------------------------------------------------------------------------
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_item(minimum: int, maximum: float = math.inf):
+    """Item check of an integer list for :meth:`_Checker.items`."""
+    def problem(v):
+        if not _is_int(v) or v < minimum:
+            return f"expected an integer >= {minimum}, got {v!r}"
+        return f"must be <= {maximum:g}, got {v}" if v > maximum else None
+    return problem
+
+
+def _epsilon_problem(e):
+    # compared without float(): an integer beyond the float range is simply > 1
+    ok = isinstance(e, (int, float)) and not isinstance(e, bool) and 0 < e <= 1
+    return None if ok else f"must be in (0, 1], got {e!r}"
+
+
+def _pair_problem(pair):
+    if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))
+            and pair[0] >= 1 and pair[1] >= 0):
+        return f"expected [N >= 1, M >= 0], got {pair!r}"
+    return f"N and M must be <= {_FLOAT_MAX:g}, got {pair!r}" if max(pair) > _FLOAT_MAX else None
+
+
 class _Checker:
     def __init__(self):
         self.problems = []
@@ -262,7 +292,10 @@ class _Checker:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             self.error(f"{path}.{key}", f"expected a number, got {value!r}")
             return None
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
         if not math.isfinite(value):
             self.error(f"{path}.{key}", "must be finite")
             return None
@@ -274,41 +307,45 @@ class _Checker:
             return None
         return value
 
-    def integer(self, node: dict, path: str, key: str, *, minimum=None):
+    def integer(self, node: dict, path: str, key: str, *, minimum=None, maximum=None):
         if key not in node:
             return None
         value = node[key]
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not _is_int(value):
             self.error(f"{path}.{key}", f"expected an integer, got {value!r}")
             return None
         if minimum is not None and value < minimum:
             self.error(f"{path}.{key}", f"must be >= {minimum}, got {value}")
             return None
+        if maximum is not None and value > maximum:
+            self.error(f"{path}.{key}", f"must be <= {maximum:g}, got {value}")
+            return None
         return value
 
-    def int_list(self, node: dict, path: str, key: str, *, minimum=1):
+    def items(self, node: dict, path: str, key: str, problem, expected: str, scalar=()):
+        """``node[key]`` as a tuple, when it is one item of a ``scalar`` type
+        or a non-empty list, and ``problem(item)`` is None for every item;
+        else None, with the list reported as not ``expected`` or each bad
+        item by its index."""
         if key not in node:
             return None
         raw = node[key]
-        if isinstance(raw, int) and not isinstance(raw, bool):
+        if isinstance(raw, scalar) and not isinstance(raw, bool):
             raw = [raw]
         if not isinstance(raw, list) or not raw:
-            self.error(f"{path}.{key}", "expected a non-empty integer or list of integers")
+            self.error(f"{path}.{key}", expected)
             return None
-        out = []
-        for i, v in enumerate(raw):
-            if isinstance(v, bool) or not isinstance(v, int) or v < minimum:
-                self.error(f"{path}.{key}[{i}]", f"expected an integer >= {minimum}, got {v!r}")
-            else:
-                out.append(v)
-        return tuple(out) if len(out) == len(raw) else None
+        bad = [(i, message) for i, message in enumerate(map(problem, raw)) if message is not None]
+        for i, message in bad:
+            self.error(f"{path}.{key}[{i}]", message)
+        return None if bad else tuple(raw)
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and fully validate a scenario document (strict keys)."""
     try:
         doc = yaml.load(text, Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer of over 4300 digits
         raise ScenarioError([f"document: YAML parse error: {exc}"]) from exc
     if doc is None:
         doc = {}
@@ -361,8 +398,8 @@ def _parse_traffic(ck: _Checker, node) -> Optional[TrafficBlock]:
     peak = ck.number(node, "traffic", "peak_rate", positive=True)
     on_t = ck.number(node, "traffic", "mean_on_time_s", positive=True)
     off_t = ck.number(node, "traffic", "mean_off_time_s", positive=True)
-    n = ck.integer(node, "traffic", "through_flows", minimum=1)
-    m = ck.integer(node, "traffic", "cross_flows", minimum=0)
+    n = ck.integer(node, "traffic", "through_flows", minimum=1, maximum=_FLOAT_MAX)
+    m = ck.integer(node, "traffic", "cross_flows", minimum=0, maximum=_FLOAT_MAX)
     if None in (peak, on_t, off_t, n, m):
         return None
     return TrafficBlock(peak_rate=peak, mean_on_time_s=on_t, mean_off_time_s=off_t,
@@ -373,30 +410,18 @@ def _parse_network(ck: _Checker, node) -> Optional[NetworkBlock]:
     node = ck.mapping(node, "network", {"capacity", "hops", "flow_totals", "flow_pairs"},
                       {"capacity", "hops"})
     cap = ck.number(node, "network", "capacity", positive=True)
-    hops = ck.int_list(node, "network", "hops", minimum=1)
-    totals = ck.int_list(node, "network", "flow_totals", minimum=2)
+    integers = "expected a non-empty integer or list of integers"
+    hops = ck.items(node, "network", "hops", _int_item(1), integers, int)
+    totals = ck.items(node, "network", "flow_totals", _int_item(2, _FLOAT_MAX), integers, int)
     if totals is not None:
         for i, t in enumerate(totals):
             if t % 2 != 0:
                 ck.error(f"network.flow_totals[{i}]", f"must be even to keep N == M, got {t}")
                 totals = None
                 break
-    pairs = None
-    if "flow_pairs" in node:
-        raw = node["flow_pairs"]
-        if not isinstance(raw, list) or not raw:
-            ck.error("network.flow_pairs", "expected a non-empty list of [N, M] pairs")
-        else:
-            pairs = []
-            for i, pair in enumerate(raw):
-                ok = (isinstance(pair, list) and len(pair) == 2
-                      and all(isinstance(v, int) and not isinstance(v, bool) for v in pair)
-                      and pair[0] >= 1 and pair[1] >= 0)
-                if not ok:
-                    ck.error(f"network.flow_pairs[{i}]", f"expected [N >= 1, M >= 0], got {pair!r}")
-                else:
-                    pairs.append((pair[0], pair[1]))
-            pairs = tuple(pairs) if pairs and len(pairs) == len(raw) else None
+    pairs = ck.items(node, "network", "flow_pairs", _pair_problem,
+                     "expected a non-empty list of [N, M] pairs")
+    pairs = pairs and tuple(map(tuple, pairs))
     if totals is not None and pairs is not None:
         ck.error("network", "give at most one of flow_totals, flow_pairs")
     if cap is None or hops is None:
@@ -415,28 +440,18 @@ def _parse_bound(ck: _Checker, node) -> Optional[BoundBlock]:
             kinds = (kind,)
         else:
             ck.error("bound.kind", f"must be 'backlog', 'delay' or 'both', got {kind!r}")
-    raw_eps = node.get("epsilon")
-    epsilons = None
-    if "epsilon" in node:
-        if isinstance(raw_eps, (int, float)) and not isinstance(raw_eps, bool):
-            raw_eps = [raw_eps]
-        if not isinstance(raw_eps, list) or not raw_eps:
-            ck.error("bound.epsilon", "expected a number or non-empty list of numbers")
-        else:
-            epsilons = []
-            for i, e in enumerate(raw_eps):
-                if isinstance(e, bool) or not isinstance(e, (int, float)) or not (0 < float(e) <= 1):
-                    ck.error(f"bound.epsilon[{i}]", f"must be in (0, 1], got {e!r}")
-                else:
-                    epsilons.append(float(e))
-            epsilons = tuple(epsilons) if len(epsilons) == len(raw_eps) else None
+    epsilons = ck.items(node, "bound", "epsilon", _epsilon_problem,
+                        "expected a number or non-empty list of numbers", (int, float))
+    epsilons = epsilons and tuple(map(float, epsilons))
     horizon = math.inf
     if "horizon" in node:
         raw_h = node["horizon"]
         if raw_h in ("inf", "infinite"):
             horizon = math.inf
-        elif isinstance(raw_h, int) and not isinstance(raw_h, bool) and raw_h >= 0:
+        elif _is_int(raw_h) and 0 <= raw_h <= _FLOAT_MAX:
             horizon = float(raw_h)
+        elif _is_int(raw_h) and raw_h > _FLOAT_MAX:
+            ck.error("bound.horizon", f"must be 'inf' or at most {_FLOAT_MAX:g} slots, got {raw_h}")
         else:
             ck.error("bound.horizon", f"must be 'inf' or a non-negative integer, got {raw_h!r}")
     theta = None
@@ -460,10 +475,10 @@ def _parse_bound(ck: _Checker, node) -> Optional[BoundBlock]:
 def _parse_sim(ck: _Checker, node) -> Optional[SimBlock]:
     node = ck.mapping(node, "sim", {"warmup_slots", "measure_slots", "replications", "base_seed"},
                       {"measure_slots", "replications", "base_seed"})
-    measure = ck.integer(node, "sim", "measure_slots", minimum=1)
+    measure = ck.integer(node, "sim", "measure_slots", minimum=1, maximum=_FLOAT_MAX)
     reps = ck.integer(node, "sim", "replications", minimum=1)
     seed = ck.integer(node, "sim", "base_seed", minimum=0)
-    warmup = ck.integer(node, "sim", "warmup_slots", minimum=0)
+    warmup = ck.integer(node, "sim", "warmup_slots", minimum=0, maximum=_FLOAT_MAX)
     if None in (measure, reps, seed):
         return None
     return SimBlock(measure_slots=measure, replications=reps, base_seed=seed, warmup_slots=warmup)

@@ -10,8 +10,11 @@ the through flow and keeps bound validation conservative.
 The per-hop queue dynamics use cumulative curves only: each hop's through
 departures are the next hop's through arrivals as they are, and departures
 are A - queue, which equals the arrivals exactly at an empty queue for any
-real rates.  The test suite cross-checks them against a literal chunk-queue
-implementation, also in rational arithmetic.  End-to-end measurements
+real rates.  A busy slot's through departures come from one search of A
+that is capped at the slot itself, so no result depends on the chunks of
+slots the curves are computed in.  The test suite cross-checks them
+against a literal chunk-queue implementation, also in rational
+arithmetic.  End-to-end measurements
 follow the cumulative-curve definitions: backlog B(t) = A(t) - D(t) and
 virtual delay W(t) = inf{d >= 0 : A(t - d) <= D(t)}.
 
@@ -253,27 +256,6 @@ def _search_right(a: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return found
 
 
-def _busy_part(busy: np.ndarray):
-    """Index of a chunk's busy slots, or None when it has none.
-
-    That is their positions, or the whole chunk when most slots are busy:
-    a dense chunk is computed on its contiguous slice, without a gather and
-    a scatter, and :func:`_put_busy` keeps only its busy slots.
-    """
-    at = np.flatnonzero(busy)
-    if not len(at):
-        return None
-    return slice(None) if 2 * len(at) > len(busy) else at
-
-
-def _put_busy(row: np.ndarray, busy: np.ndarray, at, values: np.ndarray) -> None:
-    """Write ``values``, computed at ``_busy_part(busy)``, into the busy slots of ``row``."""
-    if isinstance(at, slice):
-        np.copyto(row, values, where=busy)
-    else:
-        row[at] = values
-
-
 # ---------------------------------------------------------------------------
 # queueing
 # ---------------------------------------------------------------------------
@@ -291,21 +273,22 @@ def _hop_curves(thr_cum: np.ndarray, cross_cum: np.ndarray, capacity: float, arr
     sends its cross bits before its through bits:
     D_through = clip(D - cross[e], thr[e - 1], thr[e]).  The search for e,
     the only one per busy slot, is exact because A is a nondecreasing
-    cumulative curve.  Writes A_total and D_through into ``arr_cum`` and
-    ``out``, and D_total into ``dep_cum`` unless it is None.  Returns the
-    largest queue, 0 when no slot is busy.
+    cumulative curve.  A busy slot t has D(t) < A(t), so e <= t, and e is
+    capped at t: that changes nothing exact, and where D(t) rounds to A(t)
+    it keeps the answer from reading arrivals after t, so no result depends
+    on where the chunk boundaries fall.  Writes A_total and D_through into
+    ``arr_cum`` and ``out``, and D_total into ``dep_cum`` unless it is None.
+    Returns the largest queue, 0 when no slot is busy.
 
     Everything runs one chunk of slots at a time: C*t, the excess and the
-    queue live in chunk-sized scratch, and A_total is written up to one slot
-    past the chunk, because where D(t) rounds to A(t) the search from the
-    chunk's last slot t reads A(t + 1).
+    queue live in chunk-sized scratch.
     """
-    last, run_min, max_queue = len(out) - 1, math.inf, 0.0
+    run_min, max_queue = math.inf, 0.0
     excess_buf, queue_buf = np.empty(_CHUNK), np.empty(_CHUNK)
     for i in range(0, len(out), _CHUNK):
         stop = min(i + _CHUNK, len(out))
         c = slice(i, stop)
-        np.add(thr_cum[i:stop + 1], cross_cum[i:stop + 1], out=arr_cum[i:stop + 1])
+        np.add(thr_cum[c], cross_cum[c], out=arr_cum[c])
         np.copyto(out[c], thr_cum[c])
         # C*t as an exact float ramp times C
         excess = np.multiply(np.arange(i, stop, dtype=float), capacity, out=excess_buf[:stop - i])
@@ -316,20 +299,18 @@ def _hop_curves(thr_cum: np.ndarray, cross_cum: np.ndarray, capacity: float, arr
         queue = np.subtract(excess, low, out=low)
         if dep_cum is not None:
             np.subtract(arr_cum[c], queue, out=dep_cum[c])
-        busy = queue > 0
-        at = _busy_part(busy)
-        if at is None:
+        at = np.flatnonzero(queue > 0)
+        if not len(at):
             continue
         dep = queue[at]
         max_queue = max(max_queue, float(dep.max()))
-        np.subtract(arr_cum[c][at], dep, out=dep)
-        e = _search_right(arr_cum[:stop + 1], dep)
+        at += i  # the busy slots' numbers
+        np.subtract(arr_cum[at], dep, out=dep)
+        e = _search_right(arr_cum[:stop], dep)
+        np.minimum(e, at, out=e)
         lower = thr_cum[e - 1]
-        # e is T + 1 where D rounds to A(T); only the upper index is capped,
-        # which gives thr_cum[T]
-        np.minimum(e, last, out=e)
         dep -= cross_cum[e]
-        _put_busy(out[c], busy, at, np.clip(dep, lower, thr_cum[e], out=dep))
+        out[at] = np.clip(dep, lower, thr_cum[e], out=dep)
     return max_queue
 
 
@@ -375,14 +356,13 @@ class EndToEnd:
         delays = self._index[w:]
         delays.fill(0)
         for i in range(0, len(delays), _CHUNK):
-            c = slice(i, i + _CHUNK)
-            busy = backlogs[c] > 0
-            at = _busy_part(busy)
-            if at is None:
+            at = np.flatnonzero(backlogs[i:i + _CHUNK] > 0)
+            if not len(at):
                 continue
-            # slot t = w + i + position has delay t + 1 - (ingress values <= egress[t])
-            found = _search_right(self.ingress, egress[c][at])
-            _put_busy(delays[c], busy, at, np.arange(w + i + 1, w + i + 1 + len(busy))[at] - found)
+            at += i
+            # slot t = w + position has delay t + 1 - (ingress values <= egress[t])
+            found = _search_right(self.ingress, egress[at])
+            delays[at] = at + (w + 1) - found
         return delays, backlogs
 
     def delay_exceedances(self, threshold: float) -> int:

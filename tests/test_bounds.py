@@ -197,6 +197,22 @@ class TestMinimizeOverTheta:
         res = minimize_over_theta(lambda th: 5.0, cfg)
         assert res.theta_star == cfg.theta_min
 
+    def test_tolerance_below_the_float_spacing_ends(self):
+        # near log theta* = -7 the doubles are 8.9e-16 apart, so a bracket of
+        # relative width 1e-300 is never reached; the search stops where the
+        # golden-section points can no longer split the bracket
+        calls = []
+
+        def objective(th):
+            calls.append(th)
+            assert len(calls) < 1000, "the golden-section search does not end"
+            return (math.log(th) + 7.0) ** 2
+
+        cfg = ThetaSearchConfig(1e-6, 1.0, refine_tolerance=1e-300)
+        res = minimize_over_theta(objective, cfg)
+        assert res.theta_star == pytest.approx(math.exp(-7.0), rel=1e-7)
+        assert len(calls) <= cfg.coarse_grid_points + 100
+
     def test_all_infinite_raises_stability_error(self):
         cfg = ThetaSearchConfig(0.1, 10.0)
         with pytest.raises(StabilityError, match="stability"):

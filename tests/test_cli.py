@@ -486,6 +486,37 @@ class TestUsageAndResolution:
         assert "Traceback" not in out.stderr
         assert "error: " in out.stderr and "traffic.mean_on_time_s" in out.stderr
 
+    BIG = "9" * 401  # beyond the float range
+    HUGE = [  # command, text replaced in TINY_SIM and its replacement, flags, field
+        ("bound", "capacity: 30000.0", f"capacity: {BIG}", (), "network.capacity"),
+        ("bound", "peak_rate: 8000.0", f"peak_rate: {BIG}", (), "traffic.peak_rate"),
+        ("bound", "epsilon: [1.0e-2]", f"epsilon: [{BIG}]", (), "bound.epsilon[0]"),
+        ("bound", "epsilon: [1.0e-2]", f"epsilon: {BIG}", (), "bound.epsilon[0]"),
+        ("bound", "epsilon: [1.0e-2]", f"epsilon: [1.0e-2]\n  horizon: {BIG}", (), "bound.horizon"),
+        ("bound", "through_flows: 3", f"through_flows: {BIG}", (), "traffic.through_flows"),
+        ("bound", "cross_flows: 2", f"cross_flows: {BIG}", (), "traffic.cross_flows"),
+        ("sweep-flows", "hops: [1, 2]", f"hops: [1, 2]\n  flow_totals: [{BIG}8]", (),  # even
+         "network.flow_totals[0]"),
+        ("sweep-flows", "hops: [1, 2]", f"hops: [1, 2]\n  flow_pairs: [[1, {BIG}]]", (),
+         "network.flow_pairs[0]"),
+        ("simulate", "measure_slots: 8000", f"measure_slots: {BIG}", (), "sim.measure_slots"),
+        ("simulate", "warmup_slots: 100", f"warmup_slots: {BIG}", (), "sim.warmup_slots"),
+        ("bound", "", "", ("--through", BIG), "--through"),
+        ("validate", "", "", ("--cross", BIG), "--cross"),
+        ("simulate", "", "", ("--through", BIG), "--through"),
+        # past 4300 digits the YAML loader cannot build the integer
+        ("bound", "capacity: 30000.0", "capacity: " + "9" * 5000, (), "YAML parse error"),
+    ]
+
+    @pytest.mark.parametrize("command, old, new, flags, field", HUGE,
+                             ids=[f"{case[0]}-{case[4]}-{i}" for i, case in enumerate(HUGE)])
+    def test_huge_integer_is_a_field_error(self, capsys, tmp_path, command, old, new, flags, field):
+        f = tmp_path / "huge.yaml"
+        f.write_text(TINY_SIM.replace(old, new) if old else TINY_SIM)
+        code, out, err = run_cli(capsys, command, "--scenario", str(f), *flags)
+        assert code == EXIT_USAGE and out == ""
+        assert field in err
+
     def test_theta_min_override_rescues_the_window(self, capsys, tmp_path):
         f = tmp_path / "burst.yaml"
         f.write_text(TINY_SIM.replace("mean_on_time_s: 0.02", "mean_on_time_s: 1.0e+306")

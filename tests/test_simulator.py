@@ -6,7 +6,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sncalc import (
     MmooParams,
@@ -16,6 +16,7 @@ from sncalc import (
     simulate_tandem,
     validate_samples,
 )
+from sncalc import simulator
 from sncalc.simulator import (EndToEnd, _hop_curves, _on_count, _on_runs, _search_right, _source_rng,
                               stationary_on_state, validate_exceedances)
 from helpers import ReferenceTandem, mmoo_source_step, reference_curves, virtual_delays
@@ -509,15 +510,15 @@ def _hop_input(slots, loads, capacity, peak, seed):
 
 def _split_every_slot(thr, cross, capacity):
     """The FIFO hop split searched at every slot, busy or idle: the queue,
-    D_total and D_through = clip(D - cross[e], thr[e - 1], thr[e])."""
+    D_total and D_through = clip(D - cross[e], thr[e - 1], thr[e]), with e
+    capped at max(t, 1) so that slot t reads no arrivals after it."""
     arr = thr + cross
-    excess = arr - np.arange(len(arr)) * capacity
+    t = np.arange(len(arr))
+    excess = arr - t * capacity
     queue = excess - np.minimum.accumulate(excess)
     dep = arr - queue
-    e = np.searchsorted(arr, dep, side="right")
-    lower = thr[e - 1]
-    e = np.minimum(e, len(arr) - 1)
-    return queue, dep, np.clip(dep - cross[e], lower, thr[e])
+    e = np.minimum(np.searchsorted(arr, dep, side="right"), np.maximum(t, 1))
+    return queue, dep, np.clip(dep - cross[e], thr[e - 1], thr[e])
 
 
 def _split(thr, cross, capacity, keep):
@@ -528,8 +529,7 @@ def _split(thr, cross, capacity, keep):
 
 # 2**16 + 3 slots: several full chunks and a short one, which at load 1.5
 # are all busy but for slot 0; at load 0 no chunk has a busy slot, and at
-# 0.3 or 0.9 a chunk is mostly idle (searched at its busy slots) or mostly
-# busy (on its whole slice)
+# 0.3 or 0.9 a chunk has busy and idle slots
 hop_inputs = dict(
     slots=st.sampled_from([1, 2, 37, 300, (1 << 16) + 3]),
     loads=st.lists(st.sampled_from([0.0, 0.3, 0.9, 1.5]), min_size=1, max_size=4),
@@ -551,7 +551,12 @@ def test_hop_split_equals_every_slot_search_on_integer_curves(slots, loads, capa
         assert np.array_equal(dep_total, dep)
 
 
+# Slot 40887 of the example has a queue of 7.3e-12 bits, a rounding residue,
+# before a stretch without arrivals: a search that does not stop at the slot
+# reads into that stretch and puts D_through one ulp above thr_cum.
 @given(**hop_inputs, peak=st.floats(0.01, 10.0), rate_scale=st.floats(0.3, 3.0))
+@example(slots=(1 << 16) + 3, loads=[0.3, 1.5, 0.0, 0.9], capacity=1, seed=196,
+         peak=2.4439031555215096, rate_scale=2.4439031555215096)
 @settings(max_examples=60, deadline=None)
 def test_hop_split_is_thr_cum_at_idle_slots_for_real_rates(slots, loads, capacity, seed, peak,
                                                           rate_scale):
@@ -562,7 +567,23 @@ def test_hop_split_is_thr_cum_at_idle_slots_for_real_rates(slots, loads, capacit
     idle = queue == 0
     assert np.array_equal(out[idle], thr[idle])
     assert np.array_equal(out[~idle], dep_thr[~idle])
+    assert np.all(out <= thr)
     assert max_queue == queue.max()
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 17])
+def test_hop_split_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    # the pinned example above: with chunks of 2**17 slots, a search that is
+    # not capped at the slot runs from slot 40887 past the stretch without
+    # arrivals, and out[40887] came out one ulp above thr_cum
+    rate = 2.4439031555215096
+    thr, cross = _hop_input((1 << 16) + 3, [0.3, 1.5, 0.0, 0.9], rate, rate, 196)
+    expected = _split(thr, cross, rate, True)
+    monkeypatch.setattr(simulator, "_CHUNK", chunk)
+    got = _split(thr, cross, rate, True)
+    assert got[0] == expected[0]
+    assert all(np.array_equal(a, b) for a, b in zip(got[1:], expected[1:]))
+    assert np.all(got[3] <= thr)
 
 
 def test_hop_split_when_the_queue_drains_in_the_last_slot():
