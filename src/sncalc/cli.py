@@ -38,6 +38,7 @@ from .bounds import StabilityError, hop_sweep
 # not called here: perfbench/tracing.py patches these names on this module
 from .bounds import backlog_bound, closed_form_backlog, closed_form_delay, delay_bound  # noqa: F401
 from .scenario import (
+    MAX_HOPS,
     ResultRow,
     Scenario,
     ScenarioError,
@@ -128,6 +129,8 @@ def _hop_list(sc: Scenario, args) -> tuple:
     if args.hops is not None:
         if args.hops < 1:
             raise _UsageError("--hops must be >= 1")
+        if args.hops > MAX_HOPS:
+            raise _UsageError(f"--hops must be <= {MAX_HOPS:g}")
         return (args.hops,)
     return sc.network.hop_counts
 

@@ -60,6 +60,11 @@ RATE_UNITS = {"bit/s": 1.0, "kbit/s": 1e3, "Mbit/s": 1e6}
 # flow counts, slot counts and a finite horizon enter float arithmetic
 _FLOAT_MAX = sys.float_info.max
 
+# A path holds one hop object per hop and a simulation makes one pass per
+# hop: 10**9 hops would take gigabytes, and a count past sys.maxsize does
+# not fit a tuple at all.
+MAX_HOPS = 10**6
+
 CSV_HEADER = (
     "scenario_id", "kind", "H", "N", "M", "epsilon", "theta_star",
     "bound_value", "bound_unit", "stable", "empirical_frequency", "confidence_limit",
@@ -205,7 +210,9 @@ class Scenario:
         per replication held at once, ``min(jobs, replications)`` of them, each
         ``BLOCK_ROWS`` float64 curves over the warmup and measured slots)
         exceed physical memory is a :class:`ScenarioError`, raised before
-        anything is allocated."""
+        anything is allocated.  Arrivals are closed forms, not rows, so a
+        block is the ingress, the two through-departure rows and two rows
+        that only samples or kept hops touch."""
         if self.sim is None:
             raise ScenarioError(["sim: block required for simulation commands"])
         from .simulator import BLOCK_ROWS, SimScenario
@@ -411,7 +418,7 @@ def _parse_network(ck: _Checker, node) -> Optional[NetworkBlock]:
                       {"capacity", "hops"})
     cap = ck.number(node, "network", "capacity", positive=True)
     integers = "expected a non-empty integer or list of integers"
-    hops = ck.items(node, "network", "hops", _int_item(1), integers, int)
+    hops = ck.items(node, "network", "hops", _int_item(1, MAX_HOPS), integers, int)
     totals = ck.items(node, "network", "flow_totals", _int_item(2, _FLOAT_MAX), integers, int)
     if totals is not None:
         for i, t in enumerate(totals):
@@ -476,7 +483,8 @@ def _parse_sim(ck: _Checker, node) -> Optional[SimBlock]:
     node = ck.mapping(node, "sim", {"warmup_slots", "measure_slots", "replications", "base_seed"},
                       {"measure_slots", "replications", "base_seed"})
     measure = ck.integer(node, "sim", "measure_slots", minimum=1, maximum=_FLOAT_MAX)
-    reps = ck.integer(node, "sim", "replications", minimum=1)
+    # a replication count must fit an index: it sizes ranges and arrays
+    reps = ck.integer(node, "sim", "replications", minimum=1, maximum=sys.maxsize)
     seed = ck.integer(node, "sim", "base_seed", minimum=0)
     warmup = ck.integer(node, "sim", "warmup_slots", minimum=0, maximum=_FLOAT_MAX)
     if None in (measure, reps, seed):

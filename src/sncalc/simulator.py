@@ -18,10 +18,12 @@ arithmetic.  End-to-end measurements
 follow the cumulative-curve definitions: backlog B(t) = A(t) - D(t) and
 virtual delay W(t) = inf{d >= 0 : A(t - d) <= D(t)}.
 
-A replication touches only the curve rows it uses: C*t, the excess and the
-queue of a hop live in chunk-sized scratch, on-counts are summed in the
-int64 view of the curve they build, and D_total and the delay row are
-written only when asked for.  The validation statistics' one-sided
+A replication touches only the curve rows it uses.  Arrivals are closed
+forms over the slots where a group's on-count changes, evaluated one chunk
+of slots at a time: only the ingress becomes a row.  The cross and total
+arrivals, C*t, the excess and the queue of a hop live in chunk-sized
+scratch, and D_total, the backlogs and the delay row are written only when
+asked for.  The validation statistics' one-sided
 Clopper-Pearson limit is computed here too, in numpy, so the package never
 imports scipy.
 
@@ -33,10 +35,11 @@ through-source block at the ingress; cross sources use their hop number.
 
 from __future__ import annotations
 
-import contextlib
+import collections
 import math
 import numbers
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -206,42 +209,114 @@ def _on_runs(rng: np.random.Generator, params: MmooParams, total: int):
     return starts[keep], np.minimum(ends[keep], total)
 
 
-def _on_count(base_seed: int, replication: int, hop: int, count: int,
-              params: MmooParams, total: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """On sources per slot among ``count`` sources, in ``out`` (int64, ``total`` long)."""
-    out = np.empty(total, dtype=np.int64) if out is None else out
-    out.fill(0)
-    for j in range(count):
-        rng = _source_rng(base_seed, replication, hop, j)
-        starts, ends = _on_runs(rng, params, total)
-        np.add.at(out, starts, 1)
-        np.add.at(out, ends[ends < total], -1)  # a run to the end never turns off
-    return np.cumsum(out, out=out)
+class _Arrivals:
+    """Cumulative arrivals of a group of sources, in closed form.
 
-
-def _arrival_curve(scenario: SimScenario, replication: int, hop: int, count: int,
-                   out: np.ndarray) -> np.ndarray:
-    """Cumulative bits of ``count`` sources (index = slot) into ``out``.
-
-    The on-counts are summed in ``out``'s own int64 view, one slot to the
-    right, so that the cumulative count up to slot t lands at index t.
+    With x_0 = 0 < x_1 < ... the slots where the group's on-count changes
+    and n_j the sources on in the slots [x_j, x_{j+1}), the count up to slot
+    boundary t in [x_j, x_{j+1}] is c_j + n_j t, and the cumulative
+    arrivals are A(t) = peak (c_j + n_j t).  Both terms are integers below
+    2**53, exact in float64, so A(t) is the product of the exact count and
+    the peak rate.  Only x, c and n are stored, one entry per change of the
+    on-count; :meth:`fill` evaluates A over a window of slots and :meth:`at`
+    at any slots.
     """
-    counts = out.view(np.int64)
-    counts[0] = 0
-    _on_count(scenario.base_seed, replication, hop, count, scenario.source, len(out) - 1, counts[1:])
-    np.multiply(np.cumsum(counts, out=counts), scenario.source.peak_rate, out=out)
-    return out
+
+    def __init__(self, edges: np.ndarray, steps: np.ndarray, peak: float):
+        """From the slots ``edges`` at which the on-count changes by ``steps``
+        (any order, repeats summed), starting from 0 sources on."""
+        x, inv = np.unique(np.concatenate(([0], edges)), return_inverse=True)
+        change = np.bincount(inv, weights=np.concatenate(([0], steps)), minlength=len(x))
+        n = np.cumsum(change).astype(np.int64)
+        counted = np.zeros(len(x), dtype=np.int64)  # the count up to x_j
+        np.cumsum(n[:-1] * np.diff(x), out=counted[1:])
+        self.x, self.peak = x, peak
+        self.c, self.n = (counted - n * x).astype(float), n.astype(float)
+
+    @classmethod
+    def of_sources(cls, scenario: SimScenario, replication: int, hop: int, count: int,
+                   total: int) -> "_Arrivals":
+        """The ``count`` sources of ``hop`` over ``total`` slots."""
+        runs = [_on_runs(_source_rng(scenario.base_seed, replication, hop, j), scenario.source, total)
+                for j in range(count)]
+        starts = [s for s, _ in runs]
+        ends = [e[e < total] for _, e in runs]  # a run to the end never turns off
+        edges = np.concatenate([np.zeros(0, dtype=np.int64), *starts, *ends])
+        steps = np.ones(len(edges), dtype=np.int64)
+        steps[sum(map(len, starts)):] = -1
+        return cls(edges, steps, scenario.source.peak_rate)
+
+    def fill(self, start: int, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """A(start), ..., A(start + len(out) - 1) into ``out``, given those
+        slot numbers as the floats ``t``."""
+        stop = start + len(out)
+        first, last = np.searchsorted(self.x, (start, stop - 1), side="right")
+        # segments first - 1 .. last - 1 cover the window, these many slots each
+        lengths = np.diff(np.concatenate(([start], self.x[first:last], [stop])))
+        seg = slice(first - 1, last)
+        np.multiply(np.repeat(self.n[seg], lengths), t, out=out)
+        out += np.repeat(self.c[seg], lengths)
+        out *= self.peak
+        return out
+
+    def fill_row(self, out: np.ndarray, work: "_Window") -> np.ndarray:
+        """A(0), ..., A(len(out) - 1) into ``out``, one chunk at a time."""
+        for i in range(0, len(out), _CHUNK):
+            stop = min(i + _CHUNK, len(out))
+            self.fill(i, work.window(i, stop).t, out[i:stop])
+        return out
+
+    def at(self, t: np.ndarray) -> np.ndarray:
+        """A at the int64 slot boundaries ``t``, each the same float as :meth:`fill` gives."""
+        seg = np.searchsorted(self.x, t, side="right")
+        seg -= 1
+        out = self.n[seg]
+        out *= t
+        out += self.c[seg]
+        out *= self.peak
+        return out
 
 
-# Slots per pass of a curve inversion.  A pass holds up to four arrays of
-# this length: at 2**16 slots that was 2 MB, more than anything else a
-# replication allocates beside its curves, and it raised desk-validation's
-# peak RSS by 0.8 MB.
+# Slots per pass of a curve inversion.  A pass holds four arrays of a bit
+# more than this length (see _Window) and two temporaries of it: at 2**16
+# slots that was 2 MB, more than anything else a replication allocates
+# beside its curves, and it raised desk-validation's peak RSS by 0.8 MB.
 _CHUNK = 1 << 14
 
 # Rows of a replication's float64 curve block, over warmup + measured + 1
 # slots; Scenario.build_sim_scenario sizes its memory guard by it.
-BLOCK_ROWS = 6
+BLOCK_ROWS = 5
+
+
+class _Window:
+    """Scratch over a window of consecutive slots, kept from chunk to chunk
+    of a replication.
+
+    After :meth:`window`, ``t`` holds the window's slot numbers as floats,
+    and ``a``, ``b`` and ``c`` are work arrays of the same length.  The
+    buffer is replaced only by a window longer than it, and then leaves
+    room for the FIFO split's reach back past its chunk (see
+    :func:`_hop_curves`).
+    """
+
+    def __init__(self):
+        self._size = 0
+
+    def window(self, start: int, stop: int) -> "_Window":
+        n = stop - start
+        if n > self._size:
+            # with seed 1, desk-validation's windows reached at most 167 slots
+            # back past their chunk, and 4461 at 14 + 14 sources (load 0.98)
+            self._size = n + _CHUNK // 4
+            # the old buffer and its views go before the larger one exists
+            self.t = self.a = self.b = self.c = self._buf = None
+            self._buf = np.empty((4, self._size))
+            self._buf[0] = np.arange(self._size)
+            self._start = 0
+        self._buf[0] += start - self._start  # whole numbers below 2**53: exact
+        self._start = start
+        self.t, self.a, self.b, self.c = self._buf[:, :n]
+        return self
 
 
 def _search_right(a: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -260,12 +335,13 @@ def _search_right(a: np.ndarray, keys: np.ndarray) -> np.ndarray:
 # queueing
 # ---------------------------------------------------------------------------
 
-def _hop_curves(thr_cum: np.ndarray, cross_cum: np.ndarray, capacity: float, arr_cum: np.ndarray,
-                dep_cum: Optional[np.ndarray], out: np.ndarray) -> float:
-    """FIFO work-conserving hop over cumulative through and cross arrivals.
+def _hop_curves(thr_cum: np.ndarray, cross: _Arrivals, capacity: float, dep_cum: Optional[np.ndarray],
+                out: np.ndarray, work: _Window) -> float:
+    """FIFO work-conserving hop over cumulative through arrivals ``thr_cum``
+    and the closed-form cross arrivals ``cross``.
 
     Arrivals of slot s are served from slot s on, cross bits ahead of through
-    bits.  With excess = A - C*t, the queue is excess -
+    bits.  With A = thr + cross and excess = A - C*t, the queue is excess -
     min.accumulate(excess) and the departures D = A - queue are exactly A at
     an empty queue.  There every through bit that arrived before t has left,
     so D_through(t) = thr_cum(t).  At a busy slot, with e the first slot
@@ -276,41 +352,52 @@ def _hop_curves(thr_cum: np.ndarray, cross_cum: np.ndarray, capacity: float, arr
     cumulative curve.  A busy slot t has D(t) < A(t), so e <= t, and e is
     capped at t: that changes nothing exact, and where D(t) rounds to A(t)
     it keeps the answer from reading arrivals after t, so no result depends
-    on where the chunk boundaries fall.  Writes A_total and D_through into
-    ``arr_cum`` and ``out``, and D_total into ``dep_cum`` unless it is None.
-    Returns the largest queue, 0 when no slot is busy.
+    on where the chunk boundaries fall.  Writes D_through into ``out``, and
+    D_total into ``dep_cum`` unless it is None.  Returns the largest queue,
+    0 when no slot is busy.
 
-    Everything runs one chunk of slots at a time: C*t, the excess and the
-    queue live in chunk-sized scratch.
+    Everything runs one chunk of slots at a time in ``work``'s scratch: A,
+    C*t, the excess and the queue.  The cross arrivals come from their
+    closed form, over the chunk and at the busy slots' e, so neither A nor
+    the cross arrivals is ever a row.  D is nondecreasing, and so is e: D
+    is A at an idle slot and grows by C per busy slot.  So the search from a
+    chunk's slots starts at the chunk itself, or, when the slot before it
+    is busy, at that slot's e, and the window of A each chunk evaluates
+    reaches back only that far.
     """
     run_min, max_queue = math.inf, 0.0
-    excess_buf, queue_buf = np.empty(_CHUNK), np.empty(_CHUNK)
+    e_last = None  # e of the slot before the chunk, when that slot is busy
     for i in range(0, len(out), _CHUNK):
         stop = min(i + _CHUNK, len(out))
-        c = slice(i, stop)
-        np.add(thr_cum[c], cross_cum[c], out=arr_cum[c])
-        np.copyto(out[c], thr_cum[c])
+        start = i if e_last is None else e_last
+        w, k = work.window(start, stop), i - start  # the chunk is w's slots from k on
+        arr = cross.fill(start, w.t, w.a)
+        arr += thr_cum[start:stop]
+        np.copyto(out[i:stop], thr_cum[i:stop])
         # C*t as an exact float ramp times C
-        excess = np.multiply(np.arange(i, stop, dtype=float), capacity, out=excess_buf[:stop - i])
-        np.subtract(arr_cum[c], excess, out=excess)
-        low = np.minimum.accumulate(excess, out=queue_buf[:stop - i])
+        excess = np.multiply(w.t[k:], capacity, out=w.b[k:])
+        np.subtract(arr[k:], excess, out=excess)
+        low = np.minimum.accumulate(excess, out=w.c[k:])
         np.minimum(low, run_min, out=low)
         run_min = low[-1]
         queue = np.subtract(excess, low, out=low)
         if dep_cum is not None:
-            np.subtract(arr_cum[c], queue, out=dep_cum[c])
+            np.subtract(arr[k:], queue, out=dep_cum[i:stop])
+        e_last = None
         at = np.flatnonzero(queue > 0)
         if not len(at):
             continue
         dep = queue[at]
         max_queue = max(max_queue, float(dep.max()))
-        at += i  # the busy slots' numbers
-        np.subtract(arr_cum[at], dep, out=dep)
-        e = _search_right(arr_cum[:stop], dep)
+        at += k  # the busy slots' places in the window
+        np.subtract(arr[at], dep, out=dep)
+        e = _search_right(arr, dep)
         np.minimum(e, at, out=e)
-        lower = thr_cum[e - 1]
-        dep -= cross_cum[e]
-        out[at] = np.clip(dep, lower, thr_cum[e], out=dep)
+        e += start
+        dep -= cross.at(e)
+        out[at + start] = np.clip(dep, thr_cum[e - 1], thr_cum[e], out=dep)
+        if at[-1] == stop - 1 - start:
+            e_last = int(e[-1])
     return max_queue
 
 
@@ -321,27 +408,21 @@ class EndToEnd:
     and through departures from the prefix's last hop, over slots 0..T; the
     measured slots are warmup + 1..T.  Slot t has backlog ingress[t] -
     egress[t] and delay t - s, at least 0, with s the last slot where
-    ingress[s] <= egress[t].  Every array here is a row of the replication's
-    curve block that the next hop overwrites, so a reduction must not keep
-    the view or the arrays it returns.
+    ingress[s] <= egress[t].  The exceedance counts read only ``ingress``
+    and ``egress``, a chunk at a time; :meth:`samples` writes the backlogs
+    into ``scratch`` and the delays into ``index``.  Every array here is a
+    row of the replication's curve block that the next hop overwrites, so a
+    reduction must not keep the view or the arrays it returns.
     """
 
     def __init__(self, ingress: np.ndarray, egress: np.ndarray, warmup: int, index: np.ndarray,
                  scratch: np.ndarray):
         self.ingress, self.egress, self.warmup = ingress, egress, warmup
         self._index, self._scratch = index, scratch
-        self._backlogs = None
 
     @property
     def measured_slots(self) -> int:
         return len(self.egress) - 1 - self.warmup
-
-    def backlogs(self) -> np.ndarray:
-        """Backlog samples (bits) of the measured slots, in the scratch row."""
-        if self._backlogs is None:
-            w = self.warmup + 1
-            self._backlogs = np.subtract(self.ingress[w:], self.egress[w:], out=self._scratch[w:])
-        return self._backlogs
 
     def samples(self) -> tuple:
         """Delay (int slots) and backlog (bits) samples of the measured slots.
@@ -352,7 +433,8 @@ class EndToEnd:
         cumulative curve.
         """
         w = self.warmup + 1
-        backlogs, egress = self.backlogs(), self.egress[w:]
+        backlogs = np.subtract(self.ingress[w:], self.egress[w:], out=self._scratch[w:])
+        egress = self.egress[w:]
         delays = self._index[w:]
         delays.fill(0)
         for i in range(0, len(delays), _CHUNK):
@@ -379,14 +461,21 @@ class EndToEnd:
         if threshold < 0:
             return self.measured_slots
         k = math.floor(threshold) + 1
-        first, last = max(self.warmup + 1, k - 1), len(self.egress) - 1
-        if first > last:
-            return 0
-        return int(np.count_nonzero(self.ingress[first + 1 - k:last + 2 - k] > self.egress[first:]))
+        count = 0
+        for i in range(max(self.warmup + 1, k - 1), len(self.egress), _CHUNK):
+            stop = min(i + _CHUNK, len(self.egress))
+            count += int(np.count_nonzero(self.ingress[i + 1 - k:stop + 1 - k] > self.egress[i:stop]))
+        return count
 
     def backlog_exceedances(self, threshold: float) -> int:
-        """Measured slots whose backlog exceeds ``threshold``."""
-        return int(np.count_nonzero(self.backlogs() > threshold))
+        """Measured slots whose backlog exceeds ``threshold``, counted one
+        chunk at a time without a backlog row."""
+        count, buf = 0, np.empty(min(_CHUNK, self.measured_slots))
+        for i in range(self.warmup + 1, len(self.egress), _CHUNK):
+            stop = min(i + _CHUNK, len(self.egress))
+            backlogs = np.subtract(self.ingress[i:stop], self.egress[i:stop], out=buf[:stop - i])
+            count += int(np.count_nonzero(backlogs > threshold))
+        return count
 
 
 def simulate_replication(scenario: SimScenario, replication: int, keep_hops: bool = False,
@@ -406,31 +495,36 @@ def simulate_replication(scenario: SimScenario, replication: int, keep_hops: boo
     total = warmup + scenario.measure_slots
     # Every curve is a row of one block, so no curve-sized array is freed per hop:
     # freed ones left the heap, and peak memory, different from run to run.
-    # The last row holds D_total when the hops are kept and the int64 delays
-    # when samples are taken, so validate's counts never touch it.
+    # Arrivals are closed forms, never rows.  The last two rows hold the
+    # backlog samples and the int64 delays when samples are taken, and the
+    # last one D_total when the hops are kept, so validate's counts touch
+    # only the ingress and the two through rows.
     block = np.empty((BLOCK_ROWS, total + 1))
-    ingress, *through, cross_cum, arr_cum, spare = block
+    ingress, *through, scratch, spare = block
     index = spare.view(np.int64)
     dep_cum = spare if keep_hops else None
-    thr_cum = _arrival_curve(scenario, replication, 0, scenario.through_count, ingress)
+    work = _Window()
+    through_arrivals = _Arrivals.of_sources(scenario, replication, 0, scenario.through_count, total)
+    thr_cum = through_arrivals.fill_row(ingress, work)
     hop_traces, reduced = [], {}
     for hop in range(1, scenario.hops + 1):
-        _arrival_curve(scenario, replication, hop, scenario.cross_count, cross_cum)
+        cross = _Arrivals.of_sources(scenario, replication, hop, scenario.cross_count, total)
         dep_thr = through[hop % 2]  # the row that thr_cum is not
-        max_queue = _hop_curves(thr_cum, cross_cum, scenario.capacity_per_slot, arr_cum, dep_cum, dep_thr)
+        max_queue = _hop_curves(thr_cum, cross, scenario.capacity_per_slot, dep_cum, dep_thr, work)
         if max_queue > scenario.backlog_guard_bits:
             raise StabilityError(f"hop {hop} queue reached {max_queue:.3g} bits (guard "
                                  f"{scenario.backlog_guard_bits:.3g}); offered load "
                                  f"utilization is {scenario.utilization():.3f}")
         if keep_hops:
-            hop_traces.append(HopTrace(arr_cum.copy(), dep_cum.copy(), thr_cum.copy(), dep_thr.copy(),
+            cross_cum = cross.fill_row(np.empty(total + 1), work)
+            hop_traces.append(HopTrace(thr_cum + cross_cum, dep_cum.copy(), thr_cum.copy(), dep_thr.copy(),
                                        np.diff(thr_cum), np.diff(cross_cum)))
         thr_cum = dep_thr
         if reduce is not None and hop in reduce:
-            reduced[hop] = reduce[hop](EndToEnd(ingress, thr_cum, warmup, index, arr_cum))
+            reduced[hop] = reduce[hop](EndToEnd(ingress, thr_cum, warmup, index, scratch))
 
     delays, backlogs = ((None, None) if reduce is not None
-                        else EndToEnd(ingress, thr_cum, warmup, index, arr_cum).samples())
+                        else EndToEnd(ingress, thr_cum, warmup, index, scratch).samples())
     return ReplicationTrace(
         ingress=ingress,
         egress=thr_cum,
@@ -464,13 +558,24 @@ def reduce_replications(scenario: SimScenario, reduce: dict, jobs: int = 1):
             f"{scenario.capacity_per_slot:.6g} bits/slot"
         )
     n = scenario.replications
-    with contextlib.ExitStack() as stack:
-        mapper = map
-        if jobs > 1 and n > 1:
-            from concurrent.futures import ProcessPoolExecutor
+    run = partial(_reduced_replication, scenario, reduce)
+    if jobs < 2 or n < 2:
+        yield from map(run, range(n))
+        return
+    from concurrent.futures import ProcessPoolExecutor
 
-            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
-        yield from mapper(_reduced_replication, [scenario] * n, [reduce] * n, range(n))
+    # at most 2 * jobs replications are submitted ahead of the one awaited,
+    # so however many there are, only that many futures are held
+    pool, pending = ProcessPoolExecutor(max_workers=jobs), collections.deque()
+    try:
+        for r in range(n):
+            pending.append(pool.submit(run, r))
+            if len(pending) > 2 * jobs:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def simulate_tandem(scenario: SimScenario, jobs: int = 1) -> SimResult:

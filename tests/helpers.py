@@ -68,6 +68,30 @@ def mc_effective_bandwidth(params: MmooParams, theta: float, t: int,
     return log_mean / (theta * t)
 
 
+def reference_on_counts(base_seed: int, replication: int, hop: int, count: int,
+                        params: MmooParams, total: int) -> np.ndarray:
+    """Sources on per slot among ``count`` sources over ``total`` slots.
+
+    The row construction the closed-form arrivals replaced: +1 at each on
+    run's start and -1 at its end with ``np.add.at`` (a run to the end never
+    turns off), then a cumsum.
+    """
+    from sncalc.simulator import _on_runs, _source_rng
+
+    deltas = np.zeros(total, dtype=np.int64)
+    for j in range(count):
+        starts, ends = _on_runs(_source_rng(base_seed, replication, hop, j), params, total)
+        np.add.at(deltas, starts, 1)
+        np.add.at(deltas, ends[ends < total], -1)
+    return np.cumsum(deltas)
+
+
+def reference_arrival_curve(counts, peak: float) -> np.ndarray:
+    """Cumulative bits (index = slot boundary) of per-slot on-counts: the
+    second cumsum, in int64, then times the peak rate."""
+    return np.concatenate(([0], np.cumsum(counts, dtype=np.int64))) * peak
+
+
 class ReferenceTandem:
     """Literal chunk-queue tandem used to cross-check the vectorized hops.
 

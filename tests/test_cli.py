@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import sncalc.cli as cli
 import sncalc.scenario as scenario
+import sncalc.simulator as simulator
 from sncalc.cli import EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE, EXIT_VALIDATION, main
 from sncalc.scenario import CSV_HEADER, parse_scenario_file, resolve_scenario_path
 from sncalc.simulator import simulate_tandem, validate_samples
@@ -307,9 +308,10 @@ class TestSimulate:
         assert "error: " in out.stderr and "sim.warmup_slots/sim.measure_slots" in out.stderr
 
     def test_memory_guard_counts_one_block_per_live_replication(self, capsys, tiny, monkeypatch):
-        # a block is 6 float64 curves over 100 warmup + 8000 measured + 1
-        # slots; --jobs 4 holds both of the 2 replications' blocks at once
-        block = 48 * (100 + 8000 + 1)
+        # a block is BLOCK_ROWS float64 curves over 100 warmup + 8000
+        # measured + 1 slots; --jobs 4 holds both of the 2 replications'
+        # blocks at once
+        block = 8 * simulator.BLOCK_ROWS * (100 + 8000 + 1)
         monkeypatch.setattr(scenario, "_physical_memory", lambda: block)
         code, out, _ = run_cli(capsys, "simulate", "--scenario", tiny, "--jobs", "1")
         assert code == EXIT_OK and len(parse_rows(out)) == 4
@@ -323,6 +325,23 @@ class TestSimulate:
         monkeypatch.setattr(scenario, "_physical_memory", lambda: 2 * block - 1)
         with pytest.raises(scenario.ScenarioError, match="sim.warmup_slots/sim.measure_slots"):
             sc.build_sim_scenario(2, 3, 2, jobs=4)
+
+    @pytest.mark.parametrize("command, field, flags, named", [
+        ("simulate", ("replications: 2", "replications: " + "9" * 401), ["--jobs", "2"],
+         "sim.replications"),
+        ("bound", ("hops: [1, 2]", "hops: " + "9" * 401), [], "network.hops"),
+        ("validate", None, ["--hops", "9" * 401], "--hops"),
+        ("bound", None, ["--hops", "100000000000"], "--hops"),
+        ("bound", None, ["--hops", str(scenario.MAX_HOPS + 1)], "--hops"),
+    ])
+    def test_huge_counts_exit_1(self, capsys, tmp_path, command, field, flags, named):
+        # a count past sys.maxsize fits no list or tuple, and 1e11 hops would
+        # take 800 GB of hop objects: each is refused as a field or flag
+        f = tmp_path / "huge.yaml"
+        f.write_text(TINY_SIM if field is None else TINY_SIM.replace(*field))
+        code, out, err = run_cli(capsys, command, "--scenario", str(f), *flags)
+        assert code == EXIT_USAGE and out == ""
+        assert named in err and "must be <=" in err
 
     def test_requires_sim_block(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--scenario", "voice-fig3")

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 
@@ -17,9 +18,10 @@ from sncalc import (
     validate_samples,
 )
 from sncalc import simulator
-from sncalc.simulator import (EndToEnd, _hop_curves, _on_count, _on_runs, _search_right, _source_rng,
-                              stationary_on_state, validate_exceedances)
-from helpers import ReferenceTandem, mmoo_source_step, reference_curves, virtual_delays
+from sncalc.simulator import (EndToEnd, _Arrivals, _hop_curves, _on_runs, _search_right, _source_rng,
+                              _Window, stationary_on_state, validate_exceedances)
+from helpers import (ReferenceTandem, mmoo_source_step, reference_arrival_curve, reference_curves,
+                     reference_on_counts, virtual_delays)
 
 VOICE = MmooParams(peak_rate=64.0, r_on_off=0.0025, r_off_on=1.0 / 600.0)
 
@@ -65,7 +67,7 @@ class TestSourceStep:
     def test_voice_long_run_mean_rate(self):
         # 1e7 slot-samples in total (8 streams x 1.25e6 slots, burst
         # correlation ~480 slots): mean within 1% of 25.6 bits/slot
-        counts = _on_count(123, 0, 0, 8, VOICE, 1_250_000)
+        counts = reference_on_counts(123, 0, 0, 8, VOICE, 1_250_000)
         rate = 64.0 * counts.mean() / 8
         assert rate == pytest.approx(25.6, rel=1e-2)
 
@@ -78,7 +80,7 @@ class TestRunGeneration:
         p10, p01 = -np.expm1(-0.2), -np.expm1(-0.1)
         equilibrium = p01 / (p10 + p01)
         total = 200_000
-        counts = _on_count(7, 0, 0, 1, params, total)
+        counts = reference_on_counts(7, 0, 0, 1, params, total)
         frac_runs = counts.mean()
         rng = np.random.default_rng(99)
         on = stationary_on_state(rng, params)
@@ -110,8 +112,8 @@ class TestRunGeneration:
 
     def test_adding_sources_never_perturbs_existing_streams(self):
         params = small_scenario().source
-        two = _on_count(5, 0, 1, 2, params, 5000)
-        three = _on_count(5, 0, 1, 3, params, 5000)
+        two = reference_on_counts(5, 0, 1, 2, params, 5000)
+        three = reference_on_counts(5, 0, 1, 3, params, 5000)
         third_alone = np.zeros(5001, dtype=np.int64)
         s, e = _on_runs(_source_rng(5, 0, 1, 2), params, 5000)
         np.add.at(third_alone, s, 1)
@@ -166,8 +168,8 @@ class TestTandemAgainstChunkQueue:
         # the intended model in exact arithmetic: on-counts times the peak rate
         total = scenario.warmup_slots + scenario.measure_slots
         peak, cap = Fraction(source.peak_rate), Fraction(scenario.capacity_per_slot)
-        through = [peak * int(c) for c in _on_count(scenario.base_seed, 0, 0, n, source, total)]
-        crosses = [[peak * int(c) for c in _on_count(scenario.base_seed, 0, h, m, source, total)]
+        through = [peak * int(c) for c in reference_on_counts(scenario.base_seed, 0, 0, n, source, total)]
+        crosses = [[peak * int(c) for c in reference_on_counts(scenario.base_seed, 0, h, m, source, total)]
                    for h in range(1, hops + 1)]
         tandem = ReferenceTandem(cap, hops)
         ingress, egress = [cap * 0], [cap * 0]
@@ -470,6 +472,61 @@ def test_random_scenarios_are_reproducible(cfg):
 
 
 # ---------------------------------------------------------------------------
+# closed-form arrivals against the row construction they replaced
+# ---------------------------------------------------------------------------
+
+# 0 makes a state absorbing; at 3 a source switches in 95% of its slots, so
+# runs start at slot 0 and end at the horizon
+switch_rates = st.sampled_from([0.0, 1e-3, 0.05, 0.5, 3.0])
+
+
+@given(count=st.integers(0, 5), total=st.one_of(st.just(1), st.integers(1, 3000)),
+       rates=st.tuples(switch_rates, switch_rates).filter(any),
+       peak=st.one_of(st.integers(1, 9).map(float), st.floats(0.01, 100.0)),
+       seed=st.integers(0, 2**32), chunk=st.sampled_from([7, 1 << 14, 1 << 17]), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_closed_form_arrivals_equal_the_row_construction(count, total, rates, peak, seed, chunk, data):
+    params = MmooParams(peak, *rates)
+    scenario = SimScenario(hops=1, capacity_per_slot=1.0, through_count=1, cross_count=0,
+                           source=params, measure_slots=total, warmup_slots=0, base_seed=seed)
+    expected = reference_arrival_curve(reference_on_counts(seed, 0, 1, count, params, total), peak)
+    arrivals, work = _Arrivals.of_sources(scenario, 0, 1, count, total), _Window()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "_CHUNK", chunk)
+        row = arrivals.fill_row(np.full(total + 1, np.nan), work)
+    assert np.array_equal(row, expected)
+    # windows anywhere, and single slots, as the FIFO split evaluates them
+    for _ in range(3):
+        start = data.draw(st.integers(0, total))
+        stop = data.draw(st.integers(start + 1, total + 1))
+        got = arrivals.fill(start, work.window(start, stop).t, np.full(stop - start, np.nan))
+        assert np.array_equal(got, expected[start:stop])
+    at = np.array(data.draw(st.lists(st.integers(0, total), min_size=1, max_size=20)))
+    assert np.array_equal(arrivals.at(at), expected[at])
+
+
+def test_validate_replication_allocates_less_than_a_row_beyond_its_block():
+    # validate's reductions count exceedances on the ingress and egress rows,
+    # so beside the curve block a replication allocates only closed forms and
+    # chunk scratch: no cross, total-arrival or backlog row and no row-sized
+    # temporary
+    from sncalc.cli import _exceedances
+
+    sc = SimScenario(hops=2, capacity_per_slot=732.0, through_count=10, cross_count=10,
+                     source=VOICE, measure_slots=200_000, warmup_slots=6000, base_seed=5)
+    row = 8 * (sc.warmup_slots + sc.measure_slots + 1)
+    reduce = dict.fromkeys((1, 2), partial(_exceedances, (("delay", 10.0), ("backlog", 2000.0))))
+    simulate_replication(sc, 0, reduce=reduce)  # lazy imports and caches first
+    tracemalloc.start()
+    try:
+        simulate_replication(sc, 0, reduce=reduce)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - simulator.BLOCK_ROWS * row < row
+
+
+# ---------------------------------------------------------------------------
 # curve inversions: only the busy slots, against a search on every slot
 # ---------------------------------------------------------------------------
 
@@ -497,15 +554,27 @@ def test_search_right_equals_searchsorted(inputs):
 
 
 def _hop_input(slots, loads, capacity, peak, seed):
-    """Cumulative through and cross arrivals (index = slot boundary) over
-    ``slots`` slots, in equal stretches at the offered ``loads`` (mean
-    arrivals per slot over capacity); a load of 0 sends nothing.  As in the
-    simulator, a curve is an integer count times ``peak``."""
+    """Per-slot through and cross on-counts over ``slots`` slots, in equal
+    stretches at the offered ``loads`` (mean arrivals per slot over
+    capacity) when each count sends ``peak`` bits; a load of 0 sends
+    nothing."""
     rng = np.random.default_rng(seed)
     load = np.repeat(loads, -(-slots // len(loads)))[:slots]
-    thr, cross = (peak * np.concatenate([[0], np.cumsum(rng.poisson(load * capacity / (2 * peak)))])
-                  for _ in range(2))
-    return thr, cross
+    return tuple(rng.poisson(load * capacity / (2 * peak)) for _ in range(2))
+
+
+def _closed_form(counts, peak):
+    """The simulator's closed-form arrivals of per-slot on-counts."""
+    counts = np.asarray(counts, dtype=np.int64)
+    return _Arrivals(np.arange(len(counts)), np.diff(counts, prepend=0), peak)
+
+
+def _curves(thr_counts, cross_counts, peak):
+    """The through curve as a row (index = slot boundary), as the simulator
+    keeps it, and the cross arrivals both as a row, for the oracles, and in
+    closed form, for :func:`_hop_curves`."""
+    return (reference_arrival_curve(thr_counts, peak), reference_arrival_curve(cross_counts, peak),
+            _closed_form(cross_counts, peak))
 
 
 def _split_every_slot(thr, cross, capacity):
@@ -522,9 +591,11 @@ def _split_every_slot(thr, cross, capacity):
 
 
 def _split(thr, cross, capacity, keep):
-    arr, dep, out = (np.full(len(thr), np.nan) for _ in range(3))
-    max_queue = _hop_curves(thr, cross, capacity, arr, dep if keep else None, out)
-    return max_queue, arr, dep, out
+    """:func:`_hop_curves`' largest queue, D_total (NaN unless ``keep``) and
+    D_through."""
+    dep, out = (np.full(len(thr), np.nan) for _ in range(2))
+    max_queue = _hop_curves(thr, cross, capacity, dep if keep else None, out, _Window())
+    return max_queue, dep, out
 
 
 # 2**16 + 3 slots: several full chunks and a short one, which at load 1.5
@@ -541,10 +612,9 @@ hop_inputs = dict(
 @given(**hop_inputs, peak=st.integers(1, 9), keep=st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_hop_split_equals_every_slot_search_on_integer_curves(slots, loads, capacity, seed, peak, keep):
-    thr, cross = _hop_input(slots, loads, capacity, peak, seed)
+    thr, cross, arrivals = _curves(*_hop_input(slots, loads, capacity, peak, seed), peak)
     queue, dep, dep_thr = _split_every_slot(thr, cross, capacity)
-    max_queue, arr, dep_total, out = _split(thr, cross, capacity, keep)
-    assert np.array_equal(arr, thr + cross)
+    max_queue, dep_total, out = _split(thr, arrivals, capacity, keep)
     assert np.array_equal(out, dep_thr)
     assert max_queue == queue.max()
     if keep:
@@ -561,9 +631,9 @@ def test_hop_split_equals_every_slot_search_on_integer_curves(slots, loads, capa
 def test_hop_split_is_thr_cum_at_idle_slots_for_real_rates(slots, loads, capacity, seed, peak,
                                                           rate_scale):
     capacity *= rate_scale  # a real capacity against real peak rates
-    thr, cross = _hop_input(slots, loads, capacity, peak, seed)
+    thr, cross, arrivals = _curves(*_hop_input(slots, loads, capacity, peak, seed), peak)
     queue, _, dep_thr = _split_every_slot(thr, cross, capacity)
-    max_queue, _, _, out = _split(thr, cross, capacity, False)
+    max_queue, _, out = _split(thr, arrivals, capacity, False)
     idle = queue == 0
     assert np.array_equal(out[idle], thr[idle])
     assert np.array_equal(out[~idle], dep_thr[~idle])
@@ -575,22 +645,23 @@ def test_hop_split_is_thr_cum_at_idle_slots_for_real_rates(slots, loads, capacit
 def test_hop_split_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
     # the pinned example above: with chunks of 2**17 slots, a search that is
     # not capped at the slot runs from slot 40887 past the stretch without
-    # arrivals, and out[40887] came out one ulp above thr_cum
+    # arrivals, and out[40887] came out one ulp above thr_cum; with chunks
+    # of 7 slots the searches reach back over many chunks
     rate = 2.4439031555215096
-    thr, cross = _hop_input((1 << 16) + 3, [0.3, 1.5, 0.0, 0.9], rate, rate, 196)
+    thr, _, cross = _curves(*_hop_input((1 << 16) + 3, [0.3, 1.5, 0.0, 0.9], rate, rate, 196), rate)
     expected = _split(thr, cross, rate, True)
     monkeypatch.setattr(simulator, "_CHUNK", chunk)
     got = _split(thr, cross, rate, True)
     assert got[0] == expected[0]
     assert all(np.array_equal(a, b) for a, b in zip(got[1:], expected[1:]))
-    assert np.all(got[3] <= thr)
+    assert np.all(got[2] <= thr)
 
 
 def test_hop_split_when_the_queue_drains_in_the_last_slot():
     # 5 bits in slot 0 against a capacity of 4: one bit waits and leaves in
     # slot 1, the last one
-    thr, cross = np.array([0.0, 3.0, 3.0]), np.array([0.0, 2.0, 2.0])
-    max_queue, _, dep_total, out = _split(thr, cross, 4.0, True)
+    thr, cross, arrivals = _curves([3, 0], [2, 0], 1.0)
+    max_queue, dep_total, out = _split(thr, arrivals, 4.0, True)
     assert max_queue == 1.0
     assert np.array_equal(dep_total, [0.0, 4.0, 5.0])
     assert np.array_equal(out, [0.0, 2.0, 3.0])  # cross bits first
@@ -616,10 +687,9 @@ def test_busy_period_across_chunk_boundaries(start, busy_slots):
     ingress, egress, dep_thr, arr_tot, dep_tot = reference_curves(through, crosses, 3.0)
     thr_cum = np.concatenate([[0.0], np.cumsum(through)])
     for h, cross in enumerate(crosses):
-        cross_cum = np.concatenate([[0.0], np.cumsum(cross)])
-        arr, dep, out = (np.full(total + 1, np.nan) for _ in range(3))
-        _hop_curves(thr_cum, cross_cum, 3.0, arr, dep, out)
-        assert np.array_equal(arr, arr_tot[h]) and np.array_equal(dep, dep_tot[h])
+        dep, out = (np.full(total + 1, np.nan) for _ in range(2))
+        _hop_curves(thr_cum, _closed_form(cross, 1.0), 3.0, dep, out, _Window())
+        assert np.array_equal(dep, dep_tot[h])
         assert np.array_equal(out, dep_thr[h])
         thr_cum = out
     assert np.count_nonzero(arr_tot[0] - dep_tot[0]) == busy_slots
@@ -632,12 +702,32 @@ def test_busy_period_across_chunk_boundaries(start, busy_slots):
     assert np.array_equal(delays, every_slot) and np.count_nonzero(delays) == busy_slots
 
 
+def test_hop_split_at_real_rates_over_a_busy_period_of_three_chunks():
+    # one through and one cross count per slot at a real peak rate against a
+    # capacity 0.37 bits a slot above their sum, and a burst in slot 5 that
+    # drains over 3.2 chunks; at the first chunk boundary the split's search
+    # reaches 5130 slots back, beyond the room its scratch leaves
+    peak, chunk = 1.3, 1 << 14
+    capacity = 2 * peak + 0.37
+    thr_n, cross_n = (np.ones(4 * chunk + 100, dtype=np.int64) for _ in range(2))
+    burst = round(0.37 * 3.2 * chunk / peak)
+    thr_n[5] += burst // 2
+    cross_n[5] += burst - burst // 2
+    thr, cross, arrivals = _curves(thr_n, cross_n, peak)
+    queue, dep, dep_thr = _split_every_slot(thr, cross, capacity)
+    busy = np.flatnonzero(queue > 0)
+    assert busy[0] == 6 and busy[-1] > 3 * chunk and len(busy) == busy[-1] - 5
+    max_queue, dep_total, out = _split(thr, arrivals, capacity, True)
+    assert np.array_equal(out, dep_thr) and np.array_equal(dep_total, dep)
+    assert max_queue == queue.max()
+
+
 @given(**hop_inputs, peak=st.one_of(st.integers(1, 9).map(float), st.floats(0.01, 10.0)),
        warmup=st.integers(0, 40))
 @settings(max_examples=60, deadline=None)
 def test_delays_equal_every_slot_search(slots, loads, capacity, seed, peak, warmup):
-    ingress, cross = _hop_input(slots + warmup, loads, capacity, peak, seed)
-    egress = _split(ingress, cross, capacity, False)[3]
+    ingress, _, cross = _curves(*_hop_input(slots + warmup, loads, capacity, peak, seed), peak)
+    egress = _split(ingress, cross, capacity, False)[2]
     n = len(ingress)
     e2e = EndToEnd(ingress, egress, warmup, np.full(n, -7, dtype=np.int64), np.full(n, np.nan))
     delays, backlogs = e2e.samples()
