@@ -43,10 +43,10 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, NamedTuple, Optional
 
+from ._record import Record, set_field
 from .envelopes import (
     Aggregate,
     ConstantRate,
@@ -102,15 +102,14 @@ class HorizonError(RuntimeError):
     """No delay threshold within the requested finite horizon meets the target."""
 
 
-@dataclass(frozen=True)
-class NetworkPath:
+class NetworkPath(Record):
     """Ordered tandem of service models traversed by one through flow."""
 
-    through: TrafficModel
-    hops: tuple
+    __slots__ = ("through", "hops")
 
-    def __post_init__(self):
-        object.__setattr__(self, "hops", tuple(self.hops))
+    def __init__(self, through: TrafficModel, hops: tuple):
+        set_field(self, "through", through)
+        set_field(self, "hops", tuple(hops))
         if len(self.hops) < 1:
             raise ValueError("a path needs at least one hop")
 
@@ -119,16 +118,17 @@ class NetworkPath:
         return len(self.hops)
 
 
-@dataclass(frozen=True)
-class ThetaSearchConfig:
+class ThetaSearchConfig(Record):
     """Search window and resolution for the theta optimization (1/bits)."""
 
-    theta_min: float
-    theta_max: float
-    coarse_grid_points: int = 64
-    refine_tolerance: float = 1e-6
+    __slots__ = ("theta_min", "theta_max", "coarse_grid_points", "refine_tolerance")
 
-    def __post_init__(self):
+    def __init__(self, theta_min: float, theta_max: float, coarse_grid_points: int = 64,
+                 refine_tolerance: float = 1e-6):
+        set_field(self, "theta_min", theta_min)
+        set_field(self, "theta_max", theta_max)
+        set_field(self, "coarse_grid_points", coarse_grid_points)
+        set_field(self, "refine_tolerance", refine_tolerance)
         if not (0 < self.theta_min < self.theta_max):
             raise ValueError(
                 f"need 0 < theta_min < theta_max, got [{self.theta_min!r}, {self.theta_max!r}]"
@@ -145,8 +145,7 @@ class ThetaSearchResult(NamedTuple):
     at_boundary: bool
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(Record):
     """Outcome of a bound computation.
 
     value                   backlog bits or real-valued delay slots
@@ -162,15 +161,21 @@ class BoundResult:
     clamped                 the returned value was clamped to 0
     """
 
-    kind: str
-    value: float
-    theta_star: float
-    violation_probability: float
-    stable_at_theta_star: bool
-    truncation_horizon_used: Optional[int]
-    hop_margins: tuple
-    at_theta_boundary: bool = False
-    clamped: bool = False
+    __slots__ = ("kind", "value", "theta_star", "violation_probability", "stable_at_theta_star",
+                 "truncation_horizon_used", "hop_margins", "at_theta_boundary", "clamped")
+
+    def __init__(self, kind: str, value: float, theta_star: float, violation_probability: float,
+                 stable_at_theta_star: bool, truncation_horizon_used: Optional[int],
+                 hop_margins: tuple, at_theta_boundary: bool = False, clamped: bool = False):
+        set_field(self, "kind", kind)
+        set_field(self, "value", value)
+        set_field(self, "theta_star", theta_star)
+        set_field(self, "violation_probability", violation_probability)
+        set_field(self, "stable_at_theta_star", stable_at_theta_star)
+        set_field(self, "truncation_horizon_used", truncation_horizon_used)
+        set_field(self, "hop_margins", hop_margins)
+        set_field(self, "at_theta_boundary", at_theta_boundary)
+        set_field(self, "clamped", clamped)
 
 
 def _check_horizon(horizon) -> None:
@@ -531,13 +536,14 @@ def hop_sweep(
         shape = (path.through, tuple((hop, count / path.hop_count) for hop, count in _hop_runs(path)))
         if per_hop_count:
             shape += (path.hop_count,)
-        if shape not in searches:
+        res = searches.get(shape)
+        if res is None:
             try:
                 config = theta_search or default_theta_search(path)
-                searches[shape] = _search(path, epsilon, horizon, config, kind)
+                res = _search(path, epsilon, horizon, config, kind)
             except (StabilityError, HorizonError) as exc:
-                searches[shape] = exc
-        res = searches[shape]
+                res = exc
+            searches[shape] = res
         results.append(res if isinstance(res, Exception) else _finish(path, epsilon, horizon, res, kind))
     return results
 

@@ -31,7 +31,6 @@ import csv
 import io
 import math
 import sys
-from dataclasses import replace
 from functools import cache, partial
 
 from .bounds import StabilityError, hop_sweep
@@ -399,10 +398,10 @@ def _cmd_validate(sc: Scenario, args) -> int:
         for warning in report.warnings:
             print(f"warning: H={row.hops} {row.kind}: {warning}", file=sys.stderr)
         any_fail = any_fail or report.verdict == "fail"
-        rows[i] = replace(row, scenario_id=scenario_id,
-                          bound_value=threshold * slot if delay else threshold,
-                          empirical_frequency=report.frequency,
-                          confidence_limit=report.upper_confidence)
+        rows[i] = row.replace(scenario_id=scenario_id,
+                              bound_value=threshold * slot if delay else threshold,
+                              empirical_frequency=report.frequency,
+                              confidence_limit=report.upper_confidence)
         _log(args, f"H={row.hops} {row.kind} eps={row.epsilon:g}: verdict={report.verdict} "
                    f"freq={report.frequency:.3g} ucl={report.upper_confidence:.3g}")
         per_kind.setdefault((row.hops, row.kind), []).append(

@@ -8,8 +8,9 @@ function of frozen model values and is safe to call from any thread.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
+
+from ._record import Record, set_field
 
 __all__ = [
     "MmooParams",
@@ -27,8 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MmooParams:
+class MmooParams(Record):
     """Markov-modulated on-off source in per-slot units.
 
     peak_rate   bits emitted per slot while the source is on
@@ -40,11 +40,12 @@ class MmooParams:
     distribution and is rejected; model it as :class:`ConstantRate` instead.
     """
 
-    peak_rate: float
-    r_on_off: float
-    r_off_on: float
+    __slots__ = ("peak_rate", "r_on_off", "r_off_on")
 
-    def __post_init__(self):
+    def __init__(self, peak_rate: float, r_on_off: float, r_off_on: float):
+        set_field(self, "peak_rate", peak_rate)
+        set_field(self, "r_on_off", r_on_off)
+        set_field(self, "r_off_on", r_off_on)
         if not (math.isfinite(self.peak_rate) and self.peak_rate > 0):
             raise ValueError(f"peak_rate must be positive and finite, got {self.peak_rate!r}")
         for name in ("r_on_off", "r_off_on"):
@@ -67,32 +68,34 @@ class MmooParams:
         return self.peak_rate * self.on_probability
 
 
-@dataclass(frozen=True)
-class ConstantRate:
+class ConstantRate(Record):
     """Deterministic source emitting ``rate`` bits every slot."""
 
-    rate: float
+    __slots__ = ("rate",)
 
-    def __post_init__(self):
+    def __init__(self, rate: float):
+        set_field(self, "rate", rate)
         if not (math.isfinite(self.rate) and self.rate >= 0):
             raise ValueError(f"rate must be non-negative and finite, got {self.rate!r}")
 
 
-@dataclass(frozen=True)
-class MmooTraffic:
+class MmooTraffic(Record):
     """On-off modulated source described by :class:`MmooParams`."""
 
-    params: MmooParams
+    __slots__ = ("params",)
+
+    def __init__(self, params: MmooParams):
+        set_field(self, "params", params)
 
 
-@dataclass(frozen=True)
-class Aggregate:
+class Aggregate(Record):
     """Superposition of ``count`` independent copies of ``inner``."""
 
-    count: int
-    inner: "TrafficModel"
+    __slots__ = ("count", "inner")
 
-    def __post_init__(self):
+    def __init__(self, count: int, inner: TrafficModel):
+        set_field(self, "count", count)
+        set_field(self, "inner", inner)
         if not isinstance(self.count, int) or self.count < 1:
             raise ValueError(f"aggregate count must be a positive integer, got {self.count!r}")
 
@@ -100,30 +103,30 @@ class Aggregate:
 TrafficModel = Union[ConstantRate, MmooTraffic, Aggregate]
 
 
-@dataclass(frozen=True)
-class ConstantServer:
+class ConstantServer(Record):
     """Work-conserving server with fixed capacity in bits per slot."""
 
-    capacity: float
+    __slots__ = ("capacity",)
 
-    def __post_init__(self):
+    def __init__(self, capacity: float):
+        set_field(self, "capacity", capacity)
         if not (math.isfinite(self.capacity) and self.capacity > 0):
             raise ValueError(f"capacity must be positive and finite, got {self.capacity!r}")
 
 
-@dataclass(frozen=True)
-class Leftover:
+class Leftover(Record):
     """Capacity left for the through traffic after ``cross_count`` cross flows.
 
     The effective capacity C - M * alpha_cross(theta) may evaluate negative;
     that is reported as-is and flagged downstream rather than rejected here.
     """
 
-    capacity: float
-    cross_count: int
-    cross: TrafficModel
+    __slots__ = ("capacity", "cross_count", "cross")
 
-    def __post_init__(self):
+    def __init__(self, capacity: float, cross_count: int, cross: TrafficModel):
+        set_field(self, "capacity", capacity)
+        set_field(self, "cross_count", cross_count)
+        set_field(self, "cross", cross)
         if not (math.isfinite(self.capacity) and self.capacity > 0):
             raise ValueError(f"capacity must be positive and finite, got {self.capacity!r}")
         if not isinstance(self.cross_count, int) or self.cross_count < 0:
@@ -151,9 +154,22 @@ def mmoo_effective_bandwidth(params: MmooParams, theta: float) -> float:
 
 # The public functions check theta once; the recursion runs unchecked.
 def _mmoo_eb(params: MmooParams, theta: float) -> float:
+    # (b + root) / (2 theta): the largest eigenvalue of the on-off
+    # generator tilted by theta times the rate, over theta.  The sum loses
+    # at most 1.6 bits while b >= -root / 2; below that it cancels (to 0
+    # at extreme switching rates), so it is taken in its conjugate form,
+    # root^2 - b^2 = 4 r01 p theta, whose factor 2 r01 / (root - b) lies in
+    # [mean / peak, 1].  hypot replaces the square root where the square
+    # overflows.
     p, r10, r01 = params.peak_rate, params.r_on_off, params.r_off_on
-    root = math.sqrt((p * theta - r10 + r01) ** 2 + 4.0 * r10 * r01)
-    return (p * theta - r10 - r01 + root) / (2.0 * theta)
+    a = p * theta - r10 + r01
+    root = math.sqrt(a * a + 4.0 * r10 * r01)
+    if root == math.inf:
+        root = math.hypot(a, 2.0 * math.sqrt(r10) * math.sqrt(r01))
+    b = p * theta - r10 - r01
+    if b < -0.5 * root:
+        return p * (2.0 * r01 / (root - b))
+    return (b + root) / (2.0 * theta)
 
 
 def traffic_effective_bandwidth(model: TrafficModel, theta: float) -> float:

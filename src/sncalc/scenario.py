@@ -17,12 +17,12 @@ import io
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 import yaml
 
+from ._record import Record, set_field
 from .bounds import NetworkPath, ThetaSearchConfig, default_theta_window
 from .envelopes import Aggregate, Leftover, MmooParams, MmooTraffic
 
@@ -95,61 +95,82 @@ def bits_per_slot_to_rate(bits_per_slot: float, unit: str, slot_length_s: float)
     return bits_per_slot / (RATE_UNITS[unit] * slot_length_s)
 
 
-@dataclass(frozen=True)
-class UnitsBlock:
-    slot_length_s: float
-    rate_unit: str
+class UnitsBlock(Record):
+    __slots__ = ("slot_length_s", "rate_unit")
+
+    def __init__(self, slot_length_s: float, rate_unit: str):
+        set_field(self, "slot_length_s", slot_length_s)
+        set_field(self, "rate_unit", rate_unit)
 
 
-@dataclass(frozen=True)
-class TrafficBlock:
-    peak_rate: float          # in rate_unit
-    mean_on_time_s: float
-    mean_off_time_s: float
-    through_flows: int
-    cross_flows: int
+class TrafficBlock(Record):
+    __slots__ = ("peak_rate", "mean_on_time_s", "mean_off_time_s", "through_flows", "cross_flows")
+
+    def __init__(self, peak_rate: float, mean_on_time_s: float, mean_off_time_s: float,
+                 through_flows: int, cross_flows: int):
+        set_field(self, "peak_rate", peak_rate)             # in rate_unit
+        set_field(self, "mean_on_time_s", mean_on_time_s)
+        set_field(self, "mean_off_time_s", mean_off_time_s)
+        set_field(self, "through_flows", through_flows)
+        set_field(self, "cross_flows", cross_flows)
 
 
-@dataclass(frozen=True)
-class NetworkBlock:
-    capacity: float           # in rate_unit
-    hop_counts: tuple
-    flow_totals: Optional[tuple] = None     # N + M sweep keeping N == M
-    flow_pairs: Optional[tuple] = None      # explicit (N, M) sweep
+class NetworkBlock(Record):
+    __slots__ = ("capacity", "hop_counts", "flow_totals", "flow_pairs")
+
+    def __init__(self, capacity: float, hop_counts: tuple, flow_totals: Optional[tuple] = None,
+                 flow_pairs: Optional[tuple] = None):
+        set_field(self, "capacity", capacity)               # in rate_unit
+        set_field(self, "hop_counts", hop_counts)
+        set_field(self, "flow_totals", flow_totals)         # N + M sweep keeping N == M
+        set_field(self, "flow_pairs", flow_pairs)           # explicit (N, M) sweep
 
 
-@dataclass(frozen=True)
-class ThetaBlock:
-    theta_min: Optional[float] = None
-    theta_max: Optional[float] = None
-    grid_points: Optional[int] = None
-    refine_tolerance: Optional[float] = None
+class ThetaBlock(Record):
+    __slots__ = ("theta_min", "theta_max", "grid_points", "refine_tolerance")
+
+    def __init__(self, theta_min: Optional[float] = None, theta_max: Optional[float] = None,
+                 grid_points: Optional[int] = None, refine_tolerance: Optional[float] = None):
+        set_field(self, "theta_min", theta_min)
+        set_field(self, "theta_max", theta_max)
+        set_field(self, "grid_points", grid_points)
+        set_field(self, "refine_tolerance", refine_tolerance)
 
 
-@dataclass(frozen=True)
-class BoundBlock:
-    kinds: tuple                            # subset of ("backlog", "delay")
-    epsilons: tuple
-    horizon: float = math.inf
-    theta: Optional[ThetaBlock] = None
+class BoundBlock(Record):
+    __slots__ = ("kinds", "epsilons", "horizon", "theta")
+
+    def __init__(self, kinds: tuple, epsilons: tuple, horizon: float = math.inf,
+                 theta: Optional[ThetaBlock] = None):
+        set_field(self, "kinds", kinds)                     # subset of ("backlog", "delay")
+        set_field(self, "epsilons", epsilons)
+        set_field(self, "horizon", horizon)
+        set_field(self, "theta", theta)
 
 
-@dataclass(frozen=True)
-class SimBlock:
-    measure_slots: int
-    replications: int
-    base_seed: int
-    warmup_slots: Optional[int] = None
+class SimBlock(Record):
+    __slots__ = ("measure_slots", "replications", "base_seed", "warmup_slots")
+
+    def __init__(self, measure_slots: int, replications: int, base_seed: int,
+                 warmup_slots: Optional[int] = None):
+        set_field(self, "measure_slots", measure_slots)
+        set_field(self, "replications", replications)
+        set_field(self, "base_seed", base_seed)
+        set_field(self, "warmup_slots", warmup_slots)
 
 
-@dataclass(frozen=True)
-class Scenario:
-    scenario_id: str
-    units: UnitsBlock
-    traffic: TrafficBlock
-    network: NetworkBlock
-    bound: Optional[BoundBlock] = None
-    sim: Optional[SimBlock] = None
+class Scenario(Record):
+    __slots__ = ("scenario_id", "units", "traffic", "network", "bound", "sim")
+
+    def __init__(self, scenario_id: str, units: UnitsBlock, traffic: TrafficBlock,
+                 network: NetworkBlock, bound: Optional[BoundBlock] = None,
+                 sim: Optional[SimBlock] = None):
+        set_field(self, "scenario_id", scenario_id)
+        set_field(self, "units", units)
+        set_field(self, "traffic", traffic)
+        set_field(self, "network", network)
+        set_field(self, "bound", bound)
+        set_field(self, "sim", sim)
 
     # -- conversions to internal units ------------------------------------
 
@@ -500,8 +521,7 @@ def parse_scenario_file(path) -> Scenario:
 # result rows
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(Record):
     """One output row; column order is fixed by ``CSV_HEADER``.
 
     Delay bounds are reported in seconds and backlog bounds in bits;
@@ -509,18 +529,27 @@ class ResultRow:
     pure bound computations.
     """
 
-    scenario_id: str
-    kind: str
-    hops: int
-    through_flows: int
-    cross_flows: int
-    epsilon: float
-    theta_star: Optional[float]
-    bound_value: float
-    bound_unit: str
-    stable: bool
-    empirical_frequency: Optional[float] = None
-    confidence_limit: Optional[float] = None
+    __slots__ = ("scenario_id", "kind", "hops", "through_flows", "cross_flows", "epsilon",
+                 "theta_star", "bound_value", "bound_unit", "stable", "empirical_frequency",
+                 "confidence_limit")
+
+    def __init__(self, scenario_id: str, kind: str, hops: int, through_flows: int,
+                 cross_flows: int, epsilon: float, theta_star: Optional[float],
+                 bound_value: float, bound_unit: str, stable: bool,
+                 empirical_frequency: Optional[float] = None,
+                 confidence_limit: Optional[float] = None):
+        set_field(self, "scenario_id", scenario_id)
+        set_field(self, "kind", kind)
+        set_field(self, "hops", hops)
+        set_field(self, "through_flows", through_flows)
+        set_field(self, "cross_flows", cross_flows)
+        set_field(self, "epsilon", epsilon)
+        set_field(self, "theta_star", theta_star)
+        set_field(self, "bound_value", bound_value)
+        set_field(self, "bound_unit", bound_unit)
+        set_field(self, "stable", stable)
+        set_field(self, "empirical_frequency", empirical_frequency)
+        set_field(self, "confidence_limit", confidence_limit)
 
     def as_csv_fields(self) -> list:
         def fmt(v):

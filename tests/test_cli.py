@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import dataclasses
 import io
 import math
 import os
@@ -99,6 +98,19 @@ class TestBoundCommand:
                                "--hops", "1", "--through", "4000")
         assert code == EXIT_UNSTABLE
         assert "alpha" in err and "C >" in err
+
+    @pytest.mark.parametrize("off_time", ["1.0e-100", "1.0e-200"])
+    def test_overload_at_extreme_switching_rate_exits_2(self, capsys, tmp_path, off_time):
+        # sources this quick to turn on are on almost always: 2734 x 64
+        # bits/slot exceed the 100 kbit/slot capacity.  The envelope used to
+        # cancel into a stable row (1e-100) or overflow into a traceback (1e-200)
+        f = tmp_path / "voice-fig3.yaml"
+        f.write_text(resolve_scenario_path("voice-fig3").read_text()
+                     .replace("mean_off_time_s: 0.6", f"mean_off_time_s: {off_time}"))
+        code, out, err = run_cli(capsys, "bound", "--scenario", str(f), "--hops", "1")
+        assert code == EXIT_UNSTABLE
+        assert parse_rows(out)[0]["bound_value"] == "inf"
+        assert "no admissible theta" in err
 
     def test_epsilon_one_gives_zero_delay(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "--scenario", "voice-fig3",
@@ -392,7 +404,7 @@ class TestValidate:
         if mode == "shrunk-bounds":
             # thresholds that each row's samples exceed a different number of times
             def shrunk(*args, real=cli.hop_sweep):
-                return [dataclasses.replace(result, value=result.value / 30) for result in real(*args)]
+                return [result.replace(value=result.value / 30) for result in real(*args)]
             monkeypatch.setattr(cli, "hop_sweep", shrunk)
         flags = ("--self-test",) if self_test else ()
         code, out, _ = run_cli(capsys, "validate", "--scenario", tiny, *flags)
@@ -679,6 +691,18 @@ class TestImportCost:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=60)
         assert out.stdout.splitlines()[-1] == "0 False"
+
+    def test_cli_import_loads_no_dataclasses(self):
+        # the model and result types are slotted records: the dataclasses
+        # machinery and the inspect/ast modules it loads cost a cold bound
+        # command more than its computation
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        code = ("import sncalc.cli, sys; "
+                "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "[]"
 
     def test_lazy_simulator_names(self):
         import sncalc

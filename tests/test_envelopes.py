@@ -187,6 +187,30 @@ def test_alpha_between_mean_and_peak_and_nondecreasing(params):
     assert values[-1] == pytest.approx(p, rel=1e-3)
 
 
+# rates and theta over most of the float range, log-uniformly
+_log_uniform = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0 ** e)
+
+
+@given(st.floats(min_value=1e-3, max_value=1e6), _log_uniform, _log_uniform,
+       st.floats(min_value=-30.0, max_value=3.0).map(lambda e: 10.0 ** e))
+@settings(max_examples=500, deadline=None)
+def test_alpha_between_mean_and_peak_at_extreme_rates(peak, r_on_off, r_off_on, theta):
+    # p*theta - r10 - r01 + root cancels when the switching rates dwarf
+    # p*theta, and the square overflows beyond about 1e154: the result used
+    # to fall below the mean rate, rise above the peak, drop to 0 or raise
+    params = MmooParams(peak, r_on_off, r_off_on)
+    value = mmoo_effective_bandwidth(params, theta)
+    assert params.mean_rate * (1 - 1e-12) - 1e-300 <= value <= peak * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("r_off_on", [1e7, 1e13, 1e16, 1e97, 1e197])
+def test_alpha_at_fast_switching_is_the_mean_rate(r_off_on):
+    # voice traffic whose off sojourn is negligible switches so fast that
+    # its alpha is its mean rate, just below the 64 bits/slot peak
+    params = MmooParams(64.0, 0.0025, r_off_on)
+    assert mmoo_effective_bandwidth(params, 4.16e-5) == pytest.approx(params.mean_rate, rel=1e-12)
+
+
 @given(mmoo_params, st.integers(min_value=1, max_value=50))
 @settings(max_examples=100, deadline=None)
 def test_leftover_nonincreasing_in_theta(params, cross_count):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 import tracemalloc
@@ -780,7 +779,7 @@ def _thresholds(draw, samples, horizon):
 @given(sim_settings, st.one_of(st.just(0), st.integers(1, 40)), st.data())
 @settings(max_examples=150, deadline=None)
 def test_curve_counts_equal_sample_counts(cfg, warmup, data):
-    sc = dataclasses.replace(_build(cfg), warmup_slots=warmup)
+    sc = _build(cfg).replace(warmup_slots=warmup)
     hops = range(1, sc.hops + 1)
     kept = simulate_replication(sc, 0, reduce=dict.fromkeys(
         hops, lambda e2e: tuple(s.copy() for s in e2e.samples()))).reduced
