@@ -1,11 +1,11 @@
 """Immutable value records, the base of sncalc's model and result types.
 
-A record class lists its fields in ``__slots__`` and takes them, in that
-order, as the parameters of its ``__init__``, which sets each with
-:func:`set_field` and then validates.  The methods are written once here
-rather than generated per class from source at import time: that machinery
-and the modules it loads (``inspect``, ``ast``) cost a command more start-up
-time than its bound computation takes.
+A record class declares its fields once, in ``__slots__``, and may add a
+``_defaults`` dict for a trailing run of them (immutable values only) and a
+``_validate`` method holding its checks.  The constructor and the other
+methods are written once here rather than generated per class from source at
+import time: that machinery and the modules it loads (``inspect``, ``ast``)
+cost a command more start-up time than its bound computation takes.
 """
 
 from __future__ import annotations
@@ -15,18 +15,24 @@ from operator import attrgetter
 # the only way to set a field, since Record.__setattr__ refuses
 set_field = object.__setattr__
 
+_UNSET = object()
+
 
 class Record:
     """Frozen fields, value equality and hashing, ``Name(field=value, ...)`` repr.
+
+    ``Name(*args, **kwargs)`` binds arguments by position in field order or
+    by keyword; a missing, unknown, repeated or surplus one raises ``TypeError``.
 
     Assigning or deleting a field raises ``AttributeError``.  Two records
     are equal when they are of the same class with equal field tuples, and
     the hash is that tuple's.  A subclass declared with ``eq=False``
     (records holding arrays) compares and hashes by identity instead.
-    Records pickle and copy through ``__init__``, so unpickling validates.
+    Records pickle and copy through the constructor, so unpickling validates.
     """
 
     __slots__ = ()
+    _defaults = {}
 
     def __init_subclass__(cls, eq: bool = True, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -36,6 +42,38 @@ class Record:
         if not eq:
             cls.__eq__ = object.__eq__
             cls.__hash__ = object.__hash__
+
+    def __init__(self, *args, **kwargs):
+        slots = self.__slots__
+        if len(args) > len(slots):
+            raise TypeError(f"{self.__class__.__name__}() takes {len(slots)} positional "
+                            f"arguments ({', '.join(slots)}) but {len(args)} were given")
+        for name, value in zip(slots, args):
+            set_field(self, name, value)
+        if kwargs or len(args) < len(slots):
+            defaults, missing = self._defaults, None
+            for name in slots[len(args):]:
+                value = kwargs.pop(name, _UNSET)
+                if value is _UNSET:
+                    value = defaults.get(name, _UNSET)
+                if value is not _UNSET:
+                    set_field(self, name, value)
+                elif missing is None:
+                    missing = name
+            if kwargs or missing:
+                self._reject(kwargs, missing)
+        self._validate()
+
+    def _reject(self, unused: dict, missing) -> None:
+        """Raise ``TypeError`` naming the first keyword left unbound, else the missing field."""
+        cls = self.__class__.__name__
+        for name in unused:
+            problem = "multiple values for" if name in self.__slots__ else "an unexpected keyword"
+            raise TypeError(f"{cls}() got {problem} argument {name!r}")
+        raise TypeError(f"{cls}() missing required argument {missing!r}")
+
+    def _validate(self) -> None:
+        """The class's checks on its fields, run by the constructor."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -59,6 +97,6 @@ class Record:
         return self.__class__, self._values(self)
 
     def replace(self, **changes):
-        """A copy with ``changes`` applied, validated by ``__init__`` again;
-        an unknown field name raises ``TypeError``."""
+        """A copy with ``changes`` applied, validated by the constructor
+        again; an unknown field name raises ``TypeError``."""
         return self.__class__(**dict(zip(self.__slots__, self._values(self)), **changes))

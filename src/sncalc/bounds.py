@@ -107,9 +107,8 @@ class NetworkPath(Record):
 
     __slots__ = ("through", "hops")
 
-    def __init__(self, through: TrafficModel, hops: tuple):
-        set_field(self, "through", through)
-        set_field(self, "hops", tuple(hops))
+    def _validate(self):
+        set_field(self, "hops", tuple(self.hops))
         if len(self.hops) < 1:
             raise ValueError("a path needs at least one hop")
 
@@ -122,13 +121,9 @@ class ThetaSearchConfig(Record):
     """Search window and resolution for the theta optimization (1/bits)."""
 
     __slots__ = ("theta_min", "theta_max", "coarse_grid_points", "refine_tolerance")
+    _defaults = {"coarse_grid_points": 64, "refine_tolerance": 1e-6}
 
-    def __init__(self, theta_min: float, theta_max: float, coarse_grid_points: int = 64,
-                 refine_tolerance: float = 1e-6):
-        set_field(self, "theta_min", theta_min)
-        set_field(self, "theta_max", theta_max)
-        set_field(self, "coarse_grid_points", coarse_grid_points)
-        set_field(self, "refine_tolerance", refine_tolerance)
+    def _validate(self):
         if not (0 < self.theta_min < self.theta_max):
             raise ValueError(
                 f"need 0 < theta_min < theta_max, got [{self.theta_min!r}, {self.theta_max!r}]"
@@ -148,6 +143,7 @@ class ThetaSearchResult(NamedTuple):
 class BoundResult(Record):
     """Outcome of a bound computation.
 
+    kind                    "backlog" or "delay"
     value                   backlog bits or real-valued delay slots
                             (inversion queries, any horizon), or the echoed
                             threshold (violation queries)
@@ -163,19 +159,7 @@ class BoundResult(Record):
 
     __slots__ = ("kind", "value", "theta_star", "violation_probability", "stable_at_theta_star",
                  "truncation_horizon_used", "hop_margins", "at_theta_boundary", "clamped")
-
-    def __init__(self, kind: str, value: float, theta_star: float, violation_probability: float,
-                 stable_at_theta_star: bool, truncation_horizon_used: Optional[int],
-                 hop_margins: tuple, at_theta_boundary: bool = False, clamped: bool = False):
-        set_field(self, "kind", kind)
-        set_field(self, "value", value)
-        set_field(self, "theta_star", theta_star)
-        set_field(self, "violation_probability", violation_probability)
-        set_field(self, "stable_at_theta_star", stable_at_theta_star)
-        set_field(self, "truncation_horizon_used", truncation_horizon_used)
-        set_field(self, "hop_margins", hop_margins)
-        set_field(self, "at_theta_boundary", at_theta_boundary)
-        set_field(self, "clamped", clamped)
+    _defaults = {"at_theta_boundary": False, "clamped": False}
 
 
 def _check_horizon(horizon) -> None:
@@ -499,14 +483,6 @@ def _finish(path: NetworkPath, epsilon: float, horizon: float,
     )
 
 
-def _invert(path: NetworkPath, epsilon: float, horizon: float,
-            theta_search: Optional[ThetaSearchConfig], kind: str) -> BoundResult:
-    _check_epsilon(epsilon)
-    _check_horizon(horizon)
-    config = theta_search or default_theta_search(path)
-    return _finish(path, epsilon, horizon, _search(path, epsilon, horizon, config, kind), kind)
-
-
 def hop_sweep(
     paths,
     kind: str,
@@ -548,6 +524,15 @@ def hop_sweep(
     return results
 
 
+def _one_path(path: NetworkPath, kind: str, epsilon: float, horizon: float,
+              theta_search: Optional[ThetaSearchConfig]) -> BoundResult:
+    """:func:`hop_sweep` of one path, raising the error it returns in place of a result."""
+    (result,) = hop_sweep([path], kind, epsilon, horizon, theta_search)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def backlog_bound(
     path: NetworkPath,
     epsilon: float,
@@ -555,7 +540,7 @@ def backlog_bound(
     theta_search: Optional[ThetaSearchConfig] = None,
 ) -> BoundResult:
     """Smallest backlog threshold x (bits) with tail bound <= epsilon, over theta."""
-    return _invert(path, epsilon, horizon, theta_search, "backlog")
+    return _one_path(path, "backlog", epsilon, horizon, theta_search)
 
 
 def delay_bound(
@@ -572,7 +557,7 @@ def delay_bound(
     horizon is inadmissible; :class:`HorizonError` is raised when that
     leaves no theta.
     """
-    return _invert(path, epsilon, horizon, theta_search, "delay")
+    return _one_path(path, "delay", epsilon, horizon, theta_search)
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +597,7 @@ def _homogeneous(
     # the search window treats an empty through aggregate as one flow
     config = theta_search or default_theta_search(NetworkPath(Aggregate(max(n_through, 1), through), hops))
     path = NetworkPath(Aggregate(n_through, through) if n_through else ConstantRate(0.0), hops)
-    return _invert(path, epsilon, INFINITE_HORIZON, config, kind)
+    return _one_path(path, kind, epsilon, INFINITE_HORIZON, config)
 
 
 def closed_form_backlog(

@@ -33,7 +33,7 @@ import math
 import sys
 from functools import cache, partial
 
-from .bounds import StabilityError, hop_sweep
+from .bounds import NetworkPath, StabilityError, hop_sweep
 # not called here: perfbench/tracing.py patches these names on this module
 from .bounds import backlog_bound, closed_form_backlog, closed_form_delay, delay_bound  # noqa: F401
 from .scenario import (
@@ -170,7 +170,8 @@ def _bound_rows(sc: Scenario, args, flow_points) -> tuple:
     for i, h in enumerate(hops):
         for n, m in flow_points:
             if (n, m) not in sweeps:  # at the first H, in the order rows are written
-                paths = [sc.build_path(hop_count, n, m) for hop_count in hops]
+                one = sc.build_path(1, n, m)
+                paths = [NetworkPath(one.through, one.hops * hop_count) for hop_count in hops]
                 search = sc.build_theta_search(paths[0])
                 sweeps[n, m] = search, {(kind, eps): hop_sweep(paths, kind, eps, horizon, search)
                                         for kind in kinds for eps in epsilons}

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Union
 
-from ._record import Record, set_field
+from ._record import Record
 
 __all__ = [
     "MmooParams",
@@ -42,10 +42,7 @@ class MmooParams(Record):
 
     __slots__ = ("peak_rate", "r_on_off", "r_off_on")
 
-    def __init__(self, peak_rate: float, r_on_off: float, r_off_on: float):
-        set_field(self, "peak_rate", peak_rate)
-        set_field(self, "r_on_off", r_on_off)
-        set_field(self, "r_off_on", r_off_on)
+    def _validate(self):
         if not (math.isfinite(self.peak_rate) and self.peak_rate > 0):
             raise ValueError(f"peak_rate must be positive and finite, got {self.peak_rate!r}")
         for name in ("r_on_off", "r_off_on"):
@@ -73,8 +70,7 @@ class ConstantRate(Record):
 
     __slots__ = ("rate",)
 
-    def __init__(self, rate: float):
-        set_field(self, "rate", rate)
+    def _validate(self):
         if not (math.isfinite(self.rate) and self.rate >= 0):
             raise ValueError(f"rate must be non-negative and finite, got {self.rate!r}")
 
@@ -84,18 +80,13 @@ class MmooTraffic(Record):
 
     __slots__ = ("params",)
 
-    def __init__(self, params: MmooParams):
-        set_field(self, "params", params)
-
 
 class Aggregate(Record):
     """Superposition of ``count`` independent copies of ``inner``."""
 
     __slots__ = ("count", "inner")
 
-    def __init__(self, count: int, inner: TrafficModel):
-        set_field(self, "count", count)
-        set_field(self, "inner", inner)
+    def _validate(self):
         if not isinstance(self.count, int) or self.count < 1:
             raise ValueError(f"aggregate count must be a positive integer, got {self.count!r}")
 
@@ -108,8 +99,7 @@ class ConstantServer(Record):
 
     __slots__ = ("capacity",)
 
-    def __init__(self, capacity: float):
-        set_field(self, "capacity", capacity)
+    def _validate(self):
         if not (math.isfinite(self.capacity) and self.capacity > 0):
             raise ValueError(f"capacity must be positive and finite, got {self.capacity!r}")
 
@@ -123,10 +113,7 @@ class Leftover(Record):
 
     __slots__ = ("capacity", "cross_count", "cross")
 
-    def __init__(self, capacity: float, cross_count: int, cross: TrafficModel):
-        set_field(self, "capacity", capacity)
-        set_field(self, "cross_count", cross_count)
-        set_field(self, "cross", cross)
+    def _validate(self):
         if not (math.isfinite(self.capacity) and self.capacity > 0):
             raise ValueError(f"capacity must be positive and finite, got {self.capacity!r}")
         if not isinstance(self.cross_count, int) or self.cross_count < 0:

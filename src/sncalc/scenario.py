@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Optional
 
 import yaml
 
-from ._record import Record, set_field
+from ._record import Record
 from .bounds import NetworkPath, ThetaSearchConfig, default_theta_window
 from .envelopes import Aggregate, Leftover, MmooParams, MmooTraffic
 
@@ -65,6 +65,10 @@ _FLOAT_MAX = sys.float_info.max
 # not fit a tuple at all.
 MAX_HOPS = 10**6
 
+# The theta search evaluates the bound at every grid point; 10**4 is the
+# resolution of the tests' exhaustive reference search.
+MAX_GRID_POINTS = 10**4
+
 CSV_HEADER = (
     "scenario_id", "kind", "H", "N", "M", "epsilon", "theta_star",
     "bound_value", "bound_unit", "stable", "empirical_frequency", "confidence_limit",
@@ -98,79 +102,41 @@ def bits_per_slot_to_rate(bits_per_slot: float, unit: str, slot_length_s: float)
 class UnitsBlock(Record):
     __slots__ = ("slot_length_s", "rate_unit")
 
-    def __init__(self, slot_length_s: float, rate_unit: str):
-        set_field(self, "slot_length_s", slot_length_s)
-        set_field(self, "rate_unit", rate_unit)
-
 
 class TrafficBlock(Record):
-    __slots__ = ("peak_rate", "mean_on_time_s", "mean_off_time_s", "through_flows", "cross_flows")
+    """``peak_rate`` is in the units block's ``rate_unit``."""
 
-    def __init__(self, peak_rate: float, mean_on_time_s: float, mean_off_time_s: float,
-                 through_flows: int, cross_flows: int):
-        set_field(self, "peak_rate", peak_rate)             # in rate_unit
-        set_field(self, "mean_on_time_s", mean_on_time_s)
-        set_field(self, "mean_off_time_s", mean_off_time_s)
-        set_field(self, "through_flows", through_flows)
-        set_field(self, "cross_flows", cross_flows)
+    __slots__ = ("peak_rate", "mean_on_time_s", "mean_off_time_s", "through_flows", "cross_flows")
 
 
 class NetworkBlock(Record):
-    __slots__ = ("capacity", "hop_counts", "flow_totals", "flow_pairs")
+    """``capacity`` is in the units block's ``rate_unit``.  ``flow_totals``
+    is an N + M sweep keeping N == M, ``flow_pairs`` an explicit (N, M) sweep."""
 
-    def __init__(self, capacity: float, hop_counts: tuple, flow_totals: Optional[tuple] = None,
-                 flow_pairs: Optional[tuple] = None):
-        set_field(self, "capacity", capacity)               # in rate_unit
-        set_field(self, "hop_counts", hop_counts)
-        set_field(self, "flow_totals", flow_totals)         # N + M sweep keeping N == M
-        set_field(self, "flow_pairs", flow_pairs)           # explicit (N, M) sweep
+    __slots__ = ("capacity", "hop_counts", "flow_totals", "flow_pairs")
+    _defaults = {"flow_totals": None, "flow_pairs": None}
 
 
 class ThetaBlock(Record):
     __slots__ = ("theta_min", "theta_max", "grid_points", "refine_tolerance")
-
-    def __init__(self, theta_min: Optional[float] = None, theta_max: Optional[float] = None,
-                 grid_points: Optional[int] = None, refine_tolerance: Optional[float] = None):
-        set_field(self, "theta_min", theta_min)
-        set_field(self, "theta_max", theta_max)
-        set_field(self, "grid_points", grid_points)
-        set_field(self, "refine_tolerance", refine_tolerance)
+    _defaults = dict.fromkeys(__slots__)
 
 
 class BoundBlock(Record):
-    __slots__ = ("kinds", "epsilons", "horizon", "theta")
+    """``kinds`` is a subset of ("backlog", "delay")."""
 
-    def __init__(self, kinds: tuple, epsilons: tuple, horizon: float = math.inf,
-                 theta: Optional[ThetaBlock] = None):
-        set_field(self, "kinds", kinds)                     # subset of ("backlog", "delay")
-        set_field(self, "epsilons", epsilons)
-        set_field(self, "horizon", horizon)
-        set_field(self, "theta", theta)
+    __slots__ = ("kinds", "epsilons", "horizon", "theta")
+    _defaults = {"horizon": math.inf, "theta": None}
 
 
 class SimBlock(Record):
     __slots__ = ("measure_slots", "replications", "base_seed", "warmup_slots")
-
-    def __init__(self, measure_slots: int, replications: int, base_seed: int,
-                 warmup_slots: Optional[int] = None):
-        set_field(self, "measure_slots", measure_slots)
-        set_field(self, "replications", replications)
-        set_field(self, "base_seed", base_seed)
-        set_field(self, "warmup_slots", warmup_slots)
+    _defaults = {"warmup_slots": None}
 
 
 class Scenario(Record):
     __slots__ = ("scenario_id", "units", "traffic", "network", "bound", "sim")
-
-    def __init__(self, scenario_id: str, units: UnitsBlock, traffic: TrafficBlock,
-                 network: NetworkBlock, bound: Optional[BoundBlock] = None,
-                 sim: Optional[SimBlock] = None):
-        set_field(self, "scenario_id", scenario_id)
-        set_field(self, "units", units)
-        set_field(self, "traffic", traffic)
-        set_field(self, "network", network)
-        set_field(self, "bound", bound)
-        set_field(self, "sim", sim)
+    _defaults = {"bound": None, "sim": None}
 
     # -- conversions to internal units ------------------------------------
 
@@ -489,7 +455,7 @@ def _parse_bound(ck: _Checker, node) -> Optional[BoundBlock]:
         theta = ThetaBlock(
             theta_min=ck.number(tnode, "bound.theta", "min", positive=True),
             theta_max=ck.number(tnode, "bound.theta", "max", positive=True),
-            grid_points=ck.integer(tnode, "bound.theta", "grid_points", minimum=8),
+            grid_points=ck.integer(tnode, "bound.theta", "grid_points", minimum=8, maximum=MAX_GRID_POINTS),
             refine_tolerance=ck.number(tnode, "bound.theta", "refine_tolerance", positive=True),
         )
         if (theta.theta_min is not None and theta.theta_max is not None
@@ -532,24 +498,7 @@ class ResultRow(Record):
     __slots__ = ("scenario_id", "kind", "hops", "through_flows", "cross_flows", "epsilon",
                  "theta_star", "bound_value", "bound_unit", "stable", "empirical_frequency",
                  "confidence_limit")
-
-    def __init__(self, scenario_id: str, kind: str, hops: int, through_flows: int,
-                 cross_flows: int, epsilon: float, theta_star: Optional[float],
-                 bound_value: float, bound_unit: str, stable: bool,
-                 empirical_frequency: Optional[float] = None,
-                 confidence_limit: Optional[float] = None):
-        set_field(self, "scenario_id", scenario_id)
-        set_field(self, "kind", kind)
-        set_field(self, "hops", hops)
-        set_field(self, "through_flows", through_flows)
-        set_field(self, "cross_flows", cross_flows)
-        set_field(self, "epsilon", epsilon)
-        set_field(self, "theta_star", theta_star)
-        set_field(self, "bound_value", bound_value)
-        set_field(self, "bound_unit", bound_unit)
-        set_field(self, "stable", stable)
-        set_field(self, "empirical_frequency", empirical_frequency)
-        set_field(self, "confidence_limit", confidence_limit)
+    _defaults = {"empirical_frequency": None, "confidence_limit": None}
 
     def as_csv_fields(self) -> list:
         def fmt(v):

@@ -43,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._record import Record, set_field
+from ._record import Record
 from .bounds import StabilityError
 from .envelopes import MmooParams
 
@@ -73,20 +73,9 @@ class SimScenario(Record):
 
     __slots__ = ("hops", "capacity_per_slot", "through_count", "cross_count", "source",
                  "measure_slots", "warmup_slots", "replications", "base_seed", "backlog_guard_bits")
+    _defaults = {"warmup_slots": None, "replications": 1, "base_seed": 0, "backlog_guard_bits": 1e12}
 
-    def __init__(self, hops: int, capacity_per_slot: float, through_count: int, cross_count: int,
-                 source: MmooParams, measure_slots: int, warmup_slots: Optional[int] = None,
-                 replications: int = 1, base_seed: int = 0, backlog_guard_bits: float = 1e12):
-        set_field(self, "hops", hops)
-        set_field(self, "capacity_per_slot", capacity_per_slot)
-        set_field(self, "through_count", through_count)
-        set_field(self, "cross_count", cross_count)
-        set_field(self, "source", source)
-        set_field(self, "measure_slots", measure_slots)
-        set_field(self, "warmup_slots", warmup_slots)
-        set_field(self, "replications", replications)
-        set_field(self, "base_seed", base_seed)
-        set_field(self, "backlog_guard_bits", backlog_guard_bits)
+    def _validate(self):
         if self.hops < 1:
             raise ValueError("hops must be >= 1")
         if not (math.isfinite(self.capacity_per_slot) and self.capacity_per_slot > 0):
@@ -124,41 +113,23 @@ class HopTrace(Record, eq=False):
     __slots__ = ("arrivals_total", "departures_total", "arrivals_through", "departures_through",
                  "through_per_slot", "cross_per_slot")
 
-    def __init__(self, arrivals_total: np.ndarray, departures_total: np.ndarray,
-                 arrivals_through: np.ndarray, departures_through: np.ndarray,
-                 through_per_slot: np.ndarray, cross_per_slot: np.ndarray):
-        set_field(self, "arrivals_total", arrivals_total)
-        set_field(self, "departures_total", departures_total)
-        set_field(self, "arrivals_through", arrivals_through)
-        set_field(self, "departures_through", departures_through)
-        set_field(self, "through_per_slot", through_per_slot)
-        set_field(self, "cross_per_slot", cross_per_slot)
-
 
 class ReplicationTrace(Record, eq=False):
-    __slots__ = ("ingress", "egress", "delay_samples", "backlog_samples", "hops", "reduced")
+    """One replication's curves and samples.
 
-    def __init__(self, ingress: np.ndarray, egress: np.ndarray,
-                 delay_samples: Optional[np.ndarray], backlog_samples: Optional[np.ndarray],
-                 hops: tuple, reduced: dict):
-        set_field(self, "ingress", ingress)                 # cumulative through arrivals at hop 1
-        set_field(self, "egress", egress)                   # cumulative through departures from hop H
-        # int slots and bits, one per measured slot; None when reduced
-        set_field(self, "delay_samples", delay_samples)
-        set_field(self, "backlog_samples", backlog_samples)
-        set_field(self, "hops", hops)                       # HopTrace per hop when requested, else ()
-        set_field(self, "reduced", reduced)                 # hop count -> result of its reduction
+    ingress           cumulative through arrivals at hop 1
+    egress            cumulative through departures from hop H
+    delay_samples     int slots, one per measured slot; None when reduced
+    backlog_samples   int bits, one per measured slot; None when reduced
+    hops              HopTrace per hop when requested, else ()
+    reduced           hop count -> result of its reduction
+    """
+
+    __slots__ = ("ingress", "egress", "delay_samples", "backlog_samples", "hops", "reduced")
 
 
 class SimResult(Record, eq=False):
     __slots__ = ("delay_samples", "backlog_samples", "replication_seeds", "measured_slots")
-
-    def __init__(self, delay_samples: np.ndarray, backlog_samples: np.ndarray,
-                 replication_seeds: tuple, measured_slots: int):
-        set_field(self, "delay_samples", delay_samples)
-        set_field(self, "backlog_samples", backlog_samples)
-        set_field(self, "replication_seeds", replication_seeds)
-        set_field(self, "measured_slots", measured_slots)
 
 
 # ---------------------------------------------------------------------------
@@ -619,21 +590,10 @@ def simulate_tandem(scenario: SimScenario, jobs: int = 1) -> SimResult:
 # ---------------------------------------------------------------------------
 
 class ValidationReport(Record):
+    """``verdict`` is "pass", "fail" or "inconclusive"."""
+
     __slots__ = ("kind", "threshold", "epsilon", "sample_count", "exceed_count", "frequency",
                  "upper_confidence", "verdict", "warnings")
-
-    def __init__(self, kind: str, threshold: float, epsilon: float, sample_count: int,
-                 exceed_count: int, frequency: float, upper_confidence: float, verdict: str,
-                 warnings: tuple):
-        set_field(self, "kind", kind)
-        set_field(self, "threshold", threshold)
-        set_field(self, "epsilon", epsilon)
-        set_field(self, "sample_count", sample_count)
-        set_field(self, "exceed_count", exceed_count)
-        set_field(self, "frequency", frequency)
-        set_field(self, "upper_confidence", upper_confidence)
-        set_field(self, "verdict", verdict)                 # "pass" | "fail" | "inconclusive"
-        set_field(self, "warnings", warnings)
 
 
 # one-sided 95% confidence: the limit is the p with P(Bin(n, p) <= k) = _ALPHA

@@ -355,6 +355,19 @@ class TestSimulate:
         assert code == EXIT_USAGE and out == ""
         assert named in err and "must be <=" in err
 
+    @pytest.mark.parametrize("points", [scenario.MAX_GRID_POINTS, scenario.MAX_GRID_POINTS + 1, 10**12])
+    def test_theta_grid_points_are_bounded(self, capsys, tmp_path, points):
+        # the theta search lists and evaluates every grid point, so 10**12
+        # points would run for weeks and need terabytes; it is refused on parse
+        f = tmp_path / "grid.yaml"
+        f.write_text(TINY_SIM.replace("epsilon: [1.0e-2]", f"epsilon: [1.0e-2]\n  theta: {{grid_points: {points}}}"))
+        code, out, err = run_cli(capsys, "bound", "--scenario", str(f))
+        if points <= scenario.MAX_GRID_POINTS:
+            assert code == EXIT_OK and len(parse_rows(out)) == 4
+        else:
+            assert code == EXIT_USAGE and out == ""
+            assert f"bound.theta.grid_points: must be <= {scenario.MAX_GRID_POINTS}, got {points}" in err
+
     def test_requires_sim_block(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--scenario", "voice-fig3")
         assert code == EXIT_USAGE

@@ -83,9 +83,44 @@ def test_every_record_class_is_covered():
 
 @pytest.mark.parametrize("record", ALL_RECORDS, ids=_name)
 def test_slots_are_the_init_parameters_in_order(record):
-    # replace and pickling pass the fields to __init__ by name and by position
-    code = type(record).__init__.__code__
-    assert code.co_varnames[1:code.co_argcount] == record.__slots__
+    # the constructor binds __slots__ by position and by name, or a mix:
+    # pickling passes the fields by position, replace by keyword
+    cls, values = type(record), _values(record)
+    for split in range(len(values) + 1):
+        built = cls(*values[:split], **dict(zip(record.__slots__[split:], values[split:])))
+        assert type(built) is cls and all(a is b for a, b in zip(_values(built), values, strict=True))
+        if record in VALUE_RECORDS:
+            assert built == record
+
+
+@pytest.mark.parametrize("record", ALL_RECORDS, ids=_name)
+def test_bad_arguments_raise_type_error_naming_them(record):
+    cls, slots, values = type(record), record.__slots__, _values(record)
+    kwargs = dict(zip(slots, values))
+    for name in slots:
+        if name not in cls._defaults:
+            with pytest.raises(TypeError, match=f"{_name(record)}\\(\\) missing required argument '{name}'"):
+                cls(**{k: v for k, v in kwargs.items() if k != name})
+    with pytest.raises(TypeError, match="unexpected keyword argument 'no_such_field'"):
+        cls(*values, no_such_field=1)
+    for i, name in enumerate(slots):
+        with pytest.raises(TypeError, match=f"multiple values for argument '{name}'"):
+            cls(*values[:i + 1], **dict(zip(slots[i:], values[i:])))
+    with pytest.raises(TypeError, match=f"takes {len(slots)} positional arguments "
+                                        f"\\({', '.join(slots)}\\) but {len(slots) + 1} were given"):
+        cls(*values, None)
+
+
+def test_no_record_class_defines_init():
+    for cls in Record.__subclasses__():
+        assert "__init__" not in vars(cls), cls.__name__
+
+
+@pytest.mark.parametrize("record", ALL_RECORDS, ids=_name)
+def test_defaults_are_a_trailing_run_of_immutable_values(record):
+    defaults, slots = type(record)._defaults, record.__slots__
+    assert tuple(defaults) == slots[len(slots) - len(defaults):]
+    assert all(type(v) in (type(None), bool, int, float, str) for v in defaults.values())
 
 
 @pytest.mark.parametrize("record", ALL_RECORDS, ids=_name)
