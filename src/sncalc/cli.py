@@ -201,9 +201,10 @@ def _bound_rows(sc: Scenario, args, flow_points) -> tuple:
 
 
 def _replications(sc: Scenario, args, n: int, m: int, reduce: dict):
-    """Run max(H) hops once per replication and hand each hop count H's
-    end-to-end view to ``reduce[H]`` (see ``simulate_replication``).
-    Returns the SimScenario and a generator of per-replication ``{H: result}``.
+    """Run max(H) hops once per replication and reduce each hop count H's
+    end-to-end curves with a ``reduce[H]`` accumulator (see
+    ``simulate_replication``).  Returns the SimScenario and a generator of
+    per-replication ``{H: result}``.
     """
     from .simulator import reduce_replications
 
@@ -238,11 +239,10 @@ def _cmd_bound(sc: Scenario, args) -> int:
     return EXIT_UNSTABLE if flagged else EXIT_OK
 
 
-def _sample_stats(e2e) -> list:
+def _sample_stats(delays, backlogs) -> list:
     """Mean, 99th percentile and maximum of the delays, then of the
     backlogs, as CSV fields."""
     import numpy as np
-    delays, backlogs = e2e.samples()
     return [repr(float(v)) for s in (delays, backlogs) for v in (s.mean(), np.percentile(s, 99), s.max())]
 
 
@@ -251,7 +251,8 @@ def _cmd_simulate(sc: Scenario, args) -> int:
         raise _UsageError("simulate needs a sim block in the scenario")
     n, m = _flow_point(sc, args)
     hops = _hop_list(sc, args)
-    sim, results = _replications(sc, args, n, m, dict.fromkeys(hops, _sample_stats))
+    from .simulator import Samples
+    sim, results = _replications(sc, args, n, m, dict.fromkeys(hops, partial(Samples, finish=_sample_stats)))
     per_rep = list(results)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -286,13 +287,6 @@ def _self_test_threshold(tail, epsilon: float, sample_count: int) -> float:
     return math.nextafter(float(values[i]), -math.inf)
 
 
-def _exceedances(thresholds, e2e) -> tuple:
-    """Samples strictly above each (kind, threshold), in order, counted on
-    the end-to-end curves."""
-    return tuple(e2e.delay_exceedances(t) if kind == "delay" else e2e.backlog_exceedances(t)
-                 for kind, t in thresholds)
-
-
 def _upper_tails(k: int, delays, backlogs) -> tuple:
     """Per kind, the distinct samples at or above the k-th largest,
     ascending, and their counts."""
@@ -303,10 +297,6 @@ def _upper_tails(k: int, delays, backlogs) -> tuple:
         i = _kth_largest_index(values, counts, k)
         tails.append((values[i:], counts[i:]))
     return tuple(tails)
-
-
-def _sample_tails(k: int, e2e) -> tuple:
-    return _upper_tails(k, *e2e.samples())
 
 
 class _TailPool:
@@ -348,8 +338,9 @@ def _self_test_counts(sc: Scenario, args, n: int, m: int, rows) -> tuple:
     counts, from a running pool of each (H, kind)'s upper tail."""
     sample_count = sc.sim.replications * sc.sim.measure_slots
     k = max(_self_test_rank(row.epsilon, sample_count) for row in rows)
-    sim, results = _replications(sc, args, n, m,
-                                 dict.fromkeys(_hop_list(sc, args), partial(_sample_tails, k)))
+    from .simulator import Samples
+    reduce = dict.fromkeys(_hop_list(sc, args), partial(Samples, finish=partial(_upper_tails, k)))
+    sim, results = _replications(sc, args, n, m, reduce)
     pools = {}
     for rep, tails in enumerate(results):
         for h, pair in tails.items():
@@ -365,13 +356,15 @@ def _self_test_counts(sc: Scenario, args, n: int, m: int, rows) -> tuple:
 
 def _bound_counts(sc: Scenario, args, n: int, m: int, rows) -> tuple:
     """The rows' bounds as thresholds and their per-replication exceedance
-    counts; validation happens in internal units (slots / bits)."""
+    counts, taken on the end-to-end curves without samples; validation
+    happens in internal units (slots / bits)."""
+    from .simulator import Exceedances
     slot = sc.units.slot_length_s
     thresholds = [row.bound_value / slot if row.kind == "delay" else row.bound_value for row in rows]
     members = {}
     for i, row in enumerate(rows):
         members.setdefault(row.hops, []).append(i)
-    reduce = {h: partial(_exceedances, tuple((rows[i].kind, thresholds[i]) for i in idx))
+    reduce = {h: partial(Exceedances, tuple((rows[i].kind, thresholds[i]) for i in idx))
               for h, idx in members.items()}
     sim, results = _replications(sc, args, n, m, reduce)
     per_rep = list(results)

@@ -193,16 +193,21 @@ class Scenario(Record):
 
     def build_sim_scenario(self, hops: int, n_through: int, m_cross: int,
                            base_seed: Optional[int] = None, jobs: int = 1) -> SimScenario:
-        """The simulation at one flow point.  A run whose curve blocks (one
-        per replication held at once, ``min(jobs, replications)`` of them, each
-        ``BLOCK_ROWS`` float64 curves over the warmup and measured slots)
-        exceed physical memory is a :class:`ScenarioError`, raised before
-        anything is allocated.  Arrivals are closed forms, not rows, so a
-        block is the ingress, the two through-departure rows and two rows
-        that only samples or kept hops touch."""
+        """The simulation at one flow point.
+
+        The simulator streams each replication through its hops one chunk of
+        slots at a time, so beside closed-form arrivals and chunk-sized
+        scratch a replication holds only what its reductions keep.  The most
+        that is sample mode's: the int64 delay and float64 backlog samples,
+        16 B per measured slot, and the ingress that its delay inversion
+        reads back over, which a busy period as long as the run stretches to
+        8 B per slot, warmup included.  A run whose replications held at
+        once, ``min(jobs, replications)`` of them, would need more than
+        physical memory for that is a :class:`ScenarioError`, raised before
+        anything is simulated."""
         if self.sim is None:
             raise ScenarioError(["sim: block required for simulation commands"])
-        from .simulator import BLOCK_ROWS, SimScenario
+        from .simulator import SimScenario
 
         sim = SimScenario(
             hops=hops,
@@ -219,14 +224,16 @@ class Scenario(Record):
             warmup = sim.resolved_warmup()
         except OverflowError:  # a mean sojourn beyond the float range
             warmup = math.inf
-        blocks = max(1, min(jobs, sim.replications))  # reduce_replications runs jobs < 2 serially
-        need, memory = 8 * BLOCK_ROWS * (warmup + sim.measure_slots + 1) * blocks, _physical_memory()
+        live = max(1, min(jobs, sim.replications))  # reduce_replications runs jobs < 2 serially
+        per_replication = 16 * sim.measure_slots + 8 * (warmup + sim.measure_slots + 1)
+        need, memory = per_replication * live, _physical_memory()
         if need > memory:
             raise ScenarioError([
                 f"sim.warmup_slots/sim.measure_slots: {warmup:.4g} warmup and {sim.measure_slots} "
-                f"measured slots need {need / 2**30:.4g} GiB for the simulator's curves "
-                f"({blocks} replication(s) at once), more than the {memory / 2**30:.4g} GiB of "
-                f"physical memory (the default warmup is 10x the longer mean sojourn)"])
+                f"measured slots need {need / 2**30:.4g} GiB for the simulator's delay and backlog "
+                f"samples and the ingress a delay may reach back over ({live} replication(s) at "
+                f"once), more than the {memory / 2**30:.4g} GiB of physical memory (the default "
+                f"warmup is 10x the longer mean sojourn)"])
         return sim
 
 

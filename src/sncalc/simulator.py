@@ -18,14 +18,17 @@ arithmetic.  End-to-end measurements
 follow the cumulative-curve definitions: backlog B(t) = A(t) - D(t) and
 virtual delay W(t) = inf{d >= 0 : A(t - d) <= D(t)}.
 
-A replication touches only the curve rows it uses.  Arrivals are closed
-forms over the slots where a group's on-count changes, evaluated one chunk
-of slots at a time: only the ingress becomes a row.  The cross and total
-arrivals, C*t, the excess and the queue of a hop live in chunk-sized
-scratch, and D_total, the backlogs and the delay row are written only when
-asked for.  The validation statistics' one-sided
-Clopper-Pearson limit is computed here too, in numpy, so the package never
-imports scipy.
+A replication is streamed one chunk of slots at a time: the chunk's
+ingress is evaluated once, run through hop 1, hop 2, ... in turn, and each
+requested hop prefix's ingress and egress over the chunk go to that
+prefix's reduction, an accumulator such as :class:`Samples` or
+:class:`Exceedances`.  Arrivals are closed forms over the slots where a
+group's on-count changes.  The cross and total arrivals, C*t, the excess
+and the queue of a hop live in chunk-sized scratch, and every other curve
+is kept only from the first slot still read on, so beside the closed forms
+a replication holds only what its reductions keep, and each hop's curves
+when asked for.  The validation statistics' one-sided Clopper-Pearson
+limit is computed here too, in numpy, so the package never imports scipy.
 
 Randomness: every source draws from its own counter-based Philox stream
 keyed by (base_seed, replication, hop, source index), so adding sources,
@@ -51,10 +54,11 @@ __all__ = [
     "SimScenario",
     "SimResult",
     "ReplicationTrace",
-    "EndToEnd",
     "HopTrace",
     "ValidationReport",
     "stationary_on_state",
+    "Samples",
+    "Exceedances",
     "simulate_replication",
     "reduce_replications",
     "simulate_tandem",
@@ -117,8 +121,8 @@ class HopTrace(Record, eq=False):
 class ReplicationTrace(Record, eq=False):
     """One replication's curves and samples.
 
-    ingress           cumulative through arrivals at hop 1
-    egress            cumulative through departures from hop H
+    ingress           cumulative through arrivals at hop 1; None unless the hops are kept
+    egress            cumulative through departures from hop H; None unless the hops are kept
     delay_samples     int slots, one per measured slot; None when reduced
     backlog_samples   int bits, one per measured slot; None when reduced
     hops              HopTrace per hop when requested, else ()
@@ -205,8 +209,7 @@ class _Arrivals:
     arrivals are A(t) = peak (c_j + n_j t).  Both terms are integers below
     2**53, exact in float64, so A(t) is the product of the exact count and
     the peak rate.  Only x, c and n are stored, one entry per change of the
-    on-count; :meth:`fill` evaluates A over a window of slots and :meth:`at`
-    at any slots.
+    on-count; :meth:`fill` evaluates A over a window of slots.
     """
 
     def __init__(self, edges: np.ndarray, steps: np.ndarray, peak: float):
@@ -246,33 +249,13 @@ class _Arrivals:
         out *= self.peak
         return out
 
-    def fill_row(self, out: np.ndarray, work: "_Window") -> np.ndarray:
-        """A(0), ..., A(len(out) - 1) into ``out``, one chunk at a time."""
-        for i in range(0, len(out), _CHUNK):
-            stop = min(i + _CHUNK, len(out))
-            self.fill(i, work.window(i, stop).t, out[i:stop])
-        return out
 
-    def at(self, t: np.ndarray) -> np.ndarray:
-        """A at the int64 slot boundaries ``t``, each the same float as :meth:`fill` gives."""
-        seg = np.searchsorted(self.x, t, side="right")
-        seg -= 1
-        out = self.n[seg]
-        out *= t
-        out += self.c[seg]
-        out *= self.peak
-        return out
-
-
-# Slots per pass of a curve inversion.  A pass holds four arrays of a bit
-# more than this length (see _Window) and two temporaries of it: at 2**16
-# slots that was 2 MB, more than anything else a replication allocates
-# beside its curves, and it raised desk-validation's peak RSS by 0.8 MB.
+# Slots per chunk of the engine.  A chunk's window holds five arrays of a bit
+# more than this length (see _Window), each curve tail one more, and a hop
+# two temporaries of it: at 2**16 slots the window alone was 2 MB, more than
+# anything else a replication allocated beside its curves then, and it
+# raised desk-validation's peak RSS by 0.8 MB.
 _CHUNK = 1 << 14
-
-# Rows of a replication's float64 curve block, over warmup + measured + 1
-# slots; Scenario.build_sim_scenario sizes its memory guard by it.
-BLOCK_ROWS = 5
 
 
 class _Window:
@@ -280,10 +263,9 @@ class _Window:
     of a replication.
 
     After :meth:`window`, ``t`` holds the window's slot numbers as floats,
-    and ``a``, ``b`` and ``c`` are work arrays of the same length.  The
-    buffer is replaced only by a window longer than it, and then leaves
-    room for the FIFO split's reach back past its chunk (see
-    :func:`_hop_curves`).
+    and ``x``, ``a``, ``b`` and ``c`` are work arrays of the same length.
+    The buffer is replaced only by a window longer than it, and then leaves
+    room for the FIFO split's reach back past its chunk (see :class:`_Hop`).
     """
 
     def __init__(self):
@@ -296,14 +278,40 @@ class _Window:
             # back past their chunk, and 4461 at 14 + 14 sources (load 0.98)
             self._size = n + _CHUNK // 4
             # the old buffer and its views go before the larger one exists
-            self.t = self.a = self.b = self.c = self._buf = None
-            self._buf = np.empty((4, self._size))
+            self.t = self.x = self.a = self.b = self.c = self._buf = None
+            self._buf = np.empty((5, self._size))
             self._buf[0] = np.arange(self._size)
             self._start = 0
         self._buf[0] += start - self._start  # whole numbers below 2**53: exact
         self._start = start
-        self.t, self.a, self.b, self.c = self._buf[:, :n]
+        self.t, self.x, self.a, self.b, self.c = self._buf[:, :n]
         return self
+
+
+class _Tail:
+    """A cumulative curve over the slots [start, stop) that are still read,
+    extended one chunk at a time and cut from the front."""
+
+    def __init__(self):
+        self.start, self.values = 0, np.empty(0)
+
+    @property
+    def stop(self) -> int:
+        return self.start + len(self.values)
+
+    def since(self, slot: int) -> np.ndarray:
+        """The values of the slots [slot, stop)."""
+        return self.values[slot - self.start:]
+
+    def extend(self, n: int) -> np.ndarray:
+        """The next ``n`` slots, to be written into."""
+        kept = self.values
+        self.values = np.empty(len(kept) + n)
+        self.values[:len(kept)] = kept
+        return self.values[len(kept):]
+
+    def drop_before(self, slot: int) -> None:
+        self.values, self.start = self.since(slot), slot
 
 
 def _search_right(a: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -322,16 +330,15 @@ def _search_right(a: np.ndarray, keys: np.ndarray) -> np.ndarray:
 # queueing
 # ---------------------------------------------------------------------------
 
-def _hop_curves(thr_cum: np.ndarray, cross: _Arrivals, capacity: float, dep_cum: Optional[np.ndarray],
-                out: np.ndarray, work: _Window) -> float:
-    """FIFO work-conserving hop over cumulative through arrivals ``thr_cum``
-    and the closed-form cross arrivals ``cross``.
+class _Hop:
+    """FIFO work-conserving hop over cumulative through arrivals and the
+    closed-form cross arrivals ``cross``, stepped one chunk of slots at a time.
 
     Arrivals of slot s are served from slot s on, cross bits ahead of through
     bits.  With A = thr + cross and excess = A - C*t, the queue is excess -
     min.accumulate(excess) and the departures D = A - queue are exactly A at
     an empty queue.  There every through bit that arrived before t has left,
-    so D_through(t) = thr_cum(t).  At a busy slot, with e the first slot
+    so D_through(t) = thr(t).  At a busy slot, with e the first slot
     boundary where A(e) > D, all slots before e - 1 have left, and slot e - 1
     sends its cross bits before its through bits:
     D_through = clip(D - cross[e], thr[e - 1], thr[e]).  The search for e,
@@ -339,130 +346,179 @@ def _hop_curves(thr_cum: np.ndarray, cross: _Arrivals, capacity: float, dep_cum:
     cumulative curve.  A busy slot t has D(t) < A(t), so e <= t, and e is
     capped at t: that changes nothing exact, and where D(t) rounds to A(t)
     it keeps the answer from reading arrivals after t, so no result depends
-    on where the chunk boundaries fall.  Writes D_through into ``out``, and
-    D_total into ``dep_cum`` unless it is None.  Returns the largest queue,
-    0 when no slot is busy.
+    on where the chunk boundaries fall.
 
-    Everything runs one chunk of slots at a time in ``work``'s scratch: A,
-    C*t, the excess and the queue.  The cross arrivals come from their
-    closed form, over the chunk and at the busy slots' e, so neither A nor
-    the cross arrivals is ever a row.  D is nondecreasing, and so is e: D
-    is A at an idle slot and grows by C per busy slot.  So the search from a
-    chunk's slots starts at the chunk itself, or, when the slot before it
-    is busy, at that slot's e, and the window of A each chunk evaluates
-    reaches back only that far.
+    Each step runs in ``work``'s scratch: the cross arrivals, A, C*t, the
+    excess and the queue.  D is nondecreasing, and so is e: D is A at an
+    idle slot and grows by C per busy slot.  So the search from a chunk's
+    slots starts at the chunk itself, or, when the slot before it is busy,
+    at that slot's e.  That is ``start``, and the window of A a step
+    evaluates reaches back only that far; the through arrivals are read
+    from ``start - 1`` on.  ``run_min`` and ``start`` carry from chunk to
+    chunk, and ``max_queue`` is the largest queue so far, 0 while no slot
+    has been busy.  With ``slots``, the hop's curves over that many slots
+    are kept as rows of ``rows``: A, D, thr, D_through and the cross
+    arrivals.
     """
-    run_min, max_queue = math.inf, 0.0
-    e_last = None  # e of the slot before the chunk, when that slot is busy
-    for i in range(0, len(out), _CHUNK):
-        stop = min(i + _CHUNK, len(out))
-        start = i if e_last is None else e_last
+
+    def __init__(self, cross: _Arrivals, capacity: float, slots: Optional[int] = None):
+        self.cross, self.capacity = cross, capacity
+        self.rows = None if slots is None else np.empty((5, slots))
+        self.run_min, self.max_queue, self.start = math.inf, 0.0, 0
+
+    def step(self, thr: _Tail, out: np.ndarray, work: _Window) -> None:
+        """D_through of the slots [thr.stop - len(out), thr.stop) into ``out``."""
+        stop, start = thr.stop, self.start
+        i = stop - len(out)
         w, k = work.window(start, stop), i - start  # the chunk is w's slots from k on
-        arr = cross.fill(start, w.t, w.a)
-        arr += thr_cum[start:stop]
-        np.copyto(out[i:stop], thr_cum[i:stop])
+        cross = self.cross.fill(start, w.t, w.x)
+        arr = np.add(cross, thr.since(start), out=w.a)
+        np.copyto(out, thr.since(i))
         # C*t as an exact float ramp times C
-        excess = np.multiply(w.t[k:], capacity, out=w.b[k:])
+        excess = np.multiply(w.t[k:], self.capacity, out=w.b[k:])
         np.subtract(arr[k:], excess, out=excess)
         low = np.minimum.accumulate(excess, out=w.c[k:])
-        np.minimum(low, run_min, out=low)
-        run_min = low[-1]
+        np.minimum(low, self.run_min, out=low)
+        self.run_min = low[-1]
         queue = np.subtract(excess, low, out=low)
-        if dep_cum is not None:
-            np.subtract(arr[k:], queue, out=dep_cum[i:stop])
-        e_last = None
+        self.start = stop
         at = np.flatnonzero(queue > 0)
-        if not len(at):
-            continue
-        dep = queue[at]
-        max_queue = max(max_queue, float(dep.max()))
-        at += k  # the busy slots' places in the window
-        np.subtract(arr[at], dep, out=dep)
-        e = _search_right(arr, dep)
-        np.minimum(e, at, out=e)
-        e += start
-        dep -= cross.at(e)
-        out[at + start] = np.clip(dep, thr_cum[e - 1], thr_cum[e], out=dep)
-        if at[-1] == stop - 1 - start:
-            e_last = int(e[-1])
-    return max_queue
+        if len(at):
+            dep = queue[at]
+            self.max_queue = max(self.max_queue, float(dep.max()))
+            at += k  # the busy slots' places in the window
+            np.subtract(arr[at], dep, out=dep)
+            e = _search_right(arr, dep)
+            np.minimum(e, at, out=e)
+            dep -= cross[e]
+            e += start - thr.start  # now places in thr.values
+            out[at - k] = np.clip(dep, thr.values[e - 1], thr.values[e], out=dep)
+            if at[-1] == len(arr) - 1:
+                self.start = thr.start + int(e[-1])
+        if self.rows is not None:
+            rows = self.rows[:, i:stop]
+            rows[0], rows[2], rows[3], rows[4] = arr[k:], thr.since(i), out, cross[k:]
+            np.subtract(arr[k:], queue, out=rows[1])
+
+    def trace(self) -> "HopTrace":
+        arr, dep, thr, dep_thr, cross = self.rows
+        return HopTrace(arr, dep, thr, dep_thr, np.diff(thr), np.diff(cross))
 
 
-class EndToEnd:
-    """End-to-end view of one hop prefix of a replication, given to its reduction.
+def _tandem(through: _Arrivals, hops: list, slots: int, reductions: dict, work: _Window):
+    """Run ``through`` over ``slots`` slot boundaries through ``hops`` one
+    chunk of slots at a time; a generator that yields after each chunk.
 
-    ``ingress`` and ``egress`` are the cumulative through arrivals at hop 1
-    and through departures from the prefix's last hop, over slots 0..T; the
-    measured slots are warmup + 1..T.  Slot t has backlog ingress[t] -
-    egress[t] and delay t - s, at least 0, with s the last slot where
-    ingress[s] <= egress[t].  The exceedance counts read only ``ingress``
-    and ``egress``, a chunk at a time; :meth:`samples` writes the backlogs
-    into ``scratch`` and the delays into ``index``.  Every array here is a
-    row of the replication's curve block that the next hop overwrites, so a
-    reduction must not keep the view or the arrays it returns.
+    A chunk evaluates the ingress once from its closed form, then runs
+    through hop 1, hop 2, ... in turn: each hop's through departures are the
+    next hop's through arrivals.  After hop h, ``reductions[h]``, if there
+    is one, gets ``add(lo, ingress, egress)``: the ingress over the slots
+    [lo, stop) and the egress of that h-hop prefix over the chunk's slots,
+    where lo, 0 at the first chunk, is the first slot whose ingress exceeds
+    the prefix's egress at the slot before the chunk.  So every ingress
+    value before lo is at most the chunk's first egress value, and no delay
+    in the chunk reaches back past lo.  Both arrays are scratch that the
+    next chunk replaces.  Each curve is kept only from the first slot still
+    read on: a hop's input from its ``start - 1``, and the ingress from
+    there or the smallest lo.
+    """
+    tails = [_Tail() for _ in range(len(hops) + 1)]  # the ingress, then each hop's D_through
+    reach = dict.fromkeys(reductions, 0)
+    for i in range(0, slots, _CHUNK):
+        stop = min(i + _CHUNK, slots)
+        through.fill(i, work.window(i, stop).t, tails[0].extend(stop - i))
+        for h, hop in enumerate(hops, 1):
+            egress = tails[h].extend(stop - i)
+            hop.step(tails[h - 1], egress, work)
+            if h > 1:
+                tails[h - 1].drop_before(hop.start - 1)
+            if h in reductions:
+                ingress = tails[0].since(reach[h])
+                reductions[h].add(reach[h], ingress, egress)
+                reach[h] += int(np.searchsorted(ingress, egress[-1], side="right"))
+        tails[0].drop_before(min(hops[0].start - 1, *reach.values()))
+        tails[-1].drop_before(stop)
+        yield
+
+
+# ---------------------------------------------------------------------------
+# reductions
+# ---------------------------------------------------------------------------
+
+class Samples:
+    """Reduction of one hop prefix to its delay (int slots) and backlog (bits)
+    samples, one per measured slot, passed to ``finish`` when one is given.
+
+    Slot t has backlog ingress(t) - egress(t) and delay t + 1 - r, with r
+    the number of ingress values at most egress(t), floored at 0.  A delay
+    is at least 1 exactly when the backlog is positive, so the delays invert
+    the ingress only at those slots, and are 0 elsewhere.  The search for r
+    is exact because the ingress is a nondecreasing cumulative curve.
     """
 
-    def __init__(self, ingress: np.ndarray, egress: np.ndarray, warmup: int, index: np.ndarray,
-                 scratch: np.ndarray):
-        self.ingress, self.egress, self.warmup = ingress, egress, warmup
-        self._index, self._scratch = index, scratch
+    def __init__(self, warmup: int, total: int, finish=None):
+        self.first, self.finish = warmup + 1, finish
+        self.delays = np.zeros(total - warmup, dtype=np.int64)
+        self.backlogs = np.empty(total - warmup)
 
-    @property
-    def measured_slots(self) -> int:
-        return len(self.egress) - 1 - self.warmup
+    def add(self, lo: int, ingress: np.ndarray, egress: np.ndarray) -> None:
+        stop = lo + len(ingress)
+        start = max(stop - len(egress), self.first)
+        if start >= stop:
+            return
+        egress = egress[len(egress) - (stop - start):]
+        backlogs = np.subtract(ingress[start - lo:], egress,
+                               out=self.backlogs[start - self.first:stop - self.first])
+        at = np.flatnonzero(backlogs > 0)
+        if len(at):
+            # slot t = start + position has delay t + 1 - lo - (values of ``ingress`` <= egress[t])
+            found = _search_right(ingress, egress[at])
+            self.delays[at + (start - self.first)] = at + (start + 1 - lo) - found
 
-    def samples(self) -> tuple:
-        """Delay (int slots) and backlog (bits) samples of the measured slots.
+    def result(self):
+        samples = (self.delays, self.backlogs)
+        return samples if self.finish is None else self.finish(*samples)
 
-        A delay is at least 1 exactly when the backlog is positive, so the
-        delays invert the ingress only at those slots, and are 0 elsewhere.
-        The search for s is exact because the ingress is a nondecreasing
-        cumulative curve.
-        """
-        w = self.warmup + 1
-        backlogs = np.subtract(self.ingress[w:], self.egress[w:], out=self._scratch[w:])
-        egress = self.egress[w:]
-        delays = self._index[w:]
-        delays.fill(0)
-        for i in range(0, len(delays), _CHUNK):
-            at = np.flatnonzero(backlogs[i:i + _CHUNK] > 0)
-            if not len(at):
-                continue
-            at += i
-            # slot t = w + position has delay t + 1 - (ingress values <= egress[t])
-            found = _search_right(self.ingress, egress[at])
-            delays[at] = at + (w + 1) - found
-        return delays, backlogs
 
-    def delay_exceedances(self, threshold: float) -> int:
-        """Measured slots whose delay exceeds ``threshold``, without inverting the ingress.
+class Exceedances:
+    """Reduction of one hop prefix to the number of measured slots whose
+    delay or backlog exceeds each (kind, threshold) of ``thresholds``, in
+    order, without samples.
 
-        Delays are whole slots, so for d >= 0, delay(t) > d exactly when
-        delay(t) >= k = floor(d) + 1, that is when fewer than t + 2 - k
-        ingress values are at most egress[t]: ingress[t + 1 - k] > egress[t],
-        which no slot t < k - 1 meets.  Every delay exceeds a negative
-        threshold; none exceeds +inf or NaN.
-        """
-        if not threshold < math.inf:  # +inf or NaN
-            return 0
-        if threshold < 0:
-            return self.measured_slots
-        k = math.floor(threshold) + 1
-        count = 0
-        for i in range(max(self.warmup + 1, k - 1), len(self.egress), _CHUNK):
-            stop = min(i + _CHUNK, len(self.egress))
-            count += int(np.count_nonzero(self.ingress[i + 1 - k:stop + 1 - k] > self.egress[i:stop]))
-        return count
+    Delays are whole slots, so for d >= 0, delay(t) > d exactly when
+    delay(t) >= k = floor(d) + 1, that is when fewer than t + 2 - k ingress
+    values are at most egress(t): ingress(t + 1 - k) > egress(t).  That
+    fails wherever t + 1 - k is before the chunk's lo (see :func:`_tandem`).
+    Every delay exceeds a negative threshold; none exceeds +inf or NaN.
+    """
 
-    def backlog_exceedances(self, threshold: float) -> int:
-        """Measured slots whose backlog exceeds ``threshold``, counted one
-        chunk at a time without a backlog row."""
-        count, buf = 0, np.empty(min(_CHUNK, self.measured_slots))
-        for i in range(self.warmup + 1, len(self.egress), _CHUNK):
-            stop = min(i + _CHUNK, len(self.egress))
-            backlogs = np.subtract(self.ingress[i:stop], self.egress[i:stop], out=buf[:stop - i])
-            count += int(np.count_nonzero(backlogs > threshold))
-        return count
+    def __init__(self, thresholds: tuple, warmup: int, total: int):
+        self.first, self.thresholds = warmup + 1, thresholds
+        self.counts = [0] * len(thresholds)
+
+    def add(self, lo: int, ingress: np.ndarray, egress: np.ndarray) -> None:
+        stop = lo + len(ingress)
+        start = max(stop - len(egress), self.first)
+        if start >= stop:
+            return
+        egress = egress[len(egress) - (stop - start):]
+        backlogs = None
+        for j, (kind, threshold) in enumerate(self.thresholds):
+            if kind != "delay":
+                if backlogs is None:
+                    backlogs = np.subtract(ingress[start - lo:], egress)
+                self.counts[j] += int(np.count_nonzero(backlogs > threshold))
+            elif threshold < 0:
+                self.counts[j] += stop - start
+            elif threshold < math.inf:  # not +inf or NaN
+                k = math.floor(threshold) + 1
+                first = max(start, lo + k - 1)
+                if first < stop:
+                    shifted = ingress[first + 1 - k - lo:stop + 1 - k - lo]
+                    self.counts[j] += int(np.count_nonzero(shifted > egress[first - start:]))
+
+    def result(self) -> tuple:
+        return tuple(self.counts)
 
 
 def simulate_replication(scenario: SimScenario, replication: int, keep_hops: bool = False,
@@ -471,53 +527,39 @@ def simulate_replication(scenario: SimScenario, replication: int, keep_hops: boo
 
     Every source stream is keyed by its own hop, so the first h hops of this
     run are bit-identical to an h-hop run.  ``reduce`` maps hop counts
-    h <= ``scenario.hops`` to functions of that h-hop prefix's
-    :class:`EndToEnd` view.  Each is called as soon as hop h is done and its
-    result goes to the trace's ``reduced[h]``; the trace then holds no
-    samples.  The view's arrays are rows that the next hop overwrites, so a
-    reduction must not keep them.  Without ``reduce`` the trace holds the
-    samples of all ``scenario.hops`` hops.
+    h <= ``scenario.hops`` to factories of that h-hop prefix's reduction,
+    such as :class:`Samples` and :class:`Exceedances`: each is called as
+    ``reduce[h](warmup, total)`` for a fresh accumulator, which gets every
+    chunk of slots through ``add`` (see :func:`_tandem`), and its
+    ``result()`` goes to the trace's ``reduced[h]``; the trace then holds no
+    samples.  Without ``reduce`` the trace holds the samples of all
+    ``scenario.hops`` hops.  Only closed forms, chunk-sized scratch and what
+    the reductions keep live over the whole run; ``keep_hops`` adds each
+    hop's curves, and the ingress and egress with them.
     """
     warmup = scenario.resolved_warmup()
     total = warmup + scenario.measure_slots
-    # Every curve is a row of one block, so no curve-sized array is freed per hop:
-    # freed ones left the heap, and peak memory, different from run to run.
-    # Arrivals are closed forms, never rows.  The last two rows hold the
-    # backlog samples and the int64 delays when samples are taken, and the
-    # last one D_total when the hops are kept, so validate's counts touch
-    # only the ingress and the two through rows.
-    block = np.empty((BLOCK_ROWS, total + 1))
-    ingress, *through, scratch, spare = block
-    index = spare.view(np.int64)
-    dep_cum = spare if keep_hops else None
-    work = _Window()
-    through_arrivals = _Arrivals.of_sources(scenario, replication, 0, scenario.through_count, total)
-    thr_cum = through_arrivals.fill_row(ingress, work)
-    hop_traces, reduced = [], {}
-    for hop in range(1, scenario.hops + 1):
-        cross = _Arrivals.of_sources(scenario, replication, hop, scenario.cross_count, total)
-        dep_thr = through[hop % 2]  # the row that thr_cum is not
-        max_queue = _hop_curves(thr_cum, cross, scenario.capacity_per_slot, dep_cum, dep_thr, work)
-        if max_queue > scenario.backlog_guard_bits:
-            raise StabilityError(f"hop {hop} queue reached {max_queue:.3g} bits (guard "
-                                 f"{scenario.backlog_guard_bits:.3g}); offered load "
-                                 f"utilization is {scenario.utilization():.3f}")
-        if keep_hops:
-            cross_cum = cross.fill_row(np.empty(total + 1), work)
-            hop_traces.append(HopTrace(thr_cum + cross_cum, dep_cum.copy(), thr_cum.copy(), dep_thr.copy(),
-                                       np.diff(thr_cum), np.diff(cross_cum)))
-        thr_cum = dep_thr
-        if reduce is not None and hop in reduce:
-            reduced[hop] = reduce[hop](EndToEnd(ingress, thr_cum, warmup, index, scratch))
-
-    delays, backlogs = ((None, None) if reduce is not None
-                        else EndToEnd(ingress, thr_cum, warmup, index, scratch).samples())
+    hop_range, samples = range(1, scenario.hops + 1), reduce is None
+    reduce = {scenario.hops: Samples} if samples else reduce
+    accumulators = {h: make(warmup, total) for h, make in reduce.items() if h in hop_range}
+    through = _Arrivals.of_sources(scenario, replication, 0, scenario.through_count, total)
+    hops = [_Hop(_Arrivals.of_sources(scenario, replication, h, scenario.cross_count, total),
+                 scenario.capacity_per_slot, total + 1 if keep_hops else None) for h in hop_range]
+    for _ in _tandem(through, hops, total + 1, accumulators, _Window()):
+        for h, hop in enumerate(hops, 1):
+            if hop.max_queue > scenario.backlog_guard_bits:
+                raise StabilityError(f"hop {h} queue reached {hop.max_queue:.3g} bits (guard "
+                                     f"{scenario.backlog_guard_bits:.3g}); offered load "
+                                     f"utilization is {scenario.utilization():.3f}")
+    reduced = {h: acc.result() for h, acc in accumulators.items()}
+    delays, backlogs = reduced.pop(scenario.hops) if samples else (None, None)
+    hop_traces = tuple(hop.trace() for hop in hops) if keep_hops else ()
     return ReplicationTrace(
-        ingress=ingress,
-        egress=thr_cum,
+        ingress=hop_traces[0].arrivals_through if keep_hops else None,
+        egress=hop_traces[-1].departures_through if keep_hops else None,
         delay_samples=delays,
         backlog_samples=backlogs,
-        hops=tuple(hop_traces),
+        hops=hop_traces,
         reduced=reduced,
     )
 
@@ -530,8 +572,8 @@ def reduce_replications(scenario: SimScenario, reduce: dict, jobs: int = 1):
     """Each replication's ``reduced`` (see :func:`simulate_replication`), in
     replication order, from ``jobs`` worker processes when above 1.
 
-    A generator: one replication's samples are live per worker, and the
-    caller holds only what the reductions return.  ``reduce`` and its
+    A generator: one replication is live per worker, and the caller holds
+    only what the reductions return.  ``reduce``'s factories and their
     results cross process boundaries, so they must pickle.  Raises
     :class:`StabilityError` when the offered load exceeds the capacity
     (utilization > 1) or a queue outgrows the configured guard.
@@ -574,7 +616,7 @@ def simulate_tandem(scenario: SimScenario, jobs: int = 1) -> SimResult:
     n, k, h = scenario.replications, scenario.measure_slots, scenario.hops
     delays, backlogs = np.empty(n * k, dtype=np.int64), np.empty(n * k)
     # filled one replication at a time, so no second copy of the samples is held
-    for r, reduced in enumerate(reduce_replications(scenario, {h: EndToEnd.samples}, jobs)):
+    for r, reduced in enumerate(reduce_replications(scenario, {h: Samples}, jobs)):
         delays[r * k:(r + 1) * k], backlogs[r * k:(r + 1) * k] = reduced[h]
     seeds = tuple((scenario.base_seed, r) for r in range(n))
     return SimResult(

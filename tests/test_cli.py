@@ -14,7 +14,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import sncalc.cli as cli
 import sncalc.scenario as scenario
-import sncalc.simulator as simulator
 from sncalc.cli import EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE, EXIT_VALIDATION, main
 from sncalc.scenario import CSV_HEADER, parse_scenario_file, resolve_scenario_path
 from sncalc.simulator import simulate_tandem, validate_samples
@@ -320,10 +319,11 @@ class TestSimulate:
         assert "error: " in out.stderr and "sim.warmup_slots/sim.measure_slots" in out.stderr
 
     def test_memory_guard_counts_one_block_per_live_replication(self, capsys, tiny, monkeypatch):
-        # a block is BLOCK_ROWS float64 curves over 100 warmup + 8000
-        # measured + 1 slots; --jobs 4 holds both of the 2 replications'
-        # blocks at once
-        block = 8 * simulator.BLOCK_ROWS * (100 + 8000 + 1)
+        # a replication is sized by sample mode: int64 delays and float64
+        # backlogs over 8000 measured slots, and an ingress history over
+        # 100 warmup + 8000 measured + 1 slots; --jobs 4 holds both of the 2
+        # replications at once
+        block = 16 * 8000 + 8 * (100 + 8000 + 1)
         monkeypatch.setattr(scenario, "_physical_memory", lambda: block)
         code, out, _ = run_cli(capsys, "simulate", "--scenario", tiny, "--jobs", "1")
         assert code == EXIT_OK and len(parse_rows(out)) == 4

@@ -1,3 +1,4 @@
+import collections
 import math
 import re
 import tracemalloc
@@ -17,8 +18,8 @@ from sncalc import (
     validate_samples,
 )
 from sncalc import simulator
-from sncalc.simulator import (EndToEnd, _Arrivals, _hop_curves, _on_runs, _search_right, _source_rng,
-                              _Window, stationary_on_state, validate_exceedances)
+from sncalc.simulator import (Exceedances, HopTrace, Samples, _Arrivals, _Hop, _on_runs, _search_right,
+                              _source_rng, _tandem, _Window, stationary_on_state, validate_exceedances)
 from helpers import (ReferenceTandem, mmoo_source_step, reference_arrival_curve, reference_curves,
                      reference_on_counts, virtual_delays)
 
@@ -216,7 +217,7 @@ class TestHopPrefixes:
         # one 3-hop pass reduces each hop prefix; every prefix must be the
         # h-hop run bit for bit, since source streams are keyed by hop
         sc = small_scenario(hops=3, capacity_per_slot=30.0, replications=3)
-        keep = dict.fromkeys((1, 2, 3), lambda e2e: tuple(s.copy() for s in e2e.samples()))
+        keep = dict.fromkeys((1, 2, 3), Samples)
         for r in range(sc.replications):
             trace = simulate_replication(sc, r, reduce=keep)
             assert trace.delay_samples is None and trace.backlog_samples is None
@@ -230,7 +231,7 @@ class TestHopPrefixes:
 
     def test_reductions_only_at_requested_prefixes(self):
         sc = small_scenario(hops=3)
-        trace = simulate_replication(sc, 0, reduce={2: lambda e2e: e2e.measured_slots})
+        trace = simulate_replication(sc, 0, reduce={2: partial(Samples, finish=lambda d, b: len(d))})
         assert trace.reduced == {2: sc.measure_slots}
 
 
@@ -490,9 +491,12 @@ def test_closed_form_arrivals_equal_the_row_construction(count, total, rates, pe
                            source=params, measure_slots=total, warmup_slots=0, base_seed=seed)
     expected = reference_arrival_curve(reference_on_counts(seed, 0, 1, count, params, total), peak)
     arrivals, work = _Arrivals.of_sources(scenario, 0, 1, count, total), _Window()
+    row = np.full(total + 1, np.nan)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulator, "_CHUNK", chunk)
-        row = arrivals.fill_row(np.full(total + 1, np.nan), work)
+        for i in range(0, total + 1, chunk):  # one chunk at a time, as the engine evaluates the ingress
+            stop = min(i + chunk, total + 1)
+            arrivals.fill(i, work.window(i, stop).t, row[i:stop])
     assert np.array_equal(row, expected)
     # windows anywhere, and single slots, as the FIFO split evaluates them
     for _ in range(3):
@@ -500,29 +504,30 @@ def test_closed_form_arrivals_equal_the_row_construction(count, total, rates, pe
         stop = data.draw(st.integers(start + 1, total + 1))
         got = arrivals.fill(start, work.window(start, stop).t, np.full(stop - start, np.nan))
         assert np.array_equal(got, expected[start:stop])
-    at = np.array(data.draw(st.lists(st.integers(0, total), min_size=1, max_size=20)))
-    assert np.array_equal(arrivals.at(at), expected[at])
+    for s in data.draw(st.lists(st.integers(0, total), min_size=1, max_size=20)):
+        assert arrivals.fill(s, work.window(s, s + 1).t, np.full(1, np.nan))[0] == expected[s]
 
 
-def test_validate_replication_allocates_less_than_a_row_beyond_its_block():
-    # validate's reductions count exceedances on the ingress and egress rows,
-    # so beside the curve block a replication allocates only closed forms and
-    # chunk scratch: no cross, total-arrival or backlog row and no row-sized
-    # temporary
-    from sncalc.cli import _exceedances
-
+def _validate_peak(measure_slots):
+    """tracemalloc's peak over one replication that counts validate's exceedances."""
     sc = SimScenario(hops=2, capacity_per_slot=732.0, through_count=10, cross_count=10,
-                     source=VOICE, measure_slots=200_000, warmup_slots=6000, base_seed=5)
-    row = 8 * (sc.warmup_slots + sc.measure_slots + 1)
-    reduce = dict.fromkeys((1, 2), partial(_exceedances, (("delay", 10.0), ("backlog", 2000.0))))
+                     source=VOICE, measure_slots=measure_slots, warmup_slots=6000, base_seed=5)
+    reduce = dict.fromkeys((1, 2), partial(Exceedances, (("delay", 10.0), ("backlog", 2000.0))))
     simulate_replication(sc, 0, reduce=reduce)  # lazy imports and caches first
     tracemalloc.start()
     try:
         simulate_replication(sc, 0, reduce=reduce)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - simulator.BLOCK_ROWS * row < row
+
+
+def test_validate_replication_memory_grows_by_less_than_4_bytes_a_slot():
+    # validate's counts stream each chunk through the hops and keep no curve
+    # row: what grows with the horizon is only the closed-form arrivals, one
+    # entry per change of a group's on-count (a curve row is 8 B a slot)
+    growth = _validate_peak(2_000_000) - _validate_peak(200_000)
+    assert growth < 4 * 1_800_000
 
 
 # ---------------------------------------------------------------------------
@@ -569,9 +574,9 @@ def _closed_form(counts, peak):
 
 
 def _curves(thr_counts, cross_counts, peak):
-    """The through curve as a row (index = slot boundary), as the simulator
-    keeps it, and the cross arrivals both as a row, for the oracles, and in
-    closed form, for :func:`_hop_curves`."""
+    """The through curve as a row (index = slot boundary), and the cross
+    arrivals both as a row, for the oracles, and in closed form, for
+    :class:`_Hop`."""
     return (reference_arrival_curve(thr_counts, peak), reference_arrival_curve(cross_counts, peak),
             _closed_form(cross_counts, peak))
 
@@ -589,12 +594,57 @@ def _split_every_slot(thr, cross, capacity):
     return queue, dep, np.clip(dep - cross[e], thr[e - 1], thr[e])
 
 
+class _Row:
+    """A cumulative curve given as a row, with the ``fill`` of :class:`_Arrivals`."""
+
+    def __init__(self, row):
+        self.row = row
+
+    def fill(self, start, t, out):
+        out[:] = self.row[start:start + len(out)]
+        return out
+
+
+class _Egress:
+    """A reduction to its prefix's egress over every slot."""
+
+    def __init__(self, warmup=0, total=0):
+        self.parts = []
+
+    def add(self, lo, ingress, egress):
+        self.parts.append(egress.copy())
+
+    def result(self):
+        return np.concatenate(self.parts)
+
+
+class _Both:
+    """A reduction that hands every chunk to each of ``reductions``."""
+
+    def __init__(self, *reductions):
+        self.reductions = reductions
+
+    def add(self, *chunk):
+        for r in self.reductions:
+            r.add(*chunk)
+
+    def result(self):
+        return tuple(r.result() for r in self.reductions)
+
+
+def _run(thr, hops, reductions):
+    """The engine over the through curve ``thr``, given as a row, and ``hops``:
+    each reduction's result."""
+    collections.deque(_tandem(_Row(thr), hops, len(thr), reductions, _Window()), maxlen=0)
+    return {h: r.result() for h, r in reductions.items()}
+
+
 def _split(thr, cross, capacity, keep):
-    """:func:`_hop_curves`' largest queue, D_total (NaN unless ``keep``) and
-    D_through."""
-    dep, out = (np.full(len(thr), np.nan) for _ in range(2))
-    max_queue = _hop_curves(thr, cross, capacity, dep if keep else None, out, _Window())
-    return max_queue, dep, out
+    """The engine's largest queue, D_total (NaN unless ``keep``) and
+    D_through over one hop."""
+    hop = _Hop(cross, capacity, len(thr) if keep else None)
+    out = _run(thr, [hop], {1: _Egress()})[1]
+    return hop.max_queue, hop.rows[1] if keep else np.full(len(thr), np.nan), out
 
 
 # 2**16 + 3 slots: several full chunks and a short one, which at load 1.5
@@ -656,6 +706,40 @@ def test_hop_split_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
     assert np.all(got[2] <= thr)
 
 
+@pytest.mark.parametrize("load", [0.7, 0.98])
+def test_replication_does_not_depend_on_the_chunk_size(monkeypatch, load):
+    # the whole chain, one chunk at a time through every hop: exceedance
+    # counts, samples and kept curves of each prefix of a 3-hop run, with
+    # chunks of 7 slots (every busy period crosses chunk edges), of 2**14
+    # (the engine's) and of 2**17 (one chunk); at load 0.98 a busy period
+    # spans both 2**14-slot chunk edges at every hop
+    source = MmooParams(peak_rate=8.0, r_on_off=0.05, r_off_on=0.08)
+    sc = SimScenario(hops=3, capacity_per_slot=8 * source.mean_rate / load, through_count=4,
+                     cross_count=4, source=source, measure_slots=33_000, warmup_slots=100, base_seed=0)
+    checks = (("delay", 0.0), ("delay", 2.5), ("delay", 30.0), ("backlog", 0.0), ("backlog", 40.0))
+
+    def counts_and_samples(warmup, total):
+        return _Both(Exceedances(checks, warmup, total), Samples(warmup, total))
+
+    runs, reduce = {}, dict.fromkeys((1, 2, 3), counts_and_samples)
+    for chunk in (7, 1 << 14, 1 << 17):
+        monkeypatch.setattr(simulator, "_CHUNK", chunk)
+        runs[chunk] = simulate_replication(sc, 0, keep_hops=True, reduce=reduce)
+    if load == 0.98:
+        for hop in runs[1 << 14].hops:
+            queue = hop.arrivals_total - hop.departures_total
+            assert all(queue[edge - 1] > 0 and queue[edge] > 0 for edge in (1 << 14, 2 << 14))
+    expected = runs.pop(1 << 14)
+    assert all(expected.reduced[h][0][1] > 0 for h in (1, 2, 3))
+    for run in runs.values():
+        for h in (1, 2, 3):
+            (counts, samples), (expected_counts, expected_samples) = run.reduced[h], expected.reduced[h]
+            assert counts == expected_counts
+            assert all(np.array_equal(a, b) for a, b in zip(samples, expected_samples))
+        for hop, expected_hop in zip(run.hops, expected.hops):
+            assert all(np.array_equal(getattr(hop, f), getattr(expected_hop, f)) for f in HopTrace.__slots__)
+
+
 def test_hop_split_when_the_queue_drains_in_the_last_slot():
     # 5 bits in slot 0 against a capacity of 4: one bit waits and leaves in
     # slot 1, the last one
@@ -685,15 +769,12 @@ def test_busy_period_across_chunk_boundaries(start, busy_slots):
     through[start] += burst - burst // 2
     ingress, egress, dep_thr, arr_tot, dep_tot = reference_curves(through, crosses, 3.0)
     thr_cum = np.concatenate([[0.0], np.cumsum(through)])
-    for h, cross in enumerate(crosses):
-        dep, out = (np.full(total + 1, np.nan) for _ in range(2))
-        _hop_curves(thr_cum, _closed_form(cross, 1.0), 3.0, dep, out, _Window())
-        assert np.array_equal(dep, dep_tot[h])
-        assert np.array_equal(out, dep_thr[h])
-        thr_cum = out
+    hops = [_Hop(_closed_form(cross, 1.0), 3.0, total + 1) for cross in crosses]
+    delays, backlogs = _run(thr_cum, hops, {2: Samples(0, total)})[2]
+    for h, hop in enumerate(hops):
+        assert np.array_equal(hop.rows[1], dep_tot[h])
+        assert np.array_equal(hop.rows[3], dep_thr[h])
     assert np.count_nonzero(arr_tot[0] - dep_tot[0]) == busy_slots
-    e2e = EndToEnd(ingress, thr_cum, 0, np.empty(total + 1, dtype=np.int64), np.empty(total + 1))
-    delays, backlogs = e2e.samples()
     t = np.arange(1, total + 1)
     assert np.array_equal(backlogs, ingress[t] - egress[t])
     # delays of thousands of slots, too long for virtual_delays' scan
@@ -728,8 +809,7 @@ def test_delays_equal_every_slot_search(slots, loads, capacity, seed, peak, warm
     ingress, _, cross = _curves(*_hop_input(slots + warmup, loads, capacity, peak, seed), peak)
     egress = _split(ingress, cross, capacity, False)[2]
     n = len(ingress)
-    e2e = EndToEnd(ingress, egress, warmup, np.full(n, -7, dtype=np.int64), np.full(n, np.nan))
-    delays, backlogs = e2e.samples()
+    delays, backlogs = _run(ingress, [_Hop(cross, capacity)], {1: Samples(warmup, n - 1)})[1]
     t = np.arange(warmup + 1, n)
     assert np.array_equal(backlogs, ingress[t] - egress[t])
     every_slot = np.maximum(t + 1 - np.searchsorted(ingress, egress[t], side="right"), 0)
@@ -781,23 +861,23 @@ def _thresholds(draw, samples, horizon):
 def test_curve_counts_equal_sample_counts(cfg, warmup, data):
     sc = _build(cfg).replace(warmup_slots=warmup)
     hops = range(1, sc.hops + 1)
-    kept = simulate_replication(sc, 0, reduce=dict.fromkeys(
-        hops, lambda e2e: tuple(s.copy() for s in e2e.samples()))).reduced
+    kept = simulate_replication(sc, 0, reduce=dict.fromkeys(hops, Samples)).reduced
     horizon = float(warmup + sc.measure_slots)
     thresholds = {h: (_thresholds(data.draw, kept[h][0], horizon),
                       _thresholds(data.draw, kept[h][1], horizon)) for h in hops}
 
-    def counts_then_samples(h, e2e):
+    def counts_and_samples(h, warmup, total):
         delay_t, backlog_t = thresholds[h]
-        counts = ([e2e.delay_exceedances(t) for t in delay_t],
-                  [e2e.backlog_exceedances(t) for t in backlog_t])
-        return counts, tuple(s.copy() for s in e2e.samples())
+        checks = tuple(("delay", t) for t in delay_t) + tuple(("backlog", t) for t in backlog_t)
+        return _Both(Exceedances(checks, warmup, total), Samples(warmup, total))
 
-    trace = simulate_replication(sc, 0, reduce={h: partial(counts_then_samples, h) for h in hops})
+    trace = simulate_replication(sc, 0, reduce={h: partial(counts_and_samples, h) for h in hops})
     for h in hops:
-        (delay_counts, backlog_counts), samples = trace.reduced[h]
+        counts, samples = trace.reduced[h]
+        delay_counts = list(counts[:len(thresholds[h][0])])
+        backlog_counts = list(counts[len(thresholds[h][0]):])
         delays, backlogs = kept[h]
         assert delay_counts == [int(np.count_nonzero(delays > t)) for t in thresholds[h][0]]
         assert backlog_counts == [int(np.count_nonzero(backlogs > t)) for t in thresholds[h][1]]
-        # counting leaves the samples as they were
+        # counting in the same pass leaves the chunks, and so the samples, as they were
         assert np.array_equal(samples[0], delays) and np.array_equal(samples[1], backlogs)
