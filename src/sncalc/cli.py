@@ -200,15 +200,17 @@ def _bound_rows(sc: Scenario, args, flow_points) -> tuple:
     return rows, flagged
 
 
-def _replications(sc: Scenario, args, n: int, m: int, reduce: dict):
+def _replications(sc: Scenario, args, n: int, m: int, reduce: dict, sample_prefixes: int = 0):
     """Run max(H) hops once per replication and reduce each hop count H's
     end-to-end curves with a ``reduce[H]`` accumulator (see
-    ``simulate_replication``).  Returns the SimScenario and a generator of
+    ``simulate_replication``), ``sample_prefixes`` of which may keep as much
+    as their samples.  Returns the SimScenario and a generator of
     per-replication ``{H: result}``.
     """
     from .simulator import reduce_replications
 
-    sim = sc.build_sim_scenario(max(reduce), n, m, base_seed=args.seed, jobs=args.jobs)
+    sim = sc.build_sim_scenario(max(reduce), n, m, base_seed=args.seed, jobs=args.jobs,
+                                sample_prefixes=sample_prefixes)
     _log(args, f"simulating H={','.join(map(str, reduce))} in one {sim.hops}-hop pass: "
                f"{sim.replications} x {sim.measure_slots} slots "
                f"(utilization {sim.utilization():.3f})")
@@ -239,27 +241,21 @@ def _cmd_bound(sc: Scenario, args) -> int:
     return EXIT_UNSTABLE if flagged else EXIT_OK
 
 
-def _sample_stats(delays, backlogs) -> list:
-    """Mean, 99th percentile and maximum of the delays, then of the
-    backlogs, as CSV fields."""
-    import numpy as np
-    return [repr(float(v)) for s in (delays, backlogs) for v in (s.mean(), np.percentile(s, 99), s.max())]
-
-
 def _cmd_simulate(sc: Scenario, args) -> int:
     if sc.sim is None:
         raise _UsageError("simulate needs a sim block in the scenario")
     n, m = _flow_point(sc, args)
     hops = _hop_list(sc, args)
-    from .simulator import Samples
-    sim, results = _replications(sc, args, n, m, dict.fromkeys(hops, partial(Samples, finish=_sample_stats)))
+    from .simulator import SampleStats
+    sim, results = _replications(sc, args, n, m, dict.fromkeys(hops, SampleStats))
     per_rep = list(results)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SIM_CSV_HEADER)
     for h in hops:
         for rep, stats in enumerate(per_rep):
-            writer.writerow([sc.scenario_id, h, n, m, rep, sim.base_seed, sim.measure_slots, *stats[h]])
+            writer.writerow([sc.scenario_id, h, n, m, rep, sim.base_seed, sim.measure_slots,
+                             *map(repr, stats[h])])
     _emit(buf.getvalue(), args)
     return EXIT_OK
 
@@ -268,35 +264,15 @@ def _self_test_rank(epsilon: float, n: int) -> int:
     return min(n, math.ceil(10 * epsilon * n))
 
 
-def _kth_largest_index(values, counts, k: int) -> int:
-    """Index of the first entry equal to the k-th largest of the multiset
-    with ``counts[i]`` copies of ``values[i]`` (0 when it has fewer than k
-    elements); ``values`` ascending, equal values possibly in several entries."""
-    import numpy as np
-    j = int(np.searchsorted(np.cumsum(counts[::-1]), k))
-    return 0 if j >= values.size else int(np.searchsorted(values, values[values.size - 1 - j]))
-
-
 def _self_test_threshold(tail, epsilon: float, sample_count: int) -> float:
     """Just below the ceil(10 epsilon n)-th largest of n = ``sample_count``
     samples, so at least 10 epsilon n of them exceed it whatever the ties.
     ``tail`` holds the distinct values at or above it, ascending, and their
     counts."""
+    from .simulator import _kth_largest_index
     values, counts = tail
     i = _kth_largest_index(values, counts, _self_test_rank(epsilon, sample_count))
     return math.nextafter(float(values[i]), -math.inf)
-
-
-def _upper_tails(k: int, delays, backlogs) -> tuple:
-    """Per kind, the distinct samples at or above the k-th largest,
-    ascending, and their counts."""
-    import numpy as np
-    tails = []
-    for samples in (delays, backlogs):
-        values, counts = np.unique(samples, return_counts=True)
-        i = _kth_largest_index(values, counts, k)
-        tails.append((values[i:], counts[i:]))
-    return tuple(tails)
 
 
 class _TailPool:
@@ -313,6 +289,7 @@ class _TailPool:
 
     def add(self, replication: int, values, counts) -> None:
         import numpy as np
+        from .simulator import _kth_largest_index
         reps = np.full(values.size, replication)
         if self.values is not None:
             values = np.concatenate([self.values, values])
@@ -338,9 +315,9 @@ def _self_test_counts(sc: Scenario, args, n: int, m: int, rows) -> tuple:
     counts, from a running pool of each (H, kind)'s upper tail."""
     sample_count = sc.sim.replications * sc.sim.measure_slots
     k = max(_self_test_rank(row.epsilon, sample_count) for row in rows)
-    from .simulator import Samples
-    reduce = dict.fromkeys(_hop_list(sc, args), partial(Samples, finish=partial(_upper_tails, k)))
-    sim, results = _replications(sc, args, n, m, reduce)
+    from .simulator import UpperTails
+    hops = _hop_list(sc, args)
+    sim, results = _replications(sc, args, n, m, dict.fromkeys(hops, partial(UpperTails, k)), len(hops))
     pools = {}
     for rep, tails in enumerate(results):
         for h, pair in tails.items():

@@ -91,6 +91,18 @@ def _physical_memory() -> float:
         return math.inf
 
 
+def _on_count_changes(sim: SimScenario, slots: float) -> float:
+    """About how many slots of a replication over ``slots`` slots start with
+    a change of a group's on-count, over the through sources and each hop's
+    cross sources.  A source changes state twice per mean on-off cycle, or
+    at most twice when a state absorbs; a group changes at most once a slot."""
+    leave = [-math.expm1(-rate) for rate in (sim.source.r_on_off, sim.source.r_off_on)]
+    per_slot = 2.0 / (1.0 / leave[0] + 1.0 / leave[1]) if min(leave) > 0 else 0.0
+    groups = ((sim.through_count, 1), (sim.cross_count, sim.hops))
+    return sum(n * min(slots, sources * (2 + per_slot * slots if per_slot else 2))
+               for sources, n in groups)
+
+
 def rate_to_bits_per_slot(value: float, unit: str, slot_length_s: float) -> float:
     return value * RATE_UNITS[unit] * slot_length_s
 
@@ -192,19 +204,24 @@ class Scenario(Record):
                                  f"[{lo:g}, {hi:g}])"]) from None
 
     def build_sim_scenario(self, hops: int, n_through: int, m_cross: int,
-                           base_seed: Optional[int] = None, jobs: int = 1) -> SimScenario:
+                           base_seed: Optional[int] = None, jobs: int = 1,
+                           sample_prefixes: int = 0) -> SimScenario:
         """The simulation at one flow point.
 
         The simulator streams each replication through its hops one chunk of
-        slots at a time, so beside closed-form arrivals and chunk-sized
-        scratch a replication holds only what its reductions keep.  The most
-        that is sample mode's: the int64 delay and float64 backlog samples,
-        16 B per measured slot, and the ingress that its delay inversion
-        reads back over, which a busy period as long as the run stretches to
-        8 B per slot, warmup included.  A run whose replications held at
-        once, ``min(jobs, replications)`` of them, would need more than
-        physical memory for that is a :class:`ScenarioError`, raised before
-        anything is simulated."""
+        slots at a time, so beside chunk-sized scratch a replication holds
+        its closed-form arrivals, at most 16 B per slot where a group of
+        sources changes its on-count, about twice per mean on-off cycle and
+        source;
+        the ingress that a delay may reach back over, which a busy period as
+        long as the run stretches to every slot, warmup included, in a
+        buffer up to twice its length: 16 B per slot; and what its
+        reductions keep.  Of those, ``sample_prefixes`` hop counts may keep
+        as much as their int64 delay and float64 backlog samples, 16 B per
+        measured slot each.  A run whose replications held at once,
+        ``min(jobs, replications)`` of them, would need more than physical
+        memory for that is a :class:`ScenarioError`, raised before anything
+        is simulated."""
         if self.sim is None:
             raise ScenarioError(["sim: block required for simulation commands"])
         from .simulator import SimScenario
@@ -225,15 +242,18 @@ class Scenario(Record):
         except OverflowError:  # a mean sojourn beyond the float range
             warmup = math.inf
         live = max(1, min(jobs, sim.replications))  # reduce_replications runs jobs < 2 serially
-        per_replication = 16 * sim.measure_slots + 8 * (warmup + sim.measure_slots + 1)
+        slots = warmup + sim.measure_slots + 1
+        per_replication = (16 * _on_count_changes(sim, slots) + 16 * slots
+                           + 16 * sim.measure_slots * sample_prefixes)
         need, memory = per_replication * live, _physical_memory()
         if need > memory:
             raise ScenarioError([
                 f"sim.warmup_slots/sim.measure_slots: {warmup:.4g} warmup and {sim.measure_slots} "
-                f"measured slots need {need / 2**30:.4g} GiB for the simulator's delay and backlog "
-                f"samples and the ingress a delay may reach back over ({live} replication(s) at "
-                f"once), more than the {memory / 2**30:.4g} GiB of physical memory (the default "
-                f"warmup is 10x the longer mean sojourn)"])
+                f"measured slots need {need / 2**30:.4g} GiB for the simulator's closed-form "
+                f"arrivals, the ingress a delay may reach back over and the samples of "
+                f"{sample_prefixes} hop count(s) ({live} replication(s) at once), more than the "
+                f"{memory / 2**30:.4g} GiB of physical memory (the default warmup is 10x the "
+                f"longer mean sojourn)"])
         return sim
 
 

@@ -21,9 +21,10 @@ virtual delay W(t) = inf{d >= 0 : A(t - d) <= D(t)}.
 A replication is streamed one chunk of slots at a time: the chunk's
 ingress is evaluated once, run through hop 1, hop 2, ... in turn, and each
 requested hop prefix's ingress and egress over the chunk go to that
-prefix's reduction, an accumulator such as :class:`Samples` or
-:class:`Exceedances`.  Arrivals are closed forms over the slots where a
-group's on-count changes.  The cross and total arrivals, C*t, the excess
+prefix's reduction, an accumulator: :class:`Exceedances` counts, and
+:class:`SampleStats` and :class:`UpperTails` summarize the samples without
+keeping them, which :class:`Samples` does.  Arrivals are closed forms over
+the slots where a group's on-count changes.  The cross and total arrivals, C*t, the excess
 and the queue of a hop live in chunk-sized scratch, and every other curve
 is kept only from the first slot still read on, so beside the closed forms
 a replication holds only what its reductions keep, and each hop's curves
@@ -58,6 +59,8 @@ __all__ = [
     "ValidationReport",
     "stationary_on_state",
     "Samples",
+    "SampleStats",
+    "UpperTails",
     "Exceedances",
     "simulate_replication",
     "reduce_replications",
@@ -208,20 +211,28 @@ class _Arrivals:
     boundary t in [x_j, x_{j+1}] is c_j + n_j t, and the cumulative
     arrivals are A(t) = peak (c_j + n_j t).  Both terms are integers below
     2**53, exact in float64, so A(t) is the product of the exact count and
-    the peak rate.  Only x, c and n are stored, one entry per change of the
-    on-count; :meth:`fill` evaluates A over a window of slots.
+    the peak rate.  Only x and the changes of n are stored, in the narrowest
+    integer types that hold them, with n_j and c_j at every ``_EVERY``-th j:
+    a few bytes per change of the on-count, as every hop's arrivals are held
+    at once.  :meth:`fill` evaluates A over a window of
+    slots from the stored j before it.
     """
+
+    _EVERY = 64
 
     def __init__(self, edges: np.ndarray, steps: np.ndarray, peak: float):
         """From the slots ``edges`` at which the on-count changes by ``steps``
         (any order, repeats summed), starting from 0 sources on."""
         x, inv = np.unique(np.concatenate(([0], edges)), return_inverse=True)
-        change = np.bincount(inv, weights=np.concatenate(([0], steps)), minlength=len(x))
-        n = np.cumsum(change).astype(np.int64)
+        change = np.bincount(inv, weights=np.concatenate(([0], steps)), minlength=len(x)).astype(np.int64)
+        n = np.cumsum(change)
         counted = np.zeros(len(x), dtype=np.int64)  # the count up to x_j
         np.cumsum(n[:-1] * np.diff(x), out=counted[1:])
-        self.x, self.peak = x, peak
-        self.c, self.n = (counted - n * x).astype(float), n.astype(float)
+        self.x = x.astype(np.int32 if x[-1] < 2**31 - 1 else np.int64)
+        self._top = int(np.iinfo(self.x.dtype).max)
+        self.change = change.astype(np.min_scalar_type(-int(np.abs(change).max())))
+        self.n, self.c = n[::self._EVERY].copy(), (counted - n * x)[::self._EVERY].copy()
+        self.peak = peak
 
     @classmethod
     def of_sources(cls, scenario: SimScenario, replication: int, hop: int, count: int,
@@ -240,12 +251,31 @@ class _Arrivals:
         """A(start), ..., A(start + len(out) - 1) into ``out``, given those
         slot numbers as the floats ``t``."""
         stop = start + len(out)
-        first, last = np.searchsorted(self.x, (start, stop - 1), side="right")
-        # segments first - 1 .. last - 1 cover the window, these many slots each
-        lengths = np.diff(np.concatenate(([start], self.x[first:last], [stop])))
-        seg = slice(first - 1, last)
-        np.multiply(np.repeat(self.n[seg], lengths), t, out=out)
-        out += np.repeat(self.c[seg], lengths)
+        # keys of x's own type, so the search casts no copy of x; a key past
+        # x's range finds what the type's largest value finds, len(x)
+        keys = np.array((min(start, self._top), min(stop - 1, self._top)), dtype=self.x.dtype)
+        first, last = np.searchsorted(self.x, keys, side="right")
+        # segments first - 1 .. last - 1 cover the window; n and c are rebuilt
+        # from the stored j = base on: n_j - n_{j-1} is the change at x_j, and
+        # c_j - c_{j-1} = -(that change) x_j, as the count is continuous there
+        stored = (first - 1) // self._EVERY
+        base = stored * self._EVERY
+        x = self.x[base:last].astype(np.int64)
+        steps = self.change[base:last].astype(np.int64)
+        steps[0] = self.n[stored]
+        n = np.cumsum(steps)
+        steps *= x
+        steps[0] = -self.c[stored]
+        minus_c = np.cumsum(steps)
+        # these many slots of each segment
+        x = x[first - 1 - base:]
+        lengths = np.empty_like(x)
+        np.subtract(x[1:], x[:-1], out=lengths[:-1])
+        lengths[-1] = stop - x[-1]
+        lengths[0] -= start - x[0]
+        seg = slice(first - 1 - base, None)
+        np.multiply(np.repeat(n[seg].astype(float), lengths), t, out=out)
+        out -= np.repeat(minus_c[seg].astype(float), lengths)
         out *= self.peak
         return out
 
@@ -290,28 +320,47 @@ class _Window:
 
 class _Tail:
     """A cumulative curve over the slots [start, stop) that are still read,
-    extended one chunk at a time and cut from the front."""
+    extended one chunk at a time and cut from the front.
+
+    The values are a slice of one buffer.  A cut moves only the slice's
+    start; an extension that does not fit moves the values to the buffer's
+    front when they take at most half of it, and otherwise moves them into
+    a new buffer twice their new length.  So each value is copied a bounded
+    number of times on average, and the buffer is at most twice the values
+    and the extension it last had to hold.
+    """
 
     def __init__(self):
-        self.start, self.values = 0, np.empty(0)
+        self.start, self._buf, self._lo, self._hi = 0, np.empty(0), 0, 0
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._buf[self._lo:self._hi]
 
     @property
     def stop(self) -> int:
-        return self.start + len(self.values)
+        return self.start + self._hi - self._lo
 
     def since(self, slot: int) -> np.ndarray:
         """The values of the slots [slot, stop)."""
-        return self.values[slot - self.start:]
+        return self._buf[self._lo + slot - self.start:self._hi]
 
     def extend(self, n: int) -> np.ndarray:
         """The next ``n`` slots, to be written into."""
-        kept = self.values
-        self.values = np.empty(len(kept) + n)
-        self.values[:len(kept)] = kept
-        return self.values[len(kept):]
+        kept = self._hi - self._lo
+        if self._hi + n > len(self._buf):
+            if 2 * (kept + n) > len(self._buf):
+                buf = np.empty(2 * (kept + n))
+            else:  # the values start past the half they move to: no overlap
+                buf = self._buf
+            buf[:kept] = self.values
+            self._buf, self._lo, self._hi = buf, 0, kept
+        self._hi += n
+        return self._buf[self._hi - n:self._hi]
 
     def drop_before(self, slot: int) -> None:
-        self.values, self.start = self.since(slot), slot
+        self._lo += slot - self.start
+        self.start = slot
 
 
 def _search_right(a: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -405,9 +454,10 @@ class _Hop:
         return HopTrace(arr, dep, thr, dep_thr, np.diff(thr), np.diff(cross))
 
 
-def _tandem(through: _Arrivals, hops: list, slots: int, reductions: dict, work: _Window):
+def _tandem(through: _Arrivals, hops: list, slots: int, reductions: dict, work: _Window,
+            scenario: Optional[SimScenario] = None) -> None:
     """Run ``through`` over ``slots`` slot boundaries through ``hops`` one
-    chunk of slots at a time; a generator that yields after each chunk.
+    chunk of slots at a time.
 
     A chunk evaluates the ingress once from its closed form, then runs
     through hop 1, hop 2, ... in turn: each hop's through departures are the
@@ -420,10 +470,13 @@ def _tandem(through: _Arrivals, hops: list, slots: int, reductions: dict, work: 
     in the chunk reaches back past lo.  Both arrays are scratch that the
     next chunk replaces.  Each curve is kept only from the first slot still
     read on: a hop's input from its ``start - 1``, and the ingress from
-    there or the smallest lo.
+    there or the smallest lo.  With a ``scenario``, a chunk after which a
+    hop's queue has exceeded its ``backlog_guard_bits`` raises
+    :class:`StabilityError`.
     """
     tails = [_Tail() for _ in range(len(hops) + 1)]  # the ingress, then each hop's D_through
     reach = dict.fromkeys(reductions, 0)
+    guard = math.inf if scenario is None else scenario.backlog_guard_bits
     for i in range(0, slots, _CHUNK):
         stop = min(i + _CHUNK, slots)
         through.fill(i, work.window(i, stop).t, tails[0].extend(stop - i))
@@ -436,30 +489,40 @@ def _tandem(through: _Arrivals, hops: list, slots: int, reductions: dict, work: 
                 ingress = tails[0].since(reach[h])
                 reductions[h].add(reach[h], ingress, egress)
                 reach[h] += int(np.searchsorted(ingress, egress[-1], side="right"))
+            if hop.max_queue > guard:
+                raise StabilityError(f"hop {h} queue reached {hop.max_queue:.3g} bits (guard "
+                                     f"{guard:.3g}); offered load utilization is "
+                                     f"{scenario.utilization():.3f}")
         tails[0].drop_before(min(hops[0].start - 1, *reach.values()))
         tails[-1].drop_before(stop)
-        yield
 
 
 # ---------------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------------
 
-class Samples:
-    """Reduction of one hop prefix to its delay (int slots) and backlog (bits)
-    samples, one per measured slot, passed to ``finish`` when one is given.
+class _SampleReduction:
+    """Base of the reductions that see one hop prefix's delay (int slots) and
+    backlog (bits) samples, one per measured slot, a chunk at a time.
 
     Slot t has backlog ingress(t) - egress(t) and delay t + 1 - r, with r
     the number of ingress values at most egress(t), floored at 0.  A delay
     is at least 1 exactly when the backlog is positive, so the delays invert
     the ingress only at those slots, and are 0 elsewhere.  The search for r
-    is exact because the ingress is a nondecreasing cumulative curve.
+    is exact because the ingress is a nondecreasing cumulative curve.  Each
+    chunk's samples go to arrays from :meth:`_slots`, fresh ones unless a
+    subclass keeps them, and then to :meth:`_took`.
     """
 
-    def __init__(self, warmup: int, total: int, finish=None):
-        self.first, self.finish = warmup + 1, finish
-        self.delays = np.zeros(total - warmup, dtype=np.int64)
-        self.backlogs = np.empty(total - warmup)
+    def __init__(self, warmup: int, total: int):
+        self.first, self.count = warmup + 1, total - warmup
+
+    def _slots(self, start: int, n: int) -> tuple:
+        """Zeroed int64 delays and float64 backlogs for the measured slots [start, start + n)."""
+        return np.zeros(n, dtype=np.int64), np.empty(n)
+
+    def _took(self, delays: np.ndarray, backlogs: np.ndarray) -> None:
+        """The samples of the next measured slots, in slot order."""
 
     def add(self, lo: int, ingress: np.ndarray, egress: np.ndarray) -> None:
         stop = lo + len(ingress)
@@ -467,17 +530,211 @@ class Samples:
         if start >= stop:
             return
         egress = egress[len(egress) - (stop - start):]
-        backlogs = np.subtract(ingress[start - lo:], egress,
-                               out=self.backlogs[start - self.first:stop - self.first])
+        delays, backlogs = self._slots(start, stop - start)
+        np.subtract(ingress[start - lo:], egress, out=backlogs)
         at = np.flatnonzero(backlogs > 0)
         if len(at):
             # slot t = start + position has delay t + 1 - lo - (values of ``ingress`` <= egress[t])
             found = _search_right(ingress, egress[at])
-            self.delays[at + (start - self.first)] = at + (start + 1 - lo) - found
+            delays[at] = at + (start + 1 - lo) - found
+        self._took(delays, backlogs)
 
-    def result(self):
-        samples = (self.delays, self.backlogs)
-        return samples if self.finish is None else self.finish(*samples)
+
+class Samples(_SampleReduction):
+    """Reduction of one hop prefix to its delay and backlog samples, in slot
+    order (see :class:`_SampleReduction`): 16 B per measured slot."""
+
+    def __init__(self, warmup: int, total: int):
+        super().__init__(warmup, total)
+        self.delays = np.zeros(self.count, dtype=np.int64)
+        self.backlogs = np.empty(self.count)
+
+    def _slots(self, start: int, n: int) -> tuple:
+        i = start - self.first
+        return self.delays[i:i + n], self.backlogs[i:i + n]
+
+    def result(self) -> tuple:
+        return self.delays, self.backlogs
+
+
+class _PairwiseSum:
+    """``np.add.reduce`` of ``n`` float64 values that arrive in order, a part
+    at a time, bit for bit, keeping fewer than 128 of them.
+
+    numpy adds the values of a block pairwise: a block of at most 128 values
+    as one leaf, a longer one as its first half, rounded down to a multiple
+    of 8, plus the rest.  A float64 array is one block; values cast from
+    integers come in blocks of ``block``, numpy's buffer, whose sums are
+    added in order.  Every subtree's sum is ``np.add.reduce`` of its values
+    alone, so each is taken as soon as its values have arrived.
+    """
+
+    def __init__(self, n: int, block: int):
+        self.n, self.block, self.total = n, block, 0.0
+        self._pending, self._at = np.empty(0), 0  # the values not yet summed, from value _at on
+        self._stack = []  # [offset, length, its left half's sum or None], root first
+        self._next = 0  # the first value of the next block
+
+    def add(self, values: np.ndarray) -> None:
+        buf = np.concatenate((self._pending, values))
+        ready, stack = self._at + len(buf), self._stack
+        while True:
+            if not stack:
+                if self._next >= self.n:
+                    break
+                stack.append([self._next, min(self.block, self.n - self._next), None])
+                self._next += stack[-1][1]
+            off, length, _ = stack[-1]
+            if off + length <= ready:
+                total = float(np.add.reduce(buf[off - self._at:off + length - self._at]))
+                stack.pop()
+                while stack and stack[-1][2] is not None:  # the right half of its parent
+                    total = stack.pop()[2] + total
+                if stack:  # the left half: its sibling is next
+                    parent = stack[-1]
+                    parent[2] = total
+                    half = _pairwise_half(parent[1])
+                    stack.append([parent[0] + half, parent[1] - half, None])
+                else:
+                    self.total += total
+            elif length <= 128:
+                break
+            else:
+                stack.append([off, _pairwise_half(length), None])
+        start = stack[-1][0] if stack else ready
+        self._pending, self._at = buf[start - self._at:].copy(), start
+
+
+def _pairwise_half(length: int) -> int:
+    half = length // 2
+    return half - half % 8
+
+
+class _Largest:
+    """The ``r`` largest of values that arrive a part at a time, as a
+    multiset.  Once ``r`` are kept, a value at or below the least of them
+    changes none of them and is not kept."""
+
+    def __init__(self, r: int):
+        self.r, self._parts, self._size, self._floor = r, [], 0, None
+
+    def add(self, values: np.ndarray) -> None:
+        if self._floor is not None:
+            values = values[values > self._floor]
+        self._parts.append(values)
+        self._size += len(values)
+        if self._size > 2 * self.r:
+            self.result()
+
+    def result(self) -> np.ndarray:
+        kept = np.concatenate(self._parts)
+        if len(kept) >= self.r:
+            kept = np.partition(kept, len(kept) - self.r)[len(kept) - self.r:]
+            self._floor = kept[0]
+        self._parts, self._size = [kept], len(kept)
+        return kept
+
+
+class _Summary:
+    """``mean()``, ``np.percentile(values, 99)`` and ``max()`` of ``n`` values
+    that arrive a part at a time, as numpy gives them over all of them.
+
+    numpy's percentile interpolates linearly between the values at places
+    lo = floor(v) and lo + 1 of the sorted values, v = 0.99 (n - 1), with
+    weight v - lo, so only those n - lo largest values and the sum are
+    kept.  ``np.quantile`` of the two at that weight is that interpolation.
+    ``block`` is as for :class:`_PairwiseSum`.
+    """
+
+    def __init__(self, n: int, block: int):
+        self.n, self.virtual = n, (n - 1) * 0.99
+        self.lo = math.floor(self.virtual)
+        self.sum, self.top = _PairwiseSum(n, block), _Largest(n - self.lo)
+
+    def add(self, values: np.ndarray) -> None:
+        self.sum.add(values.astype(np.float64, copy=False))
+        self.top.add(values)
+
+    def result(self) -> tuple:
+        top = np.sort(self.top.result())  # the sorted values from place lo on
+        pair = top[:2] if len(top) > 1 else top[[0, 0]]
+        p99 = np.quantile(pair, self.virtual - self.lo)
+        return self.sum.total / self.n, float(p99), float(top[-1])
+
+
+class SampleStats(_SampleReduction):
+    """Reduction of one hop prefix to the mean, 99th percentile and maximum
+    of its delays, then of its backlogs, as floats: bit for bit what
+    ``mean()``, ``np.percentile(·, 99)`` and ``max()`` give over its
+    :class:`Samples`, while keeping only their sums and about the largest
+    1% of them (see :class:`_Summary`)."""
+
+    def __init__(self, warmup: int, total: int):
+        super().__init__(warmup, total)
+        # an integer array's mean adds float64 casts of numpy's buffer at a time
+        self.kinds = (_Summary(self.count, np.getbufsize()), _Summary(self.count, self.count))
+
+    def _took(self, delays: np.ndarray, backlogs: np.ndarray) -> None:
+        for summary, samples in zip(self.kinds, (delays, backlogs)):
+            summary.add(samples)
+
+    def result(self) -> tuple:
+        return tuple(v for summary in self.kinds for v in summary.result())
+
+
+def _kth_largest_index(values: np.ndarray, counts: np.ndarray, k: int) -> int:
+    """Index of the first entry equal to the k-th largest of the multiset
+    with ``counts[i]`` copies of ``values[i]`` (0 when it has fewer than k
+    elements); ``values`` ascending, equal values possibly in several entries."""
+    j = int(np.searchsorted(np.cumsum(counts[::-1]), k))
+    return 0 if j >= values.size else int(np.searchsorted(values, values[values.size - 1 - j]))
+
+
+class _TopDistinct:
+    """The distinct values at or above the k-th largest of values that arrive
+    a part at a time, ascending, and their counts.  A value is dropped only
+    below the k-th largest of the values so far, which is at most the final
+    one, so every value kept at the end has its full count."""
+
+    def __init__(self, k: int):
+        self.k, self._parts, self._kept, self._size = k, [], 0, 0
+
+    def add(self, values: np.ndarray, counts: np.ndarray) -> None:
+        """``values`` distinct and ascending, with their ``counts``."""
+        self._parts.append((values, counts))
+        self._size += len(values)
+        # merged once as many as are kept, and at least a chunk's worth, have come
+        if self._size - self._kept > max(self._kept, _CHUNK):
+            self.result()
+
+    def result(self) -> tuple:
+        values = np.concatenate([v for v, _ in self._parts])
+        counts = np.concatenate([c for _, c in self._parts])
+        order = np.argsort(values, kind="stable")
+        values, counts = values[order], counts[order]
+        first = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+        values, counts = values[first], np.add.reduceat(counts, first)
+        i = _kth_largest_index(values, counts, self.k)
+        values, counts = values[i:], counts[i:]
+        self._parts, self._kept, self._size = [(values, counts)], len(values), len(values)
+        return values, counts
+
+
+class UpperTails(_SampleReduction):
+    """Reduction of one hop prefix to, for its delays and then its backlogs,
+    the distinct samples at or above the k-th largest, ascending, and their
+    counts, without keeping the samples (see :class:`_TopDistinct`)."""
+
+    def __init__(self, k: int, warmup: int, total: int):
+        super().__init__(warmup, total)
+        self.kinds = (_TopDistinct(k), _TopDistinct(k))
+
+    def _took(self, delays: np.ndarray, backlogs: np.ndarray) -> None:
+        for tail, samples in zip(self.kinds, (delays, backlogs)):
+            tail.add(*np.unique(samples, return_counts=True))
+
+    def result(self) -> tuple:
+        return tuple(tail.result() for tail in self.kinds)
 
 
 class Exceedances:
@@ -528,7 +785,8 @@ def simulate_replication(scenario: SimScenario, replication: int, keep_hops: boo
     Every source stream is keyed by its own hop, so the first h hops of this
     run are bit-identical to an h-hop run.  ``reduce`` maps hop counts
     h <= ``scenario.hops`` to factories of that h-hop prefix's reduction,
-    such as :class:`Samples` and :class:`Exceedances`: each is called as
+    such as :class:`Samples`, :class:`SampleStats`, :class:`UpperTails` and
+    :class:`Exceedances`: each is called as
     ``reduce[h](warmup, total)`` for a fresh accumulator, which gets every
     chunk of slots through ``add`` (see :func:`_tandem`), and its
     ``result()`` goes to the trace's ``reduced[h]``; the trace then holds no
@@ -545,12 +803,7 @@ def simulate_replication(scenario: SimScenario, replication: int, keep_hops: boo
     through = _Arrivals.of_sources(scenario, replication, 0, scenario.through_count, total)
     hops = [_Hop(_Arrivals.of_sources(scenario, replication, h, scenario.cross_count, total),
                  scenario.capacity_per_slot, total + 1 if keep_hops else None) for h in hop_range]
-    for _ in _tandem(through, hops, total + 1, accumulators, _Window()):
-        for h, hop in enumerate(hops, 1):
-            if hop.max_queue > scenario.backlog_guard_bits:
-                raise StabilityError(f"hop {h} queue reached {hop.max_queue:.3g} bits (guard "
-                                     f"{scenario.backlog_guard_bits:.3g}); offered load "
-                                     f"utilization is {scenario.utilization():.3f}")
+    _tandem(through, hops, total + 1, accumulators, _Window(), scenario)
     reduced = {h: acc.result() for h, acc in accumulators.items()}
     delays, backlogs = reduced.pop(scenario.hops) if samples else (None, None)
     hop_traces = tuple(hop.trace() for hop in hops) if keep_hops else ()

@@ -16,7 +16,7 @@ import sncalc.cli as cli
 import sncalc.scenario as scenario
 from sncalc.cli import EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE, EXIT_VALIDATION, main
 from sncalc.scenario import CSV_HEADER, parse_scenario_file, resolve_scenario_path
-from sncalc.simulator import simulate_tandem, validate_samples
+from sncalc.simulator import UpperTails, simulate_tandem, validate_samples
 
 FINITE_HORIZON = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "finite-horizon.yaml"
 
@@ -319,11 +319,16 @@ class TestSimulate:
         assert "error: " in out.stderr and "sim.warmup_slots/sim.measure_slots" in out.stderr
 
     def test_memory_guard_counts_one_block_per_live_replication(self, capsys, tiny, monkeypatch):
-        # a replication is sized by sample mode: int64 delays and float64
-        # backlogs over 8000 measured slots, and an ingress history over
-        # 100 warmup + 8000 measured + 1 slots; --jobs 4 holds both of the 2
+        # a replication is sized by its closed-form arrivals, 16 B per change
+        # of a group's on-count, and an ingress history over 100 warmup +
+        # 8000 measured + 1 slots, 16 B each; validate --self-test adds
+        # 16 B per measured slot for each of its 2 hop counts' upper tails,
+        # which may be as large as the samples; --jobs 4 holds both of the 2
         # replications at once
-        block = 16 * 8000 + 8 * (100 + 8000 + 1)
+        sc = parse_scenario_file(tiny)
+        slots = 100 + 8000 + 1
+        block = 16 * scenario._on_count_changes(sc.build_sim_scenario(2, 3, 2), slots) + 16 * slots
+        tails = 2 * 16 * 8000
         monkeypatch.setattr(scenario, "_physical_memory", lambda: block)
         code, out, _ = run_cli(capsys, "simulate", "--scenario", tiny, "--jobs", "1")
         assert code == EXIT_OK and len(parse_rows(out)) == 4
@@ -331,12 +336,18 @@ class TestSimulate:
         assert code == EXIT_USAGE and out == ""
         assert "error: " in err and "sim.warmup_slots/sim.measure_slots" in err
         assert "2 replication(s) at once" in err
-        sc = parse_scenario_file(tiny)
-        monkeypatch.setattr(scenario, "_physical_memory", lambda: 2 * block)
-        assert sc.build_sim_scenario(2, 3, 2, jobs=4).replications == 2
-        monkeypatch.setattr(scenario, "_physical_memory", lambda: 2 * block - 1)
-        with pytest.raises(scenario.ScenarioError, match="sim.warmup_slots/sim.measure_slots"):
-            sc.build_sim_scenario(2, 3, 2, jobs=4)
+        code, out, err = run_cli(capsys, "validate", "--scenario", tiny, "--self-test")
+        assert code == EXIT_USAGE and "the samples of 2 hop count(s)" in err
+        monkeypatch.setattr(scenario, "_physical_memory", lambda: block + tails)
+        code, out, _ = run_cli(capsys, "validate", "--scenario", tiny, "--self-test")
+        assert code == EXIT_VALIDATION and len(parse_rows(out)) == 4
+        for prefixes in (0, 2):
+            need = 2 * (block + prefixes * 16 * 8000)
+            monkeypatch.setattr(scenario, "_physical_memory", lambda: need)
+            assert sc.build_sim_scenario(2, 3, 2, jobs=4, sample_prefixes=prefixes).replications == 2
+            monkeypatch.setattr(scenario, "_physical_memory", lambda: need - 1)
+            with pytest.raises(scenario.ScenarioError, match="sim.warmup_slots/sim.measure_slots"):
+                sc.build_sim_scenario(2, 3, 2, jobs=4, sample_prefixes=prefixes)
 
     @pytest.mark.parametrize("command, field, flags, named", [
         ("simulate", ("replications: 2", "replications: " + "9" * 401), ["--jobs", "2"],
@@ -678,7 +689,10 @@ def test_tail_pool_is_exact_under_ties(replications, epsilon):
     n = pooled.size
     pool = cli._TailPool(cli._self_test_rank(epsilon, n))
     for rep, s in enumerate(samples):
-        delay_tail, backlog_tail = cli._upper_tails(pool.k, s, s.astype(float))
+        tails = UpperTails(pool.k, 0, s.size)
+        for part in (s[:s.size // 2], s[s.size // 2:]):  # a replication comes a chunk at a time
+            tails._took(part, part.astype(float))
+        delay_tail, backlog_tail = tails.result()
         assert np.array_equal(delay_tail[0], backlog_tail[0])
         pool.add(rep, *delay_tail)
     for eps in (epsilon, epsilon / 3):

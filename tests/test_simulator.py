@@ -1,4 +1,3 @@
-import collections
 import math
 import re
 import tracemalloc
@@ -18,8 +17,9 @@ from sncalc import (
     validate_samples,
 )
 from sncalc import simulator
-from sncalc.simulator import (Exceedances, HopTrace, Samples, _Arrivals, _Hop, _on_runs, _search_right,
-                              _source_rng, _tandem, _Window, stationary_on_state, validate_exceedances)
+from sncalc.simulator import (Exceedances, HopTrace, Samples, SampleStats, UpperTails, _Arrivals, _Hop,
+                              _kth_largest_index, _on_runs, _search_right, _source_rng, _Summary, _tandem,
+                              _Window, stationary_on_state, validate_exceedances)
 from helpers import (ReferenceTandem, mmoo_source_step, reference_arrival_curve, reference_curves,
                      reference_on_counts, virtual_delays)
 
@@ -231,8 +231,8 @@ class TestHopPrefixes:
 
     def test_reductions_only_at_requested_prefixes(self):
         sc = small_scenario(hops=3)
-        trace = simulate_replication(sc, 0, reduce={2: partial(Samples, finish=lambda d, b: len(d))})
-        assert trace.reduced == {2: sc.measure_slots}
+        trace = simulate_replication(sc, 0, reduce={2: Samples})
+        assert list(trace.reduced) == [2] and len(trace.reduced[2][0]) == sc.measure_slots
 
 
 class TestSimulateTandem:
@@ -508,6 +508,83 @@ def test_closed_form_arrivals_equal_the_row_construction(count, total, rates, pe
         assert arrivals.fill(s, work.window(s, s + 1).t, np.full(1, np.nan))[0] == expected[s]
 
 
+def test_closed_form_takes_a_few_bytes_per_change():
+    # every hop's closed form is held for the whole replication: with
+    # sources that switch in 95% of their slots, a group of 3 changes its
+    # on-count in nearly every slot, and must keep less than 6 B for each
+    # change (x, c and n as 8 B each took 24)
+    scenario = SimScenario(hops=1, capacity_per_slot=20.0, through_count=3, cross_count=3,
+                           source=MmooParams(1.0, 3.0, 3.0), measure_slots=200_000, warmup_slots=0)
+    arrivals = _Arrivals.of_sources(scenario, 0, 1, 3, 200_000)
+    assert len(arrivals.x) > 190_000
+    kept = sum(getattr(arrivals, f).nbytes for f in ("x", "change", "n", "c"))
+    assert kept < 6 * len(arrivals.x)
+
+
+@given(sim_settings, st.one_of(st.just(0), st.integers(1, 40)), st.integers(1, 3000))
+@settings(max_examples=100, deadline=None)
+def test_streamed_reductions_equal_numpy_over_the_samples(cfg, warmup, k):
+    # the summaries and upper tails that simulate and validate --self-test
+    # print are taken chunk by chunk without the samples, and must be what
+    # numpy gives over the samples, bit for bit
+    sc = _build(cfg).replace(warmup_slots=warmup)
+    hops = range(1, sc.hops + 1)
+
+    def all_three(warmup, total):
+        return _Both(Samples(warmup, total), SampleStats(warmup, total), UpperTails(k, warmup, total))
+
+    for (delays, backlogs), stats, tails in simulate_replication(sc, 0, reduce=dict.fromkeys(hops, all_three)).reduced.values():
+        assert stats == tuple(float(v) for s in (delays, backlogs)
+                              for v in (s.mean(), np.percentile(s, 99), s.max()))
+        for (values, counts), s in zip(tails, (delays, backlogs)):
+            all_values, all_counts = np.unique(s, return_counts=True)
+            i = _kth_largest_index(all_values, all_counts, k)
+            assert values.dtype == s.dtype and counts.dtype == all_counts.dtype
+            assert np.array_equal(values, all_values[i:]) and np.array_equal(counts, all_counts[i:])
+
+
+@given(st.integers(1, 40_000), st.booleans(), st.integers(0, 62), st.floats(0.0, 1.0),
+       st.integers(1, 20_000), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_summary_equals_numpy_in_any_parts(n, integers, bits, zeros, part, seed):
+    # numpy adds a float array pairwise over all of it, and an integer one
+    # a buffer of float casts at a time: sums past 2**53 round, and must
+    # round as numpy's do
+    rng = np.random.default_rng(seed)
+    if integers:
+        values = rng.integers(0, 2 ** min(bits, 52) + 1, n)
+    else:
+        values = rng.random(n) * 2.0 ** (bits - 20)
+    values[rng.random(n) < zeros] = 0
+    summary = _Summary(n, np.getbufsize() if integers else n)
+    for i in range(0, n, part):
+        summary.add(values[i:i + part].copy())
+    assert summary.result() == (float(values.mean()), float(np.percentile(values, 99)), float(values.max()))
+
+
+def _sample_stats_peak(hops, reduced):
+    """tracemalloc's peak over one replication of ``hops`` hops whose
+    prefixes ``reduced`` are summarized as simulate summarizes them."""
+    sc = SimScenario(hops=hops, capacity_per_slot=732.0, through_count=10, cross_count=10,
+                     source=VOICE, measure_slots=400_000, warmup_slots=6000, base_seed=5)
+    reduce = dict.fromkeys(reduced, SampleStats)
+    simulate_replication(sc, 0, reduce=reduce)  # lazy imports and caches first
+    tracemalloc.start()
+    try:
+        simulate_replication(sc, 0, reduce=reduce)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sample_stats_memory_does_not_grow_with_the_prefixes():
+    # a prefix's summary keeps its sums and about 1% of its samples, so five
+    # more summarized prefixes of a 6-hop run must add less than 1 B per
+    # measured slot each; keeping their samples would add 16
+    growth = _sample_stats_peak(6, range(1, 7)) - _sample_stats_peak(6, (6,))
+    assert growth < 5 * 400_000
+
+
 def _validate_peak(measure_slots):
     """tracemalloc's peak over one replication that counts validate's exceedances."""
     sc = SimScenario(hops=2, capacity_per_slot=732.0, through_count=10, cross_count=10,
@@ -635,7 +712,7 @@ class _Both:
 def _run(thr, hops, reductions):
     """The engine over the through curve ``thr``, given as a row, and ``hops``:
     each reduction's result."""
-    collections.deque(_tandem(_Row(thr), hops, len(thr), reductions, _Window()), maxlen=0)
+    _tandem(_Row(thr), hops, len(thr), reductions, _Window())
     return {h: r.result() for h, r in reductions.items()}
 
 
@@ -709,7 +786,8 @@ def test_hop_split_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
 @pytest.mark.parametrize("load", [0.7, 0.98])
 def test_replication_does_not_depend_on_the_chunk_size(monkeypatch, load):
     # the whole chain, one chunk at a time through every hop: exceedance
-    # counts, samples and kept curves of each prefix of a 3-hop run, with
+    # counts, samples, their summaries and upper tails, and kept curves of
+    # each prefix of a 3-hop run, with
     # chunks of 7 slots (every busy period crosses chunk edges), of 2**14
     # (the engine's) and of 2**17 (one chunk); at load 0.98 a busy period
     # spans both 2**14-slot chunk edges at every hop
@@ -719,7 +797,8 @@ def test_replication_does_not_depend_on_the_chunk_size(monkeypatch, load):
     checks = (("delay", 0.0), ("delay", 2.5), ("delay", 30.0), ("backlog", 0.0), ("backlog", 40.0))
 
     def counts_and_samples(warmup, total):
-        return _Both(Exceedances(checks, warmup, total), Samples(warmup, total))
+        return _Both(Exceedances(checks, warmup, total), Samples(warmup, total),
+                     SampleStats(warmup, total), UpperTails(5000, warmup, total))
 
     runs, reduce = {}, dict.fromkeys((1, 2, 3), counts_and_samples)
     for chunk in (7, 1 << 14, 1 << 17):
@@ -733,9 +812,11 @@ def test_replication_does_not_depend_on_the_chunk_size(monkeypatch, load):
     assert all(expected.reduced[h][0][1] > 0 for h in (1, 2, 3))
     for run in runs.values():
         for h in (1, 2, 3):
-            (counts, samples), (expected_counts, expected_samples) = run.reduced[h], expected.reduced[h]
-            assert counts == expected_counts
-            assert all(np.array_equal(a, b) for a, b in zip(samples, expected_samples))
+            (counts, samples, stats, tails), expected_h = run.reduced[h], expected.reduced[h]
+            assert counts == expected_h[0] and stats == expected_h[2]
+            assert all(np.array_equal(a, b) for a, b in zip(samples, expected_h[1]))
+            assert all(np.array_equal(a, b) for tail, expected_tail in zip(tails, expected_h[3])
+                       for a, b in zip(tail, expected_tail))
         for hop, expected_hop in zip(run.hops, expected.hops):
             assert all(np.array_equal(getattr(hop, f), getattr(expected_hop, f)) for f in HopTrace.__slots__)
 
