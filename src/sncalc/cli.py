@@ -260,74 +260,33 @@ def _cmd_simulate(sc: Scenario, args) -> int:
     return EXIT_OK
 
 
-def _self_test_rank(epsilon: float, n: int) -> int:
-    return min(n, math.ceil(10 * epsilon * n))
-
-
-def _self_test_threshold(tail, epsilon: float, sample_count: int) -> float:
-    """Just below the ceil(10 epsilon n)-th largest of n = ``sample_count``
-    samples, so at least 10 epsilon n of them exceed it whatever the ties.
-    ``tail`` holds the distinct values at or above it, ascending, and their
-    counts."""
-    from .simulator import _kth_largest_index
-    values, counts = tail
-    i = _kth_largest_index(values, counts, _self_test_rank(epsilon, sample_count))
-    return math.nextafter(float(values[i]), -math.inf)
-
-
-class _TailPool:
-    """The distinct samples at or above the k-th largest seen so far, with
-    their count per replication.  A sample is dropped only below the k-th
-    largest of some of the samples, so strictly below the k-th largest of
-    all of them: the pool keeps every sample at or above any final threshold
-    of rank <= k, ties included.
-    """
-
-    def __init__(self, k: int):
-        self.k = k
-        self.values = self.counts = self.replications = None
-
-    def add(self, replication: int, values, counts) -> None:
-        import numpy as np
-        from .simulator import _kth_largest_index
-        reps = np.full(values.size, replication)
-        if self.values is not None:
-            values = np.concatenate([self.values, values])
-            order = np.argsort(values)
-            values = values[order]
-            counts = np.concatenate([self.counts, counts])[order]
-            reps = np.concatenate([self.replications, reps])[order]
-        i = _kth_largest_index(values, counts, self.k)
-        self.values, self.counts, self.replications = values[i:], counts[i:], reps[i:]
-
-    def exceedances(self, threshold: float, replications: int) -> tuple:
-        """Samples strictly above ``threshold`` per replication; exact for a
-        threshold just below a value of rank <= k."""
-        import numpy as np
-        above = self.values > threshold
-        per_rep = np.bincount(self.replications[above], weights=self.counts[above],
-                              minlength=replications)
-        return tuple(int(c) for c in per_rep)
+def _self_test_exceedances(pool, rank: int, replications: int) -> tuple:
+    """Just below the ``rank``-th largest of the samples whose upper tail
+    ``pool`` holds, labelled by replication, so at least ``rank`` exceed it
+    whatever the ties, and the samples above it per replication."""
+    import numpy as np
+    threshold = math.nextafter(float(pool.largest(rank)), -math.inf)
+    values, counts, labels = pool.kept()
+    above = values > threshold
+    per_rep = np.bincount(labels[above], weights=counts[above], minlength=replications)
+    return threshold, tuple(int(c) for c in per_rep)
 
 
 def _self_test_counts(sc: Scenario, args, n: int, m: int, rows) -> tuple:
     """Self-test thresholds of the rows and their per-replication exceedance
-    counts, from a running pool of each (H, kind)'s upper tail."""
+    counts, from a pool of each (H, kind)'s upper tail over all replications."""
     sample_count = sc.sim.replications * sc.sim.measure_slots
-    k = max(_self_test_rank(row.epsilon, sample_count) for row in rows)
-    from .simulator import UpperTails
-    hops = _hop_list(sc, args)
+    ranks = [min(sample_count, math.ceil(10 * row.epsilon * sample_count)) for row in rows]
+    from .simulator import UpperTails, _UpperTail
+    hops, k = _hop_list(sc, args), max(ranks)
     sim, results = _replications(sc, args, n, m, dict.fromkeys(hops, partial(UpperTails, k)), len(hops))
-    pools = {}
+    pools = {(h, kind): _UpperTail(k) for h in hops for kind in ("delay", "backlog")}
     for rep, tails in enumerate(results):
         for h, pair in tails.items():
             for kind, tail in zip(("delay", "backlog"), pair):
-                pools.setdefault((h, kind), _TailPool(k)).add(rep, *tail)
-    thresholds, counts = [], []
-    for row in rows:
-        pool = pools[row.hops, row.kind]
-        thresholds.append(_self_test_threshold((pool.values, pool.counts), row.epsilon, sample_count))
-        counts.append(pool.exceedances(thresholds[-1], sim.replications))
+                pools[h, kind].add(*tail, rep)  # values, counts, label
+    thresholds, counts = zip(*(_self_test_exceedances(pools[row.hops, row.kind], rank, sim.replications)
+                               for row, rank in zip(rows, ranks)))
     return sim, thresholds, counts
 
 

@@ -212,12 +212,12 @@ class Scenario(Record):
         slots at a time, so beside chunk-sized scratch a replication holds
         its closed-form arrivals, at most 16 B per slot where a group of
         sources changes its on-count, about twice per mean on-off cycle and
-        source;
-        the ingress that a delay may reach back over, which a busy period as
-        long as the run stretches to every slot, warmup included, in a
-        buffer up to twice its length: 16 B per slot; and what its
+        source; the ingress that a delay may reach back over, which a busy
+        period as long as the run stretches to every slot, warmup included,
+        in a buffer up to twice its length: 16 B per slot; and what its
         reductions keep.  Of those, ``sample_prefixes`` hop counts may keep
-        as much as their int64 delay and float64 backlog samples, 16 B per
+        the upper tails of their delays and backlogs, as large as every
+        distinct value with an int64 count and a one-byte label: 34 B per
         measured slot each.  A run whose replications held at once,
         ``min(jobs, replications)`` of them, would need more than physical
         memory for that is a :class:`ScenarioError`, raised before anything
@@ -244,7 +244,7 @@ class Scenario(Record):
         live = max(1, min(jobs, sim.replications))  # reduce_replications runs jobs < 2 serially
         slots = warmup + sim.measure_slots + 1
         per_replication = (16 * _on_count_changes(sim, slots) + 16 * slots
-                           + 16 * sim.measure_slots * sample_prefixes)
+                           + 34 * sim.measure_slots * sample_prefixes)
         need, memory = per_replication * live, _physical_memory()
         if need > memory:
             raise ScenarioError([

@@ -21,10 +21,11 @@ virtual delay W(t) = inf{d >= 0 : A(t - d) <= D(t)}.
 A replication is streamed one chunk of slots at a time: the chunk's
 ingress is evaluated once, run through hop 1, hop 2, ... in turn, and each
 requested hop prefix's ingress and egress over the chunk go to that
-prefix's reduction, an accumulator: :class:`Exceedances` counts, and
-:class:`SampleStats` and :class:`UpperTails` summarize the samples without
-keeping them, which :class:`Samples` does.  Arrivals are closed forms over
-the slots where a group's on-count changes.  The cross and total arrivals, C*t, the excess
+prefix's reduction, an accumulator: :class:`Exceedances` counts,
+:class:`Samples` keeps the samples, and :class:`UpperTails` and
+:class:`SampleStats` keep only their upper tails (:class:`_UpperTail`),
+the latter with sums.  Arrivals are closed forms over the slots where a
+group's on-count changes.  The cross and total arrivals, C*t, the excess
 and the queue of a hop live in chunk-sized scratch, and every other curve
 is kept only from the first slot still read on, so beside the closed forms
 a replication holds only what its reductions keep, and each hop's curves
@@ -502,36 +503,30 @@ def _tandem(through: _Arrivals, hops: list, slots: int, reductions: dict, work: 
 # ---------------------------------------------------------------------------
 
 class _SampleReduction:
-    """Base of the reductions that see one hop prefix's delay (int slots) and
-    backlog (bits) samples, one per measured slot, a chunk at a time.
+    """Base of the reductions of one hop prefix's measured slots, which
+    :meth:`add` passes to :meth:`_measured` a chunk at a time (see
+    :func:`_tandem`); by default as delay (int slots) and backlog (bits)
+    samples, one per measured slot, in slot order, to ``_took``.
 
     Slot t has backlog ingress(t) - egress(t) and delay t + 1 - r, with r
     the number of ingress values at most egress(t), floored at 0.  A delay
     is at least 1 exactly when the backlog is positive, so the delays invert
     the ingress only at those slots, and are 0 elsewhere.  The search for r
-    is exact because the ingress is a nondecreasing cumulative curve.  Each
-    chunk's samples go to arrays from :meth:`_slots`, fresh ones unless a
-    subclass keeps them, and then to :meth:`_took`.
+    is exact because the ingress is a nondecreasing cumulative curve.
     """
 
     def __init__(self, warmup: int, total: int):
         self.first, self.count = warmup + 1, total - warmup
 
-    def _slots(self, start: int, n: int) -> tuple:
-        """Zeroed int64 delays and float64 backlogs for the measured slots [start, start + n)."""
-        return np.zeros(n, dtype=np.int64), np.empty(n)
-
-    def _took(self, delays: np.ndarray, backlogs: np.ndarray) -> None:
-        """The samples of the next measured slots, in slot order."""
-
     def add(self, lo: int, ingress: np.ndarray, egress: np.ndarray) -> None:
         stop = lo + len(ingress)
         start = max(stop - len(egress), self.first)
-        if start >= stop:
-            return
-        egress = egress[len(egress) - (stop - start):]
-        delays, backlogs = self._slots(start, stop - start)
-        np.subtract(ingress[start - lo:], egress, out=backlogs)
+        if start < stop:
+            self._measured(lo, ingress, start, egress[start - stop:])
+
+    def _measured(self, lo: int, ingress: np.ndarray, start: int, egress: np.ndarray) -> None:
+        delays = np.zeros(len(egress), dtype=np.int64)
+        backlogs = np.subtract(ingress[start - lo:], egress)
         at = np.flatnonzero(backlogs > 0)
         if len(at):
             # slot t = start + position has delay t + 1 - lo - (values of ``ingress`` <= egress[t])
@@ -546,44 +541,138 @@ class Samples(_SampleReduction):
 
     def __init__(self, warmup: int, total: int):
         super().__init__(warmup, total)
-        self.delays = np.zeros(self.count, dtype=np.int64)
-        self.backlogs = np.empty(self.count)
+        self.delays, self.backlogs = np.empty(self.count, dtype=np.int64), np.empty(self.count)
+        self._filled = 0
 
-    def _slots(self, start: int, n: int) -> tuple:
-        i = start - self.first
-        return self.delays[i:i + n], self.backlogs[i:i + n]
+    def _took(self, delays: np.ndarray, backlogs: np.ndarray) -> None:
+        i, self._filled = self._filled, self._filled + len(delays)
+        self.delays[i:self._filled], self.backlogs[i:self._filled] = delays, backlogs
 
     def result(self) -> tuple:
         return self.delays, self.backlogs
+
+
+class _UpperTail:
+    """The distinct values at or above the k-th largest of values that
+    arrive a part at a time, with their counts and labels.  A part is raw
+    or distinct ascending values with counts, under a label not below the
+    last one; equal values keep apart by label, in label order.  Values
+    below a floor, the k-th largest of some of them and so at most the
+    final one, are dropped as they arrive, so :meth:`largest` is exact for
+    ranks up to k.  Raw values wait, those at the floor only counted, and
+    over 2k are cut at their own k-th largest, the new floor; for k above a
+    chunk they are made distinct at once.  Parts are merged at each counted
+    part, and once as many entries as the last merge kept, and a chunk's.
+    """
+
+    def __init__(self, k: int):
+        self.k, self.floor, self._label = k, None, 0
+        self._parts, self._raw = [], []  # counted parts, the first one merged; raw values waiting
+        self._waiting = self._ties = self._kept = self._new = 0  # raw, at the floor; entries merged, since
+
+    def add(self, values: np.ndarray, counts: Optional[np.ndarray] = None, label: int = 0) -> None:
+        if counts is not None or label != self._label:
+            self._flush()
+        self._label = label
+        if counts is None:
+            self._wait(values)
+        else:
+            i = 0 if self.floor is None else np.searchsorted(values, self.floor)
+            self._append(values[i:], counts[i:])
+        if counts is not None or self._new > max(self._kept, _CHUNK):
+            self._merge()
+
+    def _append(self, values: np.ndarray, counts: np.ndarray) -> None:
+        labels = np.full(len(values), self._label, np.min_scalar_type(self._label))
+        self._parts.append((values, counts, labels))
+        self._new += len(values)
+
+    def _wait(self, values: np.ndarray) -> None:
+        if self.floor is not None:
+            self._ties += np.count_nonzero(values == self.floor)
+            values = values[values > self.floor]
+        self._raw.append(values)
+        self._waiting += len(values)
+        if self._waiting > 2 * self.k:
+            raw, self._raw, self._waiting = np.concatenate(self._raw), [], 0
+            floor = np.partition(raw, -self.k)[-self.k]
+            self._ties, self.floor = (self._ties if floor == self.floor else 0), floor
+            self._wait(raw)
+        elif self.k > _CHUNK:
+            self._flush()
+
+    def _flush(self) -> None:
+        """The raw values waiting, and those at the floor, as parts."""
+        if self._ties:
+            self._append(np.array([self.floor]), np.array([self._ties]))
+        if self._raw:
+            self._append(*np.unique(np.concatenate(self._raw), return_counts=True))
+        self._raw, self._waiting, self._ties = [], 0, 0
+
+    def _merge(self) -> None:
+        self._flush()
+        values, counts, labels = (np.concatenate(column) for column in zip(*self._parts))
+        order = np.argsort(values, kind="stable")  # equal values stay in label order
+        self._parts = None  # the parts go before their sorted copies exist
+        values, counts, labels = values[order], counts[order], labels[order]
+        new = (values[1:] != values[:-1]) | (labels[1:] != labels[:-1])
+        first = np.flatnonzero(np.concatenate(([len(values) > 0], new)))  # each entry's first
+        self._parts = [(values[first], np.add.reduceat(counts, first), labels[first])]
+        if self._parts[0][1].sum() >= self.k:  # at least k values: their k-th largest is a floor
+            self.floor = self.largest(self.k)
+            i = np.searchsorted(self._parts[0][0], self.floor)
+            self._parts = [tuple(column[i:] for column in self._parts[0])]
+        self._kept, self._new = len(self._parts[0][0]), 0
+
+    def kept(self) -> tuple:
+        """The values kept, ascending, their counts and their labels."""
+        if len(self._parts) > 1 or self._raw or self._ties:
+            self._merge()
+        return self._parts[0]
+
+    def largest(self, r: int):
+        """The r-th largest value, for r <= k (the least kept if fewer came)."""
+        values, counts, _ = self.kept()
+        j = int(np.searchsorted(np.cumsum(counts[::-1]), r))
+        return values[max(len(values) - 1 - j, 0)]
+
+
+class UpperTails(_SampleReduction):
+    """Reduction of one hop prefix to, for its delays and then its backlogs,
+    the distinct samples at or above the k-th largest, ascending, and their
+    counts, without keeping the samples (see :class:`_UpperTail`)."""
+
+    def __init__(self, k: int, warmup: int, total: int):
+        super().__init__(warmup, total)
+        self.kinds = (_UpperTail(k), _UpperTail(k))
+
+    def _took(self, delays: np.ndarray, backlogs: np.ndarray) -> None:
+        for tail, samples in zip(self.kinds, (delays, backlogs)):
+            tail.add(samples)
+
+    def result(self) -> tuple:
+        return tuple(tail.kept()[:2] for tail in self.kinds)
 
 
 class _PairwiseSum:
     """``np.add.reduce`` of ``n`` float64 values that arrive in order, a part
     at a time, bit for bit, keeping fewer than 128 of them.
 
-    numpy adds the values of a block pairwise: a block of at most 128 values
-    as one leaf, a longer one as its first half, rounded down to a multiple
-    of 8, plus the rest.  A float64 array is one block; values cast from
-    integers come in blocks of ``block``, numpy's buffer, whose sums are
-    added in order.  Every subtree's sum is ``np.add.reduce`` of its values
-    alone, so each is taken as soon as its values have arrived.
+    numpy adds a float64 array pairwise: a block of at most 128 values as
+    one leaf, a longer one as its first length // 16 * 8 values plus the
+    rest.  Every subtree's sum is ``np.add.reduce`` of its values alone, so
+    each is taken as soon as its values have arrived.
     """
 
-    def __init__(self, n: int, block: int):
-        self.n, self.block, self.total = n, block, 0.0
+    def __init__(self, n: int):
+        self.total = 0.0
         self._pending, self._at = np.empty(0), 0  # the values not yet summed, from value _at on
-        self._stack = []  # [offset, length, its left half's sum or None], root first
-        self._next = 0  # the first value of the next block
+        self._stack = [[0, n, None]]  # [offset, length, its left half's sum or None], root first
 
     def add(self, values: np.ndarray) -> None:
         buf = np.concatenate((self._pending, values))
         ready, stack = self._at + len(buf), self._stack
-        while True:
-            if not stack:
-                if self._next >= self.n:
-                    break
-                stack.append([self._next, min(self.block, self.n - self._next), None])
-                self._next += stack[-1][1]
+        while stack:
             off, length, _ = stack[-1]
             if off + length <= ready:
                 total = float(np.add.reduce(buf[off - self._at:off + length - self._at]))
@@ -591,153 +680,50 @@ class _PairwiseSum:
                 while stack and stack[-1][2] is not None:  # the right half of its parent
                     total = stack.pop()[2] + total
                 if stack:  # the left half: its sibling is next
-                    parent = stack[-1]
-                    parent[2] = total
-                    half = _pairwise_half(parent[1])
-                    stack.append([parent[0] + half, parent[1] - half, None])
+                    stack[-1][2] = total
+                    off, length, _ = stack[-1]
+                    stack.append([off + length // 16 * 8, length - length // 16 * 8, None])
                 else:
-                    self.total += total
+                    self.total = total
             elif length <= 128:
                 break
             else:
-                stack.append([off, _pairwise_half(length), None])
+                stack.append([off, length // 16 * 8, None])
         start = stack[-1][0] if stack else ready
         self._pending, self._at = buf[start - self._at:].copy(), start
 
 
-def _pairwise_half(length: int) -> int:
-    half = length // 2
-    return half - half % 8
-
-
-class _Largest:
-    """The ``r`` largest of values that arrive a part at a time, as a
-    multiset.  Once ``r`` are kept, a value at or below the least of them
-    changes none of them and is not kept."""
-
-    def __init__(self, r: int):
-        self.r, self._parts, self._size, self._floor = r, [], 0, None
-
-    def add(self, values: np.ndarray) -> None:
-        if self._floor is not None:
-            values = values[values > self._floor]
-        self._parts.append(values)
-        self._size += len(values)
-        if self._size > 2 * self.r:
-            self.result()
-
-    def result(self) -> np.ndarray:
-        kept = np.concatenate(self._parts)
-        if len(kept) >= self.r:
-            kept = np.partition(kept, len(kept) - self.r)[len(kept) - self.r:]
-            self._floor = kept[0]
-        self._parts, self._size = [kept], len(kept)
-        return kept
-
-
-class _Summary:
-    """``mean()``, ``np.percentile(values, 99)`` and ``max()`` of ``n`` values
-    that arrive a part at a time, as numpy gives them over all of them.
-
-    numpy's percentile interpolates linearly between the values at places
-    lo = floor(v) and lo + 1 of the sorted values, v = 0.99 (n - 1), with
-    weight v - lo, so only those n - lo largest values and the sum are
-    kept.  ``np.quantile`` of the two at that weight is that interpolation.
-    ``block`` is as for :class:`_PairwiseSum`.
-    """
-
-    def __init__(self, n: int, block: int):
-        self.n, self.virtual = n, (n - 1) * 0.99
-        self.lo = math.floor(self.virtual)
-        self.sum, self.top = _PairwiseSum(n, block), _Largest(n - self.lo)
-
-    def add(self, values: np.ndarray) -> None:
-        self.sum.add(values.astype(np.float64, copy=False))
-        self.top.add(values)
-
-    def result(self) -> tuple:
-        top = np.sort(self.top.result())  # the sorted values from place lo on
-        pair = top[:2] if len(top) > 1 else top[[0, 0]]
-        p99 = np.quantile(pair, self.virtual - self.lo)
-        return self.sum.total / self.n, float(p99), float(top[-1])
-
-
-class SampleStats(_SampleReduction):
+class SampleStats(UpperTails):
     """Reduction of one hop prefix to the mean, 99th percentile and maximum
-    of its delays, then of its backlogs, as floats: bit for bit what
-    ``mean()``, ``np.percentile(·, 99)`` and ``max()`` give over its
-    :class:`Samples`, while keeping only their sums and about the largest
-    1% of them (see :class:`_Summary`)."""
+    of its delays, then of its backlogs, as floats, from sums and upper
+    tails.  numpy's percentile at v = 0.99 (n - 1) interpolates between the
+    sorted values at lo = floor(v) and lo + 1, the k-th and (k - 1)-th
+    largest for k = n - lo, with weight v - lo, as ``np.quantile`` of the
+    two does.  The backlogs' mean is ``mean()``'s bit for bit (see
+    :class:`_PairwiseSum`); the integer delays' is the exact sum / n, which
+    is ``mean()``'s whenever the sum is below 2**53."""
 
     def __init__(self, warmup: int, total: int):
-        super().__init__(warmup, total)
-        # an integer array's mean adds float64 casts of numpy's buffer at a time
-        self.kinds = (_Summary(self.count, np.getbufsize()), _Summary(self.count, self.count))
+        n = total - warmup
+        self.virtual = (n - 1) * 0.99
+        super().__init__(n - math.floor(self.virtual), warmup, total)
+        self.delay_sum, self.backlog_sum = 0, _PairwiseSum(n)
 
     def _took(self, delays: np.ndarray, backlogs: np.ndarray) -> None:
-        for summary, samples in zip(self.kinds, (delays, backlogs)):
-            summary.add(samples)
+        super()._took(delays, backlogs)
+        # in 32-bit halves, neither of which overflows an int64 sum
+        self.delay_sum += (int((delays >> 32).sum()) << 32) + int((delays & 0xFFFFFFFF).sum())
+        self.backlog_sum.add(backlogs)
 
     def result(self) -> tuple:
-        return tuple(v for summary in self.kinds for v in summary.result())
+        weight, stats = self.virtual - math.floor(self.virtual), []
+        for tail, total in zip(self.kinds, (self.delay_sum, self.backlog_sum.total)):
+            pair = np.array([tail.largest(tail.k), tail.largest(max(tail.k - 1, 1))])
+            stats += [total / self.count, float(np.quantile(pair, weight)), float(tail.largest(1))]
+        return tuple(stats)
 
 
-def _kth_largest_index(values: np.ndarray, counts: np.ndarray, k: int) -> int:
-    """Index of the first entry equal to the k-th largest of the multiset
-    with ``counts[i]`` copies of ``values[i]`` (0 when it has fewer than k
-    elements); ``values`` ascending, equal values possibly in several entries."""
-    j = int(np.searchsorted(np.cumsum(counts[::-1]), k))
-    return 0 if j >= values.size else int(np.searchsorted(values, values[values.size - 1 - j]))
-
-
-class _TopDistinct:
-    """The distinct values at or above the k-th largest of values that arrive
-    a part at a time, ascending, and their counts.  A value is dropped only
-    below the k-th largest of the values so far, which is at most the final
-    one, so every value kept at the end has its full count."""
-
-    def __init__(self, k: int):
-        self.k, self._parts, self._kept, self._size = k, [], 0, 0
-
-    def add(self, values: np.ndarray, counts: np.ndarray) -> None:
-        """``values`` distinct and ascending, with their ``counts``."""
-        self._parts.append((values, counts))
-        self._size += len(values)
-        # merged once as many as are kept, and at least a chunk's worth, have come
-        if self._size - self._kept > max(self._kept, _CHUNK):
-            self.result()
-
-    def result(self) -> tuple:
-        values = np.concatenate([v for v, _ in self._parts])
-        counts = np.concatenate([c for _, c in self._parts])
-        order = np.argsort(values, kind="stable")
-        values, counts = values[order], counts[order]
-        first = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
-        values, counts = values[first], np.add.reduceat(counts, first)
-        i = _kth_largest_index(values, counts, self.k)
-        values, counts = values[i:], counts[i:]
-        self._parts, self._kept, self._size = [(values, counts)], len(values), len(values)
-        return values, counts
-
-
-class UpperTails(_SampleReduction):
-    """Reduction of one hop prefix to, for its delays and then its backlogs,
-    the distinct samples at or above the k-th largest, ascending, and their
-    counts, without keeping the samples (see :class:`_TopDistinct`)."""
-
-    def __init__(self, k: int, warmup: int, total: int):
-        super().__init__(warmup, total)
-        self.kinds = (_TopDistinct(k), _TopDistinct(k))
-
-    def _took(self, delays: np.ndarray, backlogs: np.ndarray) -> None:
-        for tail, samples in zip(self.kinds, (delays, backlogs)):
-            tail.add(*np.unique(samples, return_counts=True))
-
-    def result(self) -> tuple:
-        return tuple(tail.result() for tail in self.kinds)
-
-
-class Exceedances:
+class Exceedances(_SampleReduction):
     """Reduction of one hop prefix to the number of measured slots whose
     delay or backlog exceeds each (kind, threshold) of ``thresholds``, in
     order, without samples.
@@ -750,16 +736,11 @@ class Exceedances:
     """
 
     def __init__(self, thresholds: tuple, warmup: int, total: int):
-        self.first, self.thresholds = warmup + 1, thresholds
-        self.counts = [0] * len(thresholds)
+        super().__init__(warmup, total)
+        self.thresholds, self.counts = thresholds, [0] * len(thresholds)
 
-    def add(self, lo: int, ingress: np.ndarray, egress: np.ndarray) -> None:
-        stop = lo + len(ingress)
-        start = max(stop - len(egress), self.first)
-        if start >= stop:
-            return
-        egress = egress[len(egress) - (stop - start):]
-        backlogs = None
+    def _measured(self, lo: int, ingress: np.ndarray, start: int, egress: np.ndarray) -> None:
+        stop, backlogs = start + len(egress), None
         for j, (kind, threshold) in enumerate(self.thresholds):
             if kind != "delay":
                 if backlogs is None:

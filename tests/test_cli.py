@@ -16,7 +16,8 @@ import sncalc.cli as cli
 import sncalc.scenario as scenario
 from sncalc.cli import EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE, EXIT_VALIDATION, main
 from sncalc.scenario import CSV_HEADER, parse_scenario_file, resolve_scenario_path
-from sncalc.simulator import UpperTails, simulate_tandem, validate_samples
+from sncalc import simulator
+from sncalc.simulator import UpperTails, _UpperTail, simulate_tandem, validate_samples
 
 FINITE_HORIZON = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "finite-horizon.yaml"
 
@@ -321,14 +322,15 @@ class TestSimulate:
     def test_memory_guard_counts_one_block_per_live_replication(self, capsys, tiny, monkeypatch):
         # a replication is sized by its closed-form arrivals, 16 B per change
         # of a group's on-count, and an ingress history over 100 warmup +
-        # 8000 measured + 1 slots, 16 B each; validate --self-test adds
-        # 16 B per measured slot for each of its 2 hop counts' upper tails,
-        # which may be as large as the samples; --jobs 4 holds both of the 2
-        # replications at once
+        # 8000 measured + 1 slots, 16 B each; validate --self-test adds the
+        # charge for each of its 2 hop counts' upper tails, every distinct
+        # delay and backlog with an int64 count and a one-byte label, 34 B
+        # per measured slot; --jobs 4 holds both of the 2 replications at once
         sc = parse_scenario_file(tiny)
         slots = 100 + 8000 + 1
         block = 16 * scenario._on_count_changes(sc.build_sim_scenario(2, 3, 2), slots) + 16 * slots
-        tails = 2 * 16 * 8000
+        tail = 2 * (8 + 8 + 1) * 8000
+        tails = 2 * tail
         monkeypatch.setattr(scenario, "_physical_memory", lambda: block)
         code, out, _ = run_cli(capsys, "simulate", "--scenario", tiny, "--jobs", "1")
         assert code == EXIT_OK and len(parse_rows(out)) == 4
@@ -342,7 +344,7 @@ class TestSimulate:
         code, out, _ = run_cli(capsys, "validate", "--scenario", tiny, "--self-test")
         assert code == EXIT_VALIDATION and len(parse_rows(out)) == 4
         for prefixes in (0, 2):
-            need = 2 * (block + prefixes * 16 * 8000)
+            need = 2 * (block + prefixes * tail)
             monkeypatch.setattr(scenario, "_physical_memory", lambda: need)
             assert sc.build_sim_scenario(2, 3, 2, jobs=4, sample_prefixes=prefixes).replications == 2
             monkeypatch.setattr(scenario, "_physical_memory", lambda: need - 1)
@@ -447,8 +449,6 @@ class TestValidate:
                 n = samples.size
                 k = math.ceil(10 * eps * n)
                 threshold = math.nextafter(float(np.partition(samples, n - k)[n - k]), -math.inf)
-                tail = np.unique(samples, return_counts=True)
-                assert cli._self_test_threshold(tail, eps, n) == threshold
             else:
                 threshold = float(bound_row["bound_value"]) / scale
             report = validate_samples(samples, kind, threshold, eps)
@@ -678,30 +678,37 @@ def test_every_command_ends_in_an_exit_code(tmp_path_factory, doc):
 
 
 @given(st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=40), min_size=1, max_size=6),
-       st.floats(1e-3, 0.1))
+       st.floats(1e-3, 0.1), st.sampled_from([1, 1 << 14]))
 @settings(max_examples=200, deadline=None)
-def test_tail_pool_is_exact_under_ties(replications, epsilon):
-    # the self-test pool keeps each replication's upper tail only, and must
-    # give the pooled samples' threshold and per-replication exceedances at
-    # the pool's rank and at a smaller one
-    samples = [np.array(r, dtype=np.int64) for r in replications]
+def test_tail_pool_is_exact_under_ties(replications, epsilon, chunk):
+    # the self-test pools each replication's upper tail only, and must give
+    # the pooled samples' threshold and per-replication exceedances at the
+    # pool's rank and at a smaller one.  The float samples tie within and
+    # across replications; a pool is fed each replication's tail as the
+    # self-test does, a second one its raw samples, and with merges after
+    # every part (a chunk of 1) the floors rise part by part
+    samples = [np.array(r, dtype=float) for r in replications]
     pooled = np.concatenate(samples)
     n = pooled.size
-    pool = cli._TailPool(cli._self_test_rank(epsilon, n))
-    for rep, s in enumerate(samples):
-        tails = UpperTails(pool.k, 0, s.size)
-        for part in (s[:s.size // 2], s[s.size // 2:]):  # a replication comes a chunk at a time
-            tails._took(part, part.astype(float))
-        delay_tail, backlog_tail = tails.result()
-        assert np.array_equal(delay_tail[0], backlog_tail[0])
-        pool.add(rep, *delay_tail)
-    for eps in (epsilon, epsilon / 3):
-        k = cli._self_test_rank(eps, n)
-        threshold = cli._self_test_threshold((pool.values, pool.counts), eps, n)
-        assert threshold == math.nextafter(float(np.sort(pooled)[n - k]), -math.inf)
+    k = min(n, math.ceil(10 * epsilon * n))
+    pool, raw_pool = _UpperTail(k), _UpperTail(k)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "_CHUNK", chunk)
+        for rep, s in enumerate(samples):
+            tails = UpperTails(k, 0, s.size)
+            for part in np.array_split(s, 3):  # a replication comes a chunk at a time
+                tails._took(part.astype(np.int64), part)
+                raw_pool.add(part, label=rep)
+            delay_tail, backlog_tail = tails.result()
+            assert np.array_equal(delay_tail[0], backlog_tail[0])
+            assert np.array_equal(delay_tail[1], backlog_tail[1])
+            pool.add(*backlog_tail, rep)
+    for rank in (k, max(1, k // 3)):
+        threshold = math.nextafter(float(np.sort(pooled)[n - rank]), -math.inf)
         expected = tuple(int(np.count_nonzero(s > threshold)) for s in samples)
-        assert pool.exceedances(threshold, len(samples)) == expected
-        assert sum(expected) >= k
+        assert sum(expected) >= rank
+        for p in (pool, raw_pool):
+            assert cli._self_test_exceedances(p, rank, len(samples)) == (threshold, expected)
 
 
 class TestImportCost:
