@@ -250,10 +250,10 @@ class Scenario(Record):
             raise ScenarioError([
                 f"sim.warmup_slots/sim.measure_slots: {warmup:.4g} warmup and {sim.measure_slots} "
                 f"measured slots need {need / 2**30:.4g} GiB for the simulator's closed-form "
-                f"arrivals, the ingress a delay may reach back over and the samples of "
-                f"{sample_prefixes} hop count(s) ({live} replication(s) at once), more than the "
-                f"{memory / 2**30:.4g} GiB of physical memory (the default warmup is 10x the "
-                f"longer mean sojourn)"])
+                f"arrivals, the ingress a delay may reach back over and the delay and backlog "
+                f"upper tails of {sample_prefixes} hop count(s) ({live} replication(s) at once), "
+                f"more than the {memory / 2**30:.4g} GiB of physical memory (the default warmup "
+                f"is 10x the longer mean sojourn)"])
         return sim
 
 

@@ -559,55 +559,45 @@ class _UpperTail:
     last one; equal values keep apart by label, in label order.  Values
     below a floor, the k-th largest of some of them and so at most the
     final one, are dropped as they arrive, so :meth:`largest` is exact for
-    ranks up to k.  Raw values wait, those at the floor only counted, and
-    over 2k are cut at their own k-th largest, the new floor; for k above a
-    chunk they are made distinct at once.  Parts are merged at each counted
-    part, and once as many entries as the last merge kept, and a chunk's.
+    ranks up to k.  Raw values wait, cut at the floor, and are made distinct
+    once k of them, or a chunk's, wait, and at a new label or a counted
+    part.  Parts are merged, and the floor raised, at each counted part and
+    once k values, or more entries than the last merge kept and a chunk's,
+    have come since.  A tail fed under one label, as each replication's is,
+    keeps a label per entry all the same.
     """
 
     def __init__(self, k: int):
         self.k, self.floor, self._label = k, None, 0
-        self._parts, self._raw = [], []  # counted parts, the first one merged; raw values waiting
-        self._waiting = self._ties = self._kept = self._new = 0  # raw, at the floor; entries merged, since
+        self._parts = []  # counted parts, the first one merged
+        self._raw, self._waiting = [], 0  # raw values waiting, and their number
+        self._kept = self._new = self._came = 0  # entries merged; entries and values come since
 
     def add(self, values: np.ndarray, counts: Optional[np.ndarray] = None, label: int = 0) -> None:
         if counts is not None or label != self._label:
             self._flush()
         self._label = label
         if counts is None:
-            self._wait(values)
+            self._raw.append(values if self.floor is None else values[values >= self.floor])
+            self._waiting += len(self._raw[-1])
+            if self._waiting >= min(self.k, _CHUNK):
+                self._flush()
         else:
             i = 0 if self.floor is None else np.searchsorted(values, self.floor)
             self._append(values[i:], counts[i:])
-        if counts is not None or self._new > max(self._kept, _CHUNK):
+        if counts is not None or self._came >= self.k or self._new > max(self._kept, _CHUNK):
             self._merge()
 
     def _append(self, values: np.ndarray, counts: np.ndarray) -> None:
         labels = np.full(len(values), self._label, np.min_scalar_type(self._label))
         self._parts.append((values, counts, labels))
-        self._new += len(values)
-
-    def _wait(self, values: np.ndarray) -> None:
-        if self.floor is not None:
-            self._ties += np.count_nonzero(values == self.floor)
-            values = values[values > self.floor]
-        self._raw.append(values)
-        self._waiting += len(values)
-        if self._waiting > 2 * self.k:
-            raw, self._raw, self._waiting = np.concatenate(self._raw), [], 0
-            floor = np.partition(raw, -self.k)[-self.k]
-            self._ties, self.floor = (self._ties if floor == self.floor else 0), floor
-            self._wait(raw)
-        elif self.k > _CHUNK:
-            self._flush()
+        self._new, self._came = self._new + len(values), self._came + int(counts.sum())
 
     def _flush(self) -> None:
-        """The raw values waiting, and those at the floor, as parts."""
-        if self._ties:
-            self._append(np.array([self.floor]), np.array([self._ties]))
+        """The raw values waiting as a counted part."""
         if self._raw:
             self._append(*np.unique(np.concatenate(self._raw), return_counts=True))
-        self._raw, self._waiting, self._ties = [], 0, 0
+        self._raw, self._waiting = [], 0
 
     def _merge(self) -> None:
         self._flush()
@@ -622,11 +612,11 @@ class _UpperTail:
             self.floor = self.largest(self.k)
             i = np.searchsorted(self._parts[0][0], self.floor)
             self._parts = [tuple(column[i:] for column in self._parts[0])]
-        self._kept, self._new = len(self._parts[0][0]), 0
+        self._kept, self._new, self._came = len(self._parts[0][0]), 0, 0
 
     def kept(self) -> tuple:
         """The values kept, ascending, their counts and their labels."""
-        if len(self._parts) > 1 or self._raw or self._ties:
+        if self._raw or len(self._parts) > 1:
             self._merge()
         return self._parts[0]
 

@@ -339,7 +339,7 @@ class TestSimulate:
         assert "error: " in err and "sim.warmup_slots/sim.measure_slots" in err
         assert "2 replication(s) at once" in err
         code, out, err = run_cli(capsys, "validate", "--scenario", tiny, "--self-test")
-        assert code == EXIT_USAGE and "the samples of 2 hop count(s)" in err
+        assert code == EXIT_USAGE and "upper tails of 2 hop count(s)" in err
         monkeypatch.setattr(scenario, "_physical_memory", lambda: block + tails)
         code, out, _ = run_cli(capsys, "validate", "--scenario", tiny, "--self-test")
         assert code == EXIT_VALIDATION and len(parse_rows(out)) == 4
