@@ -10,9 +10,10 @@ error, 2 instability, 3 validation failure.  A row whose bound does not exist
 (unstable load, or no delay within a finite horizon) is still written,
 flagged ``stable=false`` with ``bound_value=inf`` and no ``theta_star``; its
 reason goes to stderr and the command exits 2.  ``validate`` exits 3 on a
-failed check even when a row is flagged.  A simulation whose offered load
-exceeds the capacity ends the command with exit 2 and no rows.  A theta*
-at an edge of its search window is warned about on stderr.
+failed check even when a row is flagged.  A simulation too large for
+physical memory ends the command with exit 1, and one whose offered load
+exceeds the capacity with exit 2, both with no rows.  A theta* at an edge
+of its search window is warned about on stderr.
 ``validate --self-test`` replaces each bound by a threshold that at least
 10 epsilon n of the n samples exceed, so it exits 3 when epsilon is resolved.
 
@@ -200,21 +201,13 @@ def _bound_rows(sc: Scenario, args, flow_points) -> tuple:
     return rows, flagged
 
 
-def _replications(sc: Scenario, args, n: int, m: int, reduce: dict, sample_prefixes: int = 0):
-    """Run max(H) hops once per replication and reduce each hop count H's
-    end-to-end curves with a ``reduce[H]`` accumulator (see
-    ``simulate_replication``), ``sample_prefixes`` of which may keep as much
-    as their samples.  Returns the SimScenario and a generator of
-    per-replication ``{H: result}``.
-    """
-    from .simulator import reduce_replications
-
-    sim = sc.build_sim_scenario(max(reduce), n, m, base_seed=args.seed, jobs=args.jobs,
-                                sample_prefixes=sample_prefixes)
-    _log(args, f"simulating H={','.join(map(str, reduce))} in one {sim.hops}-hop pass: "
+def _simulation(sc: Scenario, args, n: int, m: int, hops):
+    """The simulation that runs max(hops) hops once per replication."""
+    sim = sc.build_sim_scenario(max(hops), n, m, base_seed=args.seed)
+    _log(args, f"simulating H={','.join(map(str, hops))} in one {sim.hops}-hop pass: "
                f"{sim.replications} x {sim.measure_slots} slots "
                f"(utilization {sim.utilization():.3f})")
-    return sim, reduce_replications(sim, reduce, jobs=args.jobs)
+    return sim
 
 
 def _emit(text: str, args) -> None:
@@ -246,9 +239,9 @@ def _cmd_simulate(sc: Scenario, args) -> int:
         raise _UsageError("simulate needs a sim block in the scenario")
     n, m = _flow_point(sc, args)
     hops = _hop_list(sc, args)
-    from .simulator import SampleStats
-    sim, results = _replications(sc, args, n, m, dict.fromkeys(hops, SampleStats))
-    per_rep = list(results)
+    from .simulator import SampleStats, reduce_replications
+    sim = _simulation(sc, args, n, m, hops)
+    per_rep = list(reduce_replications(sim, dict.fromkeys(hops, SampleStats), jobs=args.jobs))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SIM_CSV_HEADER)
@@ -260,33 +253,15 @@ def _cmd_simulate(sc: Scenario, args) -> int:
     return EXIT_OK
 
 
-def _self_test_exceedances(pool, rank: int, replications: int) -> tuple:
-    """Just below the ``rank``-th largest of the samples whose upper tail
-    ``pool`` holds, labelled by replication, so at least ``rank`` exceed it
-    whatever the ties, and the samples above it per replication."""
-    import numpy as np
-    threshold = math.nextafter(float(pool.largest(rank)), -math.inf)
-    values, counts, labels = pool.kept()
-    above = values > threshold
-    per_rep = np.bincount(labels[above], weights=counts[above], minlength=replications)
-    return threshold, tuple(int(c) for c in per_rep)
-
-
 def _self_test_counts(sc: Scenario, args, n: int, m: int, rows) -> tuple:
-    """Self-test thresholds of the rows and their per-replication exceedance
-    counts, from a pool of each (H, kind)'s upper tail over all replications."""
+    """Self-test thresholds of the rows, each exceeded by at least 10 epsilon
+    of the samples, and their per-replication exceedance counts."""
+    from .simulator import self_test_exceedances
     sample_count = sc.sim.replications * sc.sim.measure_slots
-    ranks = [min(sample_count, math.ceil(10 * row.epsilon * sample_count)) for row in rows]
-    from .simulator import UpperTails, _UpperTail
-    hops, k = _hop_list(sc, args), max(ranks)
-    sim, results = _replications(sc, args, n, m, dict.fromkeys(hops, partial(UpperTails, k)), len(hops))
-    pools = {(h, kind): _UpperTail(k) for h in hops for kind in ("delay", "backlog")}
-    for rep, tails in enumerate(results):
-        for h, pair in tails.items():
-            for kind, tail in zip(("delay", "backlog"), pair):
-                pools[h, kind].add(*tail, rep)  # values, counts, label
-    thresholds, counts = zip(*(_self_test_exceedances(pools[row.hops, row.kind], rank, sim.replications)
-                               for row, rank in zip(rows, ranks)))
+    wanted = [(row.hops, row.kind, min(sample_count, math.ceil(10 * row.epsilon * sample_count)))
+              for row in rows]
+    sim = _simulation(sc, args, n, m, _hop_list(sc, args))
+    thresholds, counts = zip(*self_test_exceedances(sim, wanted, jobs=args.jobs))
     return sim, thresholds, counts
 
 
@@ -294,7 +269,7 @@ def _bound_counts(sc: Scenario, args, n: int, m: int, rows) -> tuple:
     """The rows' bounds as thresholds and their per-replication exceedance
     counts, taken on the end-to-end curves without samples; validation
     happens in internal units (slots / bits)."""
-    from .simulator import Exceedances
+    from .simulator import Exceedances, reduce_replications
     slot = sc.units.slot_length_s
     thresholds = [row.bound_value / slot if row.kind == "delay" else row.bound_value for row in rows]
     members = {}
@@ -302,8 +277,8 @@ def _bound_counts(sc: Scenario, args, n: int, m: int, rows) -> tuple:
         members.setdefault(row.hops, []).append(i)
     reduce = {h: partial(Exceedances, tuple((rows[i].kind, thresholds[i]) for i in idx))
               for h, idx in members.items()}
-    sim, results = _replications(sc, args, n, m, reduce)
-    per_rep = list(results)
+    sim = _simulation(sc, args, n, m, reduce)
+    per_rep = list(reduce_replications(sim, reduce, jobs=args.jobs))
     counts = [None] * len(rows)
     for h, idx in members.items():
         for j, i in enumerate(idx):
@@ -362,7 +337,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, ScenarioError) as exc:  # scenario or --out file
+    except (OSError, ScenarioError, MemoryError) as exc:  # scenario or --out file; run size
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except StabilityError as exc:

@@ -83,26 +83,6 @@ class ScenarioError(ValueError):
         super().__init__("invalid scenario:\n" + "\n".join(f"  - {p}" for p in self.problems))
 
 
-def _physical_memory() -> float:
-    """Bytes of physical memory, or inf where the platform does not report it."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return math.inf
-
-
-def _on_count_changes(sim: SimScenario, slots: float) -> float:
-    """About how many slots of a replication over ``slots`` slots start with
-    a change of a group's on-count, over the through sources and each hop's
-    cross sources.  A source changes state twice per mean on-off cycle, or
-    at most twice when a state absorbs; a group changes at most once a slot."""
-    leave = [-math.expm1(-rate) for rate in (sim.source.r_on_off, sim.source.r_off_on)]
-    per_slot = 2.0 / (1.0 / leave[0] + 1.0 / leave[1]) if min(leave) > 0 else 0.0
-    groups = ((sim.through_count, 1), (sim.cross_count, sim.hops))
-    return sum(n * min(slots, sources * (2 + per_slot * slots if per_slot else 2))
-               for sources, n in groups)
-
-
 def rate_to_bits_per_slot(value: float, unit: str, slot_length_s: float) -> float:
     return value * RATE_UNITS[unit] * slot_length_s
 
@@ -204,29 +184,13 @@ class Scenario(Record):
                                  f"[{lo:g}, {hi:g}])"]) from None
 
     def build_sim_scenario(self, hops: int, n_through: int, m_cross: int,
-                           base_seed: Optional[int] = None, jobs: int = 1,
-                           sample_prefixes: int = 0) -> SimScenario:
-        """The simulation at one flow point.
-
-        The simulator streams each replication through its hops one chunk of
-        slots at a time, so beside chunk-sized scratch a replication holds
-        its closed-form arrivals, at most 16 B per slot where a group of
-        sources changes its on-count, about twice per mean on-off cycle and
-        source; the ingress that a delay may reach back over, which a busy
-        period as long as the run stretches to every slot, warmup included,
-        in a buffer up to twice its length: 16 B per slot; and what its
-        reductions keep.  Of those, ``sample_prefixes`` hop counts may keep
-        the upper tails of their delays and backlogs, as large as every
-        distinct value with an int64 count and a one-byte label: 34 B per
-        measured slot each.  A run whose replications held at once,
-        ``min(jobs, replications)`` of them, would need more than physical
-        memory for that is a :class:`ScenarioError`, raised before anything
-        is simulated."""
+                           base_seed: Optional[int] = None) -> SimScenario:
+        """The simulation at one flow point."""
         if self.sim is None:
             raise ScenarioError(["sim: block required for simulation commands"])
         from .simulator import SimScenario
 
-        sim = SimScenario(
+        return SimScenario(
             hops=hops,
             capacity_per_slot=self.capacity_bits_per_slot(),
             through_count=n_through,
@@ -237,24 +201,6 @@ class Scenario(Record):
             replications=self.sim.replications,
             base_seed=self.sim.base_seed if base_seed is None else base_seed,
         )
-        try:
-            warmup = sim.resolved_warmup()
-        except OverflowError:  # a mean sojourn beyond the float range
-            warmup = math.inf
-        live = max(1, min(jobs, sim.replications))  # reduce_replications runs jobs < 2 serially
-        slots = warmup + sim.measure_slots + 1
-        per_replication = (16 * _on_count_changes(sim, slots) + 16 * slots
-                           + 34 * sim.measure_slots * sample_prefixes)
-        need, memory = per_replication * live, _physical_memory()
-        if need > memory:
-            raise ScenarioError([
-                f"sim.warmup_slots/sim.measure_slots: {warmup:.4g} warmup and {sim.measure_slots} "
-                f"measured slots need {need / 2**30:.4g} GiB for the simulator's closed-form "
-                f"arrivals, the ingress a delay may reach back over and the delay and backlog "
-                f"upper tails of {sample_prefixes} hop count(s) ({live} replication(s) at once), "
-                f"more than the {memory / 2**30:.4g} GiB of physical memory (the default warmup "
-                f"is 10x the longer mean sojourn)"])
-        return sim
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +252,7 @@ class _Checker:
                 self.error(f"{path}.{key}", "missing required key")
         return node
 
-    def number(self, node: dict, path: str, key: str, *, positive=False, nonnegative=False):
+    def number(self, node: dict, path: str, key: str):
         if key not in node:
             return None
         value = node[key]
@@ -320,11 +266,8 @@ class _Checker:
         if not math.isfinite(value):
             self.error(f"{path}.{key}", "must be finite")
             return None
-        if positive and value <= 0:
+        if value <= 0:
             self.error(f"{path}.{key}", f"must be > 0, got {value!r}")
-            return None
-        if nonnegative and value < 0:
-            self.error(f"{path}.{key}", f"must be >= 0, got {value!r}")
             return None
         return value
 
@@ -403,7 +346,7 @@ def parse_scenario(text: str) -> Scenario:
 
 def _parse_units(ck: _Checker, node) -> Optional[UnitsBlock]:
     node = ck.mapping(node, "units", {"slot_length_s", "rate_unit"}, {"slot_length_s", "rate_unit"})
-    slot = ck.number(node, "units", "slot_length_s", positive=True)
+    slot = ck.number(node, "units", "slot_length_s")
     unit = node.get("rate_unit")
     if "rate_unit" in node and unit not in RATE_UNITS:
         ck.error("units.rate_unit", f"must be one of {sorted(RATE_UNITS)}, got {unit!r}")
@@ -416,9 +359,9 @@ def _parse_units(ck: _Checker, node) -> Optional[UnitsBlock]:
 def _parse_traffic(ck: _Checker, node) -> Optional[TrafficBlock]:
     keys = {"peak_rate", "mean_on_time_s", "mean_off_time_s", "through_flows", "cross_flows"}
     node = ck.mapping(node, "traffic", keys, keys)
-    peak = ck.number(node, "traffic", "peak_rate", positive=True)
-    on_t = ck.number(node, "traffic", "mean_on_time_s", positive=True)
-    off_t = ck.number(node, "traffic", "mean_off_time_s", positive=True)
+    peak = ck.number(node, "traffic", "peak_rate")
+    on_t = ck.number(node, "traffic", "mean_on_time_s")
+    off_t = ck.number(node, "traffic", "mean_off_time_s")
     n = ck.integer(node, "traffic", "through_flows", minimum=1, maximum=_FLOAT_MAX)
     m = ck.integer(node, "traffic", "cross_flows", minimum=0, maximum=_FLOAT_MAX)
     if None in (peak, on_t, off_t, n, m):
@@ -430,7 +373,7 @@ def _parse_traffic(ck: _Checker, node) -> Optional[TrafficBlock]:
 def _parse_network(ck: _Checker, node) -> Optional[NetworkBlock]:
     node = ck.mapping(node, "network", {"capacity", "hops", "flow_totals", "flow_pairs"},
                       {"capacity", "hops"})
-    cap = ck.number(node, "network", "capacity", positive=True)
+    cap = ck.number(node, "network", "capacity")
     integers = "expected a non-empty integer or list of integers"
     hops = ck.items(node, "network", "hops", _int_item(1, MAX_HOPS), integers, int)
     totals = ck.items(node, "network", "flow_totals", _int_item(2, _FLOAT_MAX), integers, int)
@@ -480,10 +423,10 @@ def _parse_bound(ck: _Checker, node) -> Optional[BoundBlock]:
         tnode = ck.mapping(node["theta"], "bound.theta",
                            {"min", "max", "grid_points", "refine_tolerance"}, set())
         theta = ThetaBlock(
-            theta_min=ck.number(tnode, "bound.theta", "min", positive=True),
-            theta_max=ck.number(tnode, "bound.theta", "max", positive=True),
+            theta_min=ck.number(tnode, "bound.theta", "min"),
+            theta_max=ck.number(tnode, "bound.theta", "max"),
             grid_points=ck.integer(tnode, "bound.theta", "grid_points", minimum=8, maximum=MAX_GRID_POINTS),
-            refine_tolerance=ck.number(tnode, "bound.theta", "refine_tolerance", positive=True),
+            refine_tolerance=ck.number(tnode, "bound.theta", "refine_tolerance"),
         )
         if (theta.theta_min is not None and theta.theta_max is not None
                 and not theta.theta_min < theta.theta_max):

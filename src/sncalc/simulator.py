@@ -13,10 +13,9 @@ are A - queue, which equals the arrivals exactly at an empty queue for any
 real rates.  A busy slot's through departures come from one search of A
 that is capped at the slot itself, so no result depends on the chunks of
 slots the curves are computed in.  The test suite cross-checks them
-against a literal chunk-queue implementation, also in rational
-arithmetic.  End-to-end measurements
-follow the cumulative-curve definitions: backlog B(t) = A(t) - D(t) and
-virtual delay W(t) = inf{d >= 0 : A(t - d) <= D(t)}.
+against a literal chunk-queue implementation, also in rational arithmetic.
+End-to-end measurements follow the cumulative-curve definitions: backlog
+B(t) = A(t) - D(t) and virtual delay W(t) = inf{d >= 0 : A(t - d) <= D(t)}.
 
 A replication is streamed one chunk of slots at a time: the chunk's
 ingress is evaluated once, run through hop 1, hop 2, ... in turn, and each
@@ -29,8 +28,11 @@ group's on-count changes.  The cross and total arrivals, C*t, the excess
 and the queue of a hop live in chunk-sized scratch, and every other curve
 is kept only from the first slot still read on, so beside the closed forms
 a replication holds only what its reductions keep, and each hop's curves
-when asked for.  The validation statistics' one-sided Clopper-Pearson
-limit is computed here too, in numpy, so the package never imports scipy.
+when asked for.  The run-size guard in :func:`reduce_replications` charges
+that for each replication held at once and refuses, with
+:class:`MemoryError`, a run that would not fit physical memory.  The
+validation statistics' one-sided Clopper-Pearson limit is computed here
+too, in numpy, so the package never imports scipy.
 
 Randomness: every source draws from its own counter-based Philox stream
 keyed by (base_seed, replication, hop, source index), so adding sources,
@@ -43,6 +45,7 @@ from __future__ import annotations
 import collections
 import math
 import numbers
+import os
 from functools import partial
 from typing import Optional
 
@@ -65,6 +68,7 @@ __all__ = [
     "Exceedances",
     "simulate_replication",
     "reduce_replications",
+    "self_test_exceedances",
     "simulate_tandem",
     "validate_exceedances",
     "validate_samples",
@@ -154,54 +158,49 @@ def _source_rng(base_seed: int, replication: int, hop: int, index: int) -> np.ra
     return np.random.Generator(np.random.Philox(seq))
 
 
+def _switch_law(params: MmooParams) -> tuple:
+    """The probabilities that a source leaves the on, and the off, state in
+    a slot, 1 - e^{-rate}, and its mean on-off cycle, inf if one absorbs."""
+    leave = (-math.expm1(-params.r_on_off), -math.expm1(-params.r_off_on))
+    return (*leave, 1.0 / leave[0] + 1.0 / leave[1] if min(leave) > 0 else math.inf)
+
+
 def _on_runs(rng: np.random.Generator, params: MmooParams, total: int):
     """On-intervals [start, end) of one source over ``total`` slots.
 
     Sojourns are geometric with parameter 1 - e^{-rate}; a zero rate makes
-    the corresponding state absorbing.
+    the corresponding state absorbing: a sojourn in it lasts the run.
     """
-    p_leave_on = -math.expm1(-params.r_on_off)
-    p_leave_off = -math.expm1(-params.r_off_on)
+    p_leave_on, p_leave_off, cycle = _switch_law(params)
     on = stationary_on_state(rng, params)
-
-    if p_leave_on == 0.0:  # on state absorbs
-        if on:
-            return np.array([0]), np.array([total])
-        first_off = int(rng.geometric(p_leave_off))
-        if first_off >= total:
-            return np.array([], dtype=np.int64), np.array([], dtype=np.int64)
-        return np.array([first_off]), np.array([total])
-    if p_leave_off == 0.0:  # off state absorbs
-        if not on:
-            return np.array([], dtype=np.int64), np.array([], dtype=np.int64)
-        first_on = int(rng.geometric(p_leave_on))
-        return np.array([0]), np.array([min(first_on, total)])
-
-    cycle = 1.0 / p_leave_on + 1.0 / p_leave_off
     block = max(16, int(1.2 * total / cycle) + 4)
     starts_parts, ends_parts = [], []
     t = 0
     while t < total:
-        cur = rng.geometric(p_leave_on if on else p_leave_off, block)
-        alt = rng.geometric(p_leave_off if on else p_leave_on, block)
-        lengths = np.empty(2 * block, dtype=np.int64)
-        lengths[0::2] = cur
-        lengths[1::2] = alt
+        # the current state's sojourns, each followed by one of the other state
+        lengths = np.stack([rng.geometric(p, block) if p > 0 else np.full(block, total, dtype=np.int64)
+                            for p in ((p_leave_on, p_leave_off) if on else (p_leave_off, p_leave_on))],
+                           axis=1).ravel()
         # a sojourn of total slots already ends the run; the cap keeps a
         # saturated draw (2**63 - 1) from wrapping the cumsum negative
         np.minimum(lengths, total, out=lengths)
         ends = t + np.cumsum(lengths)
-        starts = np.empty_like(ends)
-        starts[0] = t
-        starts[1:] = ends[:-1]
-        sel = slice(0, None, 2) if on else slice(1, None, 2)
-        starts_parts.append(starts[sel])
-        ends_parts.append(ends[sel])
+        starts_parts.append((ends - lengths)[int(not on)::2])
+        ends_parts.append(ends[int(not on)::2])
         t = int(ends[-1])  # even number of sojourns: state unchanged
     starts = np.concatenate(starts_parts)
     ends = np.concatenate(ends_parts)
     keep = starts < total
     return starts[keep], np.minimum(ends[keep], total)
+
+
+def _on_count_changes(scenario: SimScenario, slots: float) -> float:
+    """About how many of ``slots`` slots start with a change of the on-count
+    of the through sources or of a hop's cross sources: a source switches
+    twice per mean on-off cycle, or twice when a state absorbs."""
+    cycle = _switch_law(scenario.source)[2]
+    groups = ((scenario.through_count, 1), (scenario.cross_count, scenario.hops))
+    return sum(n * min(slots, sources * (2 + 2 * slots / cycle)) for sources, n in groups)
 
 
 class _Arrivals:
@@ -364,18 +363,6 @@ class _Tail:
         self.start = slot
 
 
-def _search_right(a: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(a, keys, side="right")`` for a nondecreasing ``a`` and nonempty ``keys``.
-
-    Only the part of ``a`` between the answers for the smallest and the
-    largest key is searched, which is exact for any key order.
-    """
-    lo, hi = np.searchsorted(a, (keys.min(), keys.max()), side="right")
-    found = np.searchsorted(a[lo:hi], keys, side="right")
-    found += lo
-    return found
-
-
 # ---------------------------------------------------------------------------
 # queueing
 # ---------------------------------------------------------------------------
@@ -438,7 +425,7 @@ class _Hop:
             self.max_queue = max(self.max_queue, float(dep.max()))
             at += k  # the busy slots' places in the window
             np.subtract(arr[at], dep, out=dep)
-            e = _search_right(arr, dep)
+            e = np.searchsorted(arr, dep, side="right")
             np.minimum(e, at, out=e)
             dep -= cross[e]
             e += start - thr.start  # now places in thr.values
@@ -518,6 +505,12 @@ class _SampleReduction:
     def __init__(self, warmup: int, total: int):
         self.first, self.count = warmup + 1, total - warmup
 
+    @classmethod
+    def held_bytes(cls, count: int, *args) -> tuple:
+        """Bytes held at the peak beside chunk scratch, and in the result, by
+        a reduction made with ``args`` over ``count`` measured slots."""
+        return 0, 0
+
     def add(self, lo: int, ingress: np.ndarray, egress: np.ndarray) -> None:
         stop = lo + len(ingress)
         start = max(stop - len(egress), self.first)
@@ -530,7 +523,7 @@ class _SampleReduction:
         at = np.flatnonzero(backlogs > 0)
         if len(at):
             # slot t = start + position has delay t + 1 - lo - (values of ``ingress`` <= egress[t])
-            found = _search_right(ingress, egress[at])
+            found = np.searchsorted(ingress, egress[at], side="right")
             delays[at] = at + (start + 1 - lo) - found
         self._took(delays, backlogs)
 
@@ -543,6 +536,10 @@ class Samples(_SampleReduction):
         super().__init__(warmup, total)
         self.delays, self.backlogs = np.empty(self.count, dtype=np.int64), np.empty(self.count)
         self._filled = 0
+
+    @classmethod
+    def held_bytes(cls, count: int) -> tuple:
+        return 16 * count, 16 * count
 
     def _took(self, delays: np.ndarray, backlogs: np.ndarray) -> None:
         i, self._filled = self._filled, self._filled + len(delays)
@@ -636,6 +633,13 @@ class UpperTails(_SampleReduction):
         super().__init__(warmup, total)
         self.kinds = (_UpperTail(k), _UpperTail(k))
 
+    @classmethod
+    def held_bytes(cls, count: int, k: int) -> tuple:
+        """Each tail keeps at most min(k, count) entries, a value and a count
+        in the result, and merges them with at most as many and three chunks
+        more; 80 B an entry are charged (76 at k = count, all distinct)."""
+        return 80 * min(count, 2 * k + 3 * _CHUNK), 32 * min(k, count)
+
     def _took(self, delays: np.ndarray, backlogs: np.ndarray) -> None:
         for tail, samples in zip(self.kinds, (delays, backlogs)):
             tail.add(samples)
@@ -698,6 +702,10 @@ class SampleStats(UpperTails):
         self.virtual = (n - 1) * 0.99
         super().__init__(n - math.floor(self.virtual), warmup, total)
         self.delay_sum, self.backlog_sum = 0, _PairwiseSum(n)
+
+    @classmethod
+    def held_bytes(cls, count: int) -> tuple:
+        return super().held_bytes(count, count - math.floor((count - 1) * 0.99))[0], 0
 
     def _took(self, delays: np.ndarray, backlogs: np.ndarray) -> None:
         super()._took(delays, backlogs)
@@ -792,16 +800,56 @@ def _reduced_replication(scenario: SimScenario, reduce: dict, replication: int) 
     return simulate_replication(scenario, replication, reduce=reduce).reduced
 
 
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where the platform does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
 def reduce_replications(scenario: SimScenario, reduce: dict, jobs: int = 1):
     """Each replication's ``reduced`` (see :func:`simulate_replication`), in
     replication order, from ``jobs`` worker processes when above 1.
 
     A generator: one replication is live per worker, and the caller holds
-    only what the reductions return.  ``reduce``'s factories and their
-    results cross process boundaries, so they must pickle.  Raises
-    :class:`StabilityError` when the offered load exceeds the capacity
-    (utilization > 1) or a queue outgrows the configured guard.
+    only what the reductions return.  ``reduce``'s factories, reductions of
+    this module or partials of them, and their results cross process
+    boundaries, so they must pickle.  Raises :class:`StabilityError` when
+    the offered load exceeds the capacity (utilization > 1) or a queue
+    outgrows the configured guard.
+
+    Before the first replication and the load check, a run that would not
+    fit physical memory raises :class:`MemoryError`.  Beside chunk scratch,
+    a live replication holds its closed forms, at most 16 B per slot where a
+    group's on-count changes, the ingress a delay may reach back over, 16 B
+    per slot of a run-long busy period, and its reductions' peaks
+    (``held_bytes``); the caller holds one result, and 2 ``jobs`` may wait.
     """
+    return _reduced(scenario, reduce, jobs, 0.0)
+
+
+def _reduced(scenario: SimScenario, reduce: dict, jobs: int, pooled: float):
+    """:func:`reduce_replications`, whose caller holds ``pooled`` bytes more."""
+    n, count = scenario.replications, scenario.measure_slots
+    parallel = jobs >= 2 and n >= 2
+    live, held = (min(jobs, n), min(2 * jobs + 1, n)) if parallel else (1, 1)
+    try:
+        warmup = scenario.resolved_warmup()
+    except OverflowError:  # a mean sojourn beyond the float range
+        warmup = math.inf
+    slots = warmup + count + 1
+    # each factory is a reduction class or a partial of one
+    sizes = [getattr(f, "func", f).held_bytes(count, *getattr(f, "args", ())) for f in reduce.values()]
+    need = (live * (16 * _on_count_changes(scenario, slots) + 16 * slots + sum(size[0] for size in sizes))
+            + held * sum(size[1] for size in sizes) + pooled)
+    memory = _physical_memory()
+    if not need <= memory:  # nan too: a slot count beyond the float range
+        raise MemoryError(
+            f"sim.warmup_slots/sim.measure_slots: {warmup:.4g} warmup and {count} measured slots need "
+            f"{need / 2**30:.4g} GiB for {live} replication(s) at once, {held} finished result(s)"
+            f"{' and the pooled upper tails' if pooled else ''}, more than the {memory / 2**30:.4g} "
+            f"GiB of physical memory (the default warmup is 10x the longer mean sojourn)")
     util = scenario.utilization()
     if util > 1.0:
         raise StabilityError(
@@ -810,9 +858,8 @@ def reduce_replications(scenario: SimScenario, reduce: dict, jobs: int = 1):
             f"{scenario.source.mean_rate:.6g} bits/slot against capacity "
             f"{scenario.capacity_per_slot:.6g} bits/slot"
         )
-    n = scenario.replications
     run = partial(_reduced_replication, scenario, reduce)
-    if jobs < 2 or n < 2:
+    if not parallel:
         yield from map(run, range(n))
         return
     from concurrent.futures import ProcessPoolExecutor
@@ -829,6 +876,31 @@ def reduce_replications(scenario: SimScenario, reduce: dict, jobs: int = 1):
             yield pending.popleft().result()
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def self_test_exceedances(scenario: SimScenario, wanted, jobs: int = 1) -> list:
+    """For each (h, kind, rank) of ``wanted``, a threshold just below the
+    rank-th largest of the h-hop prefix's delays or backlogs, so at least
+    rank samples exceed it whatever the ties, and each replication's samples
+    above it, from every replication's :class:`UpperTails` pooled in one
+    tail per (h, kind), which keeps fewer than max rank + replications entries."""
+    k = max(rank for _, _, rank in wanted)
+    reduce = dict.fromkeys((h for h, _, _ in wanted), partial(UpperTails, k))
+    pools = {(h, kind): _UpperTail(k) for h in reduce for kind in ("delay", "backlog")}
+    n, count = scenario.replications, scenario.measure_slots
+    entries = min(k - 1 + n, n * count) + min(k, count)
+    pooled = len(reduce) * UpperTails.held_bytes(entries, entries)[0]
+    for rep, tails in enumerate(_reduced(scenario, reduce, jobs, pooled)):
+        for (h, kind), pool in pools.items():
+            pool.add(*tails[h][kind == "backlog"], rep)  # values, counts, label
+    found = []
+    for h, kind, rank in wanted:
+        threshold = math.nextafter(float(pools[h, kind].largest(rank)), -math.inf)
+        values, counts, labels = pools[h, kind].kept()
+        above = values > threshold
+        per_rep = np.bincount(labels[above], weights=counts[above], minlength=n)
+        found.append((threshold, tuple(int(c) for c in per_rep)))
+    return found
 
 
 def simulate_tandem(scenario: SimScenario, jobs: int = 1) -> SimResult:

@@ -16,8 +16,8 @@ import sncalc.cli as cli
 import sncalc.scenario as scenario
 from sncalc.cli import EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE, EXIT_VALIDATION, main
 from sncalc.scenario import CSV_HEADER, parse_scenario_file, resolve_scenario_path
-from sncalc import simulator
-from sncalc.simulator import UpperTails, _UpperTail, simulate_tandem, validate_samples
+from sncalc import MmooParams, simulator
+from sncalc.simulator import SampleStats, SimScenario, UpperTails, _UpperTail, simulate_tandem, validate_samples
 
 FINITE_HORIZON = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "finite-horizon.yaml"
 
@@ -321,17 +321,16 @@ class TestSimulate:
 
     def test_memory_guard_counts_one_block_per_live_replication(self, capsys, tiny, monkeypatch):
         # a replication is sized by its closed-form arrivals, 16 B per change
-        # of a group's on-count, and an ingress history over 100 warmup +
-        # 8000 measured + 1 slots, 16 B each; validate --self-test adds the
-        # charge for each of its 2 hop counts' upper tails, every distinct
-        # delay and backlog with an int64 count and a one-byte label, 34 B
-        # per measured slot; --jobs 4 holds both of the 2 replications at once
-        sc = parse_scenario_file(tiny)
+        # of a group's on-count, an ingress history over 100 warmup + 8000
+        # measured + 1 slots, 16 B each, and the peaks of its reductions, one
+        # per hop count; --jobs 4 holds both of the 2 replications at once.
+        # validate --self-test reduces each hop count to upper tails at rank
+        # 1600 (10 epsilon of 16000 samples) and pools them as well
+        sim = parse_scenario_file(tiny).build_sim_scenario(2, 3, 2)
         slots = 100 + 8000 + 1
-        block = 16 * scenario._on_count_changes(sc.build_sim_scenario(2, 3, 2), slots) + 16 * slots
-        tail = 2 * (8 + 8 + 1) * 8000
-        tails = 2 * tail
-        monkeypatch.setattr(scenario, "_physical_memory", lambda: block)
+        base = 16 * simulator._on_count_changes(sim, slots) + 16 * slots
+        block = base + 2 * SampleStats.held_bytes(8000)[0]
+        monkeypatch.setattr(simulator, "_physical_memory", lambda: block)
         code, out, _ = run_cli(capsys, "simulate", "--scenario", tiny, "--jobs", "1")
         assert code == EXIT_OK and len(parse_rows(out)) == 4
         code, out, err = run_cli(capsys, "simulate", "--scenario", tiny, "--jobs", "4")
@@ -339,17 +338,23 @@ class TestSimulate:
         assert "error: " in err and "sim.warmup_slots/sim.measure_slots" in err
         assert "2 replication(s) at once" in err
         code, out, err = run_cli(capsys, "validate", "--scenario", tiny, "--self-test")
-        assert code == EXIT_USAGE and "upper tails of 2 hop count(s)" in err
-        monkeypatch.setattr(scenario, "_physical_memory", lambda: block + tails)
-        code, out, _ = run_cli(capsys, "validate", "--scenario", tiny, "--self-test")
+        assert code == EXIT_USAGE and "pooled upper tails" in err
+        monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**30)
+        code, out, _ = run_cli(capsys, "validate", "--scenario", tiny, "--self-test", "--jobs", "4")
         assert code == EXIT_VALIDATION and len(parse_rows(out)) == 4
-        for prefixes in (0, 2):
-            need = 2 * (block + prefixes * tail)
-            monkeypatch.setattr(scenario, "_physical_memory", lambda: need)
-            assert sc.build_sim_scenario(2, 3, 2, jobs=4, sample_prefixes=prefixes).replications == 2
-            monkeypatch.setattr(scenario, "_physical_memory", lambda: need - 1)
-            with pytest.raises(scenario.ScenarioError, match="sim.warmup_slots/sim.measure_slots"):
-                sc.build_sim_scenario(2, 3, 2, jobs=4, sample_prefixes=prefixes)
+        # each replication's tails keep up to 1600 values and counts; each
+        # pool keeps up to 1600 - 1 + 2 labelled entries and merges one tail
+        tail_peak, result = UpperTails.held_bytes(8000, 1600)
+        assert result == 32 * 1600 and tail_peak > 2 * 34 * 1600
+        pools = 2 * UpperTails.held_bytes(3201, 3201)[0]
+        rows = [(h, kind, 1600) for h in (1, 2) for kind in ("delay", "backlog")]
+        for jobs, live, held in ((1, 1, 1), (4, 2, 2)):
+            need = live * (base + 2 * tail_peak) + held * 2 * result + pools
+            monkeypatch.setattr(simulator, "_physical_memory", lambda: need)
+            assert len(simulator.self_test_exceedances(sim, rows, jobs=jobs)) == 4
+            monkeypatch.setattr(simulator, "_physical_memory", lambda: need - 1)
+            with pytest.raises(MemoryError, match="sim.warmup_slots/sim.measure_slots"):
+                simulator.self_test_exceedances(sim, rows, jobs=jobs)
 
     @pytest.mark.parametrize("command, field, flags, named", [
         ("simulate", ("replications: 2", "replications: " + "9" * 401), ["--jobs", "2"],
@@ -684,31 +689,42 @@ def test_tail_pool_is_exact_under_ties(replications, epsilon, chunk):
     # the self-test pools each replication's upper tail only, and must give
     # the pooled samples' threshold and per-replication exceedances at the
     # pool's rank and at a smaller one.  The float samples tie within and
-    # across replications; a pool is fed each replication's tail as the
-    # self-test does, a second one its raw samples, and with merges after
-    # every part (a chunk of 1) the floors rise part by part
+    # across replications; the self-test's pools are fed each replication's
+    # tails, a second pool its raw samples, and with merges after every
+    # part (a chunk of 1) the floors rise part by part
     samples = [np.array(r, dtype=float) for r in replications]
     pooled = np.concatenate(samples)
     n = pooled.size
     k = min(n, math.ceil(10 * epsilon * n))
-    pool, raw_pool = _UpperTail(k), _UpperTail(k)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simulator, "_CHUNK", chunk)
+    raw_pool = _UpperTail(k)
+
+    def reduced(scenario, reduce, jobs, pooled_bytes):  # the replications, as a simulation yields them
         for rep, s in enumerate(samples):
-            tails = UpperTails(k, 0, s.size)
+            tails = reduce[1](0, s.size)
             for part in np.array_split(s, 3):  # a replication comes a chunk at a time
                 tails._took(part.astype(np.int64), part)
                 raw_pool.add(part, label=rep)
             delay_tail, backlog_tail = tails.result()
             assert np.array_equal(delay_tail[0], backlog_tail[0])
             assert np.array_equal(delay_tail[1], backlog_tail[1])
-            pool.add(*backlog_tail, rep)
-    for rank in (k, max(1, k // 3)):
+            yield {1: (delay_tail, backlog_tail)}
+
+    ranks = (k, max(1, k // 3))
+    sim = SimScenario(hops=1, capacity_per_slot=1.0, through_count=1, cross_count=0,
+                      source=MmooParams(1.0, 0.5, 0.5), measure_slots=n, replications=len(samples))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "_CHUNK", chunk)
+        patch.setattr(simulator, "_reduced", reduced)
+        found = simulator.self_test_exceedances(sim, [(1, kind, r) for r in ranks for kind in ("delay", "backlog")])
+    for i, rank in enumerate(ranks):
         threshold = math.nextafter(float(np.sort(pooled)[n - rank]), -math.inf)
         expected = tuple(int(np.count_nonzero(s > threshold)) for s in samples)
         assert sum(expected) >= rank
-        for p in (pool, raw_pool):
-            assert cli._self_test_exceedances(p, rank, len(samples)) == (threshold, expected)
+        assert found[2 * i] == found[2 * i + 1] == (threshold, expected)
+        values, counts, labels = raw_pool.kept()
+        above = values > threshold
+        assert raw_pool.largest(rank) == np.sort(pooled)[n - rank]
+        assert tuple(np.bincount(labels[above], weights=counts[above], minlength=len(samples))) == expected
 
 
 class TestImportCost:

@@ -18,7 +18,7 @@ from sncalc import (
 )
 from sncalc import simulator
 from sncalc.simulator import (Exceedances, HopTrace, Samples, SampleStats, UpperTails, _Arrivals, _Hop,
-                              _on_runs, _search_right, _source_rng, _tandem, _Window, stationary_on_state,
+                              _on_runs, _source_rng, _tandem, _Window, stationary_on_state,
                               validate_exceedances)
 from helpers import (ReferenceTandem, mmoo_source_step, reference_arrival_curve, reference_curves,
                      reference_on_counts, virtual_delays)
@@ -613,32 +613,42 @@ def test_validate_replication_memory_grows_by_less_than_4_bytes_a_slot():
     assert growth < 4 * 1_800_000
 
 
+def test_memory_check_covers_self_test_tails_and_waiting_results(monkeypatch):
+    # a self-test hop count's upper tails at k = n, every delay and backlog
+    # distinct and fed a chunk at a time, peak within their charge
+    n, chunk = 10**6, 1 << 14
+    rng = np.random.default_rng(0)
+    delays, backlogs = rng.permutation(n), rng.permutation(n) + 0.5
+    tracemalloc.start()
+    try:
+        tails = UpperTails(n, 0, n)
+        for i in range(0, n, chunk):
+            tails._took(delays[i:i + chunk], backlogs[i:i + chunk])
+        tails.result()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert UpperTails.held_bytes(n, n)[0] >= peak
+    # at --jobs 2, finished results wait for the oldest: memory for the two
+    # live replications and one result is refused before any worker starts,
+    # memory for them and every result is not
+    sc = small_scenario(replications=6)
+    k, slots = sc.measure_slots, sc.resolved_warmup() + sc.measure_slots + 1
+    tail_peak, result = UpperTails.held_bytes(k, k)
+    live = 16 * simulator._on_count_changes(sc, slots) + 16 * slots + tail_peak
+    for memory, refused in ((2 * live + result, True), (2 * live + 6 * result, False)):
+        monkeypatch.setattr(simulator, "_physical_memory", lambda: memory)
+        runs = simulator.reduce_replications(sc, {2: partial(UpperTails, k)}, jobs=2)
+        if refused:
+            with pytest.raises(MemoryError, match="2 replication"):
+                next(runs)
+        else:
+            assert len(list(runs)) == 6
+
+
 # ---------------------------------------------------------------------------
 # curve inversions: only the busy slots, against a search on every slot
 # ---------------------------------------------------------------------------
-
-@st.composite
-def search_inputs(draw):
-    """A nondecreasing haystack with flat runs (one may end it) and keys in
-    any order at, between, below and above its values."""
-    steps = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=2, max_size=300))
-    steps += [0.0] * draw(st.integers(0, 5))
-    a = draw(st.floats(-1e3, 1e3)) + np.cumsum(steps)
-    kinds = st.sampled_from(["value", "between", "below", "above"])
-    keys = []
-    for _ in range(draw(st.integers(1, 300))):
-        kind, k = draw(kinds), draw(st.integers(0, len(a) - 1))
-        keys.append({"value": a[k], "between": (a[k] + a[min(k + 1, len(a) - 1)]) / 2,
-                     "below": a[0] - 1.0, "above": a[-1] + 1.0}[kind])
-    return a, np.array(keys)
-
-
-@given(search_inputs())
-@settings(max_examples=300, deadline=None)
-def test_search_right_equals_searchsorted(inputs):
-    a, v = inputs
-    assert np.array_equal(_search_right(a, v), np.searchsorted(a, v, side="right"))
-
 
 def _hop_input(slots, loads, capacity, peak, seed):
     """Per-slot through and cross on-counts over ``slots`` slots, in equal
@@ -913,8 +923,8 @@ short_decimal = st.integers(1, 999).map(lambda k: k / 10)  # 6.4, 73.2, ...
        seed=st.integers(0, 2**32))
 @settings(max_examples=100, deadline=None)
 def test_inverted_curves_are_nondecreasing(peak, util, capacity, hops, through, cross, seed):
-    # the precondition of _search_right, which both inversions use at their
-    # busy slots: the hop split inverts a hop's total arrivals and the delay
+    # the precondition of the right-sided searches that both inversions use
+    # at their busy slots: the hop split inverts a hop's total arrivals and the delay
     # inversion inverts the ingress
     source = MmooParams(peak_rate=peak, r_on_off=0.2, r_off_on=0.15)
     if util is not None:
