@@ -18,11 +18,12 @@ of its search window is warned about on stderr.
 10 epsilon n of the n samples exceed, so it exits 3 when epsilon is resolved.
 
 Flat flags override scenario fields (--epsilon, --hops, --through, --cross,
---seed); command-line values take precedence.  ``sweep-flows`` takes its
-(N, M) points from the scenario only.  ``--jobs`` runs simulation
-replications in parallel; the bound commands accept it and run in one
-process.  ``--scenario`` accepts a file path, a name resolved in
-``$SNC_PRESET_DIR``, or a built-in preset name.
+--seed): right after loading, each given flag replaces its field, checked by
+that field's own rule (``Scenario.with_flags``), and every command reads the
+result.  ``sweep-flows`` takes its (N, M) points from the scenario only.
+``--jobs`` runs simulation replications in parallel; the bound commands
+accept it and run in one process.  ``--scenario`` accepts a file path, a
+name resolved in ``$SNC_PRESET_DIR``, or a built-in preset name.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .bounds import NetworkPath, StabilityError, hop_sweep
 # not called here: perfbench/tracing.py patches these names on this module
 from .bounds import backlog_bound, closed_form_backlog, closed_form_delay, delay_bound  # noqa: F401
 from .scenario import (
-    MAX_HOPS,
     ResultRow,
     Scenario,
     ScenarioError,
@@ -122,40 +122,15 @@ def _log(args, message: str) -> None:
 
 
 def _load(args) -> Scenario:
-    return parse_scenario_file(resolve_scenario_path(args.scenario))
+    """The scenario with the command's override flags in place."""
+    sc = parse_scenario_file(resolve_scenario_path(args.scenario))
+    try:
+        return sc.with_flags(vars(args))
+    except ScenarioError as exc:
+        raise _UsageError("; ".join(exc.problems)) from None
 
 
-def _hop_list(sc: Scenario, args) -> tuple:
-    if args.hops is not None:
-        if args.hops < 1:
-            raise _UsageError("--hops must be >= 1")
-        if args.hops > MAX_HOPS:
-            raise _UsageError(f"--hops must be <= {MAX_HOPS:g}")
-        return (args.hops,)
-    return sc.network.hop_counts
-
-
-def _flow_point(sc: Scenario, args) -> tuple:
-    n = args.through if args.through is not None else sc.traffic.through_flows
-    m = args.cross if args.cross is not None else sc.traffic.cross_flows
-    if n < 1 or m < 0:
-        raise _UsageError("--through must be >= 1 and --cross >= 0")
-    if max(n, m) > sys.float_info.max:  # flow counts enter float arithmetic
-        raise _UsageError(f"{'--through' if n > m else '--cross'} must be <= {sys.float_info.max:g}")
-    return n, m
-
-
-def _epsilons(sc: Scenario, args) -> tuple:
-    if args.epsilon is not None:
-        if not (0 < args.epsilon <= 1):
-            raise _UsageError("--epsilon must be in (0, 1]")
-        return (args.epsilon,)
-    if sc.bound is None:
-        raise _UsageError("scenario has no bound block and no --epsilon override given")
-    return sc.bound.epsilons
-
-
-def _bound_rows(sc: Scenario, args, flow_points) -> tuple:
+def _bound_rows(sc: Scenario, flow_points) -> tuple:
     """One row per (H, (N, M), kind, epsilon), in that nesting order.
 
     Each (N, M) gets one theta window and one :func:`hop_sweep` per kind
@@ -165,8 +140,9 @@ def _bound_rows(sc: Scenario, args, flow_points) -> tuple:
     (``stable=false``, ``bound_value=inf``, no ``theta_star``) and its
     message goes to stderr.  Returns the rows and whether any was flagged.
     """
-    hops, epsilons = _hop_list(sc, args), _epsilons(sc, args)
-    kinds, horizon = (sc.bound.kinds, sc.bound.horizon) if sc.bound else (("delay",), math.inf)
+    if sc.bound is None:
+        raise _UsageError("scenario has no bound block and no --epsilon override given")
+    hops, kinds, epsilons = sc.network.hop_counts, sc.bound.kinds, sc.bound.epsilons
     rows, flagged, sweeps = [], False, {}
     for i, h in enumerate(hops):
         for n, m in flow_points:
@@ -174,7 +150,7 @@ def _bound_rows(sc: Scenario, args, flow_points) -> tuple:
                 one = sc.build_path(1, n, m)
                 paths = [NetworkPath(one.through, one.hops * hop_count) for hop_count in hops]
                 search = sc.build_theta_search(paths[0])
-                sweeps[n, m] = search, {(kind, eps): hop_sweep(paths, kind, eps, horizon, search)
+                sweeps[n, m] = search, {(kind, eps): hop_sweep(paths, kind, eps, sc.bound.horizon, search)
                                         for kind in kinds for eps in epsilons}
             search, results = sweeps[n, m]
             for kind in kinds:
@@ -201,9 +177,11 @@ def _bound_rows(sc: Scenario, args, flow_points) -> tuple:
     return rows, flagged
 
 
-def _simulation(sc: Scenario, args, n: int, m: int, hops):
-    """The simulation that runs max(hops) hops once per replication."""
-    sim = sc.build_sim_scenario(max(hops), n, m, base_seed=args.seed)
+def _simulation(sc: Scenario, args):
+    """The simulation at the scenario's flow point that runs its largest hop
+    count once per replication; without a sim block, a :class:`ScenarioError`."""
+    hops = sc.network.hop_counts
+    sim = sc.build_sim_scenario(max(hops), sc.traffic.through_flows, sc.traffic.cross_flows)
     _log(args, f"simulating H={','.join(map(str, hops))} in one {sim.hops}-hop pass: "
                f"{sim.replications} x {sim.measure_slots} slots "
                f"(utilization {sim.utilization():.3f})")
@@ -221,7 +199,7 @@ def _emit(text: str, args) -> None:
 def _cmd_bound(sc: Scenario, args) -> int:
     """``bound``, ``sweep-hops`` and ``sweep-flows``."""
     if args.command != "sweep-flows":
-        flow_points = [_flow_point(sc, args)]
+        flow_points = [(sc.traffic.through_flows, sc.traffic.cross_flows)]
     elif sc.network.flow_totals is None and sc.network.flow_pairs is None:
         raise _UsageError("sweep-flows needs network.flow_totals or network.flow_pairs")
     elif args.through is not None or args.cross is not None:
@@ -229,77 +207,62 @@ def _cmd_bound(sc: Scenario, args) -> int:
                           "network.flow_pairs, not from --through/--cross")
     else:
         flow_points = sc.flow_points()
-    rows, flagged = _bound_rows(sc, args, flow_points)
+    rows, flagged = _bound_rows(sc, flow_points)
     _emit(write_results_csv(rows), args)
     return EXIT_UNSTABLE if flagged else EXIT_OK
 
 
 def _cmd_simulate(sc: Scenario, args) -> int:
-    if sc.sim is None:
-        raise _UsageError("simulate needs a sim block in the scenario")
-    n, m = _flow_point(sc, args)
-    hops = _hop_list(sc, args)
+    sim = _simulation(sc, args)
     from .simulator import SampleStats, reduce_replications
-    sim = _simulation(sc, args, n, m, hops)
+    hops = sc.network.hop_counts
     per_rep = list(reduce_replications(sim, dict.fromkeys(hops, SampleStats), jobs=args.jobs))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SIM_CSV_HEADER)
     for h in hops:
         for rep, stats in enumerate(per_rep):
-            writer.writerow([sc.scenario_id, h, n, m, rep, sim.base_seed, sim.measure_slots,
-                             *map(repr, stats[h])])
+            writer.writerow([sc.scenario_id, h, sim.through_count, sim.cross_count, rep, sim.base_seed,
+                             sim.measure_slots, *map(repr, stats[h])])
     _emit(buf.getvalue(), args)
     return EXIT_OK
 
 
-def _self_test_counts(sc: Scenario, args, n: int, m: int, rows) -> tuple:
-    """Self-test thresholds of the rows, each exceeded by at least 10 epsilon
-    of the samples, and their per-replication exceedance counts."""
-    from .simulator import self_test_exceedances
-    sample_count = sc.sim.replications * sc.sim.measure_slots
-    wanted = [(row.hops, row.kind, min(sample_count, math.ceil(10 * row.epsilon * sample_count)))
-              for row in rows]
-    sim = _simulation(sc, args, n, m, _hop_list(sc, args))
-    thresholds, counts = zip(*self_test_exceedances(sim, wanted, jobs=args.jobs))
-    return sim, thresholds, counts
-
-
-def _bound_counts(sc: Scenario, args, n: int, m: int, rows) -> tuple:
-    """The rows' bounds as thresholds and their per-replication exceedance
-    counts, taken on the end-to-end curves without samples; validation
-    happens in internal units (slots / bits)."""
+def _bound_counts(sim, rows, thresholds, jobs: int) -> list:
+    """The per-replication exceedance counts of the rows' thresholds, taken
+    on the end-to-end curves without samples."""
     from .simulator import Exceedances, reduce_replications
-    slot = sc.units.slot_length_s
-    thresholds = [row.bound_value / slot if row.kind == "delay" else row.bound_value for row in rows]
     members = {}
     for i, row in enumerate(rows):
         members.setdefault(row.hops, []).append(i)
     reduce = {h: partial(Exceedances, tuple((rows[i].kind, thresholds[i]) for i in idx))
               for h, idx in members.items()}
-    sim = _simulation(sc, args, n, m, reduce)
-    per_rep = list(reduce_replications(sim, reduce, jobs=args.jobs))
+    per_rep = list(reduce_replications(sim, reduce, jobs=jobs))
     counts = [None] * len(rows)
     for h, idx in members.items():
         for j, i in enumerate(idx):
             counts[i] = tuple(reduced[h][j] for reduced in per_rep)
-    return sim, thresholds, counts
+    return counts
 
 
 def _cmd_validate(sc: Scenario, args) -> int:
-    if sc.sim is None:
-        raise _UsageError("validate needs a sim block in the scenario")
-    n, m = _flow_point(sc, args)
-    rows, flagged = _bound_rows(sc, args, [(n, m)])
-    sim, thresholds, counts = (_self_test_counts if args.self_test else _bound_counts)(sc, args, n, m, rows)
+    rows, flagged = _bound_rows(sc, [(sc.traffic.through_flows, sc.traffic.cross_flows)])
+    sim = _simulation(sc, args)
+    slot, sample_count = sc.units.slot_length_s, sim.replications * sim.measure_slots
+    if args.self_test:  # thresholds each exceeded by at least 10 epsilon of the samples
+        from .simulator import self_test_exceedances
+        wanted = [(row.hops, row.kind, min(sample_count, math.ceil(10 * row.epsilon * sample_count)))
+                  for row in rows]
+        thresholds, counts = zip(*self_test_exceedances(sim, wanted, jobs=args.jobs))
+    else:  # validation happens in internal units (slots / bits)
+        thresholds = [row.bound_value / slot if row.kind == "delay" else row.bound_value for row in rows]
+        counts = _bound_counts(sim, rows, thresholds, args.jobs)
     scenario_id = sc.scenario_id + ("#selftest" if args.self_test else "")
-    slot = sc.units.slot_length_s
     any_fail = False
     per_kind = {}
     for i, (row, threshold, per_rep) in enumerate(zip(rows, thresholds, counts)):
         delay = row.kind == "delay"
-        report = validate_exceedances(sum(per_rep), sim.replications * sim.measure_slots, row.kind,
-                                      threshold, row.epsilon)
+        report = validate_exceedances(sum(per_rep), sample_count, row.kind, threshold, row.epsilon)
         for warning in report.warnings:
             print(f"warning: H={row.hops} {row.kind}: {warning}", file=sys.stderr)
         any_fail = any_fail or report.verdict == "fail"
@@ -331,8 +294,6 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if args.jobs < 1:
             raise _UsageError("--jobs must be >= 1")
-        if args.seed is not None and args.seed < 0:
-            raise _UsageError("--seed must be >= 0")
         return _COMMANDS[args.command](_load(args), args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -183,11 +183,37 @@ class Scenario(Record):
             raise ScenarioError([f"bound.theta: {exc} (derived window "
                                  f"[{lo:g}, {hi:g}])"]) from None
 
-    def build_sim_scenario(self, hops: int, n_through: int, m_cross: int,
-                           base_seed: Optional[int] = None) -> SimScenario:
+    def with_flags(self, flags) -> Scenario:
+        """This scenario with each override flag given in ``flags``, a mapping
+        of flag name to value (None when not given), in place of the field it
+        overrides, checked by the parser's rule for that field; every bad
+        value is reported in one :class:`ScenarioError` that names its flag.
+        ``epsilon`` without a bound block makes a delay bound at an infinite
+        horizon; ``seed`` without a sim block is checked and unused."""
+        fields = {  # flag: block, field, rule for one value, whether the field is a list
+            "hops": ("network", "hop_counts", _int_item(1, MAX_HOPS), True),
+            "through": ("traffic", "through_flows", _int_item(1, _FLOAT_MAX), False),
+            "cross": ("traffic", "cross_flows", _int_item(0, _FLOAT_MAX), False),
+            "epsilon": ("bound", "epsilons", _epsilon_problem, True),
+            "seed": ("sim", "base_seed", _int_item(0), False),
+        }
+        given = {flag: flags[flag] for flag in fields if flags.get(flag) is not None}
+        problems = [f"--{flag}: {problem}" for flag, value in given.items()
+                    if (problem := fields[flag][2](value)) is not None]
+        if problems:
+            raise ScenarioError(problems)
+        sc = self
+        for flag, value in given.items():
+            block, field, _, listed = fields[flag]
+            current = getattr(sc, block) or (BoundBlock(("delay",), ()) if block == "bound" else None)
+            if current is not None:
+                sc = sc.replace(**{block: current.replace(**{field: (value,) if listed else value})})
+        return sc
+
+    def build_sim_scenario(self, hops: int, n_through: int, m_cross: int) -> SimScenario:
         """The simulation at one flow point."""
         if self.sim is None:
-            raise ScenarioError(["sim: block required for simulation commands"])
+            raise ScenarioError(["sim: simulate and validate need a sim block"])
         from .simulator import SimScenario
 
         return SimScenario(
@@ -199,7 +225,7 @@ class Scenario(Record):
             measure_slots=self.sim.measure_slots,
             warmup_slots=self.sim.warmup_slots,
             replications=self.sim.replications,
-            base_seed=self.sim.base_seed if base_seed is None else base_seed,
+            base_seed=self.sim.base_seed,
         )
 
 

@@ -84,8 +84,8 @@ class SimScenario(Record):
     """
 
     __slots__ = ("hops", "capacity_per_slot", "through_count", "cross_count", "source",
-                 "measure_slots", "warmup_slots", "replications", "base_seed", "backlog_guard_bits")
-    _defaults = {"warmup_slots": None, "replications": 1, "base_seed": 0, "backlog_guard_bits": 1e12}
+                 "measure_slots", "warmup_slots", "replications", "base_seed")
+    _defaults = {"warmup_slots": None, "replications": 1, "base_seed": 0}
 
     def _validate(self):
         if self.hops < 1:
@@ -104,8 +104,6 @@ class SimScenario(Record):
             raise ValueError("replications must be >= 1")
         if self.base_seed < 0:
             raise ValueError("base_seed must be a non-negative integer")
-        if not self.backlog_guard_bits > 0:
-            raise ValueError("backlog_guard_bits must be positive")
 
     def resolved_warmup(self) -> int:
         if self.warmup_slots is not None:
@@ -287,6 +285,9 @@ class _Arrivals:
 # raised desk-validation's peak RSS by 0.8 MB.
 _CHUNK = 1 << 14
 
+# A hop queue beyond this many bits ends a run as unstable (see _tandem).
+BACKLOG_GUARD_BITS = 1e12
+
 
 class _Window:
     """Scratch over a window of consecutive slots, kept from chunk to chunk
@@ -459,12 +460,12 @@ def _tandem(through: _Arrivals, hops: list, slots: int, reductions: dict, work: 
     next chunk replaces.  Each curve is kept only from the first slot still
     read on: a hop's input from its ``start - 1``, and the ingress from
     there or the smallest lo.  With a ``scenario``, a chunk after which a
-    hop's queue has exceeded its ``backlog_guard_bits`` raises
+    hop's queue has exceeded ``BACKLOG_GUARD_BITS`` raises
     :class:`StabilityError`.
     """
     tails = [_Tail() for _ in range(len(hops) + 1)]  # the ingress, then each hop's D_through
     reach = dict.fromkeys(reductions, 0)
-    guard = math.inf if scenario is None else scenario.backlog_guard_bits
+    guard = math.inf if scenario is None else BACKLOG_GUARD_BITS
     for i in range(0, slots, _CHUNK):
         stop = min(i + _CHUNK, slots)
         through.fill(i, work.window(i, stop).t, tails[0].extend(stop - i))
@@ -817,7 +818,7 @@ def reduce_replications(scenario: SimScenario, reduce: dict, jobs: int = 1):
     this module or partials of them, and their results cross process
     boundaries, so they must pickle.  Raises :class:`StabilityError` when
     the offered load exceeds the capacity (utilization > 1) or a queue
-    outgrows the configured guard.
+    outgrows ``BACKLOG_GUARD_BITS``.
 
     Before the first replication and the load check, a run that would not
     fit physical memory raises :class:`MemoryError`.  Beside chunk scratch,
@@ -907,7 +908,7 @@ def simulate_tandem(scenario: SimScenario, jobs: int = 1) -> SimResult:
     """All replications of a scenario, merged in replication order.
 
     Aborts with :class:`StabilityError` when the offered load exceeds the
-    capacity (utilization > 1) or a queue outgrows the configured guard.
+    capacity (utilization > 1) or a queue outgrows ``BACKLOG_GUARD_BITS``.
     """
     n, k, h = scenario.replications, scenario.measure_slots, scenario.hops
     delays, backlogs = np.empty(n * k, dtype=np.int64), np.empty(n * k)

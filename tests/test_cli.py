@@ -682,6 +682,79 @@ def test_every_command_ends_in_an_exit_code(tmp_path_factory, doc):
             assert out.getvalue().startswith("scenario_id,"), command
 
 
+def _main(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+# YAML reads a float only with a dot and a signed exponent; 17 digits
+# give the float back exactly
+EPSILONS = st.floats(-30.0, 0.0).map(math.exp).map("{:.17e}".format)
+
+# each override flag: valid values, and TINY_SIM's field text with the
+# value in place
+FLAG_FIELDS = {
+    "--hops": (st.integers(1, 4), "hops: [1, 2]", "hops: {}"),
+    "--through": (st.integers(1, 6), "through_flows: 3", "through_flows: {}"),
+    "--cross": (st.integers(0, 6), "cross_flows: 2", "cross_flows: {}"),
+    "--epsilon": (EPSILONS, "epsilon: [1.0e-2]", "epsilon: [{}]"),
+    "--seed": (st.integers(0, 2**64), "base_seed: 5", "base_seed: {}"),
+}
+
+OUT_OF_RANGE = {
+    "--hops": st.one_of(st.integers(max_value=0), st.integers(min_value=scenario.MAX_HOPS + 1)),
+    "--through": st.one_of(st.integers(max_value=0), st.integers(min_value=2**1024)),
+    "--cross": st.one_of(st.integers(max_value=-1), st.integers(min_value=2**1024)),
+    "--epsilon": st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0, exclude_min=True),
+                           st.just(math.nan)),
+    "--seed": st.integers(max_value=-1),
+}
+
+
+def _flag_values(table, values):
+    return st.sampled_from(sorted(table)).flatmap(
+        lambda flag: st.tuples(st.just(flag), values(table[flag]).map(str)))
+
+
+@given(_flag_values(FLAG_FIELDS, lambda entry: entry[0]))
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_a_flag_is_its_field(tmp_path_factory, flag_value):
+    flag, value = flag_value
+    _, field, edit = FLAG_FIELDS[flag]
+    folder = tmp_path_factory.mktemp("flag")
+    (folder / "tiny.yaml").write_text(TINY_SIM)
+    (folder / "edited.yaml").write_text(TINY_SIM.replace(field, edit.format(value)))
+    for command in ("bound", "sweep-hops", "simulate"):
+        flagged = _main(command, "--scenario", str(folder / "tiny.yaml"), f"{flag}={value}")
+        edited = _main(command, "--scenario", str(folder / "edited.yaml"))
+        assert flagged[:2] == edited[:2], (command, flagged[2], edited[2])
+
+
+@given(EPSILONS)
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_epsilon_flag_without_bound_block_is_a_delay_bound(tmp_path_factory, value):
+    folder = tmp_path_factory.mktemp("epsilon")
+    bare = TINY_SIM.replace("bound:\n  kind: both\n  epsilon: [1.0e-2]\n", "")
+    assert "bound" not in bare
+    (folder / "bare.yaml").write_text(bare)
+    (folder / "edited.yaml").write_text(bare + f"bound: {{kind: delay, epsilon: {value}}}\n")
+    for command in ("bound", "sweep-hops"):
+        flagged = _main(command, "--scenario", str(folder / "bare.yaml"), "--epsilon", value)
+        assert flagged[0] == EXIT_OK
+        assert flagged[:2] == _main(command, "--scenario", str(folder / "edited.yaml"))[:2]
+
+
+@given(_flag_values(OUT_OF_RANGE, lambda values: values), st.sampled_from(["bound", "simulate"]))
+@settings(max_examples=100, deadline=None)
+def test_an_out_of_range_flag_exits_1_naming_it(flag_value, command):
+    flag, value = flag_value
+    code, out, err = _main(command, "--scenario", "desk-validation", f"{flag}={value}")
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith(f"usage error: {flag}: "), err
+
+
 @given(st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=40), min_size=1, max_size=6),
        st.floats(1e-3, 0.1), st.sampled_from([1, 1 << 14]))
 @settings(max_examples=200, deadline=None)

@@ -205,5 +205,5 @@ def test_array_records_compare_by_identity(record):
 def test_defaults_are_kept():
     config = ThetaSearchConfig(1e-9, 0.01)
     assert (config.coarse_grid_points, config.refine_tolerance) == (64, 1e-6)
-    assert SimScenario(1, 1.0, 1, 0, VOICE, 1).backlog_guard_bits == 1e12
+    assert SimScenario(1, 1.0, 1, 0, VOICE, 1).replications == 1
     assert BoundBlock(("delay",), (1e-9,)).horizon == math.inf
