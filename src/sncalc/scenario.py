@@ -314,9 +314,9 @@ class _Checker:
 
     def items(self, node: dict, path: str, key: str, problem, expected: str, scalar=()):
         """``node[key]`` as a tuple, when it is one item of a ``scalar`` type
-        or a non-empty list, and ``problem(item)`` is None for every item;
-        else None, with the list reported as not ``expected`` or each bad
-        item by its index."""
+        or a non-empty list, ``problem(item)`` is None for every item and no
+        item equals an earlier one; else None, with the list reported as not
+        ``expected`` or each bad or repeated item by its index."""
         if key not in node:
             return None
         raw = node[key]
@@ -326,6 +326,10 @@ class _Checker:
             self.error(f"{path}.{key}", expected)
             return None
         bad = [(i, message) for i, message in enumerate(map(problem, raw)) if message is not None]
+        first = {}  # each item's first index, an [N, M] pair as a tuple
+        for i, item in enumerate(() if bad else raw):
+            if (j := first.setdefault(tuple(item) if isinstance(item, list) else item, i)) != i:
+                bad.append((i, f"{item!r} repeats item {j}"))
         for i, message in bad:
             self.error(f"{path}.{key}[{i}]", message)
         return None if bad else tuple(raw)

@@ -22,17 +22,17 @@ ingress is evaluated once, run through hop 1, hop 2, ... in turn, and each
 requested hop prefix's ingress and egress over the chunk go to that
 prefix's reduction, an accumulator: :class:`Exceedances` counts,
 :class:`Samples` keeps the samples, and :class:`UpperTails` and
-:class:`SampleStats` keep only their upper tails (:class:`_UpperTail`),
-the latter with sums.  Arrivals are closed forms over the slots where a
-group's on-count changes.  The cross and total arrivals, C*t, the excess
-and the queue of a hop live in chunk-sized scratch, and every other curve
-is kept only from the first slot still read on, so beside the closed forms
-a replication holds only what its reductions keep, and each hop's curves
-when asked for.  The run-size guard in :func:`reduce_replications` charges
-that for each replication held at once and refuses, with
-:class:`MemoryError`, a run that would not fit physical memory.  The
-validation statistics' one-sided Clopper-Pearson limit is computed here
-too, in numpy, so the package never imports scipy.
+:class:`SampleStats` keep only their upper tails, distinct values with
+counts (:class:`_UpperTail`), the latter with sums.  Arrivals are closed
+forms over the slots where a group's on-count changes.  The cross and
+total arrivals, C*t, the excess and the queue of a hop live in chunk-sized
+scratch, and every other curve is kept only from the first slot still read
+on, so beside the closed forms a replication holds only what its
+reductions keep, and each hop's curves when asked for.  The run-size guard
+in :func:`reduce_replications` charges that for each replication held at
+once and refuses, with :class:`MemoryError`, a run that would not fit
+physical memory.  The validation statistics' one-sided Clopper-Pearson
+limit is computed here too, in numpy, so the package never imports scipy.
 
 Randomness: every source draws from its own counter-based Philox stream
 keyed by (base_seed, replication, hop, source index), so adding sources,
@@ -43,6 +43,7 @@ through-source block at the ingress; cross sources use their hop number.
 from __future__ import annotations
 
 import collections
+import heapq
 import math
 import numbers
 import os
@@ -552,75 +553,56 @@ class Samples(_SampleReduction):
 
 class _UpperTail:
     """The distinct values at or above the k-th largest of values that
-    arrive a part at a time, with their counts and labels.  A part is raw
-    or distinct ascending values with counts, under a label not below the
-    last one; equal values keep apart by label, in label order.  Values
-    below a floor, the k-th largest of some of them and so at most the
-    final one, are dropped as they arrive, so :meth:`largest` is exact for
-    ranks up to k.  Raw values wait, cut at the floor, and are made distinct
-    once k of them, or a chunk's, wait, and at a new label or a counted
-    part.  Parts are merged, and the floor raised, at each counted part and
+    arrive a part at a time, with their counts.  A part is raw values, made
+    distinct at once (``np.unique``), or distinct ascending values with
+    counts.  Values below a floor, the k-th largest of some of them and so
+    at most the final one, are dropped as they arrive, so :meth:`largest`
+    is exact for ranks up to k.  Parts are merged, and the floor raised,
     once k values, or more entries than the last merge kept and a chunk's,
-    have come since.  A tail fed under one label, as each replication's is,
-    keeps a label per entry all the same.
-    """
+    have come since."""
 
     def __init__(self, k: int):
-        self.k, self.floor, self._label = k, None, 0
-        self._parts = []  # counted parts, the first one merged
-        self._raw, self._waiting = [], 0  # raw values waiting, and their number
+        self.k, self.floor = k, None
+        self._parts = []  # distinct ascending (values, counts), the first one merged
         self._kept = self._new = self._came = 0  # entries merged; entries and values come since
 
-    def add(self, values: np.ndarray, counts: Optional[np.ndarray] = None, label: int = 0) -> None:
-        if counts is not None or label != self._label:
-            self._flush()
-        self._label = label
+    def add(self, values: np.ndarray, counts: Optional[np.ndarray] = None) -> None:
         if counts is None:
-            self._raw.append(values if self.floor is None else values[values >= self.floor])
-            self._waiting += len(self._raw[-1])
-            if self._waiting >= min(self.k, _CHUNK):
-                self._flush()
-        else:
-            i = 0 if self.floor is None else np.searchsorted(values, self.floor)
-            self._append(values[i:], counts[i:])
-        if counts is not None or self._came >= self.k or self._new > max(self._kept, _CHUNK):
+            values, counts = np.unique(values if self.floor is None else values[values >= self.floor],
+                                       return_counts=True)
+        elif self.floor is not None:
+            i = np.searchsorted(values, self.floor)
+            values, counts = values[i:], counts[i:]
+        self._parts.append((values, counts))
+        self._new, self._came = self._new + len(values), self._came + int(counts.sum())
+        del values, counts  # a merge frees the part, held only in _parts
+        if self._came >= self.k or self._new > max(self._kept, _CHUNK):
             self._merge()
 
-    def _append(self, values: np.ndarray, counts: np.ndarray) -> None:
-        labels = np.full(len(values), self._label, np.min_scalar_type(self._label))
-        self._parts.append((values, counts, labels))
-        self._new, self._came = self._new + len(values), self._came + int(counts.sum())
-
-    def _flush(self) -> None:
-        """The raw values waiting as a counted part."""
-        if self._raw:
-            self._append(*np.unique(np.concatenate(self._raw), return_counts=True))
-        self._raw, self._waiting = [], 0
-
     def _merge(self) -> None:
-        self._flush()
-        values, counts, labels = (np.concatenate(column) for column in zip(*self._parts))
-        order = np.argsort(values, kind="stable")  # equal values stay in label order
+        values, counts = (np.concatenate(column) for column in zip(*self._parts))
         self._parts = None  # the parts go before their sorted copies exist
-        values, counts, labels = values[order], counts[order], labels[order]
-        new = (values[1:] != values[:-1]) | (labels[1:] != labels[:-1])
-        first = np.flatnonzero(np.concatenate(([len(values) > 0], new)))  # each entry's first
-        self._parts = [(values[first], np.add.reduceat(counts, first), labels[first])]
-        if self._parts[0][1].sum() >= self.k:  # at least k values: their k-th largest is a floor
+        # one index array at a time: the sort order, then each value's first place
+        at = np.argsort(values, kind="stable")  # the parts are sorted runs
+        values, counts = values[at], counts[at]
+        at = np.flatnonzero(np.concatenate(([len(values) > 0], values[1:] != values[:-1])))
+        values, counts = values[at], np.add.reduceat(counts, at)
+        self._parts = [(values, counts)]
+        if counts.sum() >= self.k:  # at least k values: their k-th largest is a floor
             self.floor = self.largest(self.k)
-            i = np.searchsorted(self._parts[0][0], self.floor)
-            self._parts = [tuple(column[i:] for column in self._parts[0])]
+            i = np.searchsorted(values, self.floor)
+            self._parts = [(values[i:].copy(), counts[i:].copy())]  # no view holds the values cut
         self._kept, self._new, self._came = len(self._parts[0][0]), 0, 0
 
     def kept(self) -> tuple:
-        """The values kept, ascending, their counts and their labels."""
-        if self._raw or len(self._parts) > 1:
+        """The values kept, ascending, and their counts."""
+        if len(self._parts) > 1:
             self._merge()
         return self._parts[0]
 
     def largest(self, r: int):
         """The r-th largest value, for r <= k (the least kept if fewer came)."""
-        values, counts, _ = self.kept()
+        values, counts = self.kept()
         j = int(np.searchsorted(np.cumsum(counts[::-1]), r))
         return values[max(len(values) - 1 - j, 0)]
 
@@ -636,17 +618,18 @@ class UpperTails(_SampleReduction):
 
     @classmethod
     def held_bytes(cls, count: int, k: int) -> tuple:
-        """Each tail keeps at most min(k, count) entries, a value and a count
-        in the result, and merges them with at most as many and three chunks
-        more; 80 B an entry are charged (76 at k = count, all distinct)."""
-        return 80 * min(count, 2 * k + 3 * _CHUNK), 32 * min(k, count)
+        """A tail's result is at most min(k, count) entries, a value and a
+        count each.  It holds fewer than 2k + a chunk's, and at most count,
+        and merges them at 40 B an entry at most; with the other tail's, 56
+        B an entry (56.0 at k = count, all distinct), and 64 are charged."""
+        return 64 * min(count, 2 * k + 3 * _CHUNK), 32 * min(k, count)
 
     def _took(self, delays: np.ndarray, backlogs: np.ndarray) -> None:
         for tail, samples in zip(self.kinds, (delays, backlogs)):
             tail.add(samples)
 
     def result(self) -> tuple:
-        return tuple(tail.kept()[:2] for tail in self.kinds)
+        return tuple(tail.kept() for tail in self.kinds)
 
 
 class _PairwiseSum:
@@ -883,24 +866,36 @@ def self_test_exceedances(scenario: SimScenario, wanted, jobs: int = 1) -> list:
     """For each (h, kind, rank) of ``wanted``, a threshold just below the
     rank-th largest of the h-hop prefix's delays or backlogs, so at least
     rank samples exceed it whatever the ties, and each replication's samples
-    above it, from every replication's :class:`UpperTails` pooled in one
-    tail per (h, kind), which keeps fewer than max rank + replications entries."""
+    above it.  Every replication's :class:`UpperTails` feeds one tail per
+    (h, kind), which gives the floor, the k-th largest so far for k the
+    largest rank, and its own values and counts are kept, cut to the floor
+    after every replication, as none below it exceeds a threshold.  They
+    are in a heap by least value, so a cut visits only those it shortens."""
     k = max(rank for _, _, rank in wanted)
     reduce = dict.fromkeys((h for h, _, _ in wanted), partial(UpperTails, k))
     pools = {(h, kind): _UpperTail(k) for h in reduce for kind in ("delay", "backlog")}
+    heaps = {key: [] for key in pools}  # of (least value, replication, values, counts)
     n, count = scenario.replications, scenario.measure_slots
-    entries = min(k - 1 + n, n * count) + min(k, count)
-    pooled = len(reduce) * UpperTails.held_bytes(entries, entries)[0]
+    # per (h, kind), 16 B an entry of the pool and of the tables, below k + n, and
+    # 400 B a table; once, a merge and a cut copy, 56 B an entry
+    tail, part = min(k, n * count), min(k, count)
+    pooled = 2 * len(reduce) * (16 * (min(k - 1 + n, n * count) + tail) + 400 * n) + 56 * (tail + part)
     for rep, tails in enumerate(_reduced(scenario, reduce, jobs, pooled)):
         for (h, kind), pool in pools.items():
-            pool.add(*tails[h][kind == "backlog"], rep)  # values, counts, label
+            pool.add(*tails[h][kind == "backlog"])
+            floor = pool.largest(k)  # or, while fewer than k have come, the least of them
+            heap = heaps[h, kind]
+            heapq.heappush(heap, (-math.inf, rep, *tails[h][kind == "backlog"]))
+            while heap[0][0] < floor:  # cut and copied, so no view holds the values cut
+                _, r, values, counts = heapq.heappop(heap)
+                i = np.searchsorted(values, floor)
+                values, counts = values[i:].copy(), counts[i:].copy()
+                heapq.heappush(heap, (values[0] if len(values) else math.inf, r, values, counts))
     found = []
     for h, kind, rank in wanted:
         threshold = math.nextafter(float(pools[h, kind].largest(rank)), -math.inf)
-        values, counts, labels = pools[h, kind].kept()
-        above = values > threshold
-        per_rep = np.bincount(labels[above], weights=counts[above], minlength=n)
-        found.append((threshold, tuple(int(c) for c in per_rep)))
+        in_order = sorted(heaps[h, kind], key=lambda entry: entry[1])
+        found.append((threshold, tuple(int(c[v > threshold].sum()) for _, _, v, c in in_order)))
     return found
 
 

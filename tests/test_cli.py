@@ -342,11 +342,14 @@ class TestSimulate:
         monkeypatch.setattr(simulator, "_physical_memory", lambda: 2**30)
         code, out, _ = run_cli(capsys, "validate", "--scenario", tiny, "--self-test", "--jobs", "4")
         assert code == EXIT_VALIDATION and len(parse_rows(out)) == 4
-        # each replication's tails keep up to 1600 values and counts; each
-        # pool keeps up to 1600 - 1 + 2 labelled entries and merges one tail
+        # each replication's tails keep up to 1600 values and counts, and
+        # merge them with as many more; per hop count and kind, the pool
+        # keeps up to 1600 entries and the replications' tables 1600 - 1 + 2,
+        # 16 B each, and 400 B of objects a table; one pool at a time merges
+        # one replication's 1600 entries, 40 B each, and a cut copies a table
         tail_peak, result = UpperTails.held_bytes(8000, 1600)
-        assert result == 32 * 1600 and tail_peak > 2 * 34 * 1600
-        pools = 2 * UpperTails.held_bytes(3201, 3201)[0]
+        assert result == 2 * 16 * 1600 and tail_peak > 2 * result
+        pools = 2 * 2 * (16 * (1601 + 1600) + 400 * 2) + 56 * (1600 + 1600)
         rows = [(h, kind, 1600) for h in (1, 2) for kind in ("delay", "backlog")]
         for jobs, live, held in ((1, 1, 1), (4, 2, 2)):
             need = live * (base + 2 * tail_peak) + held * 2 * result + pools
@@ -372,6 +375,22 @@ class TestSimulate:
         code, out, err = run_cli(capsys, command, "--scenario", str(f), *flags)
         assert code == EXIT_USAGE and out == ""
         assert named in err and "must be <=" in err
+
+    @pytest.mark.parametrize("command, field, named", [
+        ("bound", ("hops: [1, 2]", "hops: [2, 1, 2]"), "network.hops[2]: 2 repeats item 0"),
+        ("sweep-flows", ("hops: [1, 2]", "hops: [1, 2]\n  flow_totals: [4, 4]"),
+         "network.flow_totals[1]: 4 repeats item 0"),
+        ("sweep-flows", ("hops: [1, 2]", "hops: [1, 2]\n  flow_pairs: [[1, 2], [3, 0], [1, 2]]"),
+         "network.flow_pairs[2]: [1, 2] repeats item 0"),
+        ("bound", ("epsilon: [1.0e-2]", "epsilon: [1.0e-2, 0.5, 0.01]"), "bound.epsilon[2]: 0.01 repeats item 0"),
+    ], ids=["hops", "flow_totals", "flow_pairs", "epsilon"])
+    def test_repeated_list_items_exit_1(self, capsys, tmp_path, command, field, named):
+        # a repeated hop count, flow point or epsilon would write its rows twice
+        f = tmp_path / "repeated.yaml"
+        f.write_text(TINY_SIM.replace(*field))
+        code, out, err = run_cli(capsys, command, "--scenario", str(f))
+        assert code == EXIT_USAGE and out == ""
+        assert named in err
 
     @pytest.mark.parametrize("points", [scenario.MAX_GRID_POINTS, scenario.MAX_GRID_POINTS + 1, 10**12])
     def test_theta_grid_points_are_bounded(self, capsys, tmp_path, points):
@@ -644,12 +663,13 @@ def cli_scenarios(draw):
     on, off = draw(st.floats(0.002, 0.05)), draw(st.floats(0.002, 0.05))
     utilization = draw(st.floats(0.2, 1.5))
     network = {"capacity": (n + m) * peak * on / (on + off) / utilization,
-               "hops": draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))}
+               "hops": draw(st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True))}
     if draw(st.booleans()):
         network["flow_totals"] = draw(st.lists(st.integers(1, 30).map(lambda t: 2 * t),
-                                               min_size=1, max_size=3))
+                                               min_size=1, max_size=3, unique=True))
     bound = {"kind": draw(st.sampled_from(["backlog", "delay", "both"])),
-             "epsilon": draw(st.lists(st.floats(-25.0, 0.0).map(math.exp), min_size=1, max_size=2)),
+             "epsilon": draw(st.lists(st.floats(-25.0, 0.0).map(math.exp), min_size=1, max_size=2,
+                                      unique=True)),
              "horizon": draw(st.one_of(st.just("inf"), st.integers(0, 3000)))}
     theta = draw(st.fixed_dictionaries({}, optional={
         "min": st.floats(-22.0, 2.0).map(math.exp), "max": st.floats(-22.0, 2.0).map(math.exp),
@@ -772,11 +792,11 @@ def test_tail_pool_is_exact_under_ties(replications, epsilon, chunk):
     raw_pool = _UpperTail(k)
 
     def reduced(scenario, reduce, jobs, pooled_bytes):  # the replications, as a simulation yields them
-        for rep, s in enumerate(samples):
+        for s in samples:
             tails = reduce[1](0, s.size)
             for part in np.array_split(s, 3):  # a replication comes a chunk at a time
                 tails._took(part.astype(np.int64), part)
-                raw_pool.add(part, label=rep)
+                raw_pool.add(part)
             delay_tail, backlog_tail = tails.result()
             assert np.array_equal(delay_tail[0], backlog_tail[0])
             assert np.array_equal(delay_tail[1], backlog_tail[1])
@@ -794,10 +814,7 @@ def test_tail_pool_is_exact_under_ties(replications, epsilon, chunk):
         expected = tuple(int(np.count_nonzero(s > threshold)) for s in samples)
         assert sum(expected) >= rank
         assert found[2 * i] == found[2 * i + 1] == (threshold, expected)
-        values, counts, labels = raw_pool.kept()
-        above = values > threshold
         assert raw_pool.largest(rank) == np.sort(pooled)[n - rank]
-        assert tuple(np.bincount(labels[above], weights=counts[above], minlength=len(samples))) == expected
 
 
 class TestImportCost:

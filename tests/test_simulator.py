@@ -18,7 +18,7 @@ from sncalc import (
 )
 from sncalc import simulator
 from sncalc.simulator import (Exceedances, HopTrace, Samples, SampleStats, UpperTails, _Arrivals, _Hop,
-                              _on_runs, _source_rng, _tandem, _Window, stationary_on_state,
+                              _on_runs, _source_rng, _tandem, _UpperTail, _Window, stationary_on_state,
                               validate_exceedances)
 from helpers import (ReferenceTandem, mmoo_source_step, reference_arrival_curve, reference_curves,
                      reference_on_counts, virtual_delays)
@@ -536,6 +536,34 @@ def test_streamed_reductions_equal_numpy_over_the_samples(cfg, warmup, k):
             i = np.searchsorted(all_values, np.sort(s)[max(s.size - k, 0)])  # the k-th largest's entry
             assert values.dtype == s.dtype and counts.dtype == all_counts.dtype
             assert np.array_equal(values, all_values[i:]) and np.array_equal(counts, all_counts[i:])
+
+
+@given(st.lists(st.tuples(st.booleans(), st.lists(st.integers(0, 40), max_size=80)), min_size=1, max_size=12),
+       st.sampled_from([1, 8]), st.integers(1, 300), st.sampled_from([np.int64, np.float64]),
+       st.sampled_from([1, 1 << 14]))
+@settings(max_examples=300, deadline=None)
+def test_upper_tail_keeps_the_distinct_values_from_the_kth_largest(parts, spread, k, dtype, chunk):
+    # raw parts and counted parts (distinct ascending values with their
+    # counts, as the self-test feeds each replication's tails) in any mix
+    # and any size, few values apart or many ties (spread 8), with merges
+    # after almost every part (a chunk of 1) or only once k values have
+    # come: the tail keeps numpy's distinct values at or above the k-th
+    # largest of all of them, with their counts
+    tail, seen = _UpperTail(k), []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "_CHUNK", chunk)
+        for counted, part in parts:
+            values = np.array(part, dtype=dtype) // spread
+            seen.append(values)
+            tail.add(*(np.unique(values, return_counts=True) if counted else (values,)))
+        values, counts = tail.kept()
+    samples = np.sort(np.concatenate(seen))
+    all_values, all_counts = np.unique(samples, return_counts=True)
+    i = np.searchsorted(all_values, samples[max(samples.size - k, 0)]) if samples.size else 0
+    assert values.dtype == dtype and counts.dtype == all_counts.dtype
+    assert np.array_equal(values, all_values[i:]) and np.array_equal(counts, all_counts[i:])
+    for rank in range(1, min(k, samples.size) + 1):
+        assert tail.largest(rank) == samples[samples.size - rank]
 
 
 @given(st.integers(1, 40_000), st.integers(0, 62), st.floats(0.0, 1.0), st.integers(1, 20_000),
