@@ -669,6 +669,31 @@ def test_memory_check_covers_self_test_tails_and_waiting_results(monkeypatch):
             assert len(list(runs)) == 6
 
 
+def test_tail_charges_cover_a_small_run():
+    # at 100 measured slots most of the tails' peak is arrays and objects
+    # whose size does not grow with the slots (about 11 KB against 6400 B
+    # charged per slot): the charge covers it at every k, for distinct
+    # samples and for many ties, and for the summaries' tails
+    n, rng = 100, np.random.default_rng(0)
+    samples = ((rng.permutation(n), rng.permutation(n) + 0.5),
+               (rng.integers(0, 5, n), rng.integers(0, 5, n) * 4.0))
+    runs = [(partial(UpperTails, k), UpperTails.held_bytes(n, k)[0]) for k in range(1, n + 1)]
+    for make, charge in runs + [(SampleStats, SampleStats.held_bytes(n)[0])]:
+        for delays, backlogs in samples:
+            warm = make(0, n)  # lazy imports and caches first
+            warm._took(delays, backlogs)
+            warm.result()
+            tracemalloc.start()
+            try:
+                reduction = make(0, n)
+                reduction._took(delays, backlogs)
+                reduction.result()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= charge
+
+
 # ---------------------------------------------------------------------------
 # curve inversions: only the busy slots, against a search on every slot
 # ---------------------------------------------------------------------------
@@ -708,6 +733,35 @@ def _split_every_slot(thr, cross, capacity):
     dep = arr - queue
     e = np.minimum(np.searchsorted(arr, dep, side="right"), np.maximum(t, 1))
     return queue, dep, np.clip(dep - cross[e], thr[e - 1], thr[e])
+
+
+# few distinct values give plateaus and ties; any finite float, both zeros too
+excess_values = st.one_of(st.integers(-3, 3).map(float), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(st.lists(st.tuples(excess_values, st.integers(1, 4)), min_size=1, max_size=200),
+       st.sampled_from(["as drawn", "rising", "falling"]), st.one_of(st.just(math.inf), excess_values))
+@example([(0.0, 1)], "as drawn", math.inf)
+@example([(-0.0, 2), (0.0, 1)], "as drawn", 0.0)
+@settings(max_examples=300, deadline=None)
+def test_running_min_is_the_serial_scan(runs, order, carry):
+    # each value drawn repeats up to 4 times; "rising" makes every slot a
+    # run of its own, "falling" the whole excess one run
+    excess = np.repeat([value for value, _ in runs], [times for _, times in runs])
+    if order == "rising":
+        excess = np.unique(excess)
+    elif order == "falling":
+        excess = np.sort(excess)[::-1].copy()
+    out = np.full(len(excess), np.nan)
+    carried = simulator._running_min(excess, carry, out)
+    scan = np.minimum.accumulate(np.concatenate(([carry], excess)))[1:]
+    assert out.tobytes() == scan.tobytes() and np.float64(carried).tobytes() == scan[-1:].tobytes()
+    # the carry folded in first: a tie goes to the carry, which changes
+    # only the sign of a zero that ties a zero carry
+    folded = np.minimum.accumulate(np.minimum(excess, carry))
+    assert np.array_equal(out, folded)
+    if not np.any((excess == 0) & (carry == 0) & (np.signbit(excess) != np.signbit(carry))):
+        assert out.tobytes() == folded.tobytes()
 
 
 class _Row:
