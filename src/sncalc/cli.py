@@ -16,6 +16,8 @@ exceeds the capacity with exit 2, both with no rows.  A theta* at an edge
 of its search window is warned about on stderr.
 ``validate --self-test`` replaces each bound by a threshold that at least
 10 epsilon n of the n samples exceed, so it exits 3 when epsilon is resolved.
+A first pass over the replications pools their upper tails for the
+thresholds; a second counts them through the counter every ``validate`` uses.
 
 Flat flags override scenario fields (--epsilon, --hops, --through, --cross,
 --seed): right after loading, each given flag replaces its field, checked by
@@ -250,13 +252,13 @@ def _cmd_validate(sc: Scenario, args) -> int:
     sim = _simulation(sc, args)
     slot, sample_count = sc.units.slot_length_s, sim.replications * sim.measure_slots
     if args.self_test:  # thresholds each exceeded by at least 10 epsilon of the samples
-        from .simulator import self_test_exceedances
+        from .simulator import self_test_thresholds
         wanted = [(row.hops, row.kind, min(sample_count, math.ceil(10 * row.epsilon * sample_count)))
                   for row in rows]
-        thresholds, counts = zip(*self_test_exceedances(sim, wanted, jobs=args.jobs))
+        thresholds = self_test_thresholds(sim, wanted, jobs=args.jobs)
     else:  # validation happens in internal units (slots / bits)
         thresholds = [row.bound_value / slot if row.kind == "delay" else row.bound_value for row in rows]
-        counts = _bound_counts(sim, rows, thresholds, args.jobs)
+    counts = _bound_counts(sim, rows, thresholds, args.jobs)
     scenario_id = sc.scenario_id + ("#selftest" if args.self_test else "")
     any_fail = False
     per_kind = {}

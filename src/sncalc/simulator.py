@@ -23,15 +23,17 @@ W(t) = inf{d >= 0 : A(t - d) <= D(t)}.
 A replication is streamed one chunk of slots at a time: the chunk's
 ingress is evaluated once, run through hop 1, hop 2, ... in turn, and each
 requested hop prefix's ingress and egress over the chunk go to that
-prefix's reduction, an accumulator: :class:`Exceedances` counts,
-:class:`Samples` keeps the samples, and :class:`UpperTails` and
-:class:`SampleStats` keep only their upper tails, distinct values with
-counts (:class:`_UpperTail`), the latter with sums.  Arrivals are closed
-forms over the slots where a group's on-count changes.  The cross and
-total arrivals, C*t, the excess and the queue of a hop live in chunk-sized
-scratch, and every other curve is kept only from the first slot still read
-on, so beside the closed forms a replication holds only what its
-reductions keep, and each hop's curves when asked for.  The run-size guard
+prefix's reduction, an accumulator: :class:`Exceedances` counts the
+exceedances of thresholds (``validate``'s, and its self-test's),
+:class:`Samples` keeps the samples, and :class:`UpperTails` (the self-test's
+thresholds) and :class:`SampleStats` (``simulate``'s statistics) keep only
+their upper tails, distinct values with counts (:class:`_UpperTail`), the
+latter with sums.  Arrivals are closed forms over the slots where a group's
+on-count changes.  The cross and total arrivals, C*t, the excess and the
+queue of a hop live in chunk-sized scratch, and every other curve is kept
+only from the first slot still read on, so beside the closed forms a
+replication holds only what its reductions keep, what its FIFO lags still
+read, and each hop's curves when asked for.  The run-size guard
 in :func:`reduce_replications` charges that for each replication held at
 once and refuses, with :class:`MemoryError`, a run that would not fit
 physical memory.  The validation statistics' one-sided Clopper-Pearson
@@ -46,7 +48,6 @@ through-source block at the ingress; cross sources use their hop number.
 from __future__ import annotations
 
 import collections
-import heapq
 import math
 import numbers
 import os
@@ -72,7 +73,7 @@ __all__ = [
     "Exceedances",
     "simulate_replication",
     "reduce_replications",
-    "self_test_exceedances",
+    "self_test_thresholds",
     "simulate_tandem",
     "validate_exceedances",
     "validate_samples",
@@ -837,9 +838,16 @@ def reduce_replications(scenario: SimScenario, reduce: dict, jobs: int = 1):
     Before the first replication and the load check, a run that would not
     fit physical memory raises :class:`MemoryError`.  Beside chunk scratch,
     a live replication holds its closed forms, at most 16 B per slot where a
-    group's on-count changes, the ingress a delay may reach back over, 16 B
-    per slot of a run-long busy period, and its reductions' peaks
-    (``held_bytes``); the caller holds one result, and 2 ``jobs`` may wait.
+    group's on-count changes, its reductions' peaks (``held_bytes``), and
+    what its FIFO lags keep (see :func:`_tandem` and :class:`_Hop`): each
+    of the H hops' through inputs, the ingress first, from the slot its
+    oldest queued bit arrived in (the ingress also back to where an
+    end-to-end delay reaches), and over a hop's lag the window of five rows
+    that its step evaluates, with one repeat of the cross arrivals'
+    on-counts.  A lag may span the run, so per slot the H curves take 16 B
+    each (a :class:`_Tail` is at most twice its values) and one 16 B more
+    while it moves, the window 40 B and the repeat 8 B: 16 H + 64 B.  The
+    caller holds one result, and 2 ``jobs`` may wait.
     """
     return _reduced(scenario, reduce, jobs, 0.0)
 
@@ -856,7 +864,8 @@ def _reduced(scenario: SimScenario, reduce: dict, jobs: int, pooled: float):
     slots = warmup + count + 1
     # each factory is a reduction class or a partial of one
     sizes = [getattr(f, "func", f).held_bytes(count, *getattr(f, "args", ())) for f in reduce.values()]
-    need = (live * (16 * _on_count_changes(scenario, slots) + 16 * slots + sum(size[0] for size in sizes))
+    lag = (16 * scenario.hops + 64) * slots
+    need = (live * (16 * _on_count_changes(scenario, slots) + lag + sum(size[0] for size in sizes))
             + held * sum(size[1] for size in sizes) + pooled)
     memory = _physical_memory()
     if not need <= memory:  # nan too: a slot count beyond the float range
@@ -893,41 +902,26 @@ def _reduced(scenario: SimScenario, reduce: dict, jobs: int, pooled: float):
         pool.shutdown(cancel_futures=True)
 
 
-def self_test_exceedances(scenario: SimScenario, wanted, jobs: int = 1) -> list:
+def self_test_thresholds(scenario: SimScenario, wanted, jobs: int = 1) -> list:
     """For each (h, kind, rank) of ``wanted``, a threshold just below the
     rank-th largest of the h-hop prefix's delays or backlogs, so at least
-    rank samples exceed it whatever the ties, and each replication's samples
-    above it.  Every replication's :class:`UpperTails` feeds one tail per
-    (h, kind), which gives the floor, the k-th largest so far for k the
-    largest rank, and its own values and counts are kept, cut to the floor
-    after every replication, as none below it exceeds a threshold.  They
-    are in a heap by least value, so a cut visits only those it shortens."""
+    rank samples exceed it whatever the ties.  Every replication's
+    :class:`UpperTails`, at k the largest rank, feeds one tail per
+    (h, kind), whose k-th largest, and so every rank up to k, is exact.
+    Each tail is merged after every replication, so it keeps at most k
+    entries and no view of a replication's arrays."""
     k = max(rank for _, _, rank in wanted)
     reduce = dict.fromkeys((h for h, _, _ in wanted), partial(UpperTails, k))
     pools = {(h, kind): _UpperTail(k) for h in reduce for kind in ("delay", "backlog")}
-    heaps = {key: [] for key in pools}  # of (least value, replication, values, counts)
-    n, count = scenario.replications, scenario.measure_slots
-    # per (h, kind), 16 B an entry of the pool and of the tables, below k + n, and
-    # 400 B a table; once, a merge and a cut copy, 56 B an entry
-    tail, part = min(k, n * count), min(k, count)
-    pooled = 2 * len(reduce) * (16 * (min(k - 1 + n, n * count) + tail) + 400 * n) + 56 * (tail + part)
-    for rep, tails in enumerate(_reduced(scenario, reduce, jobs, pooled)):
+    # per (h, kind), 16 B an entry of the pool and 1 KiB of objects; once, a
+    # merge of those and one replication's entries, 40 B each, and 16 KiB
+    tail, part = min(k, scenario.replications * scenario.measure_slots), min(k, scenario.measure_slots)
+    pooled = 16384 + 2 * len(reduce) * (1024 + 16 * tail) + 40 * (tail + part)
+    for tails in _reduced(scenario, reduce, jobs, pooled):
         for (h, kind), pool in pools.items():
             pool.add(*tails[h][kind == "backlog"])
-            floor = pool.largest(k)  # or, while fewer than k have come, the least of them
-            heap = heaps[h, kind]
-            heapq.heappush(heap, (-math.inf, rep, *tails[h][kind == "backlog"]))
-            while heap[0][0] < floor:  # cut and copied, so no view holds the values cut
-                _, r, values, counts = heapq.heappop(heap)
-                i = np.searchsorted(values, floor)
-                values, counts = values[i:].copy(), counts[i:].copy()
-                heapq.heappush(heap, (values[0] if len(values) else math.inf, r, values, counts))
-    found = []
-    for h, kind, rank in wanted:
-        threshold = math.nextafter(float(pools[h, kind].largest(rank)), -math.inf)
-        in_order = sorted(heaps[h, kind], key=lambda entry: entry[1])
-        found.append((threshold, tuple(int(c[v > threshold].sum()) for _, _, v, c in in_order)))
-    return found
+            pool.kept()
+    return [math.nextafter(float(pools[h, kind].largest(rank)), -math.inf) for h, kind, rank in wanted]
 
 
 def simulate_tandem(scenario: SimScenario, jobs: int = 1) -> SimResult:

@@ -658,7 +658,7 @@ def test_memory_check_covers_self_test_tails_and_waiting_results(monkeypatch):
     sc = small_scenario(replications=6)
     k, slots = sc.measure_slots, sc.resolved_warmup() + sc.measure_slots + 1
     tail_peak, result = UpperTails.held_bytes(k, k)
-    live = 16 * simulator._on_count_changes(sc, slots) + 16 * slots + tail_peak
+    live = 16 * simulator._on_count_changes(sc, slots) + (16 * sc.hops + 64) * slots + tail_peak
     for memory, refused in ((2 * live + result, True), (2 * live + 6 * result, False)):
         monkeypatch.setattr(simulator, "_physical_memory", lambda: memory)
         runs = simulator.reduce_replications(sc, {2: partial(UpperTails, k)}, jobs=2)
@@ -667,6 +667,71 @@ def test_memory_check_covers_self_test_tails_and_waiting_results(monkeypatch):
                 next(runs)
         else:
             assert len(list(runs)) == 6
+
+
+@pytest.mark.parametrize("k", [1, 100, 1000, 2500])
+def test_self_test_pool_peaks_within_its_charge(monkeypatch, k):
+    # the self-test pools each replication's tails, every value distinct
+    # within and across replications and spread over them at random, so a
+    # pool keeps the most entries it can and cuts most replications' tails
+    # at its floor: beside the results, which the guard charges apart, the
+    # pooling peaks within its charge at every k, below, at and above the
+    # slots (unmerged cuts, which keep their replications' arrays, did not)
+    n, count, hops = 10, 1000, 2
+    rng = np.random.default_rng(0)
+    spread = [rng.permutation(n * count).reshape(n, count) for _ in range(hops)]
+    results = []
+    for r in range(n):
+        results.append({})
+        for h in range(1, hops + 1):
+            tails = UpperTails(k, 0, count)
+            tails._took(spread[h - 1][r], spread[h - 1][r] + 0.5)
+            results[-1][h] = tails.result()
+    charged = []
+
+    def replay(scenario, reduce, jobs, pooled):  # the replications, as a simulation yields them
+        charged.append(pooled)
+        yield from results
+
+    monkeypatch.setattr(simulator, "_reduced", replay)
+    sim = small_scenario(measure_slots=count, replications=n)
+    wanted = [(h, kind, k) for h in range(1, hops + 1) for kind in ("delay", "backlog")]
+    simulator.self_test_thresholds(sim, wanted)  # lazy imports and caches first
+    tracemalloc.start()
+    try:
+        thresholds = simulator.self_test_thresholds(sim, wanted)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= charged[-1]
+    kth = n * count - k
+    assert thresholds == [math.nextafter(kth + offset, -math.inf) for _ in range(hops) for offset in (0, 0.5)]
+
+
+@pytest.mark.parametrize("hops, on_probability, seed",[(2, 0.5, 1), (4, 0.5, 1), (8, 0.5, 1), (1, 0.005, 4486)])
+def test_memory_guard_covers_a_run_long_fifo_lag(monkeypatch, hops, on_probability, seed):
+    # the sources never switch (rates of 1e-8 a slot), so from the first hop
+    # where two of them are on, at seed 1 hop 2, the queues grow all run, and each
+    # hop's through input and window reach back over a lag that grows with
+    # the run; at seed 4486 both sources of one hop start on at an on
+    # probability of 0.005, and hop 1's lag is about 99% of the run.  A
+    # replication's tracemalloc peak stays within the run-size guard's charge
+    source = MmooParams(64.0, 1e-8, 1e-8 * on_probability / (1 - on_probability))
+    sc = SimScenario(hops=hops, capacity_per_slot=2 * source.mean_rate / 0.9, through_count=1, cross_count=1,
+                     source=source, measure_slots=400_000, warmup_slots=0, base_seed=seed)
+    on = [stationary_on_state(_source_rng(seed, 0, h, 0), source) for h in range(hops + 1)]
+    assert on[0] and any(on[1:])  # the through source and a hop's cross source
+    reduce = {hops: SampleStats}
+    simulate_replication(sc, 0, reduce=reduce)  # lazy imports and caches first
+    tracemalloc.start()
+    try:
+        simulate_replication(sc, 0, reduce=reduce)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(simulator, "_physical_memory", lambda: peak - 1)
+    with pytest.raises(MemoryError, match="1 replication"):
+        next(simulator.reduce_replications(sc, reduce))
 
 
 def test_tail_charges_cover_a_small_run():
