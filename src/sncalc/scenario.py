@@ -4,8 +4,12 @@ Scenario documents are YAML trees with four fixed blocks (``units``,
 ``traffic``, ``network`` and the optional ``bound`` / ``sim`` blocks) plus a
 top-level ``id``.  User-facing quantities are expressed in seconds and in the
 declared rate unit; everything is converted to bits and slots on parse.
-Unknown keys are rejected and validation reports every violation at once,
-each tagged with its dotted field path.
+One table, ``_BLOCKS``, gives each key its rule: the parser reads every block
+from it, and ``Scenario.with_flags`` checks each override flag by its field's
+rule, so both reject a value in the same words.  Unknown and repeated keys
+are rejected, and validation reports every violation at once, each tagged
+with its dotted field path.  A null field is checked by its rule; only a
+null ``bound``, ``sim`` or ``bound.theta`` block is absent.
 
 theta values (the ``bound.theta`` overrides) carry units of 1/bits.
 """
@@ -186,28 +190,19 @@ class Scenario(Record):
     def with_flags(self, flags) -> Scenario:
         """This scenario with each override flag given in ``flags``, a mapping
         of flag name to value (None when not given), in place of the field it
-        overrides, checked by the parser's rule for that field; every bad
-        value is reported in one :class:`ScenarioError` that names its flag.
+        overrides (``_FLAGS``), checked by that field's rule; every bad value
+        is reported in one :class:`ScenarioError` that names its flag.
         ``epsilon`` without a bound block makes a delay bound at an infinite
         horizon; ``seed`` without a sim block is checked and unused."""
-        fields = {  # flag: block, field, rule for one value, whether the field is a list
-            "hops": ("network", "hop_counts", _int_item(1, MAX_HOPS), True),
-            "through": ("traffic", "through_flows", _int_item(1, _FLOAT_MAX), False),
-            "cross": ("traffic", "cross_flows", _int_item(0, _FLOAT_MAX), False),
-            "epsilon": ("bound", "epsilons", _epsilon_problem, True),
-            "seed": ("sim", "base_seed", _int_item(0), False),
-        }
-        given = {flag: flags[flag] for flag in fields if flags.get(flag) is not None}
-        problems = [f"--{flag}: {problem}" for flag, value in given.items()
-                    if (problem := fields[flag][2](value)) is not None]
-        if problems:
-            raise ScenarioError(problems)
-        sc = self
-        for flag, value in given.items():
-            block, field, _, listed = fields[flag]
+        ck, sc = _Checker(), self
+        for flag, (block, key) in _FLAGS.items():
+            field, rule, listed = _BLOCKS[block][1][key]
+            value = None if flags.get(flag) is None else ck.value(flags[flag], f"--{flag}", rule)
             current = getattr(sc, block) or (BoundBlock(("delay",), ()) if block == "bound" else None)
-            if current is not None:
+            if value is not None and current is not None:
                 sc = sc.replace(**{block: current.replace(**{field: (value,) if listed else value})})
+        if ck.problems:
+            raise ScenarioError(ck.problems)
         return sc
 
     def build_sim_scenario(self, hops: int, n_through: int, m_cross: int) -> SimScenario:
@@ -233,30 +228,151 @@ class Scenario(Record):
 # parsing
 # ---------------------------------------------------------------------------
 
+# A rule takes one value and returns it in internal form, or raises
+# ValueError with the problem.
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _int_item(minimum: int, maximum: float = math.inf):
-    """Item check of an integer list for :meth:`_Checker.items`."""
-    def problem(v):
+def _integer(minimum: int, maximum: float = math.inf):
+    def rule(v):
         if not _is_int(v) or v < minimum:
-            return f"expected an integer >= {minimum}, got {v!r}"
-        return f"must be <= {maximum:g}, got {v}" if v > maximum else None
-    return problem
+            raise ValueError(f"expected an integer >= {minimum}, got {v!r}")
+        if v > maximum:
+            raise ValueError(f"must be <= {maximum:g}, got {v}")
+        return v
+    return rule
 
 
-def _epsilon_problem(e):
-    # compared without float(): an integer beyond the float range is simply > 1
-    ok = isinstance(e, (int, float)) and not isinstance(e, bool) and 0 < e <= 1
-    return None if ok else f"must be in (0, 1], got {e!r}"
+def _choice(choices: dict, names: str):
+    def rule(v):
+        if isinstance(v, str) and v in choices:
+            return choices[v]
+        raise ValueError(f"must be {names}, got {v!r}")
+    return rule
 
 
-def _pair_problem(pair):
+def _positive(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    if value <= 0:
+        raise ValueError(f"must be > 0, got {value!r}")
+    return value
+
+
+def _name(value) -> str:
+    if not isinstance(value, str) or not value:
+        raise ValueError("expected a non-empty string")
+    return value
+
+
+def _flow_total(total) -> int:
+    if _integer(2, _FLOAT_MAX)(total) % 2:
+        raise ValueError(f"must be even to keep N == M, got {total}")
+    return total
+
+
+def _flow_pair(pair) -> tuple:
     if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))
             and pair[0] >= 1 and pair[1] >= 0):
-        return f"expected [N >= 1, M >= 0], got {pair!r}"
-    return f"N and M must be <= {_FLOAT_MAX:g}, got {pair!r}" if max(pair) > _FLOAT_MAX else None
+        raise ValueError(f"expected [N >= 1, M >= 0], got {pair!r}")
+    if max(pair) > _FLOAT_MAX:
+        raise ValueError(f"N and M must be <= {_FLOAT_MAX:g}, got {pair!r}")
+    return tuple(pair)
+
+
+def _epsilon(e) -> float:
+    # compared without float(): an integer beyond the float range is simply > 1
+    if isinstance(e, bool) or not isinstance(e, (int, float)) or not 0 < e <= 1:
+        raise ValueError(f"must be in (0, 1], got {e!r}")
+    return float(e)
+
+
+def _horizon(h) -> float:
+    if h in ("inf", "infinite"):
+        return math.inf
+    if not _is_int(h) or h < 0:
+        raise ValueError(f"must be 'inf' or a non-negative integer, got {h!r}")
+    if h > _FLOAT_MAX:
+        raise ValueError(f"must be 'inf' or at most {_FLOAT_MAX:g} slots, got {h}")
+    return float(h)
+
+
+def _overflows(units, rate) -> bool:
+    return not math.isfinite(rate_to_bits_per_slot(rate, units.rate_unit, units.slot_length_s))
+
+
+_INTEGERS = (int, "expected a non-empty integer or list of integers")
+
+# Each block of a scenario document: its record class; for each document
+# key, in reading and reporting order, the record field it fills, its rule
+# (or the name of the block it holds) and its list form (None, or the types
+# of a value that stands for a one-item list and the problem of a value that
+# is no non-empty list); and its checks across fields, (fields, fails, path,
+# problem).  A key is required when its field has no default, and a null
+# optional block is absent.
+_BLOCKS = {
+    "scenario": (Scenario, {
+        "id": ("scenario_id", _name, None),
+        **{block: (block, block, None) for block in ("units", "traffic", "network", "bound", "sim")},
+    }, [
+        (("units", "traffic"), lambda u, t: not math.isfinite(u.slot_length_s / t.mean_on_time_s),
+         "traffic.mean_on_time_s", "conversion to a per-slot switching rate overflows"),
+        (("units", "traffic"), lambda u, t: not math.isfinite(u.slot_length_s / t.mean_off_time_s),
+         "traffic.mean_off_time_s", "conversion to a per-slot switching rate overflows"),
+        (("units", "traffic", "network"), lambda u, t, n: _overflows(u, t.peak_rate),
+         "traffic.peak_rate", "unit conversion to bits/slot overflows"),
+        (("units", "traffic", "network"), lambda u, t, n: _overflows(u, n.capacity),
+         "network.capacity", "unit conversion to bits/slot overflows"),
+    ]),
+    "units": (UnitsBlock, {
+        "slot_length_s": ("slot_length_s", _positive, None),
+        "rate_unit": ("rate_unit", _choice({u: u for u in RATE_UNITS}, f"one of {sorted(RATE_UNITS)}"), None),
+    }, []),
+    "traffic": (TrafficBlock, {
+        **{key: (key, _positive, None) for key in ("peak_rate", "mean_on_time_s", "mean_off_time_s")},
+        "through_flows": ("through_flows", _integer(1, _FLOAT_MAX), None),
+        "cross_flows": ("cross_flows", _integer(0, _FLOAT_MAX), None),
+    }, []),
+    "network": (NetworkBlock, {
+        "capacity": ("capacity", _positive, None),
+        "hops": ("hop_counts", _integer(1, MAX_HOPS), _INTEGERS),
+        "flow_totals": ("flow_totals", _flow_total, _INTEGERS),
+        "flow_pairs": ("flow_pairs", _flow_pair, ((), "expected a non-empty list of [N, M] pairs")),
+    }, [(("flow_totals", "flow_pairs"), lambda totals, pairs: True,
+         "network", "give at most one of flow_totals, flow_pairs")]),
+    "bound": (BoundBlock, {
+        "kind": ("kinds", _choice({"backlog": ("backlog",), "delay": ("delay",), "both": ("backlog", "delay")},
+                                  "'backlog', 'delay' or 'both'"), None),
+        "epsilon": ("epsilons", _epsilon, ((int, float), "expected a number or non-empty list of numbers")),
+        "horizon": ("horizon", _horizon, None),
+        "theta": ("theta", "bound.theta", None),
+    }, []),
+    "bound.theta": (ThetaBlock, {
+        "min": ("theta_min", _positive, None),
+        "max": ("theta_max", _positive, None),
+        "grid_points": ("grid_points", _integer(8, MAX_GRID_POINTS), None),
+        "refine_tolerance": ("refine_tolerance", _positive, None),
+    }, [(("theta_min", "theta_max"), lambda lo, hi: not lo < hi, "bound.theta", "min must be < max")]),
+    "sim": (SimBlock, {
+        "measure_slots": ("measure_slots", _integer(1, _FLOAT_MAX), None),
+        # a replication count must fit an index: it sizes ranges and arrays
+        "replications": ("replications", _integer(1, sys.maxsize), None),
+        "base_seed": ("base_seed", _integer(0), None),
+        "warmup_slots": ("warmup_slots", _integer(0, _FLOAT_MAX), None),
+    }, []),
+}
+
+# each override flag: the block and document key of the field it replaces
+_FLAGS = {"hops": ("network", "hops"), "through": ("traffic", "through_flows"),
+          "cross": ("traffic", "cross_flows"), "epsilon": ("bound", "epsilon"), "seed": ("sim", "base_seed")}
 
 
 class _Checker:
@@ -266,221 +382,102 @@ class _Checker:
     def error(self, path: str, message: str) -> None:
         self.problems.append(f"{path}: {message}")
 
-    def mapping(self, node, path: str, allowed: set, required: set) -> dict:
-        if not isinstance(node, dict):
-            self.error(path, f"expected a mapping, got {type(node).__name__}")
-            return {}
-        for key in node:
-            if key not in allowed:
-                self.error(f"{path}.{key}", "unknown key")
-        for key in sorted(required):
-            if key not in node:
-                self.error(f"{path}.{key}", "missing required key")
-        return node
-
-    def number(self, node: dict, path: str, key: str):
-        if key not in node:
-            return None
-        value = node[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.error(f"{path}.{key}", f"expected a number, got {value!r}")
-            return None
-        try:
-            value = float(value)
-        except OverflowError:  # an integer beyond the float range
-            value = math.inf
-        if not math.isfinite(value):
-            self.error(f"{path}.{key}", "must be finite")
-            return None
-        if value <= 0:
-            self.error(f"{path}.{key}", f"must be > 0, got {value!r}")
-            return None
-        return value
-
-    def integer(self, node: dict, path: str, key: str, *, minimum=None, maximum=None):
-        if key not in node:
-            return None
-        value = node[key]
-        if not _is_int(value):
-            self.error(f"{path}.{key}", f"expected an integer, got {value!r}")
-            return None
-        if minimum is not None and value < minimum:
-            self.error(f"{path}.{key}", f"must be >= {minimum}, got {value}")
-            return None
-        if maximum is not None and value > maximum:
-            self.error(f"{path}.{key}", f"must be <= {maximum:g}, got {value}")
-            return None
-        return value
-
-    def items(self, node: dict, path: str, key: str, problem, expected: str, scalar=()):
-        """``node[key]`` as a tuple, when it is one item of a ``scalar`` type
-        or a non-empty list, ``problem(item)`` is None for every item and no
-        item equals an earlier one; else None, with the list reported as not
-        ``expected`` or each bad or repeated item by its index."""
-        if key not in node:
-            return None
-        raw = node[key]
+    def value(self, raw, path: str, rule, listed=None):
+        """``rule(raw)``, or with a list form the tuple of ``rule(item)`` over
+        the items of ``raw``, which must be distinct; None, with each problem
+        reported, when that fails."""
+        if listed is None:
+            try:
+                return rule(raw)
+            except ValueError as exc:
+                self.error(path, str(exc))
+                return None
+        scalar, expected = listed
         if isinstance(raw, scalar) and not isinstance(raw, bool):
             raw = [raw]
         if not isinstance(raw, list) or not raw:
-            self.error(f"{path}.{key}", expected)
+            self.error(path, expected)
             return None
-        bad = [(i, message) for i, message in enumerate(map(problem, raw)) if message is not None]
-        first = {}  # each item's first index, an [N, M] pair as a tuple
-        for i, item in enumerate(() if bad else raw):
-            if (j := first.setdefault(tuple(item) if isinstance(item, list) else item, i)) != i:
-                bad.append((i, f"{item!r} repeats item {j}"))
-        for i, message in bad:
-            self.error(f"{path}.{key}[{i}]", message)
-        return None if bad else tuple(raw)
+        items = [self.value(item, f"{path}[{i}]", rule) for i, item in enumerate(raw)]
+        if None in items:
+            return None
+        first = {}  # each item's first index
+        for i, item in enumerate(items):
+            if (j := first.setdefault(item, i)) != i:
+                self.error(f"{path}[{i}]", f"{raw[i]!r} repeats item {j}")
+        return tuple(items) if len(first) == len(items) else None
+
+    def block(self, node, path: str):
+        """Block ``path`` of ``_BLOCKS`` read from ``node``: its record, or None
+        when a required field is missing or bad (a bad optional one is left out)."""
+        record, rows, checks = _BLOCKS[path]
+        required = {key: row[0] for key, row in rows.items() if row[0] not in record._defaults}
+        if isinstance(node, dict):
+            self.problems += [f"{path}.{key}: unknown key" for key in node if key not in rows]
+            self.problems += [f"{path}.{key}: missing required key" for key in sorted(required) if key not in node]
+        else:
+            self.error(path, f"expected a mapping, got {type(node).__name__}")
+            node = {}
+        fields = {}
+        for key, (field, rule, listed) in rows.items():
+            if key not in node or (node[key] is None and isinstance(rule, str) and key not in required):
+                continue  # absent, or a null optional block
+            value = (self.block(node[key], rule) if isinstance(rule, str)
+                     else self.value(node[key], f"{path}.{key}", rule, listed))
+            if value is not None:
+                fields[field] = value
+        for needed, fails, where, problem in checks:
+            if all(f in fields for f in needed) and fails(*(fields[f] for f in needed)):
+                self.error(where, problem)
+        return record(**fields) if all(f in fields for f in required.values()) else None
+
+
+def _repeated_keys(root) -> list:
+    """A problem for each key that repeats an earlier key of its mapping in
+    the composed document ``root``, in document order.  Aliases share nodes,
+    so each node is visited once."""
+    repeats, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, yaml.CollectionNode) and id(node) not in seen:
+            seen.add(id(node))
+            pairs = node.value if isinstance(node, yaml.MappingNode) else [(None, v) for v in node.value]
+            first = {}  # each scalar key's first index; the constructor rejects the others
+            for i, (key, value) in enumerate(pairs):
+                stack += (key, value)
+                if isinstance(key, yaml.ScalarNode) and first.setdefault((key.tag, key.value), i) != i:
+                    repeats.append((key.start_mark.line + 1, key.start_mark.column + 1, key.value))
+    return [f"document: repeated key {key!r} at line {line}, column {column}"
+            for line, column, key in sorted(repeats)]
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Parse and fully validate a scenario document (strict keys)."""
-    try:
-        doc = yaml.load(text, Loader=_YAML_LOADER)
+    """Parse and fully validate a scenario document."""
+    try:  # composed, checked for repeated keys, then constructed
+        loader = _YAML_LOADER(text)  # the pure-Python reader rejects unprintable characters here
+        try:
+            node = loader.get_single_node()
+            repeats = _repeated_keys(node)
+            doc = None if repeats or node is None else loader.construct_document(node)
+        finally:
+            loader.dispose()
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer of over 4300 digits
         raise ScenarioError([f"document: YAML parse error: {exc}"]) from exc
-    if doc is None:
-        doc = {}
+    if repeats:
+        raise ScenarioError(repeats)
     ck = _Checker()
-    top = ck.mapping(doc, "scenario", {"id", "units", "traffic", "network", "bound", "sim"},
-                     {"id", "units", "traffic", "network"})
-
-    scenario_id = top.get("id")
-    if "id" in top and (not isinstance(scenario_id, str) or not scenario_id):
-        ck.error("scenario.id", "expected a non-empty string")
-        scenario_id = None
-
-    units = _parse_units(ck, top.get("units")) if "units" in top else None
-    traffic = _parse_traffic(ck, top.get("traffic")) if "traffic" in top else None
-    network = _parse_network(ck, top.get("network")) if "network" in top else None
-    bound = _parse_bound(ck, top["bound"]) if top.get("bound") is not None else None
-    sim = _parse_sim(ck, top["sim"]) if top.get("sim") is not None else None
-
-    if units is not None and traffic is not None:
-        for label, mean_time in (("traffic.mean_on_time_s", traffic.mean_on_time_s),
-                                 ("traffic.mean_off_time_s", traffic.mean_off_time_s)):
-            if not math.isfinite(units.slot_length_s / mean_time):
-                ck.error(label, "conversion to a per-slot switching rate overflows")
-    if units is not None and traffic is not None and network is not None:
-        for label, value in (("traffic.peak_rate", traffic.peak_rate),
-                             ("network.capacity", network.capacity)):
-            if not math.isfinite(rate_to_bits_per_slot(value, units.rate_unit, units.slot_length_s)):
-                ck.error(label, "unit conversion to bits/slot overflows")
+    scenario = ck.block({} if doc is None else doc, "scenario")
     if ck.problems:
         raise ScenarioError(ck.problems)
-    return Scenario(scenario_id=scenario_id, units=units, traffic=traffic,
-                    network=network, bound=bound, sim=sim)
-
-
-def _parse_units(ck: _Checker, node) -> Optional[UnitsBlock]:
-    node = ck.mapping(node, "units", {"slot_length_s", "rate_unit"}, {"slot_length_s", "rate_unit"})
-    slot = ck.number(node, "units", "slot_length_s")
-    unit = node.get("rate_unit")
-    if "rate_unit" in node and unit not in RATE_UNITS:
-        ck.error("units.rate_unit", f"must be one of {sorted(RATE_UNITS)}, got {unit!r}")
-        unit = None
-    if slot is None or unit is None:
-        return None
-    return UnitsBlock(slot_length_s=slot, rate_unit=unit)
-
-
-def _parse_traffic(ck: _Checker, node) -> Optional[TrafficBlock]:
-    keys = {"peak_rate", "mean_on_time_s", "mean_off_time_s", "through_flows", "cross_flows"}
-    node = ck.mapping(node, "traffic", keys, keys)
-    peak = ck.number(node, "traffic", "peak_rate")
-    on_t = ck.number(node, "traffic", "mean_on_time_s")
-    off_t = ck.number(node, "traffic", "mean_off_time_s")
-    n = ck.integer(node, "traffic", "through_flows", minimum=1, maximum=_FLOAT_MAX)
-    m = ck.integer(node, "traffic", "cross_flows", minimum=0, maximum=_FLOAT_MAX)
-    if None in (peak, on_t, off_t, n, m):
-        return None
-    return TrafficBlock(peak_rate=peak, mean_on_time_s=on_t, mean_off_time_s=off_t,
-                        through_flows=n, cross_flows=m)
-
-
-def _parse_network(ck: _Checker, node) -> Optional[NetworkBlock]:
-    node = ck.mapping(node, "network", {"capacity", "hops", "flow_totals", "flow_pairs"},
-                      {"capacity", "hops"})
-    cap = ck.number(node, "network", "capacity")
-    integers = "expected a non-empty integer or list of integers"
-    hops = ck.items(node, "network", "hops", _int_item(1, MAX_HOPS), integers, int)
-    totals = ck.items(node, "network", "flow_totals", _int_item(2, _FLOAT_MAX), integers, int)
-    if totals is not None:
-        for i, t in enumerate(totals):
-            if t % 2 != 0:
-                ck.error(f"network.flow_totals[{i}]", f"must be even to keep N == M, got {t}")
-                totals = None
-                break
-    pairs = ck.items(node, "network", "flow_pairs", _pair_problem,
-                     "expected a non-empty list of [N, M] pairs")
-    pairs = pairs and tuple(map(tuple, pairs))
-    if totals is not None and pairs is not None:
-        ck.error("network", "give at most one of flow_totals, flow_pairs")
-    if cap is None or hops is None:
-        return None
-    return NetworkBlock(capacity=cap, hop_counts=hops, flow_totals=totals, flow_pairs=pairs)
-
-
-def _parse_bound(ck: _Checker, node) -> Optional[BoundBlock]:
-    node = ck.mapping(node, "bound", {"kind", "epsilon", "horizon", "theta"}, {"kind", "epsilon"})
-    kind = node.get("kind")
-    kinds = None
-    if "kind" in node:
-        if kind == "both":
-            kinds = ("backlog", "delay")
-        elif kind in ("backlog", "delay"):
-            kinds = (kind,)
-        else:
-            ck.error("bound.kind", f"must be 'backlog', 'delay' or 'both', got {kind!r}")
-    epsilons = ck.items(node, "bound", "epsilon", _epsilon_problem,
-                        "expected a number or non-empty list of numbers", (int, float))
-    epsilons = epsilons and tuple(map(float, epsilons))
-    horizon = math.inf
-    if "horizon" in node:
-        raw_h = node["horizon"]
-        if raw_h in ("inf", "infinite"):
-            horizon = math.inf
-        elif _is_int(raw_h) and 0 <= raw_h <= _FLOAT_MAX:
-            horizon = float(raw_h)
-        elif _is_int(raw_h) and raw_h > _FLOAT_MAX:
-            ck.error("bound.horizon", f"must be 'inf' or at most {_FLOAT_MAX:g} slots, got {raw_h}")
-        else:
-            ck.error("bound.horizon", f"must be 'inf' or a non-negative integer, got {raw_h!r}")
-    theta = None
-    if node.get("theta") is not None:
-        tnode = ck.mapping(node["theta"], "bound.theta",
-                           {"min", "max", "grid_points", "refine_tolerance"}, set())
-        theta = ThetaBlock(
-            theta_min=ck.number(tnode, "bound.theta", "min"),
-            theta_max=ck.number(tnode, "bound.theta", "max"),
-            grid_points=ck.integer(tnode, "bound.theta", "grid_points", minimum=8, maximum=MAX_GRID_POINTS),
-            refine_tolerance=ck.number(tnode, "bound.theta", "refine_tolerance"),
-        )
-        if (theta.theta_min is not None and theta.theta_max is not None
-                and not theta.theta_min < theta.theta_max):
-            ck.error("bound.theta", "min must be < max")
-    if kinds is None or epsilons is None:
-        return None
-    return BoundBlock(kinds=kinds, epsilons=epsilons, horizon=horizon, theta=theta)
-
-
-def _parse_sim(ck: _Checker, node) -> Optional[SimBlock]:
-    node = ck.mapping(node, "sim", {"warmup_slots", "measure_slots", "replications", "base_seed"},
-                      {"measure_slots", "replications", "base_seed"})
-    measure = ck.integer(node, "sim", "measure_slots", minimum=1, maximum=_FLOAT_MAX)
-    # a replication count must fit an index: it sizes ranges and arrays
-    reps = ck.integer(node, "sim", "replications", minimum=1, maximum=sys.maxsize)
-    seed = ck.integer(node, "sim", "base_seed", minimum=0)
-    warmup = ck.integer(node, "sim", "warmup_slots", minimum=0, maximum=_FLOAT_MAX)
-    if None in (measure, reps, seed):
-        return None
-    return SimBlock(measure_slots=measure, replications=reps, base_seed=seed, warmup_slots=warmup)
+    return scenario
 
 
 def parse_scenario_file(path) -> Scenario:
-    return parse_scenario(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError([f"document: not UTF-8 text: {exc}"]) from None
+    return parse_scenario(text)
 
 
 # ---------------------------------------------------------------------------

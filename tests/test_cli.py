@@ -635,6 +635,25 @@ class TestUsageAndResolution:
                                "--out", str(tmp_path))
         assert code == EXIT_USAGE and str(tmp_path) in err
 
+    BROKEN = [  # bytes of a scenario file, and what its error names
+        (TINY_SIM.replace("rate_unit: bit/s", "rate_unit: [bit/s]").encode(),
+         "units.rate_unit: must be one of ['Mbit/s', 'bit/s', 'kbit/s'], got ['bit/s']"),
+        ((TINY_SIM + "bound: {kind: delay, epsilon: 0.5}\n").encode(),
+         "document: repeated key 'bound' at line 21, column 1"),
+        (b"id: x\xff\n", "document: not UTF-8 text: "),
+    ]
+
+    @pytest.mark.parametrize("command", ["bound", "simulate"])
+    @pytest.mark.parametrize("text, named", BROKEN, ids=["rate-unit-list", "repeated-bound", "not-utf8"])
+    def test_broken_file_exits_1(self, capsys, tmp_path, command, text, named):
+        # each once ended in a traceback, or, for the repeated block, in rows
+        # of the later block only
+        f = tmp_path / "broken.yaml"
+        f.write_bytes(text)
+        code, out, err = run_cli(capsys, command, "--scenario", str(f))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: invalid scenario:\n") and f"  - {named}" in err
+
     def test_parse_error_exits_1(self, capsys, tmp_path):
         f = tmp_path / "broken.yaml"
         f.write_text("id: x\nunits: {slot_length_s: -5, rate_unit: kbit/s}\n")
@@ -726,14 +745,14 @@ def _main(*argv):
 # give the float back exactly
 EPSILONS = st.floats(-30.0, 0.0).map(math.exp).map("{:.17e}".format)
 
-# each override flag: valid values, and TINY_SIM's field text with the
-# value in place
+# each override flag: valid values, TINY_SIM's field text, that text with
+# the value in place, and the path of a problem with the value
 FLAG_FIELDS = {
-    "--hops": (st.integers(1, 4), "hops: [1, 2]", "hops: {}"),
-    "--through": (st.integers(1, 6), "through_flows: 3", "through_flows: {}"),
-    "--cross": (st.integers(0, 6), "cross_flows: 2", "cross_flows: {}"),
-    "--epsilon": (EPSILONS, "epsilon: [1.0e-2]", "epsilon: [{}]"),
-    "--seed": (st.integers(0, 2**64), "base_seed: 5", "base_seed: {}"),
+    "--hops": (st.integers(1, 4), "hops: [1, 2]", "hops: {}", "network.hops[0]"),
+    "--through": (st.integers(1, 6), "through_flows: 3", "through_flows: {}", "traffic.through_flows"),
+    "--cross": (st.integers(0, 6), "cross_flows: 2", "cross_flows: {}", "traffic.cross_flows"),
+    "--epsilon": (EPSILONS, "epsilon: [1.0e-2]", "epsilon: [{}]", "bound.epsilon[0]"),
+    "--seed": (st.integers(0, 2**64), "base_seed: 5", "base_seed: {}", "sim.base_seed"),
 }
 
 OUT_OF_RANGE = {
@@ -755,7 +774,7 @@ def _flag_values(table, values):
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_a_flag_is_its_field(tmp_path_factory, flag_value):
     flag, value = flag_value
-    _, field, edit = FLAG_FIELDS[flag]
+    _, field, edit, _ = FLAG_FIELDS[flag]
     folder = tmp_path_factory.mktemp("flag")
     (folder / "tiny.yaml").write_text(TINY_SIM)
     (folder / "edited.yaml").write_text(TINY_SIM.replace(field, edit.format(value)))
@@ -786,6 +805,23 @@ def test_an_out_of_range_flag_exits_1_naming_it(flag_value, command):
     code, out, err = _main(command, "--scenario", "desk-validation", f"{flag}={value}")
     assert code == EXIT_USAGE and out == ""
     assert err.startswith(f"usage error: {flag}: "), err
+
+
+@given(st.sampled_from(sorted(OUT_OF_RANGE)).flatmap(lambda flag: st.tuples(st.just(flag), OUT_OF_RANGE[flag])))
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_a_rejected_flag_reads_as_its_field(tmp_path_factory, flag_value):
+    # the same rule rejects a value given by flag or in the file, in the same words
+    flag, value = flag_value
+    _, field, edit, path = FLAG_FIELDS[flag]
+    folder = tmp_path_factory.mktemp("rejected")
+    (folder / "tiny.yaml").write_text(TINY_SIM)
+    (folder / "edited.yaml").write_text(TINY_SIM.replace(field, edit.format(yaml.safe_dump(value).split("\n")[0])))
+    flagged = _main("bound", "--scenario", str(folder / "tiny.yaml"), f"{flag}={value}")
+    edited = _main("bound", "--scenario", str(folder / "edited.yaml"))
+    assert flagged[0] == edited[0] == EXIT_USAGE
+    assert flagged[2].startswith(f"usage error: {flag}: "), flagged[2]
+    assert edited[2].startswith(f"error: invalid scenario:\n  - {path}: "), edited[2]
+    assert flagged[2].split(f"{flag}: ", 1)[1] == edited[2].split(f"{path}: ", 1)[1]
 
 
 @given(st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=40), min_size=1, max_size=6),

@@ -119,6 +119,43 @@ network: {capacity: 0, hops: []}
             parse_scenario(doc)
 
 
+# every field of every block, each optional one set, by its path
+FULL = yaml.safe_load(MINIMAL + """
+  flow_totals: [4, 6]
+bound:
+  kind: both
+  epsilon: [1.0e-2]
+  horizon: 1000
+  theta: {min: 1.0e-12, max: 10.0, grid_points: 16, refine_tolerance: 1.0e-6}
+sim: {warmup_slots: 10, measure_slots: 100, replications: 2, base_seed: 5}
+""")
+FIELD_PATHS = [("id",), ("network", "flow_pairs")] + [
+    (block, key) for block, fields in FULL.items() if isinstance(fields, dict) for key in fields
+    if key != "theta"] + [("bound", "theta", key) for key in FULL["bound"]["theta"]]
+ODD_VALUES = st.one_of(
+    st.sampled_from([None, 0, -1, 1.5, 10**400, "inf"]), st.booleans(), st.text(max_size=8),
+    st.lists(st.one_of(st.integers(-2, 3), st.text(max_size=3)), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+@given(st.sampled_from(FIELD_PATHS), ODD_VALUES)
+@settings(max_examples=400, deadline=None)
+def test_an_odd_field_value_is_reported_at_its_path(path, value):
+    # the document is accepted, or rejected by problems at that field only
+    doc = yaml.safe_load(yaml.safe_dump(FULL))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    where = "scenario.id" if path == ("id",) else ".".join(path)
+    try:
+        parse_scenario(yaml.safe_dump(doc))
+    except ScenarioError as exc:
+        assert exc.problems and all(p.startswith((f"{where}:", f"{where}[")) for p in exc.problems), exc
+    else:
+        assert value is not None and not isinstance(value, (bool, dict)), (where, value)
+
+
 class TestPresets:
     @pytest.mark.parametrize("name", ["voice-fig3", "voice-fig4-H1", "voice-fig4-H2",
                                       "voice-fig4-H5", "voice-fig4-H10", "desk-validation"])
@@ -162,6 +199,35 @@ class TestYamlLoaders:
             parsed.append(parse_scenario_file(path))
         assert all(sc == parsed[-1] for sc in parsed)
         assert parsed[-1].scenario_id
+
+    REPEATED = [  # a document, and where its repeated key is
+        (MINIMAL + "bound: {kind: delay, epsilon: [0.5]}\nbound: {kind: backlog, epsilon: [0.5]}\n",
+         "'bound' at line 14, column 1"),
+        (MINIMAL.replace("  cross_flows: 10", "  cross_flows: 10\n  peak_rate: 32.0"),
+         "'peak_rate' at line 10, column 3"),
+        (MINIMAL.replace("rate_unit: kbit/s}", "rate_unit: kbit/s, 'slot_length_s': 1}"),
+         "'slot_length_s' at line 3, column 50"),
+    ]
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    @pytest.mark.parametrize("doc, where", REPEATED, ids=["block", "field", "quoted"])
+    def test_repeated_key_is_an_error(self, doc, where, loader, monkeypatch):
+        # the later value would silently replace the earlier one
+        monkeypatch.setattr(scenario, "_YAML_LOADER", loader)
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(doc)
+        assert err.value.problems == (f"document: repeated key {where}",)
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    @pytest.mark.parametrize("doc, problem", [
+        ("&a [*a]", "scenario: expected a mapping, got list"),  # an alias's node is its anchor's, visited once
+        ("id: \x01", "document: YAML parse error: unacceptable character #x0001"),
+    ], ids=["alias-cycle", "unprintable"])
+    def test_composed_document_errors(self, doc, problem, loader, monkeypatch):
+        monkeypatch.setattr(scenario, "_YAML_LOADER", loader)
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(doc)
+        assert len(err.value.problems) == 1 and err.value.problems[0].startswith(problem)
 
 
 class TestUnits:
