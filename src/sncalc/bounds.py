@@ -86,6 +86,10 @@ _EXP_CAP = 700.0
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# the theta search's resolution: coarse grid points, then a relative bracket
+_GRID_POINTS = 64
+_REFINE_TOLERANCE = 1e-6
+
 _STABILITY_HINT = (
     "every candidate theta makes the bound series divergent; the stability "
     "condition (each hop's effective capacity must exceed the through "
@@ -118,20 +122,15 @@ class NetworkPath(Record):
 
 
 class ThetaSearchConfig(Record):
-    """Search window and resolution for the theta optimization (1/bits)."""
+    """Search window for the theta optimization (1/bits); the resolution is fixed."""
 
-    __slots__ = ("theta_min", "theta_max", "coarse_grid_points", "refine_tolerance")
-    _defaults = {"coarse_grid_points": 64, "refine_tolerance": 1e-6}
+    __slots__ = ("theta_min", "theta_max")
 
     def _validate(self):
         if not (0 < self.theta_min < self.theta_max):
             raise ValueError(
                 f"need 0 < theta_min < theta_max, got [{self.theta_min!r}, {self.theta_max!r}]"
             )
-        if self.coarse_grid_points < 8:
-            raise ValueError("coarse_grid_points must be >= 8")
-        if not (0 < self.refine_tolerance < 1):
-            raise ValueError("refine_tolerance must be in (0, 1)")
 
 
 class ThetaSearchResult(NamedTuple):
@@ -318,17 +317,16 @@ def _log_grid(lo: float, hi: float, points: int) -> list:
 
 
 def minimize_over_theta(objective: Callable[[float], float], config: ThetaSearchConfig) -> ThetaSearchResult:
-    """Minimize a scalar objective over theta > 0.
+    """Minimize a scalar objective over theta in the configured window.
 
-    Scans a log-spaced coarse grid, then golden-section refines inside the
-    bracket around the grid minimum until the bracket's relative width drops
-    below ``refine_tolerance``, or until the doubles near log theta* cannot
-    split it any further.  Inadmissible thetas must be signalled with
-    ``math.inf``.  Deterministic for a fixed configuration; exact ties keep
-    the smaller theta.  Raises :class:`StabilityError` when the objective is
-    infinite on the whole grid.
+    Scans a log-spaced grid of ``_GRID_POINTS`` points, then golden-section
+    refines inside the bracket around the grid minimum until the bracket's
+    relative width drops below ``_REFINE_TOLERANCE``.  Inadmissible thetas
+    must be signalled with ``math.inf``.  Deterministic for a fixed window;
+    exact ties keep the smaller theta.  Raises :class:`StabilityError` when
+    the objective is infinite on the whole grid.
     """
-    grid = _log_grid(config.theta_min, config.theta_max, config.coarse_grid_points)
+    grid = _log_grid(config.theta_min, config.theta_max, _GRID_POINTS)
     values = [objective(t) for t in grid]
     finite = [v for v in values if math.isfinite(v)]
     if not finite:
@@ -341,34 +339,32 @@ def minimize_over_theta(objective: Callable[[float], float], config: ThetaSearch
     best_value = values[best_idx]
     at_boundary = best_idx in (0, len(grid) - 1)
 
-    lo = math.log(grid[max(best_idx - 1, 0)])
-    hi = math.log(grid[min(best_idx + 1, len(grid) - 1)])
-
-    def consider(theta: float, value: float) -> None:
+    def probe(log_theta: float) -> float:
         nonlocal best_theta, best_value
+        theta = math.exp(log_theta)
+        value = objective(theta)
         if value < best_value or (value == best_value and theta < best_theta):
             best_theta, best_value = theta, value
+        return value
 
-    # golden-section on log(theta); +inf values are legal and compare high
-    a, b = lo, hi
+    # golden-section on log(theta); +inf values are legal and compare high.
+    # While b - a exceeds the tolerance, c and d are over 2.3e-7 apart, far
+    # wider than the 1.1e-13 spacing of doubles at |log theta| <= 745.
+    a = math.log(grid[max(best_idx - 1, 0)])
+    b = math.log(grid[min(best_idx + 1, len(grid) - 1)])
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc = objective(math.exp(c))
-    fd = objective(math.exp(d))
-    consider(math.exp(c), fc)
-    consider(math.exp(d), fd)
-    tol = math.log1p(config.refine_tolerance)
-    while (b - a) > tol and a < c < d < b:
+    fc, fd = probe(c), probe(d)
+    tol = math.log1p(_REFINE_TOLERANCE)
+    while (b - a) > tol:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
-            fc = objective(math.exp(c))
-            consider(math.exp(c), fc)
+            fc = probe(c)
         else:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
-            fd = objective(math.exp(d))
-            consider(math.exp(d), fd)
+            fd = probe(d)
     return ThetaSearchResult(best_theta, best_value, at_boundary)
 
 
@@ -392,7 +388,7 @@ def default_theta_window(path: NetworkPath) -> tuple:
 
 
 def default_theta_search(path: NetworkPath) -> ThetaSearchConfig:
-    """Search over :func:`default_theta_window` at the default resolution."""
+    """Search over :func:`default_theta_window`."""
     return ThetaSearchConfig(*default_theta_window(path))
 
 

@@ -202,11 +202,10 @@ def _cmd_bound(sc: Scenario, args) -> int:
     """``bound``, ``sweep-hops`` and ``sweep-flows``."""
     if args.command != "sweep-flows":
         flow_points = [(sc.traffic.through_flows, sc.traffic.cross_flows)]
-    elif sc.network.flow_totals is None and sc.network.flow_pairs is None:
-        raise _UsageError("sweep-flows needs network.flow_totals or network.flow_pairs")
+    elif sc.network.flow_totals is None:
+        raise _UsageError("sweep-flows needs network.flow_totals")
     elif args.through is not None or args.cross is not None:
-        raise _UsageError("sweep-flows takes (N, M) from network.flow_totals or "
-                          "network.flow_pairs, not from --through/--cross")
+        raise _UsageError("sweep-flows takes (N, M) from network.flow_totals, not from --through/--cross")
     else:
         flow_points = sc.flow_points()
     rows, flagged = _bound_rows(sc, flow_points)

@@ -7,11 +7,12 @@ declared rate unit; everything is converted to bits and slots on parse.
 One table, ``_BLOCKS``, gives each key its rule: the parser reads every block
 from it, and ``Scenario.with_flags`` checks each override flag by its field's
 rule, so both reject a value in the same words.  Unknown and repeated keys
-are rejected, and validation reports every violation at once, each tagged
-with its dotted field path.  A null field is checked by its rule; only a
-null ``bound``, ``sim`` or ``bound.theta`` block is absent.
+are rejected, and so is a document nested deeper than ``MAX_DEPTH``;
+validation reports every violation at once, each tagged with its dotted
+field path.  A null field is checked by its rule; only a null ``bound``,
+``sim`` or ``bound.theta`` block is absent.
 
-theta values (the ``bound.theta`` overrides) carry units of 1/bits.
+The ``bound.theta`` overrides, ``min`` and ``max``, are window edges in 1/bits.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ _FLOAT_MAX = sys.float_info.max
 # not fit a tuple at all.
 MAX_HOPS = 10**6
 
-# The theta search evaluates the bound at every grid point; 10**4 is the
-# resolution of the tests' exhaustive reference search.
-MAX_GRID_POINTS = 10**4
+# A YAML composer recurses once per level of nesting (libyaml's in C, where
+# too deep a document crashes the process); the presets nest 3 deep.
+MAX_DEPTH = 100
 
 CSV_HEADER = (
     "scenario_id", "kind", "H", "N", "M", "epsilon", "theta_star",
@@ -107,14 +108,14 @@ class TrafficBlock(Record):
 
 class NetworkBlock(Record):
     """``capacity`` is in the units block's ``rate_unit``.  ``flow_totals``
-    is an N + M sweep keeping N == M, ``flow_pairs`` an explicit (N, M) sweep."""
+    is an N + M sweep keeping N == M."""
 
-    __slots__ = ("capacity", "hop_counts", "flow_totals", "flow_pairs")
-    _defaults = {"flow_totals": None, "flow_pairs": None}
+    __slots__ = ("capacity", "hop_counts", "flow_totals")
+    _defaults = {"flow_totals": None}
 
 
 class ThetaBlock(Record):
-    __slots__ = ("theta_min", "theta_max", "grid_points", "refine_tolerance")
+    __slots__ = ("theta_min", "theta_max")
     _defaults = dict.fromkeys(__slots__)
 
 
@@ -149,8 +150,6 @@ class Scenario(Record):
 
     def flow_points(self) -> tuple:
         """(N, M) sweep points; defaults to the traffic block's counts."""
-        if self.network.flow_pairs is not None:
-            return self.network.flow_pairs
         if self.network.flow_totals is not None:
             return tuple((t // 2, t // 2) for t in self.network.flow_totals)
         return ((self.traffic.through_flows, self.traffic.cross_flows),)
@@ -169,20 +168,16 @@ class Scenario(Record):
         :class:`ScenarioError`, and so is a derived lower edge that
         underflows to 0 with no ``bound.theta.min`` to replace it."""
         lo, hi = default_theta_window(path)
-        window = {"theta_min": lo, "theta_max": hi}
-        overrides = self.bound.theta if self.bound else None
-        if overrides is not None:
-            fields = {"theta_min": overrides.theta_min, "theta_max": overrides.theta_max,
-                      "coarse_grid_points": overrides.grid_points,
-                      "refine_tolerance": overrides.refine_tolerance}
-            window.update((k, v) for k, v in fields.items() if v is not None)
-        if window["theta_min"] == 0.0:
+        overrides = (self.bound and self.bound.theta) or ThetaBlock()
+        window = (lo if overrides.theta_min is None else overrides.theta_min,
+                  hi if overrides.theta_max is None else overrides.theta_max)
+        if window[0] == 0.0:
             raise ScenarioError(["traffic.mean_on_time_s: a flow's burst (peak_rate times "
                                  "mean_on_time_s) is too large for a theta window: its derived "
                                  "lower edge, 1e-9 / burst, underflows to 0; shorten the on time "
                                  "or set bound.theta.min"])
         try:
-            return ThetaSearchConfig(**window)
+            return ThetaSearchConfig(*window)
         except ValueError as exc:
             raise ScenarioError([f"bound.theta: {exc} (derived window "
                                  f"[{lo:g}, {hi:g}])"]) from None
@@ -279,15 +274,6 @@ def _flow_total(total) -> int:
     return total
 
 
-def _flow_pair(pair) -> tuple:
-    if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))
-            and pair[0] >= 1 and pair[1] >= 0):
-        raise ValueError(f"expected [N >= 1, M >= 0], got {pair!r}")
-    if max(pair) > _FLOAT_MAX:
-        raise ValueError(f"N and M must be <= {_FLOAT_MAX:g}, got {pair!r}")
-    return tuple(pair)
-
-
 def _epsilon(e) -> float:
     # compared without float(): an integer beyond the float range is simply > 1
     if isinstance(e, bool) or not isinstance(e, (int, float)) or not 0 < e <= 1:
@@ -327,9 +313,9 @@ _BLOCKS = {
          "traffic.mean_on_time_s", "conversion to a per-slot switching rate overflows"),
         (("units", "traffic"), lambda u, t: not math.isfinite(u.slot_length_s / t.mean_off_time_s),
          "traffic.mean_off_time_s", "conversion to a per-slot switching rate overflows"),
-        (("units", "traffic", "network"), lambda u, t, n: _overflows(u, t.peak_rate),
+        (("units", "traffic"), lambda u, t: _overflows(u, t.peak_rate),
          "traffic.peak_rate", "unit conversion to bits/slot overflows"),
-        (("units", "traffic", "network"), lambda u, t, n: _overflows(u, n.capacity),
+        (("units", "network"), lambda u, n: _overflows(u, n.capacity),
          "network.capacity", "unit conversion to bits/slot overflows"),
     ]),
     "units": (UnitsBlock, {
@@ -345,9 +331,7 @@ _BLOCKS = {
         "capacity": ("capacity", _positive, None),
         "hops": ("hop_counts", _integer(1, MAX_HOPS), _INTEGERS),
         "flow_totals": ("flow_totals", _flow_total, _INTEGERS),
-        "flow_pairs": ("flow_pairs", _flow_pair, ((), "expected a non-empty list of [N, M] pairs")),
-    }, [(("flow_totals", "flow_pairs"), lambda totals, pairs: True,
-         "network", "give at most one of flow_totals, flow_pairs")]),
+    }, []),
     "bound": (BoundBlock, {
         "kind": ("kinds", _choice({"backlog": ("backlog",), "delay": ("delay",), "both": ("backlog", "delay")},
                                   "'backlog', 'delay' or 'both'"), None),
@@ -358,8 +342,6 @@ _BLOCKS = {
     "bound.theta": (ThetaBlock, {
         "min": ("theta_min", _positive, None),
         "max": ("theta_max", _positive, None),
-        "grid_points": ("grid_points", _integer(8, MAX_GRID_POINTS), None),
-        "refine_tolerance": ("refine_tolerance", _positive, None),
     }, [(("theta_min", "theta_max"), lambda lo, hi: not lo < hi, "bound.theta", "min must be < max")]),
     "sim": (SimBlock, {
         "measure_slots": ("measure_slots", _integer(1, _FLOAT_MAX), None),
@@ -451,20 +433,33 @@ def _repeated_keys(root) -> list:
             for line, column, key in sorted(repeats)]
 
 
+def _depth_problems(text: str) -> list:
+    """A problem if ``text`` nests collections deeper than ``MAX_DEPTH``,
+    found from its parse events, which neither parser takes by recursion."""
+    depth = 0
+    for event in yaml.parse(text, Loader=_YAML_LOADER):
+        depth += isinstance(event, yaml.CollectionStartEvent) - isinstance(event, yaml.CollectionEndEvent)
+        if depth > MAX_DEPTH:
+            return [f"document: nested deeper than {MAX_DEPTH} levels"]
+    return []
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse and fully validate a scenario document."""
-    try:  # composed, checked for repeated keys, then constructed
-        loader = _YAML_LOADER(text)  # the pure-Python reader rejects unprintable characters here
-        try:
-            node = loader.get_single_node()
-            repeats = _repeated_keys(node)
-            doc = None if repeats or node is None else loader.construct_document(node)
-        finally:
-            loader.dispose()
+    try:  # checked for depth, composed, checked for repeated keys, then constructed
+        problems = _depth_problems(text)  # the pure-Python reader rejects unprintable characters here
+        if not problems:
+            loader = _YAML_LOADER(text)
+            try:
+                node = loader.get_single_node()
+                problems = _repeated_keys(node)
+                doc = None if problems or node is None else loader.construct_document(node)
+            finally:
+                loader.dispose()
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: an integer of over 4300 digits
         raise ScenarioError([f"document: YAML parse error: {exc}"]) from exc
-    if repeats:
-        raise ScenarioError(repeats)
+    if problems:
+        raise ScenarioError(problems)
     ck = _Checker()
     scenario = ck.block({} if doc is None else doc, "scenario")
     if ck.problems:

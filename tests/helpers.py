@@ -6,8 +6,12 @@ import math
 from collections import deque
 
 import numpy as np
+import yaml
 
 from sncalc import MmooParams, ThetaSearchConfig
+
+# libyaml's loader where PyYAML has it, and the pure-Python fallback
+LOADERS = [loader for loader in (getattr(yaml, "CSafeLoader", None), yaml.SafeLoader) if loader]
 
 
 def exhaustive_grid_min(objective, config: ThetaSearchConfig, points: int = 10**4):

@@ -29,7 +29,7 @@ from sncalc import (
     traffic_effective_bandwidth,
 )
 from sncalc.bounds import INFINITE_HORIZON as INF
-from sncalc.bounds import _log_grid, _log_run_sum, hop_sweep
+from sncalc.bounds import _GRID_POINTS, _log_grid, _log_run_sum, hop_sweep
 from helpers import brute_force_tail_sum, exhaustive_grid_min
 
 VOICE = MmooParams(peak_rate=64.0, r_on_off=0.0025, r_off_on=1.0 / 600.0)
@@ -47,7 +47,7 @@ def unit_path(hops=1, capacity=2.0):
 
 def pinned_theta(theta=1.0):
     # a degenerate-width window to evaluate bounds "at" one theta
-    return ThetaSearchConfig(theta * (1 - 1e-9), theta * (1 + 1e-9), 8, 1e-7)
+    return ThetaSearchConfig(theta * (1 - 1e-9), theta * (1 + 1e-9))
 
 
 class TestViolationAtTheta:
@@ -197,22 +197,6 @@ class TestMinimizeOverTheta:
         res = minimize_over_theta(lambda th: 5.0, cfg)
         assert res.theta_star == cfg.theta_min
 
-    def test_tolerance_below_the_float_spacing_ends(self):
-        # near log theta* = -7 the doubles are 8.9e-16 apart, so a bracket of
-        # relative width 1e-300 is never reached; the search stops where the
-        # golden-section points can no longer split the bracket
-        calls = []
-
-        def objective(th):
-            calls.append(th)
-            assert len(calls) < 1000, "the golden-section search does not end"
-            return (math.log(th) + 7.0) ** 2
-
-        cfg = ThetaSearchConfig(1e-6, 1.0, refine_tolerance=1e-300)
-        res = minimize_over_theta(objective, cfg)
-        assert res.theta_star == pytest.approx(math.exp(-7.0), rel=1e-7)
-        assert len(calls) <= cfg.coarse_grid_points + 100
-
     def test_all_infinite_raises_stability_error(self):
         cfg = ThetaSearchConfig(0.1, 10.0)
         with pytest.raises(StabilityError, match="stability"):
@@ -243,7 +227,7 @@ class TestMinimizeOverTheta:
             sc = parse_scenario_file(resolve_scenario_path(name))
             for n, m in sc.flow_points():
                 cfg = sc.build_theta_search(sc.build_path(1, n, m))
-                yield cfg.theta_min, cfg.theta_max, cfg.coarse_grid_points
+                yield cfg.theta_min, cfg.theta_max, _GRID_POINTS
 
     @staticmethod
     def _random_windows(count=500):
@@ -270,8 +254,8 @@ class TestMinimizeOverTheta:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ThetaSearchConfig(1.0, 0.5)
-        with pytest.raises(ValueError):
-            ThetaSearchConfig(0.1, 1.0, coarse_grid_points=4)
+        with pytest.raises(TypeError):  # the window is all there is to set
+            ThetaSearchConfig(1e-9, 1e-2, 64)
 
 
 class TestBacklogBound:

@@ -42,12 +42,12 @@ VALUE_RECORDS = [
     ConstantServer(2.0),
     Leftover(100.0, 2, SOURCE),
     NetworkPath(Aggregate(781, SOURCE), [Leftover(1e5, 1953, SOURCE), ConstantServer(5e4)]),
-    ThetaSearchConfig(1e-9, 0.01, coarse_grid_points=16),
+    ThetaSearchConfig(1e-9, 0.01),
     BoundResult("delay", 12.5, 4e-5, 1e-9, True, None, (3.0, 2.5), at_theta_boundary=True),
     UnitsBlock(0.001, "kbit/s"),
     TrafficBlock(64.0, 0.4, 0.6, 781, 1953),
-    NetworkBlock(1e5, (1, 2), flow_pairs=((1, 2),)),
-    ThetaBlock(theta_min=1e-7, grid_points=32),
+    NetworkBlock(1e5, (1, 2), flow_totals=(4, 6)),
+    ThetaBlock(theta_min=1e-7),
     BoundBlock(("backlog", "delay"), (1e-2, 1e-3), 1e4, ThetaBlock(theta_max=0.5)),
     SimBlock(1000, 2, 5, warmup_slots=10),
     DESK,
@@ -203,7 +203,6 @@ def test_array_records_compare_by_identity(record):
 
 
 def test_defaults_are_kept():
-    config = ThetaSearchConfig(1e-9, 0.01)
-    assert (config.coarse_grid_points, config.refine_tolerance) == (64, 1e-6)
+    assert ThetaBlock(theta_min=1e-7).theta_max is None
     assert SimScenario(1, 1.0, 1, 0, VOICE, 1).replications == 1
     assert BoundBlock(("delay",), (1e-9,)).horizon == math.inf

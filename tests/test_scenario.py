@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import sncalc.scenario as scenario
 from sncalc import (
@@ -22,11 +22,9 @@ from sncalc.scenario import (
     rate_to_bits_per_slot,
     resolve_scenario_path,
 )
+from helpers import LOADERS
 
 FINITE_HORIZON = Path(__file__).resolve().parents[1] / "perfbench" / "scenarios" / "finite-horizon.yaml"
-
-# libyaml's loader where PyYAML has it, and the pure-Python fallback
-LOADERS = [loader for loader in (getattr(yaml, "CSafeLoader", None), yaml.SafeLoader) if loader]
 
 MINIMAL = """
 id: demo
@@ -126,10 +124,10 @@ bound:
   kind: both
   epsilon: [1.0e-2]
   horizon: 1000
-  theta: {min: 1.0e-12, max: 10.0, grid_points: 16, refine_tolerance: 1.0e-6}
+  theta: {min: 1.0e-12, max: 10.0}
 sim: {warmup_slots: 10, measure_slots: 100, replications: 2, base_seed: 5}
 """)
-FIELD_PATHS = [("id",), ("network", "flow_pairs")] + [
+FIELD_PATHS = [("id",)] + [
     (block, key) for block, fields in FULL.items() if isinstance(fields, dict) for key in fields
     if key != "theta"] + [("bound", "theta", key) for key in FULL["bound"]["theta"]]
 ODD_VALUES = st.one_of(
@@ -138,22 +136,43 @@ ODD_VALUES = st.one_of(
     st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
 
 
+def _problems(changes) -> tuple:
+    """The problems of FULL with each field path in ``changes`` set to its value."""
+    doc = yaml.safe_load(yaml.safe_dump(FULL))
+    for path, value in changes.items():
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    try:
+        parse_scenario(yaml.safe_dump(doc))
+    except ScenarioError as exc:
+        return exc.problems
+    return ()
+
+
 @given(st.sampled_from(FIELD_PATHS), ODD_VALUES)
 @settings(max_examples=400, deadline=None)
 def test_an_odd_field_value_is_reported_at_its_path(path, value):
     # the document is accepted, or rejected by problems at that field only
-    doc = yaml.safe_load(yaml.safe_dump(FULL))
-    node = doc
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
     where = "scenario.id" if path == ("id",) else ".".join(path)
-    try:
-        parse_scenario(yaml.safe_dump(doc))
-    except ScenarioError as exc:
-        assert exc.problems and all(p.startswith((f"{where}:", f"{where}[")) for p in exc.problems), exc
-    else:
-        assert value is not None and not isinstance(value, (bool, dict)), (where, value)
+    problems = _problems({path: value})
+    assert all(p.startswith((f"{where}:", f"{where}[")) for p in problems), problems
+    assert problems or (value is not None and not isinstance(value, (bool, dict))), (where, value)
+
+
+@given(st.sampled_from(FIELD_PATHS), ODD_VALUES | st.just(1.0e306),
+       st.sampled_from(FIELD_PATHS), ODD_VALUES | st.just(1.0e306))
+@example(("traffic", "peak_rate"), 1.0e306, ("network", "capacity"), -1)
+@example(("network", "capacity"), 1.0e306, ("traffic", "through_flows"), 0)
+@settings(max_examples=300, deadline=None)
+def test_broken_fields_in_two_blocks_are_both_reported(path, value, other, other_value):
+    # 1.0e306 kbit/s overflows in bits per slot.  A check reads only its own
+    # blocks, and the units block, which every conversion reads, stays valid.
+    assume(path[:-1] != other[:-1] and "units" not in (path[0], other[0]))
+    alone = _problems({path: value}), _problems({other: other_value})
+    assume(all(alone))
+    assert set(alone[0] + alone[1]) <= set(_problems({path: value, other: other_value}))
 
 
 class TestPresets:
@@ -182,6 +201,14 @@ class TestPresets:
         assert isinstance(path, NetworkPath)
         assert path.hop_count == 2
         assert len(set(path.hops)) == 1
+
+
+DEEP = f"document: nested deeper than {scenario.MAX_DEPTH} levels"
+
+
+def _nested_id(levels):
+    """MINIMAL with its id nested so that the document is ``levels`` deep."""
+    return MINIMAL.replace("id: demo", "id: " + "[" * (levels - 1) + "]" * (levels - 1))
 
 
 class TestYamlLoaders:
@@ -222,7 +249,12 @@ class TestYamlLoaders:
     @pytest.mark.parametrize("doc, problem", [
         ("&a [*a]", "scenario: expected a mapping, got list"),  # an alias's node is its anchor's, visited once
         ("id: \x01", "document: YAML parse error: unacceptable character #x0001"),
-    ], ids=["alias-cycle", "unprintable"])
+        # a composer recurses once per level: the pure-Python one runs out of
+        # stack at 1000 levels, and libyaml's (in C) crashes the process
+        ("[" * 1000, DEEP),
+        (_nested_id(scenario.MAX_DEPTH + 1), DEEP),
+        (_nested_id(scenario.MAX_DEPTH), "scenario.id: expected a non-empty string"),
+    ], ids=["alias-cycle", "unprintable", "1000-unclosed", "one-level-too-deep", "at-the-depth-limit"])
     def test_composed_document_errors(self, doc, problem, loader, monkeypatch):
         monkeypatch.setattr(scenario, "_YAML_LOADER", loader)
         with pytest.raises(ScenarioError) as err:
