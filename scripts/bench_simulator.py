@@ -31,36 +31,15 @@ import platform
 import statistics
 import sys
 import tempfile
-import time
-from collections import Counter
 
 import numpy as np
 import yaml
 
+from layer_timer import LayerTimer
 from sncalc import cli, simulator
 from sncalc.scenario import resolve_scenario_path
 
 LAYERS = ("sources", "arrivals", "hop_step", "reductions")
-
-
-class _Timer:
-    """Own time and calls per layer; a layer's time excludes the layers it calls."""
-
-    def __init__(self):
-        self.own, self.calls, self._child = Counter(), Counter(), [0.0]
-
-    def wrap(self, layer, fn):
-        def timed(*args, **kwargs):
-            self._child.append(0.0)
-            start = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                took = time.perf_counter() - start
-                self.own[layer] += took - self._child.pop()
-                self.calls[layer] += 1
-                self._child[-1] += took
-        return timed
 
 
 @contextlib.contextmanager
@@ -114,7 +93,7 @@ def main():
         _validate(argv)  # imports and caches first
         runs = []
         for _ in range(args.repeats):
-            timer = _Timer()
+            timer = LayerTimer()
             with _wrapped(timer):
                 _validate(argv)
             runs.append(timer)

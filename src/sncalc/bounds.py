@@ -5,9 +5,12 @@ hop, combined across the H hops through H-th roots, times a factor that
 decays in the backlog threshold x (or, via the last hop's shifted series,
 in the delay threshold d).  All series are evaluated in log domain because
 the raw exponents theta*u*(alpha-beta)/2 routinely exceed the range of
-``exp``.  The free parameter theta is optimized by a coarse log-spaced grid
-scan followed by golden-section refinement; any theta whose series diverges
-contributes a vacuous bound and is skipped.
+``exp``.  The free parameter theta is optimized by a log-spaced grid scan
+from theta_max down, which stops at the first rise, followed by
+golden-section refinement; any theta whose series diverges contributes a
+vacuous bound (+inf) and is passed over.  Every objective the engine
+builds is quasi-convex in theta, so the first rise marks the minimum of
+the whole grid (see :func:`minimize_over_theta`).
 
 One engine serves every query.  ``_log_terms`` evaluates a path at one
 theta (the envelopes and one log-sum per run of equal hops) and
@@ -77,6 +80,7 @@ __all__ = [
     "stability_margin",
     "default_theta_search",
     "default_theta_window",
+    "peak_rate_stable",
 ]
 
 INFINITE_HORIZON = math.inf
@@ -317,26 +321,52 @@ def _log_grid(lo: float, hi: float, points: int) -> list:
 
 
 def minimize_over_theta(objective: Callable[[float], float], config: ThetaSearchConfig) -> ThetaSearchResult:
-    """Minimize a scalar objective over theta in the configured window.
+    """Minimize a quasi-convex scalar objective over theta in the configured window.
 
-    Scans a log-spaced grid of ``_GRID_POINTS`` points, then golden-section
-    refines inside the bracket around the grid minimum until the bracket's
-    relative width drops below ``_REFINE_TOLERANCE``.  Inadmissible thetas
-    must be signalled with ``math.inf``.  Deterministic for a fixed window;
-    exact ties keep the smaller theta.  Raises :class:`StabilityError` when
-    the objective is infinite on the whole grid.
+    Scans a log-spaced grid of ``_GRID_POINTS`` points from theta_max down
+    and stops at the first finite point below which the objective rises,
+    then golden-section refines inside the bracket around it until the
+    bracket's relative width drops below ``_REFINE_TOLERANCE``.
+    Inadmissible thetas must be signalled with ``math.inf``.  Deterministic
+    for a fixed window; exact ties keep the smaller theta.  Raises
+    :class:`StabilityError` when the objective is infinite on the whole
+    grid, which is then scanned to its bottom.
+
+    The first rise is the minimum of the whole grid when every sublevel set
+    {theta : objective(theta) <= c} is an interval, the +inf set included:
+    the grid values then fall (weakly) to the minimum and rise (weakly)
+    after it.  Every objective that the bound inversion builds is such a
+    function, v(theta) = 2 (L(theta) - ln eps) / (theta w(theta)), for every
+    through model (on-off, constant-rate, an aggregate of either), every
+    run of leftover and constant-rate hops, backlog and delay, and any
+    horizon and eps in (0, 1]:
+
+    * L is a mean of log-sums of exp(u (theta alpha - theta beta) / 2) over
+      u >= 0.  theta alpha(theta) is convex: the log spectral radius of the
+      tilted on-off chain (Kingman 1961), linear for a constant rate, and
+      n times either for an aggregate of n.  theta beta(theta) is linear or
+      concave (capacity less convex cross terms).  So L is convex.
+    * L >= 0, since each sum holds its u = 0 term, and -ln eps >= 0.
+    * theta w(theta) is positive and concave: theta for backlog and
+      theta beta(theta) for delay.
+    * So {v <= c} = {2 (L - ln eps) <= c theta w} is an interval for every
+      c >= 0, and the thetas with v = +inf (a divergent series, w <= 0, or
+      a delay H v beyond a finite horizon) lie outside one.
     """
     grid = _log_grid(config.theta_min, config.theta_max, _GRID_POINTS)
-    values = [objective(t) for t in grid]
-    finite = [v for v in values if math.isfinite(v)]
-    if not finite:
+    best_idx = len(grid) - 1
+    best_value = objective(grid[best_idx])
+    for i in range(best_idx - 1, -1, -1):  # downward until the first rise
+        value = objective(grid[i])
+        if value > best_value:
+            break
+        best_idx, best_value = i, value
+    if best_value == math.inf:
         raise StabilityError(
             f"no admissible theta in [{config.theta_min:g}, {config.theta_max:g}]: "
             + _STABILITY_HINT
         )
-    best_idx = min(range(len(values)), key=lambda i: (values[i], grid[i]))
     best_theta = grid[best_idx]
-    best_value = values[best_idx]
     at_boundary = best_idx in (0, len(grid) - 1)
 
     def probe(log_theta: float) -> float:
@@ -390,6 +420,21 @@ def default_theta_window(path: NetworkPath) -> tuple:
 def default_theta_search(path: NetworkPath) -> ThetaSearchConfig:
     """Search over :func:`default_theta_window`."""
     return ThetaSearchConfig(*default_theta_window(path))
+
+
+def peak_rate_stable(path: NetworkPath) -> bool:
+    """Every hop's capacity covers the peak rates of all the flows it serves.
+
+    Such a path never queues, so its exact backlog and delay are 0; its
+    bound falls towards 0 as theta grows, which puts theta* at or near the
+    window's upper edge.
+    """
+    through = traffic_peak_rate(path.through)
+    for hop in path.hops:
+        cross = hop.cross_count * traffic_peak_rate(hop.cross) if isinstance(hop, Leftover) else 0.0
+        if through + cross > hop.capacity:
+            return False
+    return True
 
 
 def _single_flow_burst(model: TrafficModel) -> float:

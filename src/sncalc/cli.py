@@ -37,7 +37,7 @@ import math
 import sys
 from functools import cache, partial
 
-from .bounds import NetworkPath, StabilityError, hop_sweep
+from .bounds import NetworkPath, StabilityError, hop_sweep, peak_rate_stable
 # not called here: perfbench/tracing.py patches these names on this module
 from .bounds import backlog_bound, closed_form_backlog, closed_form_delay, delay_bound  # noqa: F401
 from .scenario import (
@@ -140,7 +140,10 @@ def _bound_rows(sc: Scenario, flow_points) -> tuple:
     search.  A bound that does not exist (a :class:`StabilityError` or
     :class:`HorizonError` in place of a result) becomes a flagged row
     (``stable=false``, ``bound_value=inf``, no ``theta_star``) and its
-    message goes to stderr.  Returns the rows and whether any was flagged.
+    message goes to stderr.  A theta* at an edge of its window is warned
+    about; at the upper edge the warning says when the path is peak-rate
+    stable (:func:`peak_rate_stable`).  Returns the rows and whether any was
+    flagged.
     """
     if sc.bound is None:
         raise _UsageError("scenario has no bound block and no --epsilon override given")
@@ -152,9 +155,10 @@ def _bound_rows(sc: Scenario, flow_points) -> tuple:
                 one = sc.build_path(1, n, m)
                 paths = [NetworkPath(one.through, one.hops * hop_count) for hop_count in hops]
                 search = sc.build_theta_search(paths[0])
-                sweeps[n, m] = search, {(kind, eps): hop_sweep(paths, kind, eps, sc.bound.horizon, search)
-                                        for kind in kinds for eps in epsilons}
-            search, results = sweeps[n, m]
+                sweeps[n, m] = search, peak_rate_stable(one), {
+                    (kind, eps): hop_sweep(paths, kind, eps, sc.bound.horizon, search)
+                    for kind in kinds for eps in epsilons}
+            search, peak_stable, results = sweeps[n, m]
             for kind in kinds:
                 unit, scale = ("s", sc.units.slot_length_s) if kind == "delay" else ("bits", 1.0)
                 for eps in epsilons:
@@ -169,8 +173,10 @@ def _bound_rows(sc: Scenario, flow_points) -> tuple:
                         if result.at_theta_boundary:
                             lo, hi = search.theta_min, search.theta_max
                             edge = "lower" if theta * theta < lo * hi else "upper"
+                            note = ("; the path is peak-rate stable, so its exact delay and backlog are 0"
+                                   if edge == "upper" and peak_stable else "")
                             print(f"warning: {where}: theta*={theta:.6g} is at the {edge} edge "
-                                  f"of the theta window [{lo:.6g}, {hi:.6g}]", file=sys.stderr)
+                                  f"of the theta window [{lo:.6g}, {hi:.6g}]{note}", file=sys.stderr)
                     rows.append(ResultRow(
                         scenario_id=sc.scenario_id, kind=kind, hops=h, through_flows=n,
                         cross_flows=m, epsilon=eps, theta_star=theta, bound_value=value,

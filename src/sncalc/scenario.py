@@ -435,7 +435,15 @@ def _repeated_keys(root) -> list:
 
 def _depth_problems(text: str) -> list:
     """A problem if ``text`` nests collections deeper than ``MAX_DEPTH``,
-    found from its parse events, which neither parser takes by recursion."""
+    found from its parse events, which neither parser takes by recursion.
+
+    Every collection starts at an indicator of its own: a block sequence at
+    its first ``-``, a mapping at its first ``:`` or ``?`` and a flow
+    collection at its ``[`` or ``{``.  A text with at most ``MAX_DEPTH`` of
+    these characters cannot nest deeper, and is not parsed here.
+    """
+    if sum(map(text.count, "-:?[{")) <= MAX_DEPTH:
+        return []
     depth = 0
     for event in yaml.parse(text, Loader=_YAML_LOADER):
         depth += isinstance(event, yaml.CollectionStartEvent) - isinstance(event, yaml.CollectionEndEvent)
@@ -447,9 +455,9 @@ def _depth_problems(text: str) -> list:
 def parse_scenario(text: str) -> Scenario:
     """Parse and fully validate a scenario document."""
     try:  # checked for depth, composed, checked for repeated keys, then constructed
-        problems = _depth_problems(text)  # the pure-Python reader rejects unprintable characters here
+        problems = _depth_problems(text)
         if not problems:
-            loader = _YAML_LOADER(text)
+            loader = _YAML_LOADER(text)  # the pure-Python reader rejects unprintable characters here
             try:
                 node = loader.get_single_node()
                 problems = _repeated_keys(node)

@@ -8,7 +8,8 @@ from collections import deque
 import numpy as np
 import yaml
 
-from sncalc import MmooParams, ThetaSearchConfig
+from sncalc import MmooParams, StabilityError, ThetaSearchConfig, ThetaSearchResult
+from sncalc.bounds import _GRID_POINTS, _INV_PHI, _REFINE_TOLERANCE, _STABILITY_HINT, _log_grid
 
 # libyaml's loader where PyYAML has it, and the pure-Python fallback
 LOADERS = [loader for loader in (getattr(yaml, "CSafeLoader", None), yaml.SafeLoader) if loader]
@@ -23,6 +24,48 @@ def exhaustive_grid_min(objective, config: ThetaSearchConfig, points: int = 10**
         if v < best_value:
             best_theta, best_value = float(th), v
     return best_theta, best_value
+
+
+def full_grid_minimize(objective, config: ThetaSearchConfig) -> ThetaSearchResult:
+    """The theta search as it was before the top-down scan: every grid point
+    evaluated, the smallest value (the smaller theta on a tie) taken, then
+    the same golden-section refinement.  The oracle for
+    ``minimize_over_theta``, which must return an equal result."""
+    grid = _log_grid(config.theta_min, config.theta_max, _GRID_POINTS)
+    values = [objective(t) for t in grid]
+    if not any(math.isfinite(v) for v in values):
+        raise StabilityError(
+            f"no admissible theta in [{config.theta_min:g}, {config.theta_max:g}]: " + _STABILITY_HINT
+        )
+    best_idx = min(range(len(values)), key=lambda i: (values[i], grid[i]))
+    best_theta = grid[best_idx]
+    best_value = values[best_idx]
+    at_boundary = best_idx in (0, len(grid) - 1)
+
+    def probe(log_theta: float) -> float:
+        nonlocal best_theta, best_value
+        theta = math.exp(log_theta)
+        value = objective(theta)
+        if value < best_value or (value == best_value and theta < best_theta):
+            best_theta, best_value = theta, value
+        return value
+
+    a = math.log(grid[max(best_idx - 1, 0)])
+    b = math.log(grid[min(best_idx + 1, len(grid) - 1)])
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = probe(c), probe(d)
+    tol = math.log1p(_REFINE_TOLERANCE)
+    while (b - a) > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = probe(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = probe(d)
+    return ThetaSearchResult(best_theta, best_value, at_boundary)
 
 
 def brute_force_tail_sum(log_ratio: float, n_terms: int) -> float:

@@ -29,8 +29,8 @@ from sncalc import (
     traffic_effective_bandwidth,
 )
 from sncalc.bounds import INFINITE_HORIZON as INF
-from sncalc.bounds import _GRID_POINTS, _log_grid, _log_run_sum, hop_sweep
-from helpers import brute_force_tail_sum, exhaustive_grid_min
+from sncalc.bounds import _GRID_POINTS, _log_grid, _log_run_sum, hop_sweep, peak_rate_stable
+from helpers import brute_force_tail_sum, exhaustive_grid_min, full_grid_minimize
 
 VOICE = MmooParams(peak_rate=64.0, r_on_off=0.0025, r_off_on=1.0 / 600.0)
 
@@ -258,6 +258,67 @@ class TestMinimizeOverTheta:
             ThetaSearchConfig(1e-9, 1e-2, 64)
 
 
+def _assert_scan_matches_full_grid(objective, config):
+    """The top-down scan's result equals the full-grid oracle's, error
+    included; returns the scan's and the oracle's evaluation counts."""
+    counts = []
+
+    def counted(search):
+        calls = []
+        outcome = _outcome(search, lambda theta: calls.append(theta) or objective(theta), config)
+        counts.append(len(calls))
+        return outcome
+
+    assert counted(minimize_over_theta) == counted(full_grid_minimize)
+    return counts
+
+
+def _plateau(theta):
+    return max(1.0, abs(math.log(theta)))
+
+
+def _finite_between(theta):
+    return math.log(theta) ** 2 + 1.0 if 1e-2 < theta < 1e2 else math.inf
+
+
+class TestTopDownScan:
+    """The scan from theta_max down, stopping at the first rise, returns what
+    a scan of the whole grid returns for a quasi-convex objective."""
+
+    WINDOW = ThetaSearchConfig(1e-6, 1e6)
+
+    @pytest.mark.parametrize("objective, expect_theta, boundary", [
+        (lambda th: 5.0, 1e-6, True),                    # one plateau: theta_min still wins
+        (_plateau, None, False),                         # a flat bottom: its smallest theta wins
+        (_finite_between, 1.0, False),                   # +inf above and below a finite interval
+        (lambda th: th, 1e-6, True),                     # minimum at the lower edge
+        (lambda th: 1.0 / th, 1e6, True),                # minimum at the upper edge
+        (lambda th: 1.0 / th if th < 1.0 else math.inf, None, False),  # +inf above, falling to it
+    ])
+    def test_hand_made_objectives(self, objective, expect_theta, boundary):
+        scan_calls, full_calls = _assert_scan_matches_full_grid(objective, self.WINDOW)
+        res = minimize_over_theta(objective, self.WINDOW)
+        assert res.at_boundary == boundary and scan_calls <= full_calls
+        if expect_theta is not None:
+            assert res.theta_star == pytest.approx(expect_theta, rel=1e-5)
+
+    def test_flat_bottom_keeps_its_smallest_theta(self):
+        _assert_scan_matches_full_grid(_plateau, self.WINDOW)
+        res = minimize_over_theta(_plateau, self.WINDOW)
+        grid = _log_grid(self.WINDOW.theta_min, self.WINDOW.theta_max, _GRID_POINTS)
+        first_flat = min(t for t in grid if _plateau(t) == 1.0)
+        assert res.value == 1.0 and res.theta_star <= first_flat
+
+    def test_all_infinite_raises(self):
+        assert _assert_scan_matches_full_grid(lambda th: math.inf, self.WINDOW) == [_GRID_POINTS] * 2
+
+    def test_minimum_at_the_top_costs_two_grid_points(self):
+        grid = set(_log_grid(self.WINDOW.theta_min, self.WINDOW.theta_max, _GRID_POINTS))
+        seen = []
+        minimize_over_theta(lambda th: seen.append(th) or 1.0 / th, self.WINDOW)
+        assert sum(th in grid for th in seen) == 2
+
+
 class TestBacklogBound:
     def test_hand_value_at_fixed_theta(self):
         # x(theta=1) = 2 * log( (1/eps) / (1 - e^{-1/2}) )
@@ -429,6 +490,15 @@ class TestStabilityMargin:
                   for th in (1e-6, 1e-4, 1e-2, 1.0)]
         for a, b in zip(values, values[1:]):
             assert b <= a + 1e-9
+
+    @pytest.mark.parametrize("n, m, stable", [(781, 781, True), (781, 782, False), (1, 0, True)])
+    def test_peak_rate_stable_needs_every_hop(self, n, m, stable):
+        # 1562 voice flows at 64 bits per slot fit 100 000; one more does not
+        src = MmooTraffic(VOICE)
+        fits = Leftover(100_000.0, m, src)
+        path = NetworkPath(Aggregate(n, src), (fits,) * 3)
+        assert peak_rate_stable(path) is stable
+        assert not peak_rate_stable(NetworkPath(path.through, path.hops + (ConstantServer(63.0),)))
 
 
 class TestQueries:
@@ -646,3 +716,79 @@ def test_hop_sweep_searches_once_per_shape(monkeypatch):
         assert len(searches) == expected, (kind, horizon)
     with pytest.raises(ValueError):
         hop_sweep(paths, "throughput", 1e-9)
+
+
+@st.composite
+def scan_paths(draw):
+    """Paths over which :func:`hop_sweep`'s theta searches are checked: on-off
+    (peak to mean ratio and switching rate log-uniform), constant-rate and
+    aggregate through traffic over runs of leftover and constant-rate hops,
+    at loads from light to unstable, with epsilon in [1e-12, 1]."""
+    def traffic(constant):
+        if constant:
+            return ConstantRate(draw(st.floats(min_value=0.0, max_value=1e4)))
+        peak, on, switching = (10.0 ** draw(st.floats(min_value=lo, max_value=hi))
+                               for lo, hi in ((-2.0, 5.0), (-3.0, 0.0), (-5.0, 0.7)))
+        return MmooTraffic(MmooParams(peak, (1.0 - on) * switching, on * switching))
+
+    def mean(model):
+        return model.rate if isinstance(model, ConstantRate) else model.params.mean_rate
+
+    inner = traffic(draw(st.integers(0, 3)) == 0)
+    count = draw(st.integers(min_value=1, max_value=2000))
+    through = Aggregate(count, inner) if draw(st.booleans()) else inner
+    load = (count if isinstance(through, Aggregate) else 1) * mean(inner)
+    hops = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        run = draw(st.integers(min_value=1, max_value=3))
+        utilization = draw(st.floats(min_value=0.05, max_value=1.2))
+        if draw(st.booleans()):
+            hops += [ConstantServer(max(load, 1e-3) / utilization)] * run
+        else:
+            cross, m = traffic(draw(st.integers(0, 3)) == 0), draw(st.integers(min_value=0, max_value=2000))
+            hops += [Leftover(max(load + m * mean(cross), 1e-3) / utilization, m, cross)] * run
+    hop_counts = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3))
+    return [NetworkPath(through, hops * k) for k in hop_counts], draw(st.floats(min_value=1e-12, max_value=1.0))
+
+
+# a finite horizon down to one slot: a short one rules out the small thetas
+# of a delay search, where H v(theta) exceeds it
+@pytest.mark.parametrize("kind", ["backlog", "delay"])
+@pytest.mark.parametrize("horizons", [st.just(INF), st.integers(min_value=1, max_value=10**6)],
+                         ids=["infinite", "finite"])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_scan_matches_the_full_grid_on_bound_objectives(kind, horizons, data):
+    # every search hop_sweep makes returns the full-grid oracle's result
+    import sncalc.bounds as bounds
+    paths, eps = data.draw(scan_paths())
+    horizon = data.draw(horizons)
+    searches = []
+
+    def checked(objective, config):
+        searches.append(config)
+        _assert_scan_matches_full_grid(objective, config)
+        return minimize_over_theta(objective, config)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds, "minimize_over_theta", checked)
+        hop_sweep(paths, kind, eps, horizon)
+    assert searches
+
+
+def test_cli_sweep_objective_evaluations(monkeypatch, capsys):
+    # the two sweeps of the benchmark's cli-sweep pass: 1981 evaluations
+    # with a scan of the whole grid, 846 with the top-down scan
+    import sncalc.bounds as bounds
+    from sncalc.cli import main
+    calls = []
+    real = bounds.minimize_over_theta
+
+    def counted(objective, config):
+        return real(lambda theta: calls.append(theta) or objective(theta), config)
+
+    monkeypatch.setattr(bounds, "minimize_over_theta", counted)
+    for argv in (["sweep-hops", "--scenario", "voice-fig3"], ["sweep-flows", "--scenario", "voice-fig4-H10"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) <= 1000

@@ -3,6 +3,7 @@ import csv
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -522,6 +523,18 @@ class TestThetaBoundaryWarning:
         for key, line in zip(at_max, warnings):
             assert line.startswith("warning: " + key) and "upper edge" in line
 
+    def test_upper_edge_names_peak_rate_stable_paths(self, capsys):
+        # voice-fig4-H10's upper-edge rows are those with (N + M) 64 <= 100 000
+        # bits per slot, which never queue
+        code, _, err = run_cli(capsys, "sweep-flows", "--scenario", "voice-fig4-H10")
+        assert code == EXIT_OK
+        warnings = [line for line in err.splitlines() if "edge of the theta window" in line]
+        assert len(warnings) == 8
+        for line in warnings:
+            n, m = (int(re.search(rf" {flag}=(\d+) ", line).group(1)) for flag in "NM")
+            assert (n + m) * 64 <= 100_000
+            assert line.endswith("; the path is peak-rate stable, so its exact delay and backlog are 0")
+
     @pytest.mark.parametrize("theta, edge", [("{min: 4.5e-5}", "lower"), ("{max: 3.0e-5}", "upper")])
     def test_names_the_edge(self, capsys, tmp_path, theta, edge):
         # the voice optimum sits near theta = 4.2e-5, and the load is stable
@@ -531,6 +544,7 @@ class TestThetaBoundaryWarning:
         code, out, err = run_cli(capsys, "bound", "--scenario", str(f))
         assert code == EXIT_OK and len(parse_rows(out)) == 1
         assert f"at the {edge} edge of the theta window" in err
+        assert "peak-rate stable" not in err  # the voice load queues
 
 
 class TestUsageAndResolution:

@@ -261,6 +261,51 @@ class TestYamlLoaders:
             parse_scenario(doc)
         assert len(err.value.problems) == 1 and err.value.problems[0].startswith(problem)
 
+    @pytest.mark.parametrize("loader", LOADERS)
+    @pytest.mark.parametrize("doc", [
+        "[" * (scenario.MAX_DEPTH + 1) + "]" * (scenario.MAX_DEPTH + 1),
+        "- " * (scenario.MAX_DEPTH + 1) + "x\n",
+        "".join(" " * i + "a:\n" for i in range(scenario.MAX_DEPTH)) + " " * scenario.MAX_DEPTH + "[x]\n",
+    ], ids=["flow", "block-sequence", "mixed"])
+    def test_one_level_too_deep_with_the_fewest_indicators(self, doc, loader, monkeypatch):
+        # MAX_DEPTH + 1 levels need MAX_DEPTH + 1 collection indicators, so
+        # the depth pass runs and rejects the document
+        monkeypatch.setattr(scenario, "_YAML_LOADER", loader)
+        assert sum(map(doc.count, "-:?[{")) == scenario.MAX_DEPTH + 1
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(doc)
+        assert err.value.problems == (DEEP,)
+
+    @pytest.mark.parametrize("name", [*builtin_preset_names(),
+                                      pytest.param(str(FINITE_HORIZON), id="finite-horizon.yaml")])
+    def test_shallow_text_skips_the_depth_pass(self, name, monkeypatch):
+        # the presets have far fewer than MAX_DEPTH collection indicators
+        text = Path(resolve_scenario_path(name)).read_text(encoding="utf-8")
+        assert sum(map(text.count, "-:?[{")) <= scenario.MAX_DEPTH
+        expected = parse_scenario(text)
+        monkeypatch.setattr(scenario.yaml, "parse", None)  # a call would raise TypeError
+        assert parse_scenario(text) == expected
+
+
+_YAML_TREES = st.recursive(
+    st.none() | st.integers() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=30,
+)
+
+
+@given(_YAML_TREES, st.sampled_from([None, False, True]))
+@settings(max_examples=200, deadline=None)
+def test_nesting_depth_never_exceeds_the_collection_indicators(tree, flow_style):
+    # the necessary condition _depth_problems skips its parse on
+    text = yaml.safe_dump(tree, default_flow_style=flow_style)
+    depth = deepest = 0
+    for event in yaml.parse(text, Loader=yaml.SafeLoader):
+        depth += isinstance(event, yaml.CollectionStartEvent) - isinstance(event, yaml.CollectionEndEvent)
+        deepest = max(deepest, depth)
+    assert deepest <= sum(map(text.count, "-:?[{"))
+
 
 class TestUnits:
     @given(
