@@ -9,10 +9,11 @@ from it, and ``Scenario.with_flags`` checks each override flag by its field's
 rule, so both reject a value in the same words.  Unknown and repeated keys
 are rejected, and so is a document nested deeper than ``MAX_DEPTH``;
 validation reports every violation at once, each tagged with its dotted
-field path.  A null field is checked by its rule; only a null ``bound``,
-``sim`` or ``bound.theta`` block is absent.
+field path.  A null field is checked by its rule; only a null ``bound`` or
+``sim`` block is absent.
 
-The ``bound.theta`` overrides, ``min`` and ``max``, are window edges in 1/bits.
+A scenario describes the model and the simulation only: the theta window
+of each bound is derived from its path (``bounds.default_theta_window``).
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ __all__ = [
     "TrafficBlock",
     "NetworkBlock",
     "BoundBlock",
-    "ThetaBlock",
     "SimBlock",
     "ResultRow",
     "CSV_HEADER",
@@ -114,16 +114,11 @@ class NetworkBlock(Record):
     _defaults = {"flow_totals": None}
 
 
-class ThetaBlock(Record):
-    __slots__ = ("theta_min", "theta_max")
-    _defaults = dict.fromkeys(__slots__)
-
-
 class BoundBlock(Record):
     """``kinds`` is a subset of ("backlog", "delay")."""
 
-    __slots__ = ("kinds", "epsilons", "horizon", "theta")
-    _defaults = {"horizon": math.inf, "theta": None}
+    __slots__ = ("kinds", "epsilons", "horizon")
+    _defaults = {"horizon": math.inf}
 
 
 class SimBlock(Record):
@@ -163,24 +158,20 @@ class Scenario(Record):
         )
 
     def build_theta_search(self, path: NetworkPath) -> ThetaSearchConfig:
-        """The path's derived theta window with ``bound.theta`` overrides
-        merged in; an empty or invalid merged window is a
-        :class:`ScenarioError`, and so is a derived lower edge that
-        underflows to 0 with no ``bound.theta.min`` to replace it."""
+        """The path's derived theta window; a lower edge that underflows to
+        0, or one at or above the upper edge, is a :class:`ScenarioError`."""
         lo, hi = default_theta_window(path)
-        overrides = (self.bound and self.bound.theta) or ThetaBlock()
-        window = (lo if overrides.theta_min is None else overrides.theta_min,
-                  hi if overrides.theta_max is None else overrides.theta_max)
-        if window[0] == 0.0:
-            raise ScenarioError(["traffic.mean_on_time_s: a flow's burst (peak_rate times "
-                                 "mean_on_time_s) is too large for a theta window: its derived "
-                                 "lower edge, 1e-9 / burst, underflows to 0; shorten the on time "
-                                 "or set bound.theta.min"])
-        try:
-            return ThetaSearchConfig(*window)
-        except ValueError as exc:
-            raise ScenarioError([f"bound.theta: {exc} (derived window "
-                                 f"[{lo:g}, {hi:g}])"]) from None
+        if lo == 0.0:
+            problem = ("is too large for a theta window: its derived lower edge, 1e-9 / burst, "
+                       "underflows to 0; shorten the on time")
+        elif lo >= hi:
+            problem = (f"is too small for a theta window: its derived window [{lo:g}, {hi:g}] is "
+                       "empty, as 1e-9 / burst is not below 700 / (the largest aggregate peak rate); "
+                       "lengthen the on time or lower the flow counts")
+        else:
+            return ThetaSearchConfig(lo, hi)
+        raise ScenarioError([f"traffic.mean_on_time_s: a flow's burst (peak_rate times "
+                             f"mean_on_time_s) {problem}"])
 
     def with_flags(self, flags) -> Scenario:
         """This scenario with each override flag given in ``flags``, a mapping
@@ -201,9 +192,15 @@ class Scenario(Record):
         return sc
 
     def build_sim_scenario(self, hops: int, n_through: int, m_cross: int) -> SimScenario:
-        """The simulation at one flow point."""
+        """The simulation at one flow point.  A simulated source switches at
+        most once per slot, so a mean sojourn shorter than a slot, which the
+        bounds take, is a :class:`ScenarioError` here."""
         if self.sim is None:
             raise ScenarioError(["sim: simulate and validate need a sim block"])
+        if short := [f"traffic.{key}: shorter than a slot, but a simulated source switches at most "
+                     "once per slot" for key in ("mean_on_time_s", "mean_off_time_s")
+                     if getattr(self.traffic, key) < self.units.slot_length_s]:
+            raise ScenarioError(short)
         from .simulator import SimScenario
 
         return SimScenario(
@@ -337,12 +334,7 @@ _BLOCKS = {
                                   "'backlog', 'delay' or 'both'"), None),
         "epsilon": ("epsilons", _epsilon, ((int, float), "expected a number or non-empty list of numbers")),
         "horizon": ("horizon", _horizon, None),
-        "theta": ("theta", "bound.theta", None),
     }, []),
-    "bound.theta": (ThetaBlock, {
-        "min": ("theta_min", _positive, None),
-        "max": ("theta_max", _positive, None),
-    }, [(("theta_min", "theta_max"), lambda lo, hi: not lo < hi, "bound.theta", "min must be < max")]),
     "sim": (SimBlock, {
         "measure_slots": ("measure_slots", _integer(1, _FLOAT_MAX), None),
         # a replication count must fit an index: it sizes ranges and arrays

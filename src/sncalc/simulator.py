@@ -109,6 +109,9 @@ class SimScenario(Record):
             raise ValueError("replications must be >= 1")
         if self.base_seed < 0:
             raise ValueError("base_seed must be a non-negative integer")
+        if max(self.source.r_on_off, self.source.r_off_on) > 1:
+            raise ValueError("a source switches at most once per slot: its rates must be <= 1, got "
+                             f"{self.source.r_on_off!r} and {self.source.r_off_on!r}")
 
     def resolved_warmup(self) -> int:
         if self.warmup_slots is not None:
@@ -163,16 +166,19 @@ def _source_rng(base_seed: int, replication: int, hop: int, index: int) -> np.ra
 
 def _switch_law(params: MmooParams) -> tuple:
     """The probabilities that a source leaves the on, and the off, state in
-    a slot, 1 - e^{-rate}, and its mean on-off cycle, inf if one absorbs."""
-    leave = (-math.expm1(-params.r_on_off), -math.expm1(-params.r_off_on))
+    a slot, its rates (so a sojourn lasts 1/rate slots on average, and the
+    chain's effective bandwidth stays at or below the bounds' fluid form),
+    and its mean on-off cycle, inf if one absorbs."""
+    leave = (params.r_on_off, params.r_off_on)
     return (*leave, 1.0 / leave[0] + 1.0 / leave[1] if min(leave) > 0 else math.inf)
 
 
 def _on_runs(rng: np.random.Generator, params: MmooParams, total: int):
     """On-intervals [start, end) of one source over ``total`` slots.
 
-    Sojourns are geometric with parameter 1 - e^{-rate}; a zero rate makes
-    the corresponding state absorbing: a sojourn in it lasts the run.
+    Sojourns are geometric with the state's leave probability
+    (:func:`_switch_law`); a zero rate makes the corresponding state
+    absorbing: a sojourn in it lasts the run.
     """
     p_leave_on, p_leave_off, cycle = _switch_law(params)
     on = stationary_on_state(rng, params)

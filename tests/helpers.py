@@ -80,13 +80,13 @@ def brute_force_tail_sum(log_ratio: float, n_terms: int) -> float:
 def mmoo_source_step(on: bool, rng: np.random.Generator, params: MmooParams):
     """One slot of a source: emit by the state at slot start, then switch.
 
-    The literal one-slot reference for the simulator's run-length sources.
-    Per-slot switching probabilities follow the exponential-holding
-    discretization 1 - e^{-rate}.  Returns (next_state, emitted_bits).
+    The literal one-slot reference for the simulator's run-length sources:
+    the source leaves its state with probability equal to its rate.
+    Returns (next_state, emitted_bits).
     """
     bits = params.peak_rate if on else 0.0
     rate = params.r_on_off if on else params.r_off_on
-    if rate > 0 and rng.random() < -math.expm1(-rate):
+    if rate > 0 and rng.random() < rate:
         on = not on
     return on, bits
 
@@ -96,23 +96,39 @@ def mc_effective_bandwidth(params: MmooParams, theta: float, t: int,
     """Monte-Carlo estimate of (1/(theta*t)) * log E[e^{theta*A(t)}].
 
     Simulates n_paths independent on-off sample paths with stationary
-    initialization and a switch probability of 1 - e^{-rate} per slot,
-    then averages the exponentiated cumulative arrivals in a numerically
-    stable way.
+    initialization and a switch probability of rate per slot, then
+    averages the exponentiated cumulative arrivals in a numerically stable
+    way.
     """
     rng = np.random.default_rng(seed)
     on = rng.random(n_paths) < params.on_probability
-    p_leave_on = -math.expm1(-params.r_on_off)
-    p_leave_off = -math.expm1(-params.r_off_on)
     arrived = np.zeros(n_paths)
     for _ in range(t):
         arrived += np.where(on, params.peak_rate, 0.0)
-        flip = rng.random(n_paths) < np.where(on, p_leave_on, p_leave_off)
+        flip = rng.random(n_paths) < np.where(on, params.r_on_off, params.r_off_on)
         on = on ^ flip
     exponents = theta * arrived
     peak = exponents.max()
     log_mean = peak + math.log(np.exp(exponents - peak).mean())
     return log_mean / (theta * t)
+
+
+def chain_effective_bandwidth(peak: float, leave_on: float, leave_off: float, theta: float) -> float:
+    """log rho(P diag(1, e^{theta peak})) / theta: the effective bandwidth of
+    the slotted on-off chain that emits ``peak`` bits in an on slot and
+    leaves the on (off) state with probability ``leave_on`` (``leave_off``)
+    per slot, P being its transition matrix over (off, on).
+
+    With u = e^{theta peak} - 1, rho = 1 + x for the largest root x of
+    x^2 + b x - leave_off u = 0, b = leave_on + leave_off - (1 - leave_on) u.
+    x is taken in the form that adds terms of one sign, and log1p keeps its
+    relative precision, so the result stays exact to rounding as theta -> 0.
+    """
+    u = math.expm1(theta * peak)
+    b = leave_on + leave_off - (1.0 - leave_on) * u
+    root = math.hypot(b, 2.0 * math.sqrt(leave_off * u))
+    x = 2.0 * leave_off * u / (b + root) if b > 0 else (root - b) / 2.0
+    return math.log1p(x) / theta
 
 
 def reference_on_counts(base_seed: int, replication: int, hop: int, count: int,

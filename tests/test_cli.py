@@ -260,13 +260,6 @@ class TestFailedRows:
         [row] = parse_rows(out)
         assert (row["stable"], row["bound_value"], row["theta_star"]) == ("false", "inf", "")
 
-    def test_empty_theta_window_exits_1(self, capsys, tmp_path):
-        f = tmp_path / "theta.yaml"
-        f.write_text(VOICE + "bound: {kind: delay, epsilon: 1.0e-9, theta: {min: 1.0}}\n")
-        code, out, err = run_cli(capsys, "bound", "--scenario", str(f))
-        assert code == EXIT_USAGE and out == ""
-        assert "bound.theta" in err and "theta_min" in err
-
 
 class TestSimulate:
     def test_replication_rows(self, capsys, tiny):
@@ -291,6 +284,20 @@ class TestSimulate:
         code, out, err = run_cli(capsys, "simulate", "--scenario", str(f))
         assert code == EXIT_UNSTABLE and out == ""
         assert "exceeds 1" in err
+
+    @pytest.mark.parametrize("key", ["mean_on_time_s", "mean_off_time_s"])
+    def test_sojourn_shorter_than_a_slot_exits_1(self, capsys, tmp_path, key):
+        # a simulated source switches at most once per slot; the bounds take
+        # any sojourn (at a load of at most 0.99 here)
+        f = tmp_path / "fast.yaml"
+        f.write_text(re.sub(rf"{key}: \S+", f"{key}: 0.0005", TINY_SIM)
+                     .replace("capacity: 30000.0", "capacity: 39500.0"))
+        for command in ("simulate", "validate"):
+            code, out, err = run_cli(capsys, command, "--scenario", str(f))
+            assert code == EXIT_USAGE and out == ""
+            assert err.endswith(f"error: invalid scenario:\n  - traffic.{key}: shorter than a slot, but a "
+                                "simulated source switches at most once per slot\n")
+        assert run_cli(capsys, "bound", "--scenario", str(f))[0] == EXIT_OK
 
     def test_sojourns_beyond_int64(self, capsys, tmp_path):
         # mean on time 1e23 slots: the geometric sojourn draws saturate
@@ -536,11 +543,14 @@ class TestThetaBoundaryWarning:
             assert line.endswith("; the path is peak-rate stable, so its exact delay and backlog are 0")
 
     @pytest.mark.parametrize("theta, edge", [("{min: 4.5e-5}", "lower"), ("{max: 3.0e-5}", "upper")])
-    def test_names_the_edge(self, capsys, tmp_path, theta, edge):
+    def test_names_the_edge(self, capsys, tmp_path, monkeypatch, theta, edge):
         # the voice optimum sits near theta = 4.2e-5, and the load is stable
-        # only below about 5e-5
+        # only below about 5e-5; the derived window is narrowed to ``theta``
+        narrowed, derived = yaml.safe_load(theta), scenario.default_theta_window
+        monkeypatch.setattr(scenario, "default_theta_window", lambda path: (
+            narrowed.get("min", derived(path)[0]), narrowed.get("max", derived(path)[1])))
         f = tmp_path / "edge.yaml"
-        f.write_text(VOICE + f"bound: {{kind: delay, epsilon: 1.0e-9, theta: {theta}}}\n")
+        f.write_text(VOICE + "bound: {kind: delay, epsilon: 1.0e-9}\n")
         code, out, err = run_cli(capsys, "bound", "--scenario", str(f))
         assert code == EXIT_OK and len(parse_rows(out)) == 1
         assert f"at the {edge} edge of the theta window" in err
@@ -589,7 +599,7 @@ class TestUsageAndResolution:
         ("bound", "cross_flows: 2", f"cross_flows: {BIG}", (), "traffic.cross_flows"),
         ("sweep-flows", "hops: [1, 2]", f"hops: [1, 2]\n  flow_totals: [{BIG}8]", (),  # even
          "network.flow_totals[0]"),
-        ("bound", "epsilon: [1.0e-2]", f"epsilon: [1.0e-2]\n  theta: {{max: {BIG}}}", (), "bound.theta.max"),
+        ("bound", "slot_length_s: 0.001", f"slot_length_s: {BIG}", (), "units.slot_length_s"),
         ("simulate", "measure_slots: 8000", f"measure_slots: {BIG}", (), "sim.measure_slots"),
         ("simulate", "warmup_slots: 100", f"warmup_slots: {BIG}", (), "sim.warmup_slots"),
         ("bound", "", "", ("--through", BIG), "--through"),
@@ -608,14 +618,12 @@ class TestUsageAndResolution:
         assert code == EXIT_USAGE and out == ""
         assert field in err
 
-    def test_theta_min_override_rescues_the_window(self, capsys, tmp_path):
-        f = tmp_path / "burst.yaml"
-        f.write_text(TINY_SIM.replace("mean_on_time_s: 0.02", "mean_on_time_s: 1.0e+306")
-                     .replace("capacity: 30000.0", "capacity: 50000.0")
-                     .replace("  epsilon: [1.0e-2]\n", "  epsilon: [1.0e-2]\n  theta: {min: 1.0e-12}\n"))
-        code, out, _ = run_cli(capsys, "bound", "--scenario", str(f))
-        assert code == EXIT_OK
-        assert len(parse_rows(out)) == 4
+    def test_empty_derived_window_exits_1(self, capsys):
+        # 10**15 through flows: 1e-9 / burst is above 700 / (N peak_rate)
+        code, out, err = run_cli(capsys, "bound", "--scenario", "voice-fig3", "--hops", "1",
+                                 "--through", str(10**15))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: invalid scenario:\n  - traffic.mean_on_time_s: ") and "empty" in err
 
     def test_missing_subcommand_exits_1(self, capsys):
         code, _, _ = run_cli(capsys)
@@ -655,13 +663,13 @@ class TestUsageAndResolution:
 
     @pytest.mark.parametrize("loader", LOADERS)
     @pytest.mark.parametrize("old, new, named", [
-        ("epsilon: [1.0e-2]", "epsilon: [1.0e-2]\n  theta: {grid_points: 64}", "bound.theta.grid_points"),
-        ("epsilon: [1.0e-2]", "epsilon: [1.0e-2]\n  theta: {refine_tolerance: 1.0e-6}",
-         "bound.theta.refine_tolerance"),
+        ("epsilon: [1.0e-2]", "epsilon: [1.0e-2]\n  theta: {grid_points: 64}", "bound.theta"),
+        ("epsilon: [1.0e-2]", "epsilon: [1.0e-2]\n  theta: {refine_tolerance: 1.0e-6}", "bound.theta"),
+        ("epsilon: [1.0e-2]", "epsilon: [1.0e-2]\n  theta: {min: 1.0e-9}", "bound.theta"),
         ("hops: [1, 2]", "hops: [1, 2]\n  flow_pairs: [[1, 2]]", "network.flow_pairs"),
-    ], ids=["grid_points", "refine_tolerance", "flow_pairs"])
+    ], ids=["grid_points", "refine_tolerance", "theta", "flow_pairs"])
     def test_removed_fields_are_unknown_keys(self, capsys, tmp_path, monkeypatch, loader, old, new, named):
-        # the theta search's resolution is fixed, and flow sweeps take flow_totals
+        # the theta window is derived from the path, and flow sweeps take flow_totals
         monkeypatch.setattr(scenario, "_YAML_LOADER", loader)
         f = tmp_path / "removed.yaml"
         f.write_text(TINY_SIM.replace(old, new))
@@ -718,7 +726,7 @@ class TestParserReuse:
 @st.composite
 def cli_scenarios(draw):
     """Valid scenario documents across stable and overloaded loads, finite
-    horizons, theta window overrides and a simulation of at most 300 slots."""
+    horizons and a simulation of at most 300 slots."""
     n, m = draw(st.integers(1, 30)), draw(st.integers(0, 30))
     peak = draw(st.floats(1.0, 100.0))
     on, off = draw(st.floats(0.002, 0.05)), draw(st.floats(0.002, 0.05))
@@ -732,12 +740,6 @@ def cli_scenarios(draw):
              "epsilon": draw(st.lists(st.floats(-25.0, 0.0).map(math.exp), min_size=1, max_size=2,
                                       unique=True)),
              "horizon": draw(st.one_of(st.just("inf"), st.integers(0, 3000)))}
-    theta = draw(st.fixed_dictionaries({}, optional={
-        "min": st.floats(-22.0, 2.0).map(math.exp), "max": st.floats(-22.0, 2.0).map(math.exp)}))
-    if "min" in theta and "max" in theta and theta["min"] > theta["max"]:
-        theta["min"], theta["max"] = theta["max"], theta["min"]
-    if theta:
-        bound["theta"] = theta
     sim = {"measure_slots": draw(st.integers(1, 300)), "replications": draw(st.integers(1, 2)),
            "base_seed": draw(st.integers(0, 1000))}
     if draw(st.booleans()):

@@ -14,7 +14,6 @@ from sncalc.scenario import (
     NetworkBlock,
     ResultRow,
     SimBlock,
-    ThetaBlock,
     TrafficBlock,
     UnitsBlock,
     parse_scenario_file,
@@ -47,8 +46,7 @@ VALUE_RECORDS = [
     UnitsBlock(0.001, "kbit/s"),
     TrafficBlock(64.0, 0.4, 0.6, 781, 1953),
     NetworkBlock(1e5, (1, 2), flow_totals=(4, 6)),
-    ThetaBlock(theta_min=1e-7),
-    BoundBlock(("backlog", "delay"), (1e-2, 1e-3), 1e4, ThetaBlock(theta_max=0.5)),
+    BoundBlock(("backlog", "delay"), (1e-2, 1e-3), 1e4),
     SimBlock(1000, 2, 5, warmup_slots=10),
     DESK,
     ROW,
@@ -154,7 +152,7 @@ def test_equality_needs_the_same_class():
     assert ConstantRate(2.0) != ConstantServer(2.0)
     assert ConstantRate(2.0) != 2.0
     assert ConstantRate(2.0) != (2.0,)
-    assert ThetaBlock() != ThetaBlock(theta_min=1e-7)
+    assert SimBlock(1000, 2, 5) != SimBlock(1000, 2, 5, warmup_slots=10)
     assert len({ConstantRate(2.0), ConstantRate(2.0), ConstantServer(2.0)}) == 2
 
 
@@ -203,6 +201,6 @@ def test_array_records_compare_by_identity(record):
 
 
 def test_defaults_are_kept():
-    assert ThetaBlock(theta_min=1e-7).theta_max is None
+    assert SimBlock(1000, 2, 5).warmup_slots is None
     assert SimScenario(1, 1.0, 1, 0, VOICE, 1).replications == 1
     assert BoundBlock(("delay",), (1e-9,)).horizon == math.inf

@@ -124,12 +124,10 @@ bound:
   kind: both
   epsilon: [1.0e-2]
   horizon: 1000
-  theta: {min: 1.0e-12, max: 10.0}
 sim: {warmup_slots: 10, measure_slots: 100, replications: 2, base_seed: 5}
 """)
 FIELD_PATHS = [("id",)] + [
-    (block, key) for block, fields in FULL.items() if isinstance(fields, dict) for key in fields
-    if key != "theta"] + [("bound", "theta", key) for key in FULL["bound"]["theta"]]
+    (block, key) for block, fields in FULL.items() if isinstance(fields, dict) for key in fields]
 ODD_VALUES = st.one_of(
     st.sampled_from([None, 0, -1, 1.5, 10**400, "inf"]), st.booleans(), st.text(max_size=8),
     st.lists(st.one_of(st.integers(-2, 3), st.text(max_size=3)), max_size=3),
