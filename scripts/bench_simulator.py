@@ -9,7 +9,7 @@ them from outside the package:
   sources      ``_Arrivals.of_sources``: every source's on-runs and the
                closed forms built from them
   arrivals     ``_Arrivals.fill``: the ingress and each hop's cross
-               arrivals over a window of slots
+               arrivals over each chunk, in order
   hop_step     ``_Hop.step``: the FIFO split, less the cross arrivals it
                evaluates
   reductions   the reductions' ``add``: validate's exceedance counts per

@@ -253,8 +253,8 @@ def _bound_counts(sim, rows, thresholds, jobs: int) -> list:
 
 
 def _cmd_validate(sc: Scenario, args) -> int:
+    sim = _simulation(sc, args)  # a scenario the simulator refuses pays for no bound
     rows, flagged = _bound_rows(sc, [(sc.traffic.through_flows, sc.traffic.cross_flows)])
-    sim = _simulation(sc, args)
     slot, sample_count = sc.units.slot_length_s, sim.replications * sim.measure_slots
     if args.self_test:  # thresholds each exceeded by at least 10 epsilon of the samples
         from .simulator import self_test_thresholds

@@ -29,11 +29,12 @@ exceedances of thresholds (``validate``'s, and its self-test's),
 thresholds) and :class:`SampleStats` (``simulate``'s statistics) keep only
 their upper tails, distinct values with counts (:class:`_UpperTail`), the
 latter with sums.  Arrivals are closed forms over the slots where a group's
-on-count changes.  The cross and total arrivals, C*t, the excess and the
-queue of a hop live in chunk-sized scratch, and every other curve is kept
-only from the first slot still read on, so beside the closed forms a
-replication holds only what its reductions keep, what its FIFO lags still
-read, and each hop's curves when asked for.  The run-size guard
+on-count changes, read forward one chunk at a time; a hop carries its cross
+arrivals over its FIFO lag.  The cross and total arrivals, C*t, the excess
+and the queue of a hop live in chunk-sized scratch, and every other curve
+is kept only from the first slot still read on, so beside the closed forms
+a replication holds only what its reductions keep, what its FIFO lags
+still read, and each hop's curves when asked for.  The run-size guard
 in :func:`reduce_replications` charges that for each replication held at
 once and refuses, with :class:`MemoryError`, a run that would not fit
 physical memory.  The validation statistics' one-sided Clopper-Pearson
@@ -213,7 +214,8 @@ def _on_count_changes(scenario: SimScenario, slots: float) -> float:
 
 
 class _Arrivals:
-    """Cumulative arrivals of a group of sources, in closed form.
+    """Cumulative arrivals of a group of sources, in closed form, read
+    forward one window of slots at a time.
 
     With x_0 = 0 < x_1 < ... the slots where the group's on-count changes
     and n_j the sources on in the slots [x_j, x_{j+1}), the count up to slot
@@ -221,25 +223,20 @@ class _Arrivals:
     arrivals are A(t) = peak (c_j + n_j t).  Both terms are integers below
     2**53, exact in float64, so A(t) is the product of the exact count and
     the peak rate.  Only x and the changes of n are stored, in the narrowest
-    integer types that hold them, with n_j and c_j at every ``_EVERY``-th j:
-    a few bytes per change of the on-count, as every hop's arrivals are held
-    at once.  :meth:`fill` evaluates A over a window of
-    slots from the stored j before it.
+    integer types that hold them: a few bytes per change of the on-count, as
+    every hop's arrivals are held at once.  :meth:`fill` carries j, n_j and
+    c_j from one window to the next.
     """
-
-    _EVERY = 64
 
     def __init__(self, x: np.ndarray, change: np.ndarray, peak: float):
         """From the int64 slots ``x``, ascending and distinct from x_0 = 0 on,
         and the on-count's integer ``change`` at each, from 0 sources on."""
-        n = np.cumsum(change)
-        counted = np.zeros(len(x), dtype=np.int64)  # the count up to x_j
-        np.cumsum(n[:-1] * np.diff(x), out=counted[1:])
         self.x = x.astype(np.int32 if x[-1] < 2**31 - 1 else np.int64)
         self._top = int(np.iinfo(self.x.dtype).max)
         self.change = change.astype(np.min_scalar_type(-int(np.abs(change).max())))
-        self.n, self.c = n[::self._EVERY].copy(), (counted - n * x)[::self._EVERY].copy()
         self.peak = peak
+        # the next slot, its segment j, n_j and -c_j (c_0 = 0: x_0 = 0)
+        self._at, self._j, self._n, self._minus_c = 0, 0, int(change[0]), 0
 
     @classmethod
     def of_sources(cls, scenario: SimScenario, replication: int, hop: int, count: int,
@@ -259,35 +256,31 @@ class _Arrivals:
         at = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
         return cls(keys[at], np.add.reduceat(steps, at), scenario.source.peak_rate)
 
-    def fill(self, start: int, t: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """A(start), ..., A(start + len(out) - 1) into ``out``, given those
-        slot numbers as the floats ``t``."""
-        stop = start + len(out)
-        # keys of x's own type, so the search casts no copy of x; a key past
+    def fill(self, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """A over the next ``len(out)`` slots, from slot 0 at the first call,
+        into ``out``, given those slot numbers as the floats ``t``."""
+        start, j, stop = self._at, self._j, self._at + len(out)
+        # a key of x's own type, so the search casts no copy of x; a key past
         # x's range finds what the type's largest value finds, len(x)
-        keys = np.array((min(start, self._top), min(stop - 1, self._top)), dtype=self.x.dtype)
-        first, last = np.searchsorted(self.x, keys, side="right")
-        # segments first - 1 .. last - 1 cover the window; n and c are rebuilt
-        # from the stored j = base on: n_j - n_{j-1} is the change at x_j, and
-        # c_j - c_{j-1} = -(that change) x_j, as the count is continuous there
-        stored = (first - 1) // self._EVERY
-        base = stored * self._EVERY
-        x = self.x[base:last].astype(np.int64)
-        steps = self.change[base:last].astype(np.int64)
-        steps[0] = self.n[stored]
+        last = int(np.searchsorted(self.x, self.x.dtype.type(min(stop - 1, self._top)), side="right"))
+        # segments j .. last - 1 cover the window: n_k - n_{k-1} is the
+        # change at x_k, and c_k - c_{k-1} = -(that change) x_k, as the count
+        # is continuous there
+        x = self.x[j:last].astype(np.int64)
+        steps = self.change[j:last].astype(np.int64)
+        steps[0] = self._n
         n = np.cumsum(steps)
         steps *= x
-        steps[0] = -self.c[stored]
+        steps[0] = self._minus_c
         minus_c = np.cumsum(steps)
+        self._at, self._j, self._n, self._minus_c = stop, last - 1, int(n[-1]), int(minus_c[-1])
         # these many slots of each segment
-        x = x[first - 1 - base:]
         lengths = np.empty_like(x)
         np.subtract(x[1:], x[:-1], out=lengths[:-1])
         lengths[-1] = stop - x[-1]
         lengths[0] -= start - x[0]
-        seg = slice(first - 1 - base, None)
-        np.multiply(np.repeat(n[seg].astype(float), lengths), t, out=out)
-        out -= np.repeat(minus_c[seg].astype(float), lengths)
+        np.multiply(np.repeat(n.astype(float), lengths), t, out=out)
+        out -= np.repeat(minus_c.astype(float), lengths)
         out *= self.peak
         return out
 
@@ -429,24 +422,28 @@ class _Hop:
     slots starts at the chunk itself, or, when the slot before it is busy,
     at that slot's e.  That is ``start``, and the window of A a step
     evaluates reaches back only that far; the through arrivals are read
-    from ``start - 1`` on.  ``run_min`` and ``start`` carry from chunk to
-    chunk, and ``max_queue`` is the largest queue so far, 0 while no slot
-    has been busy.  With ``slots``, the hop's curves over that many slots
-    are kept as rows of ``rows``: A, D, thr, D_through and the cross
+    from ``start - 1`` on, and the cross arrivals before the chunk from
+    ``carry``: only the chunk's are read from the closed form.  ``run_min``,
+    ``start`` and ``carry``, the cross arrivals from ``start`` on, pass from
+    chunk to chunk, and ``max_queue`` is the largest queue so far, 0 while
+    no slot has been busy.  With ``slots``, the hop's curves over that many
+    slots are kept as rows of ``rows``: A, D, thr, D_through and the cross
     arrivals.
     """
 
     def __init__(self, cross: _Arrivals, capacity: float, slots: Optional[int] = None):
         self.cross, self.capacity = cross, capacity
         self.rows = None if slots is None else np.empty((5, slots))
-        self.run_min, self.max_queue, self.start = math.inf, 0.0, 0
+        self.run_min, self.max_queue, self.start, self.carry = math.inf, 0.0, 0, np.empty(0)
 
     def step(self, thr: _Tail, out: np.ndarray, work: _Window) -> None:
         """D_through of the slots [thr.stop - len(out), thr.stop) into ``out``."""
         stop, start = thr.stop, self.start
         i = stop - len(out)
         w, k = work.window(start, stop), i - start  # the chunk is w's slots from k on
-        cross = self.cross.fill(start, w.t, w.x)
+        cross = w.x
+        cross[:k] = self.carry
+        self.cross.fill(w.t[k:], cross[k:])
         arr = np.add(cross, thr.since(start), out=w.a)
         np.copyto(out, thr.since(i))
         # C*t as an exact float ramp times C
@@ -469,6 +466,7 @@ class _Hop:
             out[at - k] = np.clip(dep, thr.values[e - 1], thr.values[e], out=dep)
             if at[-1] == len(arr) - 1:
                 self.start = thr.start + int(e[-1])
+        self.carry = cross[self.start - start:].copy()
         if self.rows is not None:
             rows = self.rows[:, i:stop]
             rows[0], rows[2], rows[3], rows[4] = arr[k:], thr.since(i), out, cross[k:]
@@ -504,7 +502,7 @@ def _tandem(through: _Arrivals, hops: list, slots: int, reductions: dict, work: 
     guard = math.inf if scenario is None else BACKLOG_GUARD_BITS
     for i in range(0, slots, _CHUNK):
         stop = min(i + _CHUNK, slots)
-        through.fill(i, work.window(i, stop).t, tails[0].extend(stop - i))
+        through.fill(work.window(i, stop).t, tails[0].extend(stop - i))
         for h, hop in enumerate(hops, 1):
             egress = tails[h].extend(stop - i)
             hop.step(tails[h - 1], egress, work)
@@ -848,12 +846,13 @@ def reduce_replications(scenario: SimScenario, reduce: dict, jobs: int = 1):
     what its FIFO lags keep (see :func:`_tandem` and :class:`_Hop`): each
     of the H hops' through inputs, the ingress first, from the slot its
     oldest queued bit arrived in (the ingress also back to where an
-    end-to-end delay reaches), and over a hop's lag the window of five rows
-    that its step evaluates, with one repeat of the cross arrivals'
-    on-counts.  A lag may span the run, so per slot the H curves take 16 B
-    each (a :class:`_Tail` is at most twice its values) and one 16 B more
-    while it moves, the window 40 B and the repeat 8 B: 16 H + 64 B.  The
-    caller holds one result, and 2 ``jobs`` may wait.
+    end-to-end delay reaches), and over a hop's lag its carry of cross
+    arrivals and the window of five rows that its step evaluates.  A lag
+    may span the run, so per slot the H curves take 16 B each (a
+    :class:`_Tail` is at most twice its values) and one 16 B more while it
+    moves, the H carries 8 B each and one 8 B more while it is replaced,
+    and the window 40 B: 24 H + 64 B.  The caller holds one result, and 2
+    ``jobs`` may wait.
     """
     return _reduced(scenario, reduce, jobs, 0.0)
 
@@ -870,7 +869,7 @@ def _reduced(scenario: SimScenario, reduce: dict, jobs: int, pooled: float):
     slots = warmup + count + 1
     # each factory is a reduction class or a partial of one
     sizes = [getattr(f, "func", f).held_bytes(count, *getattr(f, "args", ())) for f in reduce.values()]
-    lag = (16 * scenario.hops + 64) * slots
+    lag = (24 * scenario.hops + 64) * slots
     need = (live * (16 * _on_count_changes(scenario, slots) + lag + sum(size[0] for size in sizes))
             + held * sum(size[1] for size in sizes) + pooled)
     memory = _physical_memory()

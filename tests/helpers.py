@@ -234,3 +234,58 @@ def virtual_delays(ingress, egress, slots):
             d += 1
         out.append(d)
     return np.array(out)
+
+
+def fluid_queue_tail(count: int, params: MmooParams, capacity: float) -> tuple:
+    """(z, w) with P(Q > x) = sum_j w_j e^{z_j x} for x >= 0: the stationary
+    queue Q of ``count`` exponential on-off fluid sources, each sending
+    ``params.peak_rate`` while on, fed to a FIFO served at ``capacity``
+    (Anick, Mitra & Sondhi, Bell Syst. Tech. J. 61, 1982).
+
+    With G the generator of the on-count and D the diagonal of its drifts
+    i p - C (none 0), F(x) = P(Q <= x, on-count) solves F' D = F G, so
+    F(x) = pi + sum_j a_j phi_j e^{z_j x} over the left eigenvectors phi_j
+    of G D^-1 with negative eigenvalues z_j, one per overload state.  An
+    overload state never has an empty queue, F_i(0) = 0, which fixes a.
+
+    pi spans tens of orders of magnitude, and so would phi.  The chain is
+    reversible, so S = pi^(1/2) G pi^(-1/2) is symmetric, with entries
+    sqrt(G_ij G_ji), and phi = psi pi^(1/2) for psi S = z psi D; with
+    psi = u^T |D|^(-1/2), u is a right eigenvector of the well-scaled
+    J |D|^(-1/2) S |D|^(-1/2), J the signs of D.
+    """
+    from scipy.linalg import eig
+    from scipy.stats import binom
+
+    k = np.arange(count + 1)
+    up, down = (count - k) * params.r_off_on, k * params.r_on_off
+    side = np.sqrt(up[:-1] * down[1:])
+    scaled = np.diag(side, 1) + np.diag(side, -1) - np.diag(up + down)  # S
+    drift = k * params.peak_rate - capacity
+    over, root = drift > 0, np.sqrt(np.abs(drift))
+    z, u = eig(np.sign(drift)[:, None] * scaled / np.outer(root, root))
+    # the most negative ones: the next is the 0 of phi = pi D
+    negative = np.argsort(z.real)[:np.count_nonzero(over)]
+    z, u = z.real[negative], u.real[:, negative]
+    pi = binom.pmf(k, count, params.on_probability)
+    # sum_j a_j psi_ji = -pi_i^(1/2) for each overload state i
+    a = np.linalg.solve(u[over], -np.sqrt(pi * np.abs(drift))[over])
+    return z, -a * (np.sqrt(pi) / root @ u)
+
+
+def fluid_queue_quantile(count: int, params: MmooParams, capacity: float, epsilon: float) -> float:
+    """The least x with P(Q > x) <= ``epsilon`` for :func:`fluid_queue_tail`'s
+    queue: 0 when P(Q > 0) <= epsilon, else the root, found by ``brentq``."""
+    from scipy.optimize import brentq
+
+    z, w = fluid_queue_tail(count, params, capacity)
+
+    def excess(x):
+        return float(np.dot(w, np.exp(z * x))) - epsilon
+
+    if excess(0.0) <= 0:
+        return 0.0
+    hi = -1.0 / z.max()  # the slowest decay's scale, doubled until the tail is below epsilon
+    while excess(hi) > 0:
+        hi *= 2.0
+    return brentq(excess, 0.0, hi, xtol=1e-12 * hi, rtol=4 * np.finfo(float).eps)

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sncalc import (
     Aggregate,
@@ -30,7 +30,8 @@ from sncalc import (
 )
 from sncalc.bounds import INFINITE_HORIZON as INF
 from sncalc.bounds import _GRID_POINTS, _log_grid, _log_run_sum, hop_sweep, peak_rate_stable
-from helpers import brute_force_tail_sum, exhaustive_grid_min, full_grid_minimize
+from helpers import (brute_force_tail_sum, exhaustive_grid_min, fluid_queue_quantile, fluid_queue_tail,
+                     full_grid_minimize)
 
 VOICE = MmooParams(peak_rate=64.0, r_on_off=0.0025, r_off_on=1.0 / 600.0)
 
@@ -792,3 +793,59 @@ def test_cli_sweep_objective_evaluations(monkeypatch, capsys):
         assert main(argv) == 0
     capsys.readouterr()
     assert len(calls) <= 1000
+
+
+# ---------------------------------------------------------------------------
+# the exact single-node tail of the fluid model the bound describes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("peak, mu, lam, capacity", [
+    (5.0, 0.3, 0.2, 2.5), (0.7, 0.9, 0.002, 0.5), (1.0, 1e-3, 1e-3, 0.6)])
+def test_fluid_tail_of_one_source_is_its_closed_form(peak, mu, lam, capacity):
+    # P(Q > x) = p lambda / ((lambda + mu) C) e^{-(mu / (p - C) - lambda / C) x}
+    (z,), (w,) = fluid_queue_tail(1, MmooParams(peak, mu, lam), capacity)
+    assert z == pytest.approx(-(mu / (peak - capacity) - lam / capacity), rel=1e-12)
+    assert w == pytest.approx(peak * lam / ((lam + mu) * capacity), rel=1e-12)
+
+
+def test_fluid_quantiles_at_desk_validation():
+    # 20 voice sources into 732 kbit/s, in kbit and seconds
+    desk = MmooParams(64.0, 1 / 0.4, 1 / 0.6)
+    assert fluid_queue_quantile(20, desk, 732.0, 1e-2) == pytest.approx(28.86, abs=0.005)
+    assert fluid_queue_quantile(20, desk, 732.0, 1e-9) == pytest.approx(373.7, abs=0.05)
+
+
+unit_rates = st.floats(1e-3, 1.0)
+
+
+@st.composite
+def fluid_nodes(draw, max_through, max_cross):
+    """N through and M cross sources of one law at a utilization in [0.05,
+    0.97] of the capacity, and an epsilon in [1e-12, 0.5]."""
+    n, m = draw(st.integers(1, max_through)), draw(st.integers(0, max_cross))
+    params = MmooParams(draw(unit_rates), draw(unit_rates), draw(unit_rates))
+    capacity = (n + m) * params.mean_rate / draw(st.floats(0.05, 0.97))
+    slots = capacity / params.peak_rate
+    assume(abs(slots - round(slots)) > 1e-9)  # no on-count with zero drift
+    return n, m, params, capacity, 10.0 ** draw(st.floats(-12.0, math.log10(0.5)))
+
+
+@given(fluid_nodes(20, 20))
+@settings(max_examples=300, deadline=None)
+def test_delay_bound_dominates_the_exact_fluid_delay(node):
+    # a FIFO fluid queue at rate C delays every bit by Q / C
+    n, m, params, capacity, epsilon = node
+    source = MmooTraffic(params)
+    path = NetworkPath(Aggregate(n, source), (Leftover(capacity, m, source),))
+    exact = fluid_queue_quantile(n + m, params, capacity, epsilon) / capacity
+    assert delay_bound(path, epsilon).value >= exact
+
+
+@given(fluid_nodes(40, 0))
+@settings(max_examples=300, deadline=None)
+def test_backlog_bound_dominates_the_exact_fluid_queue(node):
+    # without cross traffic the through backlog is the whole queue
+    n, _, params, capacity, epsilon = node
+    source = MmooTraffic(params)
+    path = NetworkPath(Aggregate(n, source), (Leftover(capacity, 0, source),))
+    assert backlog_bound(path, epsilon).value >= fluid_queue_quantile(n, params, capacity, epsilon)

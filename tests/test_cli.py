@@ -299,6 +299,24 @@ class TestSimulate:
                                 "simulated source switches at most once per slot\n")
         assert run_cli(capsys, "bound", "--scenario", str(f))[0] == EXIT_OK
 
+    @pytest.mark.parametrize("scenario", ["half-slot", "voice-fig3"])
+    def test_refused_validate_computes_no_bound(self, capsys, tmp_path, monkeypatch, scenario):
+        # validate builds its simulation first: a scenario the simulator
+        # refuses (a mean on time of half a slot, whose peak-rate stable
+        # rows warn at the upper theta edge, or no sim block) exits 1 with
+        # its error alone, before any theta search
+        if scenario == "half-slot":
+            scenario = tmp_path / "half-slot.yaml"
+            scenario.write_text(TINY_SIM.replace("mean_on_time_s: 0.02", "mean_on_time_s: 0.0005")
+                                .replace("capacity: 30000.0", "capacity: 50000.0"))
+        searched, sweep = [], cli.hop_sweep
+        monkeypatch.setattr(cli, "hop_sweep", lambda *a: searched.append(a) or sweep(*a))
+        code, out, err = run_cli(capsys, "validate", "--scenario", str(scenario))
+        assert code == EXIT_USAGE and out == "" and searched == []
+        assert err.startswith("error: invalid scenario:\n") and "warning: " not in err
+        assert run_cli(capsys, "bound", "--scenario", str(scenario), "--hops", "1")[0] == EXIT_OK
+        assert searched
+
     def test_sojourns_beyond_int64(self, capsys, tmp_path):
         # mean on time 1e23 slots: the geometric sojourn draws saturate
         f = tmp_path / "long.yaml"
@@ -331,14 +349,14 @@ class TestSimulate:
     def test_memory_guard_counts_one_block_per_live_replication(self, capsys, tiny, monkeypatch):
         # a replication is sized by its closed-form arrivals, 16 B per change
         # of a group's on-count, what a FIFO lag over 100 warmup + 8000
-        # measured + 1 slots may keep, 16 H + 64 B each at H = 2, and the
+        # measured + 1 slots may keep, 24 H + 64 B each at H = 2, and the
         # peaks of its reductions, one per hop count; --jobs 4 holds both of
         # the 2 replications at once.  validate --self-test first reduces
         # each hop count to upper tails at rank 1600 (10 epsilon of 16000
         # samples) and pools them as well
         sim = parse_scenario_file(tiny).build_sim_scenario(2, 3, 2)
         slots = 100 + 8000 + 1
-        base = 16 * simulator._on_count_changes(sim, slots) + (16 * 2 + 64) * slots
+        base = 16 * simulator._on_count_changes(sim, slots) + (24 * 2 + 64) * slots
         block = base + 2 * SampleStats.held_bytes(8000)[0]
         monkeypatch.setattr(simulator, "_physical_memory", lambda: block)
         code, out, _ = run_cli(capsys, "simulate", "--scenario", tiny, "--jobs", "1")

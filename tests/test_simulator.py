@@ -517,16 +517,16 @@ def test_closed_form_arrivals_equal_the_row_construction(count, total, rates, pe
         patch.setattr(simulator, "_CHUNK", chunk)
         for i in range(0, total + 1, chunk):  # one chunk at a time, as the engine evaluates the ingress
             stop = min(i + chunk, total + 1)
-            arrivals.fill(i, work.window(i, stop).t, row[i:stop])
+            arrivals.fill(work.window(i, stop).t, row[i:stop])
     assert np.array_equal(row, expected)
-    # windows anywhere, and single slots, as the FIFO split evaluates them
-    for _ in range(3):
-        start = data.draw(st.integers(0, total))
+    # consecutive windows of any length, from a single slot to the run, as
+    # each hop reads its cross arrivals a chunk at a time
+    arrivals, start = _Arrivals.of_sources(scenario, 0, 1, count, total), 0
+    while start <= total:
         stop = data.draw(st.integers(start + 1, total + 1))
-        got = arrivals.fill(start, work.window(start, stop).t, np.full(stop - start, np.nan))
+        got = arrivals.fill(work.window(start, stop).t, np.full(stop - start, np.nan))
         assert np.array_equal(got, expected[start:stop])
-    for s in data.draw(st.lists(st.integers(0, total), min_size=1, max_size=20)):
-        assert arrivals.fill(s, work.window(s, s + 1).t, np.full(1, np.nan))[0] == expected[s]
+        start = stop
 
 
 def test_closed_form_takes_a_few_bytes_per_change():
@@ -538,7 +538,7 @@ def test_closed_form_takes_a_few_bytes_per_change():
                            source=MmooParams(1.0, 0.95, 0.95), measure_slots=200_000, warmup_slots=0)
     arrivals = _Arrivals.of_sources(scenario, 0, 1, 3, 200_000)
     assert len(arrivals.x) > 190_000
-    kept = sum(getattr(arrivals, f).nbytes for f in ("x", "change", "n", "c"))
+    kept = arrivals.x.nbytes + arrivals.change.nbytes
     assert kept < 6 * len(arrivals.x)
 
 
@@ -684,7 +684,7 @@ def test_memory_check_covers_self_test_tails_and_waiting_results(monkeypatch):
     sc = small_scenario(replications=6)
     k, slots = sc.measure_slots, sc.resolved_warmup() + sc.measure_slots + 1
     tail_peak, result = UpperTails.held_bytes(k, k)
-    live = 16 * simulator._on_count_changes(sc, slots) + (16 * sc.hops + 64) * slots + tail_peak
+    live = 16 * simulator._on_count_changes(sc, slots) + (24 * sc.hops + 64) * slots + tail_peak
     for memory, refused in ((2 * live + result, True), (2 * live + 6 * result, False)):
         monkeypatch.setattr(simulator, "_physical_memory", lambda: memory)
         runs = simulator.reduce_replications(sc, {2: partial(UpperTails, k)}, jobs=2)
@@ -859,10 +859,11 @@ class _Row:
     """A cumulative curve given as a row, with the ``fill`` of :class:`_Arrivals`."""
 
     def __init__(self, row):
-        self.row = row
+        self.row, self.at = row, 0
 
-    def fill(self, start, t, out):
-        out[:] = self.row[start:start + len(out)]
+    def fill(self, t, out):
+        out[:] = self.row[self.at:self.at + len(out)]
+        self.at += len(out)
         return out
 
 
@@ -958,10 +959,11 @@ def test_hop_split_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
     # arrivals, and out[40887] came out one ulp above thr_cum; with chunks
     # of 7 slots the searches reach back over many chunks
     rate = 2.4439031555215096
-    thr, _, cross = _curves(*_hop_input((1 << 16) + 3, [0.3, 1.5, 0.0, 0.9], rate, rate, 196), rate)
-    expected = _split(thr, cross, rate, True)
+    thr_n, cross_n = _hop_input((1 << 16) + 3, [0.3, 1.5, 0.0, 0.9], rate, rate, 196)
+    thr = reference_arrival_curve(thr_n, rate)
+    expected = _split(thr, _closed_form(cross_n, rate), rate, True)
     monkeypatch.setattr(simulator, "_CHUNK", chunk)
-    got = _split(thr, cross, rate, True)
+    got = _split(thr, _closed_form(cross_n, rate), rate, True)  # a closed form is read once
     assert got[0] == expected[0]
     assert all(np.array_equal(a, b) for a, b in zip(got[1:], expected[1:]))
     assert np.all(got[2] <= thr)
@@ -1073,10 +1075,12 @@ def test_hop_split_at_real_rates_over_a_busy_period_of_three_chunks():
        warmup=st.integers(0, 40))
 @settings(max_examples=60, deadline=None)
 def test_delays_equal_every_slot_search(slots, loads, capacity, seed, peak, warmup):
-    ingress, _, cross = _curves(*_hop_input(slots + warmup, loads, capacity, peak, seed), peak)
-    egress = _split(ingress, cross, capacity, False)[2]
+    thr_n, cross_n = _hop_input(slots + warmup, loads, capacity, peak, seed)
+    ingress = reference_arrival_curve(thr_n, peak)
+    egress = _split(ingress, _closed_form(cross_n, peak), capacity, False)[2]
     n = len(ingress)
-    delays, backlogs = _run(ingress, [_Hop(cross, capacity)], {1: Samples(warmup, n - 1)})[1]
+    hop = _Hop(_closed_form(cross_n, peak), capacity)  # a closed form is read once
+    delays, backlogs = _run(ingress, [hop], {1: Samples(warmup, n - 1)})[1]
     t = np.arange(warmup + 1, n)
     assert np.array_equal(backlogs, ingress[t] - egress[t])
     every_slot = np.maximum(t + 1 - np.searchsorted(ingress, egress[t], side="right"), 0)
