@@ -28,17 +28,19 @@ exceedances of thresholds (``validate``'s, and its self-test's),
 :class:`Samples` keeps the samples, and :class:`UpperTails` (the self-test's
 thresholds) and :class:`SampleStats` (``simulate``'s statistics) keep only
 their upper tails, distinct values with counts (:class:`_UpperTail`), the
-latter with sums.  Arrivals are closed forms over the slots where a group's
-on-count changes, read forward one chunk at a time; a hop carries its cross
-arrivals over its FIFO lag.  The cross and total arrivals, C*t, the excess
-and the queue of a hop live in chunk-sized scratch, and every other curve
-is kept only from the first slot still read on, so beside the closed forms
-a replication holds only what its reductions keep, what its FIFO lags
-still read, and each hop's curves when asked for.  The run-size guard
-in :func:`reduce_replications` charges that for each replication held at
-once and refuses, with :class:`MemoryError`, a run that would not fit
-physical memory.  The validation statistics' one-sided Clopper-Pearson
-limit is computed here too, in numpy, so the package never imports scipy.
+latter with sums.  The chunk loop makes the chunk's slot numbers once, and
+the arrivals and each hop's C*t read them: arrivals are closed forms over
+the slots where a group's on-count changes, read forward one chunk at a
+time, and a hop carries its cross arrivals over its FIFO lag.  The cross
+and total arrivals, C*t, the excess and the queue of a hop live in
+chunk-sized scratch, and every other curve is kept only from the first
+slot still read on, so beside the closed forms a replication holds only
+what its reductions keep, what its FIFO lags still read, and each hop's
+curves when asked for.  The run-size guard in :func:`reduce_replications`
+charges that for each replication held at once and refuses, with
+:class:`MemoryError`, a run that would not fit physical memory.  The
+validation statistics' one-sided Clopper-Pearson limit is computed here
+too, in numpy, so the package never imports scipy.
 
 Randomness: every source draws from its own counter-based Philox stream
 keyed by (base_seed, replication, hop, source index), so adding sources,
@@ -94,22 +96,15 @@ class SimScenario(Record):
     _defaults = {"warmup_slots": None, "replications": 1, "base_seed": 0}
 
     def _validate(self):
-        if self.hops < 1:
-            raise ValueError("hops must be >= 1")
+        for name, least in (("hops", 1), ("through_count", 1), ("cross_count", 0), ("measure_slots", 1),
+                            ("warmup_slots", 0), ("replications", 1), ("base_seed", 0)):
+            value = getattr(self, name)
+            if value is None and name == "warmup_slots":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not (math.isfinite(self.capacity_per_slot) and self.capacity_per_slot > 0):
             raise ValueError("capacity_per_slot must be finite and positive")
-        if self.through_count < 1:
-            raise ValueError("through_count must be >= 1")
-        if self.cross_count < 0:
-            raise ValueError("cross_count must be >= 0")
-        if self.measure_slots < 1:
-            raise ValueError("measure_slots must be >= 1")
-        if self.warmup_slots is not None and self.warmup_slots < 0:
-            raise ValueError("warmup_slots must be >= 0")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be a non-negative integer")
         if max(self.source.r_on_off, self.source.r_off_on) > 1:
             raise ValueError("a source switches at most once per slot: its rates must be <= 1, got "
                              f"{self.source.r_on_off!r} and {self.source.r_off_on!r}")
@@ -258,7 +253,8 @@ class _Arrivals:
 
     def fill(self, t: np.ndarray, out: np.ndarray) -> np.ndarray:
         """A over the next ``len(out)`` slots, from slot 0 at the first call,
-        into ``out``, given those slot numbers as the floats ``t``."""
+        into ``out``; ``t`` is the chunk's slot numbers, as floats, that
+        :func:`_tandem` makes."""
         start, j, stop = self._at, self._j, self._at + len(out)
         # a key of x's own type, so the search casts no copy of x; a key past
         # x's range finds what the type's largest value finds, len(x)
@@ -285,11 +281,11 @@ class _Arrivals:
         return out
 
 
-# Slots per chunk of the engine.  A chunk's window holds five arrays of a bit
-# more than this length (see _Window), each curve tail one more, and a hop
-# two temporaries of it: at 2**16 slots the window alone was 2 MB, more than
-# anything else a replication allocated beside its curves then, and it
-# raised desk-validation's peak RSS by 0.8 MB.
+# Slots per chunk of the engine.  A chunk's window holds four rows of a bit
+# more than this length (see _Window), the chunk's slot numbers one of it,
+# each curve tail one more, and a hop two temporaries of it: at 2**16 slots
+# the window alone was 2 MB, more than anything else a replication allocated
+# beside its curves then, and it raised desk-validation's peak RSS by 0.8 MB.
 _CHUNK = 1 << 14
 
 # A hop queue beyond this many bits ends a run as unstable (see _tandem).
@@ -297,33 +293,25 @@ BACKLOG_GUARD_BITS = 1e12
 
 
 class _Window:
-    """Scratch over a window of consecutive slots, kept from chunk to chunk
+    """Work rows over a window of consecutive slots, kept from chunk to chunk
     of a replication.
 
-    After :meth:`window`, ``t`` holds the window's slot numbers as floats,
-    and ``x``, ``a``, ``b`` and ``c`` are work arrays of the same length.
-    The buffer is replaced only by a window longer than it, and then leaves
-    room for the FIFO split's reach back past its chunk (see :class:`_Hop`).
+    :meth:`window` returns four work rows of a given length.  The buffer is
+    replaced only by a window longer than it, and then leaves room for the
+    FIFO split's reach back past its chunk (see :class:`_Hop`).
     """
 
     def __init__(self):
         self._size = 0
 
-    def window(self, start: int, stop: int) -> "_Window":
-        n = stop - start
+    def window(self, n: int) -> np.ndarray:
         if n > self._size:
             # with seed 1, desk-validation's windows reached at most 167 slots
             # back past their chunk, and 4461 at 14 + 14 sources (load 0.98)
             self._size = n + _CHUNK // 4
-            # the old buffer and its views go before the larger one exists
-            self.t = self.x = self.a = self.b = self.c = self._buf = None
-            self._buf = np.empty((5, self._size))
-            self._buf[0] = np.arange(self._size)
-            self._start = 0
-        self._buf[0] += start - self._start  # whole numbers below 2**53: exact
-        self._start = start
-        self.t, self.x, self.a, self.b, self.c = self._buf[:, :n]
-        return self
+            self._buf = None  # the old buffer goes before the larger one exists
+            self._buf = np.empty((4, self._size))
+        return self._buf[:, :n]
 
 
 class _Tail:
@@ -416,19 +404,19 @@ class _Hop:
     it keeps the answer from reading arrivals after t, so no result depends
     on where the chunk boundaries fall.
 
-    Each step runs in ``work``'s scratch: the cross arrivals, A, C*t, the
-    excess and the queue.  D is nondecreasing, and so is e: D is A at an
-    idle slot and grows by C per busy slot.  So the search from a chunk's
-    slots starts at the chunk itself, or, when the slot before it is busy,
-    at that slot's e.  That is ``start``, and the window of A a step
-    evaluates reaches back only that far; the through arrivals are read
-    from ``start - 1`` on, and the cross arrivals before the chunk from
-    ``carry``: only the chunk's are read from the closed form.  ``run_min``,
-    ``start`` and ``carry``, the cross arrivals from ``start`` on, pass from
-    chunk to chunk, and ``max_queue`` is the largest queue so far, 0 while
-    no slot has been busy.  With ``slots``, the hop's curves over that many
-    slots are kept as rows of ``rows``: A, D, thr, D_through and the cross
-    arrivals.
+    Each step gets the chunk's slot numbers from :func:`_tandem` and runs in
+    ``work``'s four rows: the cross arrivals, A, C*t and then the excess,
+    and the queue.  D is nondecreasing, and so is e: D is A at an idle slot
+    and grows by C per busy slot.  So the search from a chunk's slots starts
+    at the chunk itself, or, when the slot before it is busy, at that slot's
+    e.  That is ``start``, and the window of A a step evaluates reaches back
+    only that far; the through arrivals are read from ``start - 1`` on, and
+    the cross arrivals before the chunk from ``carry``: only the chunk's are
+    read from the closed form.  ``run_min``, ``start`` and ``carry``, the
+    cross arrivals from ``start`` on, pass from chunk to chunk, and
+    ``max_queue`` is the largest queue so far, 0 while no slot has been
+    busy.  With ``slots``, the hop's curves over that many slots are kept as
+    rows of ``rows``: A, D, thr, D_through and the cross arrivals.
     """
 
     def __init__(self, cross: _Arrivals, capacity: float, slots: Optional[int] = None):
@@ -436,20 +424,21 @@ class _Hop:
         self.rows = None if slots is None else np.empty((5, slots))
         self.run_min, self.max_queue, self.start, self.carry = math.inf, 0.0, 0, np.empty(0)
 
-    def step(self, thr: _Tail, out: np.ndarray, work: _Window) -> None:
-        """D_through of the slots [thr.stop - len(out), thr.stop) into ``out``."""
+    def step(self, thr: _Tail, t: np.ndarray, out: np.ndarray, work: _Window) -> None:
+        """D_through of the slots [thr.stop - len(out), thr.stop), whose slot
+        numbers are the floats ``t``, into ``out``."""
         stop, start = thr.stop, self.start
         i = stop - len(out)
-        w, k = work.window(start, stop), i - start  # the chunk is w's slots from k on
-        cross = w.x
+        k = i - start  # the chunk is the window's slots from k on
+        cross, arr, excess, low = work.window(stop - start)
         cross[:k] = self.carry
-        self.cross.fill(w.t[k:], cross[k:])
-        arr = np.add(cross, thr.since(start), out=w.a)
+        self.cross.fill(t, cross[k:])
+        np.add(cross, thr.since(start), out=arr)
         np.copyto(out, thr.since(i))
         # C*t as an exact float ramp times C
-        excess = np.multiply(w.t[k:], self.capacity, out=w.b[k:])
+        excess = np.multiply(t, self.capacity, out=excess[k:])
         np.subtract(arr[k:], excess, out=excess)
-        low = w.c[k:]
+        low = low[k:]
         self.run_min = _running_min(excess, self.run_min, low)
         queue = np.subtract(excess, low, out=low)
         self.start = stop
@@ -477,7 +466,7 @@ class _Hop:
         return HopTrace(arr, dep, thr, dep_thr, np.diff(thr), np.diff(cross))
 
 
-def _tandem(through: _Arrivals, hops: list, slots: int, reductions: dict, work: _Window,
+def _tandem(through: _Arrivals, hops: list, slots: int, reductions: dict,
             scenario: Optional[SimScenario] = None) -> None:
     """Run ``through`` over ``slots`` slot boundaries through ``hops`` one
     chunk of slots at a time.
@@ -495,17 +484,22 @@ def _tandem(through: _Arrivals, hops: list, slots: int, reductions: dict, work: 
     read on: a hop's input from its ``start - 1``, and the ingress from
     there or the smallest lo.  With a ``scenario``, a chunk after which a
     hop's queue has exceeded ``BACKLOG_GUARD_BITS`` raises
-    :class:`StabilityError`.
+    :class:`StabilityError`.  The loop alone makes the chunk's slot numbers,
+    and hands them to the ingress and to every hop.
     """
     tails = [_Tail() for _ in range(len(hops) + 1)]  # the ingress, then each hop's D_through
     reach = dict.fromkeys(reductions, 0)
     guard = math.inf if scenario is None else BACKLOG_GUARD_BITS
+    # the chunk's slot numbers, whole floats below 2**53 and so exact
+    clock, work = np.arange(-_CHUNK, 0.0), _Window()
     for i in range(0, slots, _CHUNK):
         stop = min(i + _CHUNK, slots)
-        through.fill(work.window(i, stop).t, tails[0].extend(stop - i))
+        clock += _CHUNK
+        t = clock[:stop - i]
+        through.fill(t, tails[0].extend(stop - i))
         for h, hop in enumerate(hops, 1):
             egress = tails[h].extend(stop - i)
-            hop.step(tails[h - 1], egress, work)
+            hop.step(tails[h - 1], t, egress, work)
             if h > 1:
                 tails[h - 1].drop_before(hop.start - 1)
             if h in reductions:
@@ -802,7 +796,7 @@ def simulate_replication(scenario: SimScenario, replication: int, keep_hops: boo
     through = _Arrivals.of_sources(scenario, replication, 0, scenario.through_count, total)
     hops = [_Hop(_Arrivals.of_sources(scenario, replication, h, scenario.cross_count, total),
                  scenario.capacity_per_slot, total + 1 if keep_hops else None) for h in hop_range]
-    _tandem(through, hops, total + 1, accumulators, _Window(), scenario)
+    _tandem(through, hops, total + 1, accumulators, scenario)
     reduced = {h: acc.result() for h, acc in accumulators.items()}
     delays, backlogs = reduced.pop(scenario.hops) if samples else (None, None)
     hop_traces = tuple(hop.trace() for hop in hops) if keep_hops else ()
@@ -847,12 +841,12 @@ def reduce_replications(scenario: SimScenario, reduce: dict, jobs: int = 1):
     of the H hops' through inputs, the ingress first, from the slot its
     oldest queued bit arrived in (the ingress also back to where an
     end-to-end delay reaches), and over a hop's lag its carry of cross
-    arrivals and the window of five rows that its step evaluates.  A lag
-    may span the run, so per slot the H curves take 16 B each (a
-    :class:`_Tail` is at most twice its values) and one 16 B more while it
-    moves, the H carries 8 B each and one 8 B more while it is replaced,
-    and the window 40 B: 24 H + 64 B.  The caller holds one result, and 2
-    ``jobs`` may wait.
+    arrivals and the window of four rows that its step evaluates (the
+    chunk's slot numbers are chunk scratch).  A lag may span the run, so
+    per slot the H curves take 16 B each (a :class:`_Tail` is at most twice
+    its values) and one 16 B more while it moves, the H carries 8 B each and
+    one 8 B more while it is replaced, and the window 32 B: 24 H + 56 B.
+    The caller holds one result, and 2 ``jobs`` may wait.
     """
     return _reduced(scenario, reduce, jobs, 0.0)
 
@@ -869,7 +863,7 @@ def _reduced(scenario: SimScenario, reduce: dict, jobs: int, pooled: float):
     slots = warmup + count + 1
     # each factory is a reduction class or a partial of one
     sizes = [getattr(f, "func", f).held_bytes(count, *getattr(f, "args", ())) for f in reduce.values()]
-    lag = (24 * scenario.hops + 64) * slots
+    lag = (24 * scenario.hops + 56) * slots
     need = (live * (16 * _on_count_changes(scenario, slots) + lag + sum(size[0] for size in sizes))
             + held * sum(size[1] for size in sizes) + pooled)
     memory = _physical_memory()

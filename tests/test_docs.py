@@ -1,5 +1,7 @@
-"""The README's library example runs, and the names it lists exist."""
+"""The README's library example runs, the names it lists exist, and its
+queueing table matches the presets."""
 
+import math
 import re
 from pathlib import Path
 
@@ -24,3 +26,37 @@ def test_listed_simulator_names_exist():
     assert names
     for name in names:
         assert callable(getattr(sncalc, name))
+
+
+def test_queueing_table_matches_the_presets():
+    # P_over = P(Bin(K, q) > floor(C / p)), recomputed from each voice
+    # preset's operating points: 0 where K <= floor(C / p), "< 1e-300"
+    # below that, and else P_over and its log10 to 2 significant digits
+    from scipy.stats import binom
+
+    from sncalc.scenario import parse_scenario_file, resolve_scenario_path
+
+    section = README.split("\n### Which of the paper's operating points can queue\n", 1)[1].split("\n#", 1)[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("| `")]
+    table = {(preset.strip("`"), int(k)): cells for preset, ks, *cells in rows for k in ks.split(", ")}
+    expected = set()
+    for name in ("voice-fig3", "voice-fig4-H1", "voice-fig4-H2", "voice-fig4-H5", "voice-fig4-H10"):
+        scenario = parse_scenario_file(resolve_scenario_path(name))
+        source = scenario.mmoo_per_slot()
+        most = math.floor(scenario.capacity_bits_per_slot() / source.peak_rate)
+        assert most == 1562 and math.isclose(source.on_probability, 0.4)
+        label = name if name == "voice-fig3" else "voice-fig4-H*"
+        for n, m in scenario.flow_points():
+            expected.add((label, n + m))
+            p_over, log10 = table[label, n + m]
+            if n + m <= most:
+                assert (p_over, log10) == ("0", "peak-rate stable")
+                continue
+            exact = binom.logsf(most, n + m, source.on_probability) / math.log(10)
+            if exact < -300:
+                assert (p_over, log10) == ("< 1e-300", "< −300")
+                continue
+            assert p_over == f"{10 ** exact:.2g}"
+            assert abs(float(log10.replace("−", "-")) - exact) <= 0.5 * 10 ** (math.floor(math.log10(-exact)) - 1)
+    assert set(table) == expected

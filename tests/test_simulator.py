@@ -19,7 +19,7 @@ from sncalc import (
 )
 from sncalc import simulator
 from sncalc.simulator import (Exceedances, HopTrace, Samples, SampleStats, UpperTails, _Arrivals, _Hop,
-                              _on_runs, _source_rng, _tandem, _UpperTail, _Window, stationary_on_state,
+                              _on_runs, _source_rng, _tandem, _UpperTail, stationary_on_state,
                               validate_exceedances)
 from helpers import (ReferenceTandem, chain_effective_bandwidth, mmoo_source_step, reference_arrival_curve,
                      reference_curves, reference_on_counts, virtual_delays)
@@ -312,6 +312,23 @@ class TestSimulateTandem:
         with pytest.raises(ValueError, match="capacity_per_slot"):
             small_scenario(capacity_per_slot=capacity)
 
+    @pytest.mark.parametrize("field, value", [
+        ("measure_slots", 1000.0), ("hops", 2.0), ("base_seed", 1.5), ("cross_count", True),
+        ("through_count", np.float64(3)), ("warmup_slots", 50.0), ("replications", "2"),
+        ("hops", 0), ("through_count", 0), ("cross_count", -1), ("measure_slots", 0),
+        ("warmup_slots", -1), ("replications", 0), ("base_seed", -1), ("measure_slots", None),
+    ])
+    def test_counts_must_be_integers_in_range(self, field, value):
+        # a float, a bool or a string count once passed and failed deep in
+        # numpy with an error that did not name the field, or ran (True as
+        # one source)
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer >= ") + r"\d, got "
+                           + re.escape(repr(value))):
+            small_scenario(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        assert small_scenario(hops=np.int64(2), measure_slots=np.int32(400), base_seed=np.uint64(11)).hops == 2
+
     def test_default_warmup_is_ten_sojourns(self):
         sc = small_scenario(warmup_slots=None)
         assert sc.resolved_warmup() == int(np.ceil(10.0 / min(0.05, 0.08)))
@@ -511,20 +528,20 @@ def test_closed_form_arrivals_equal_the_row_construction(count, total, rates, pe
     scenario = SimScenario(hops=1, capacity_per_slot=1.0, through_count=1, cross_count=0,
                            source=params, measure_slots=total, warmup_slots=0, base_seed=seed)
     expected = reference_arrival_curve(reference_on_counts(seed, 0, 1, count, params, total), peak)
-    arrivals, work = _Arrivals.of_sources(scenario, 0, 1, count, total), _Window()
+    arrivals = _Arrivals.of_sources(scenario, 0, 1, count, total)
     row = np.full(total + 1, np.nan)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulator, "_CHUNK", chunk)
         for i in range(0, total + 1, chunk):  # one chunk at a time, as the engine evaluates the ingress
             stop = min(i + chunk, total + 1)
-            arrivals.fill(work.window(i, stop).t, row[i:stop])
+            arrivals.fill(np.arange(i, stop, dtype=float), row[i:stop])
     assert np.array_equal(row, expected)
     # consecutive windows of any length, from a single slot to the run, as
     # each hop reads its cross arrivals a chunk at a time
     arrivals, start = _Arrivals.of_sources(scenario, 0, 1, count, total), 0
     while start <= total:
         stop = data.draw(st.integers(start + 1, total + 1))
-        got = arrivals.fill(work.window(start, stop).t, np.full(stop - start, np.nan))
+        got = arrivals.fill(np.arange(start, stop, dtype=float), np.full(stop - start, np.nan))
         assert np.array_equal(got, expected[start:stop])
         start = stop
 
@@ -684,7 +701,7 @@ def test_memory_check_covers_self_test_tails_and_waiting_results(monkeypatch):
     sc = small_scenario(replications=6)
     k, slots = sc.measure_slots, sc.resolved_warmup() + sc.measure_slots + 1
     tail_peak, result = UpperTails.held_bytes(k, k)
-    live = 16 * simulator._on_count_changes(sc, slots) + (24 * sc.hops + 64) * slots + tail_peak
+    live = 16 * simulator._on_count_changes(sc, slots) + (24 * sc.hops + 56) * slots + tail_peak
     for memory, refused in ((2 * live + result, True), (2 * live + 6 * result, False)):
         monkeypatch.setattr(simulator, "_physical_memory", lambda: memory)
         runs = simulator.reduce_replications(sc, {2: partial(UpperTails, k)}, jobs=2)
@@ -897,7 +914,7 @@ class _Both:
 def _run(thr, hops, reductions):
     """The engine over the through curve ``thr``, given as a row, and ``hops``:
     each reduction's result."""
-    _tandem(_Row(thr), hops, len(thr), reductions, _Window())
+    _tandem(_Row(thr), hops, len(thr), reductions)
     return {h: r.result() for h, r in reductions.items()}
 
 
