@@ -24,7 +24,9 @@ sweeps: it searches theta once per path shape (the through model and each
 run of equal hops with its share count/H) and reuses theta* and v* for
 every hop count of that shape; a finite-horizon delay search stays per H.
 ``closed_form_*`` are thin wrappers that build the homogeneous
-leftover-service path and call this engine.
+leftover-service path and call this engine.  It dispatches on no model
+class: it reads alpha(theta), beta(theta), a model's peak rate and burst
+and a hop's cross peak and burst only through :mod:`.envelopes`.
 
 Conventions
 -----------
@@ -54,11 +56,11 @@ from .envelopes import (
     Aggregate,
     ConstantRate,
     Leftover,
-    MmooTraffic,
     TrafficModel,
+    _cross_peak_and_burst,
+    _peak_and_burst,
     service_effective_capacity,
     traffic_effective_bandwidth,
-    traffic_peak_rate,
 )
 
 __all__ = [
@@ -406,15 +408,8 @@ def default_theta_window(path: NetworkPath) -> tuple:
     burst so the near-mean-rate regime is always covered.  theta_min is 0
     when that division underflows, for a burst beyond about 1e314 bits.
     """
-    peaks = [traffic_peak_rate(path.through)]
-    bursts = [_single_flow_burst(path.through)]
-    for hop in path.hops:
-        if isinstance(hop, Leftover) and hop.cross_count > 0:
-            peaks.append(hop.cross_count * traffic_peak_rate(hop.cross))
-            bursts.append(_single_flow_burst(hop.cross))
-    peak_ref = max(max(peaks), 1e-12)
-    burst_ref = max(max(bursts), 1e-12)
-    return 1e-9 / burst_ref, _EXP_CAP / peak_ref
+    peaks, bursts = zip(_peak_and_burst(path.through), *map(_cross_peak_and_burst, path.hops))
+    return 1e-9 / max(*bursts, 1e-12), _EXP_CAP / max(*peaks, 1e-12)
 
 
 def default_theta_search(path: NetworkPath) -> ThetaSearchConfig:
@@ -429,23 +424,8 @@ def peak_rate_stable(path: NetworkPath) -> bool:
     bound falls towards 0 as theta grows, which puts theta* at or near the
     window's upper edge.
     """
-    through = traffic_peak_rate(path.through)
-    for hop in path.hops:
-        cross = hop.cross_count * traffic_peak_rate(hop.cross) if isinstance(hop, Leftover) else 0.0
-        if through + cross > hop.capacity:
-            return False
-    return True
-
-
-def _single_flow_burst(model: TrafficModel) -> float:
-    if isinstance(model, ConstantRate):
-        return model.rate
-    if isinstance(model, MmooTraffic):
-        p = model.params
-        return p.peak_rate / p.r_on_off if p.r_on_off > 0 else p.peak_rate
-    if isinstance(model, Aggregate):
-        return _single_flow_burst(model.inner)
-    raise TypeError(f"unsupported traffic model: {model!r}")
+    through = _peak_and_burst(path.through)[0]
+    return all(through + _cross_peak_and_burst(hop)[0] <= hop.capacity for hop in path.hops)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,9 @@
 All rates are bits per slot and theta carries units of 1/bits, so exponents
 of the form theta * A(t) are dimensionless.  Every evaluation here is a pure
 function of frozen model values and is safe to call from any thread.
+
+The one module that dispatches on the model kinds: the bound engine reads
+alpha, beta, peak rates, bursts and cross loads only through its functions.
 """
 
 from __future__ import annotations
@@ -191,10 +194,26 @@ def service_effective_capacity(model: ServiceModel, theta: float) -> float:
 
 def traffic_peak_rate(model: TrafficModel) -> float:
     """Worst-case per-slot rate of a traffic model (the theta -> inf limit)."""
+    return _peak_and_burst(model)[0]
+
+
+def _peak_and_burst(model: TrafficModel) -> tuple:
+    """(peak rate, one flow's burst) of a traffic model: bits per slot, and
+    bits per mean on sojourn (a constant-rate flow's is one slot's)."""
     if isinstance(model, ConstantRate):
-        return model.rate
-    if isinstance(model, MmooTraffic):
-        return model.params.peak_rate
+        return model.rate, model.rate
+    if isinstance(model, MmooTraffic):  # an on sojourn that never ends counts one slot
+        return model.params.peak_rate, model.params.peak_rate / (model.params.r_on_off or 1.0)
     if isinstance(model, Aggregate):
-        return model.count * traffic_peak_rate(model.inner)
+        peak, burst = _peak_and_burst(model.inner)
+        return model.count * peak, burst
     raise TypeError(f"unsupported traffic model: {model!r}")
+
+
+def _cross_peak_and_burst(hop: ServiceModel) -> tuple:
+    """(peak rate, one flow's burst) of a hop's cross traffic, (0, 0) for a
+    hop without cross flows."""
+    if isinstance(hop, Leftover) and hop.cross_count > 0:
+        peak, burst = _peak_and_burst(hop.cross)
+        return hop.cross_count * peak, burst
+    return 0.0, 0.0

@@ -199,13 +199,23 @@ def _on_runs(rng: np.random.Generator, params: MmooParams, total: int):
     return starts[keep], np.minimum(ends[keep], total)
 
 
-def _on_count_changes(scenario: SimScenario, slots: float) -> float:
-    """About how many of ``slots`` slots start with a change of the on-count
-    of the through sources or of a hop's cross sources: a source switches
-    twice per mean on-off cycle, or twice when a state absorbs."""
+def _replication_bytes(scenario: SimScenario, slots: float) -> float:
+    """Bytes a live replication of ``slots`` slots holds beside chunk scratch
+    and its reductions.  Its closed forms take at most 16 B per slot that
+    starts with a change of a group's on-count (a source switches twice per
+    mean on-off cycle, or twice when a state absorbs).  Its FIFO lags (see
+    :func:`_tandem` and :class:`_Hop`) keep each of the H hops' through
+    inputs, the ingress first, from the slot its oldest queued bit arrived
+    in (the ingress also back to where an end-to-end delay reaches), and
+    over a hop's lag its carry of cross arrivals and the window of four rows
+    that its step evaluates.  A lag may span the run, so per slot the H
+    curves take 16 B each (a :class:`_Tail` is at most twice its values) and
+    one 16 B more while it moves, the H carries 8 B each and one 8 B more
+    while it is replaced, and the window 32 B: 24 H + 56 B."""
     cycle = _switch_law(scenario.source)[2]
     groups = ((scenario.through_count, 1), (scenario.cross_count, scenario.hops))
-    return sum(n * min(slots, sources * (2 + 2 * slots / cycle)) for sources, n in groups)
+    changes = sum(n * min(slots, sources * (2 + 2 * slots / cycle)) for sources, n in groups)
+    return 16 * changes + (24 * scenario.hops + 56) * slots
 
 
 class _Arrivals:
@@ -834,19 +844,9 @@ def reduce_replications(scenario: SimScenario, reduce: dict, jobs: int = 1):
     outgrows ``BACKLOG_GUARD_BITS``.
 
     Before the first replication and the load check, a run that would not
-    fit physical memory raises :class:`MemoryError`.  Beside chunk scratch,
-    a live replication holds its closed forms, at most 16 B per slot where a
-    group's on-count changes, its reductions' peaks (``held_bytes``), and
-    what its FIFO lags keep (see :func:`_tandem` and :class:`_Hop`): each
-    of the H hops' through inputs, the ingress first, from the slot its
-    oldest queued bit arrived in (the ingress also back to where an
-    end-to-end delay reaches), and over a hop's lag its carry of cross
-    arrivals and the window of four rows that its step evaluates (the
-    chunk's slot numbers are chunk scratch).  A lag may span the run, so
-    per slot the H curves take 16 B each (a :class:`_Tail` is at most twice
-    its values) and one 16 B more while it moves, the H carries 8 B each and
-    one 8 B more while it is replaced, and the window 32 B: 24 H + 56 B.
-    The caller holds one result, and 2 ``jobs`` may wait.
+    fit physical memory raises :class:`MemoryError`: a live replication holds
+    its reductions' peaks (``held_bytes``) and :func:`_replication_bytes`,
+    the caller one result, and 2 ``jobs`` may wait.
     """
     return _reduced(scenario, reduce, jobs, 0.0)
 
@@ -863,8 +863,7 @@ def _reduced(scenario: SimScenario, reduce: dict, jobs: int, pooled: float):
     slots = warmup + count + 1
     # each factory is a reduction class or a partial of one
     sizes = [getattr(f, "func", f).held_bytes(count, *getattr(f, "args", ())) for f in reduce.values()]
-    lag = (24 * scenario.hops + 56) * slots
-    need = (live * (16 * _on_count_changes(scenario, slots) + lag + sum(size[0] for size in sizes))
+    need = (live * (_replication_bytes(scenario, slots) + sum(size[0] for size in sizes))
             + held * sum(size[1] for size in sizes) + pooled)
     memory = _physical_memory()
     if not need <= memory:  # nan too: a slot count beyond the float range

@@ -29,7 +29,8 @@ from sncalc import (
     traffic_effective_bandwidth,
 )
 from sncalc.bounds import INFINITE_HORIZON as INF
-from sncalc.bounds import _GRID_POINTS, _log_grid, _log_run_sum, hop_sweep, peak_rate_stable
+from sncalc.bounds import (_GRID_POINTS, _log_grid, _log_run_sum, default_theta_window, hop_sweep,
+                           peak_rate_stable)
 from helpers import (brute_force_tail_sum, exhaustive_grid_min, fluid_queue_quantile, fluid_queue_tail,
                      full_grid_minimize)
 
@@ -500,6 +501,50 @@ class TestStabilityMargin:
         path = NetworkPath(Aggregate(n, src), (fits,) * 3)
         assert peak_rate_stable(path) is stable
         assert not peak_rate_stable(NetworkPath(path.through, path.hops + (ConstantServer(63.0),)))
+
+
+# each model kind's peak rate and one flow's burst, worked out by hand from
+# its fields: an on-off flow's burst is peak_rate / r_on_off, or one slot's
+# peak when it never leaves the on state; an aggregate of count flows has
+# count times the peak and one flow's burst
+ON_OFF = MmooParams(peak_rate=64.0, r_on_off=0.25, r_off_on=0.5)
+STAYS_ON = MmooParams(peak_rate=64.0, r_on_off=0.0, r_off_on=0.5)
+MODEL_KINDS = {
+    "constant": (ConstantRate(40.0), 40.0, 40.0),
+    "on-off": (MmooTraffic(ON_OFF), 64.0, 256.0),
+    "stays-on": (MmooTraffic(STAYS_ON), 64.0, 64.0),
+    "aggregate-constant": (Aggregate(3, ConstantRate(40.0)), 120.0, 40.0),
+    "aggregate-on-off": (Aggregate(5, MmooTraffic(ON_OFF)), 320.0, 256.0),
+    "aggregate-stays-on": (Aggregate(5, MmooTraffic(STAYS_ON)), 320.0, 64.0),
+}
+HOP_KINDS = [pytest.param(None, 0, id="constant-server")] + [
+    pytest.param(cross, m, id=f"leftover-{m}x{cross}") for cross in MODEL_KINDS for m in (0, 2)]
+
+
+@pytest.mark.parametrize("cross, m", HOP_KINDS)
+@pytest.mark.parametrize("through", MODEL_KINDS)
+def test_window_facts_of_every_model_kind(through, cross, m):
+    # the window is (1e-9 / largest burst, 700 / largest peak) over the
+    # through flow and each hop's cross flows, which a hop without cross
+    # flows does not have; a path is peak-rate stable when each hop's
+    # capacity covers its through peak plus its cross peaks
+    model, peak, burst = MODEL_KINDS[through]
+    peaks, bursts = [peak], [burst]
+    if cross is None:
+        hop = ConstantServer
+    else:
+        cross_model, cross_peak, cross_burst = MODEL_KINDS[cross]
+        hop = lambda capacity: Leftover(capacity, m, cross_model)
+        if m:
+            peaks.append(m * cross_peak)
+            bursts.append(cross_burst)
+    tight = sum(peaks)
+    path = NetworkPath(model, (hop(2 * tight), hop(tight)))
+    assert default_theta_window(path) == (1e-9 / max(bursts), 700.0 / max(peaks))
+    assert peak_rate_stable(path)
+    below = math.nextafter(tight, 0.0)
+    assert not peak_rate_stable(NetworkPath(model, (hop(2 * tight), hop(below))))
+    assert not peak_rate_stable(NetworkPath(model, (hop(below), hop(2 * tight))))
 
 
 class TestQueries:

@@ -347,16 +347,16 @@ class TestSimulate:
         assert "error: " in out.stderr and "sim.warmup_slots/sim.measure_slots" in out.stderr
 
     def test_memory_guard_counts_one_block_per_live_replication(self, capsys, tiny, monkeypatch):
-        # a replication is sized by its closed-form arrivals, 16 B per change
-        # of a group's on-count, what a FIFO lag over 100 warmup + 8000
-        # measured + 1 slots may keep, 24 H + 56 B each at H = 2, and the
-        # peaks of its reductions, one per hop count; --jobs 4 holds both of
+        # a replication is sized by its closed-form arrivals and what its
+        # FIFO lags may keep over 100 warmup + 8000 measured + 1 slots at
+        # H = 2 (simulator._replication_bytes), and by the peaks of its
+        # reductions, one per hop count; --jobs 4 holds both of
         # the 2 replications at once.  validate --self-test first reduces
         # each hop count to upper tails at rank 1600 (10 epsilon of 16000
         # samples) and pools them as well
         sim = parse_scenario_file(tiny).build_sim_scenario(2, 3, 2)
         slots = 100 + 8000 + 1
-        base = 16 * simulator._on_count_changes(sim, slots) + (24 * 2 + 56) * slots
+        base = simulator._replication_bytes(sim, slots)
         block = base + 2 * SampleStats.held_bytes(8000)[0]
         monkeypatch.setattr(simulator, "_physical_memory", lambda: block)
         code, out, _ = run_cli(capsys, "simulate", "--scenario", tiny, "--jobs", "1")

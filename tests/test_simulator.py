@@ -701,7 +701,7 @@ def test_memory_check_covers_self_test_tails_and_waiting_results(monkeypatch):
     sc = small_scenario(replications=6)
     k, slots = sc.measure_slots, sc.resolved_warmup() + sc.measure_slots + 1
     tail_peak, result = UpperTails.held_bytes(k, k)
-    live = 16 * simulator._on_count_changes(sc, slots) + (24 * sc.hops + 56) * slots + tail_peak
+    live = simulator._replication_bytes(sc, slots) + tail_peak
     for memory, refused in ((2 * live + result, True), (2 * live + 6 * result, False)):
         monkeypatch.setattr(simulator, "_physical_memory", lambda: memory)
         runs = simulator.reduce_replications(sc, {2: partial(UpperTails, k)}, jobs=2)
