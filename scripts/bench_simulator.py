@@ -6,8 +6,9 @@ preset with one replication of ``--slots`` measured slots, after one
 untimed run for imports and caches, and times these layers by wrapping
 them from outside the package:
 
-  sources      ``_Arrivals.of_sources``: every source's on-runs and the
-               closed forms built from them
+  sources      ``_Arrivals.of_sources``: the on-off flows a traffic record
+               gives, every source's on-runs, and the closed forms built
+               from them
   arrivals     ``_Arrivals.fill``: the ingress and each hop's cross
                arrivals over each chunk, in order
   hop_step     ``_Hop.step``: the FIFO split, less the cross arrivals it

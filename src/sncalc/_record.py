@@ -10,12 +10,20 @@ cost a command more start-up time than its bound computation takes.
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import attrgetter, index
 
 # the only way to set a field, since Record.__setattr__ refuses
 set_field = object.__setattr__
 
 _UNSET = object()
+
+
+def integer_field(record, name: str, least: int, problem: str) -> None:
+    """Store field ``name`` as an int: an int or numpy integer, not a bool, of at least ``least``."""
+    value = getattr(record, name)
+    if isinstance(value, bool) or not hasattr(value, "__index__") or index(value) < least:
+        raise ValueError(f"{problem}, got {value!r}")
+    set_field(record, name, index(value))
 
 
 class Record:

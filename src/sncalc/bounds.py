@@ -56,6 +56,8 @@ from .envelopes import (
     Aggregate,
     ConstantRate,
     Leftover,
+    MmooParams,
+    MmooTraffic,
     TrafficModel,
     _cross_peak_and_burst,
     _peak_and_burst,
@@ -125,6 +127,14 @@ class NetworkPath(Record):
     @property
     def hop_count(self) -> int:
         return len(self.hops)
+
+
+def _on_off_tandem(source: MmooParams, capacity: float, hops: int, n_through: int,
+                   m_cross: int) -> NetworkPath:
+    """``n_through`` flows of on-off ``source`` through ``hops`` hops of ``capacity``, each
+    shared with ``m_cross`` fresh flows of it: the tandem a scenario's bounds and simulation read."""
+    flow = MmooTraffic(source)
+    return NetworkPath(Aggregate(n_through, flow), (Leftover(capacity, m_cross, flow),) * hops)
 
 
 class ThetaSearchConfig(Record):
@@ -408,7 +418,8 @@ def default_theta_window(path: NetworkPath) -> tuple:
     burst so the near-mean-rate regime is always covered.  theta_min is 0
     when that division underflows, for a burst beyond about 1e314 bits.
     """
-    peaks, bursts = zip(_peak_and_burst(path.through), *map(_cross_peak_and_burst, path.hops))
+    hops = [hop for hop, _ in _hop_runs(path)]  # each run of equal hops once
+    peaks, bursts = zip(_peak_and_burst(path.through), *map(_cross_peak_and_burst, hops))
     return 1e-9 / max(*bursts, 1e-12), _EXP_CAP / max(*peaks, 1e-12)
 
 
@@ -425,7 +436,7 @@ def peak_rate_stable(path: NetworkPath) -> bool:
     window's upper edge.
     """
     through = _peak_and_burst(path.through)[0]
-    return all(through + _cross_peak_and_burst(hop)[0] <= hop.capacity for hop in path.hops)
+    return all(through + _cross_peak_and_burst(hop)[0] <= hop.capacity for hop, _ in _hop_runs(path))
 
 
 # ---------------------------------------------------------------------------
@@ -600,17 +611,9 @@ def stability_margin(
     return capacity - total
 
 
-def _homogeneous(
-    n_through: int,
-    through: TrafficModel,
-    m_cross: int,
-    cross: Optional[TrafficModel],
-    capacity: float,
-    hop_count: int,
-    epsilon: float,
-    theta_search: Optional[ThetaSearchConfig],
-    kind: str,
-) -> BoundResult:
+def _homogeneous(n_through: int, through: TrafficModel, m_cross: int, cross: Optional[TrafficModel],
+                 capacity: float, hop_count: int, epsilon: float, theta_search: Optional[ThetaSearchConfig],
+                 kind: str) -> BoundResult:
     # Leftover and NetworkPath reject a non-positive capacity or hop count
     if m_cross > 0 and cross is None:
         raise ValueError("cross model required when m_cross > 0")

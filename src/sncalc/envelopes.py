@@ -4,8 +4,9 @@ All rates are bits per slot and theta carries units of 1/bits, so exponents
 of the form theta * A(t) are dimensionless.  Every evaluation here is a pure
 function of frozen model values and is safe to call from any thread.
 
-The one module that dispatches on the model kinds: the bound engine reads
-alpha, beta, peak rates, bursts and cross loads only through its functions.
+The one module that dispatches on the model kinds, and so the one a new kind
+is taught to: the bound engine reads alpha, beta, peak rates, bursts and cross
+loads, and the simulator the on-off flows of a path, only through its functions.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Union
 
-from ._record import Record
+from ._record import Record, integer_field
 
 __all__ = [
     "MmooParams",
@@ -90,8 +91,7 @@ class Aggregate(Record):
     __slots__ = ("count", "inner")
 
     def _validate(self):
-        if not isinstance(self.count, int) or self.count < 1:
-            raise ValueError(f"aggregate count must be a positive integer, got {self.count!r}")
+        integer_field(self, "count", 1, "aggregate count must be a positive integer")
 
 
 TrafficModel = Union[ConstantRate, MmooTraffic, Aggregate]
@@ -119,8 +119,7 @@ class Leftover(Record):
     def _validate(self):
         if not (math.isfinite(self.capacity) and self.capacity > 0):
             raise ValueError(f"capacity must be positive and finite, got {self.capacity!r}")
-        if not isinstance(self.cross_count, int) or self.cross_count < 0:
-            raise ValueError(f"cross_count must be a non-negative integer, got {self.cross_count!r}")
+        integer_field(self, "cross_count", 0, "cross_count must be a non-negative integer")
 
 
 ServiceModel = Union[ConstantServer, Leftover]
@@ -210,10 +209,24 @@ def _peak_and_burst(model: TrafficModel) -> tuple:
     raise TypeError(f"unsupported traffic model: {model!r}")
 
 
+def _cross_traffic(hop: ServiceModel):
+    """The traffic model of a hop's cross flows, None for a hop without any."""
+    return Aggregate(hop.cross_count, hop.cross) if isinstance(hop, Leftover) and hop.cross_count else None
+
+
 def _cross_peak_and_burst(hop: ServiceModel) -> tuple:
     """(peak rate, one flow's burst) of a hop's cross traffic, (0, 0) for a
     hop without cross flows."""
-    if isinstance(hop, Leftover) and hop.cross_count > 0:
-        peak, burst = _peak_and_burst(hop.cross)
-        return hop.cross_count * peak, burst
-    return 0.0, 0.0
+    cross = _cross_traffic(hop)
+    return (0.0, 0.0) if cross is None else _peak_and_burst(cross)
+
+
+def _on_off_flows(model: TrafficModel) -> tuple:
+    """(count, MmooParams) of the on-off flows of a traffic model, the one
+    kind the simulator draws; any other kind is a ``TypeError``."""
+    if isinstance(model, MmooTraffic):
+        return 1, model.params
+    if isinstance(model, Aggregate):
+        count, params = _on_off_flows(model.inner)
+        return model.count * count, params
+    raise TypeError(f"the simulator draws on-off flows only, not {model!r}")

@@ -29,8 +29,8 @@ from typing import TYPE_CHECKING, Optional
 import yaml
 
 from ._record import Record
-from .bounds import NetworkPath, ThetaSearchConfig, default_theta_window
-from .envelopes import Aggregate, Leftover, MmooParams, MmooTraffic
+from .bounds import NetworkPath, ThetaSearchConfig, _on_off_tandem, default_theta_window
+from .envelopes import MmooParams
 
 if TYPE_CHECKING:  # the simulator (and numpy) load only when a simulation is built
     from .simulator import SimScenario
@@ -150,12 +150,7 @@ class Scenario(Record):
         return ((self.traffic.through_flows, self.traffic.cross_flows),)
 
     def build_path(self, hops: int, n_through: int, m_cross: int) -> NetworkPath:
-        source = MmooTraffic(self.mmoo_per_slot())
-        cap = self.capacity_bits_per_slot()
-        return NetworkPath(
-            through=Aggregate(n_through, source),
-            hops=(Leftover(cap, m_cross, source),) * hops,
-        )
+        return _on_off_tandem(self.mmoo_per_slot(), self.capacity_bits_per_slot(), hops, n_through, m_cross)
 
     def build_theta_search(self, path: NetworkPath) -> ThetaSearchConfig:
         """The path's derived theta window; a lower edge that underflows to
@@ -203,17 +198,10 @@ class Scenario(Record):
             raise ScenarioError(short)
         from .simulator import SimScenario
 
-        return SimScenario(
-            hops=hops,
-            capacity_per_slot=self.capacity_bits_per_slot(),
-            through_count=n_through,
-            cross_count=m_cross,
-            source=self.mmoo_per_slot(),
-            measure_slots=self.sim.measure_slots,
-            warmup_slots=self.sim.warmup_slots,
-            replications=self.sim.replications,
-            base_seed=self.sim.base_seed,
-        )
+        sim = self.sim
+        return SimScenario(hops=hops, capacity_per_slot=self.capacity_bits_per_slot(), through_count=n_through,
+                           cross_count=m_cross, source=self.mmoo_per_slot(), measure_slots=sim.measure_slots,
+                           warmup_slots=sim.warmup_slots, replications=sim.replications, base_seed=sim.base_seed)
 
 
 # ---------------------------------------------------------------------------

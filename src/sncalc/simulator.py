@@ -1,11 +1,13 @@
 """Discrete-time tandem FIFO simulator with Markov-modulated on-off sources.
 
-Topology: N identical through sources feed hop 1; every hop also receives M
-fresh cross sources and serves the shared queue work-conservingly at a fixed
-capacity per slot.  Cross traffic leaves after its hop, through departures
-cascade to the next hop within the same slot.  Within one slot, cross
-arrivals enqueue ahead of through arrivals, which is the harsher order for
-the through flow and keeps bound validation conservative.
+Topology: :attr:`SimScenario.path`, the hop and traffic records the bounds
+read.  A new traffic or service kind is taught to :mod:`.envelopes`, whose
+walks give the on-off flows: the through model's feed hop 1, and every hop
+adds its record's cross flows and serves the shared queue work-conservingly
+at its record's capacity per slot.  Cross traffic leaves after its hop,
+through departures cascade to the next hop within the same slot.  Within a
+slot, cross arrivals enqueue ahead of through arrivals, the harsher order
+for the through flow, which keeps bound validation conservative.
 
 The per-hop queue dynamics use cumulative curves only: each hop's through
 departures are the next hop's through arrivals as they are, and departures
@@ -59,9 +61,9 @@ from typing import Optional
 
 import numpy as np
 
-from ._record import Record
-from .bounds import StabilityError
-from .envelopes import MmooParams
+from ._record import Record, integer_field
+from .bounds import NetworkPath, StabilityError, _hop_runs, _on_off_tandem
+from .envelopes import MmooParams, _cross_traffic, _on_off_flows
 
 __all__ = [
     "SimScenario",
@@ -98,16 +100,18 @@ class SimScenario(Record):
     def _validate(self):
         for name, least in (("hops", 1), ("through_count", 1), ("cross_count", 0), ("measure_slots", 1),
                             ("warmup_slots", 0), ("replications", 1), ("base_seed", 0)):
-            value = getattr(self, name)
-            if value is None and name == "warmup_slots":
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            if getattr(self, name) is not None or name != "warmup_slots":
+                integer_field(self, name, least, f"{name} must be an integer >= {least}")
         if not (math.isfinite(self.capacity_per_slot) and self.capacity_per_slot > 0):
             raise ValueError("capacity_per_slot must be finite and positive")
         if max(self.source.r_on_off, self.source.r_off_on) > 1:
             raise ValueError("a source switches at most once per slot: its rates must be <= 1, got "
                              f"{self.source.r_on_off!r} and {self.source.r_off_on!r}")
+
+    @property
+    def path(self) -> NetworkPath:
+        """The tandem's records, all that a run reads of it, as :meth:`Scenario.build_path` builds them."""
+        return _on_off_tandem(self.source, self.capacity_per_slot, self.hops, self.through_count, self.cross_count)
 
     def resolved_warmup(self) -> int:
         if self.warmup_slots is not None:
@@ -212,10 +216,12 @@ def _replication_bytes(scenario: SimScenario, slots: float) -> float:
     curves take 16 B each (a :class:`_Tail` is at most twice its values) and
     one 16 B more while it moves, the H carries 8 B each and one 8 B more
     while it is replaced, and the window 32 B: 24 H + 56 B."""
-    cycle = _switch_law(scenario.source)[2]
-    groups = ((scenario.through_count, 1), (scenario.cross_count, scenario.hops))
-    changes = sum(n * min(slots, sources * (2 + 2 * slots / cycle)) for sources, n in groups)
-    return 16 * changes + (24 * scenario.hops + 56) * slots
+    path, changes = scenario.path, 0.0
+    for model, n in ((path.through, 1), *((_cross_traffic(hop), n) for hop, n in _hop_runs(path))):
+        if model is not None:  # n groups of sources
+            sources, params = _on_off_flows(model)
+            changes += n * min(slots, sources * (2 + 2 * slots / _switch_law(params)[2]))
+    return 16 * changes + (24 * path.hop_count + 56) * slots
 
 
 class _Arrivals:
@@ -244,11 +250,11 @@ class _Arrivals:
         self._at, self._j, self._n, self._minus_c = 0, 0, int(change[0]), 0
 
     @classmethod
-    def of_sources(cls, scenario: SimScenario, replication: int, hop: int, count: int,
-                   total: int) -> "_Arrivals":
-        """The ``count`` sources of ``hop`` over ``total`` slots."""
-        runs = [_on_runs(_source_rng(scenario.base_seed, replication, hop, j), scenario.source, total)
-                for j in range(count)]
+    def of_sources(cls, model, key: tuple, total: int) -> "_Arrivals":
+        """The on-off flows of traffic ``model`` (None for none) over ``total``
+        slots, flow j drawing from the stream keyed by ``key`` + (j,)."""
+        count, params = (0, None) if model is None else _on_off_flows(model)
+        runs = [_on_runs(_source_rng(*key, j), params, total) for j in range(count)]
         # one sorted key per switch, 2x + 1 for a source turning on at slot
         # x and 2x for one turning off, after a leading 0 that only makes
         # x_0 = 0; a run to the end never turns off
@@ -259,7 +265,7 @@ class _Arrivals:
         steps[0] = 0
         keys >>= 1  # now the slots
         at = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        return cls(keys[at], np.add.reduceat(steps, at), scenario.source.peak_rate)
+        return cls(keys[at], np.add.reduceat(steps, at), params.peak_rate if count else 0.0)
 
     def fill(self, t: np.ndarray, out: np.ndarray) -> np.ndarray:
         """A over the next ``len(out)`` slots, from slot 0 at the first call,
@@ -798,14 +804,15 @@ def simulate_replication(scenario: SimScenario, replication: int, keep_hops: boo
     the reductions keep live over the whole run; ``keep_hops`` adds each
     hop's curves, and the ingress and egress with them.
     """
+    path, key = scenario.path, (scenario.base_seed, replication)
     warmup = scenario.resolved_warmup()
     total = warmup + scenario.measure_slots
     hop_range, samples = range(1, scenario.hops + 1), reduce is None
     reduce = {scenario.hops: Samples} if samples else reduce
     accumulators = {h: make(warmup, total) for h, make in reduce.items() if h in hop_range}
-    through = _Arrivals.of_sources(scenario, replication, 0, scenario.through_count, total)
-    hops = [_Hop(_Arrivals.of_sources(scenario, replication, h, scenario.cross_count, total),
-                 scenario.capacity_per_slot, total + 1 if keep_hops else None) for h in hop_range]
+    through = _Arrivals.of_sources(path.through, (*key, 0), total)
+    hops = [_Hop(_Arrivals.of_sources(_cross_traffic(hop), (*key, h), total), hop.capacity,
+                 total + 1 if keep_hops else None) for h, hop in enumerate(path.hops, 1)]
     _tandem(through, hops, total + 1, accumulators, scenario)
     reduced = {h: acc.result() for h, acc in accumulators.items()}
     delays, backlogs = reduced.pop(scenario.hops) if samples else (None, None)

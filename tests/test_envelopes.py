@@ -15,6 +15,7 @@ from sncalc import (
     traffic_effective_bandwidth,
     traffic_peak_rate,
 )
+from sncalc.envelopes import _cross_peak_and_burst, _cross_traffic, _on_off_flows
 from helpers import mc_effective_bandwidth
 
 # voice-flow parameters in per-slot units (64 kbit/s peak, 0.4 s on / 0.6 s
@@ -142,6 +143,35 @@ class TestServiceDispatch:
     def test_rejects_bad_theta(self):
         with pytest.raises(ValueError):
             service_effective_capacity(ConstantServer(1.0), 0.0)
+
+
+class TestSimulatorWalks:
+    """The two walks through which the simulator draws a path's records."""
+
+    def test_aggregates_multiply_counts(self):
+        flow = MmooTraffic(VOICE)
+        assert _on_off_flows(flow) == (1, VOICE)
+        assert _on_off_flows(Aggregate(3, flow)) == (3, VOICE)
+        assert _on_off_flows(Aggregate(2, Aggregate(5, flow))) == (10, VOICE)
+
+    @pytest.mark.parametrize("model", [ConstantRate(1.0), Aggregate(4, ConstantRate(1.0))])
+    def test_constant_rate_through_model_is_named_in_a_type_error(self, model):
+        with pytest.raises(TypeError, match=r"ConstantRate\(rate=1\.0\)"):
+            _on_off_flows(model)
+
+    @pytest.mark.parametrize("hop", [Leftover(10.0, 0, MmooTraffic(VOICE)), Leftover(10.0, 0, ConstantRate(1.0)),
+                                     ConstantServer(10.0)])
+    def test_hops_without_cross_flows_give_none(self, hop):
+        assert _cross_traffic(hop) is None
+        assert _cross_peak_and_burst(hop) == (0.0, 0.0)
+
+    def test_leftover_gives_its_cross_flows(self):
+        hop = Leftover(1e5, 4, Aggregate(2, MmooTraffic(VOICE)))
+        assert _cross_traffic(hop) == Aggregate(4, Aggregate(2, MmooTraffic(VOICE)))
+        assert _on_off_flows(_cross_traffic(hop)) == (8, VOICE)
+        # the cross peak and burst read the same walk: M peaks, one flow's burst
+        assert _cross_peak_and_burst(hop) == (8 * 64.0, 64.0 / 0.0025)
+        assert _cross_peak_and_burst(Leftover(10.0, 3, ConstantRate(1.5))) == (4.5, 1.5)
 
 
 @pytest.mark.parametrize("theta", [0.0, -1.0, math.nan, math.inf])

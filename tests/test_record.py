@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -198,6 +199,39 @@ def test_array_records_compare_by_identity(record):
     assert record == record and other != record
     assert hash(record) == object.__hash__(record)
     assert len({record, other}) == 2
+
+
+# each record's flow count field, and the least count it takes
+COUNTS = {"Aggregate": (lambda n: Aggregate(n, SOURCE), "count", 1),
+          "Leftover": (lambda n: Leftover(1e5, n, SOURCE), "cross_count", 0),
+          "SimScenario": (lambda n: SimScenario(1, 1.0, n, 0, VOICE, 1), "through_count", 1)}
+
+
+@pytest.mark.parametrize("kind", COUNTS)
+@pytest.mark.parametrize("count", [3, np.int64(3), np.int32(3), np.uint8(3)], ids=repr)
+def test_counts_take_any_integer_as_an_int(kind, count):
+    build, field, _ = COUNTS[kind]
+    record = build(count)
+    assert type(getattr(record, field)) is int and record == build(3) and hash(record) == hash(build(3))
+    assert repr(record) == repr(build(3))
+
+
+@pytest.mark.parametrize("kind", COUNTS)
+@pytest.mark.parametrize("count", [True, False, np.True_, 3.0, np.float64(3.0), "3", None, -1, np.int64(-1)],
+                         ids=repr)
+def test_counts_reject_bools_non_integers_and_too_few(kind, count):
+    build, _, least = COUNTS[kind]
+    with pytest.raises(ValueError, match=re.escape(f"got {count!r}")):
+        build(count)
+    with pytest.raises(ValueError):
+        build(least - 1)
+
+
+def test_a_bool_is_no_flow_count_of_a_bound():
+    from sncalc import closed_form_delay
+
+    with pytest.raises(ValueError, match="aggregate count must be a positive integer, got True"):
+        closed_form_delay(True, SOURCE, 0, None, 100.0, 1, 1e-2)
 
 
 def test_defaults_are_kept():

@@ -9,15 +9,23 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sncalc import (
+    Aggregate,
+    ConstantServer,
+    Leftover,
     MmooParams,
+    MmooTraffic,
+    NetworkPath,
     StabilityError,
     SimScenario,
+    backlog_bound,
+    delay_bound,
     mmoo_effective_bandwidth,
     simulate_replication,
     simulate_tandem,
     validate_samples,
 )
 from sncalc import simulator
+from sncalc.scenario import parse_scenario_file, resolve_scenario_path
 from sncalc.simulator import (Exceedances, HopTrace, Samples, SampleStats, UpperTails, _Arrivals, _Hop,
                               _on_runs, _source_rng, _tandem, _UpperTail, stationary_on_state,
                               validate_exceedances)
@@ -238,6 +246,38 @@ class TestTandemAgainstChunkQueue:
             assert np.all(np.diff(hop.departures_through) >= 0)
 
 
+class TestPath:
+    def test_sim_scenario_path_is_the_bounds_path(self):
+        desk = parse_scenario_file(resolve_scenario_path("desk-validation"))
+        for hops, n, m in ((1, 10, 10), (3, 4, 0), (2, 1, 7)):
+            assert desk.build_sim_scenario(hops, n, m).path == desk.build_path(hops, n, m)
+
+    def test_a_run_reads_the_tandem_only_through_its_path(self, monkeypatch):
+        # a path that no SimScenario field states: a constant-rate hop of 20
+        # bits/slot without cross flows, then a leftover hop of 25 with one
+        # cross flow.  The run draws the flows and serves at the capacities
+        # that the records give, from the same stream keys
+        sc = small_scenario(replications=1)
+        flow = MmooTraffic(sc.source)
+        path = NetworkPath(Aggregate(3, flow), (ConstantServer(20.0), Leftover(25.0, 1, flow)))
+        monkeypatch.setattr(SimScenario, "path", property(lambda self: path))
+        trace = simulate_replication(sc, 0, keep_hops=True)
+        total, peak = sc.warmup_slots + sc.measure_slots, sc.source.peak_rate
+        through = reference_on_counts(sc.base_seed, 0, 0, 3, sc.source, total) * peak
+        crosses = (np.zeros(total), reference_on_counts(sc.base_seed, 0, 2, 1, sc.source, total) * peak)
+        assert np.array_equal(trace.hops[0].through_per_slot, through)
+        for hop, cross in zip(trace.hops, crosses):
+            assert np.array_equal(hop.cross_per_slot, cross)
+        first, second = ReferenceTandem(20.0, 1), ReferenceTandem(25.0, 1)
+        egress = [[0.0], [0.0]]
+        for t in range(total):
+            egress[0].append(first.step(through[t], [crosses[0][t]])[0])
+            egress[1].append(second.step(egress[0][-1] - egress[0][-2], [crosses[1][t]])[0])
+        assert np.array_equal(trace.hops[0].departures_through, egress[0])
+        assert np.array_equal(trace.egress, egress[1])
+        assert all(np.any(hop.arrivals_total > hop.departures_total) for hop in trace.hops)  # both queued
+
+
 class TestHopPrefixes:
     def test_prefix_samples_equal_separate_runs(self):
         # one 3-hop pass reduces each hop prefix; every prefix must be the
@@ -329,6 +369,17 @@ class TestSimulateTandem:
     def test_numpy_integer_counts_accepted(self):
         assert small_scenario(hops=np.int64(2), measure_slots=np.int32(400), base_seed=np.uint64(11)).hops == 2
 
+    def test_numpy_counts_simulate_the_same_bytes(self):
+        # the path's records take numpy counts as ints, as SimScenario does
+        ints = small_scenario()
+        wide = small_scenario(hops=np.int64(2), through_count=np.int64(3), cross_count=np.int32(2),
+                              measure_slots=np.int64(400), warmup_slots=np.uint16(50),
+                              replications=np.int8(2), base_seed=np.uint64(11))
+        assert wide == ints and wide.path == ints.path
+        a, b = simulate_tandem(ints), simulate_tandem(wide)
+        assert a.delay_samples.tobytes() == b.delay_samples.tobytes()
+        assert a.backlog_samples.tobytes() == b.backlog_samples.tobytes()
+
     def test_default_warmup_is_ten_sojourns(self):
         sc = small_scenario(warmup_slots=None)
         assert sc.resolved_warmup() == int(np.ceil(10.0 / min(0.05, 0.08)))
@@ -394,6 +445,21 @@ class TestStatisticalDominance:
             k = int(np.count_nonzero(sim.delay_samples > threshold))
             lower = float(beta_dist.ppf(0.05, k, n - k + 1)) if k > 0 else 0.0
             assert lower <= eps
+
+
+@given(n=st.integers(1, 10), m=st.integers(0, 10), hops=st.integers(2, 4), load=st.floats(0.5, 0.85),
+       seed=st.integers(0, 2**32))
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_bounds_of_the_simulated_path_cover_its_p99(n, m, hops, load, seed):
+    # the bounds and the simulator read one path: at epsilon = 1e-2, its
+    # delay and backlog bounds are at least one replication's p99 delay and
+    # backlog.  On such paths the bound was 11x the p99 or more, but for one
+    # near peak-rate stable draw (4.8 slots against 1); no ratio is pinned
+    sc = SimScenario(hops=hops, capacity_per_slot=(n + m) * VOICE.mean_rate / load, through_count=n,
+                     cross_count=m, source=VOICE, measure_slots=200_000, base_seed=seed)
+    _, delay_p99, _, _, backlog_p99, _ = simulate_replication(sc, 0, reduce={hops: SampleStats}).reduced[hops]
+    assert delay_bound(sc.path, 1e-2).value >= delay_p99
+    assert backlog_bound(sc.path, 1e-2).value >= backlog_p99
 
 
 def _scipy_limit(k, n):
@@ -525,10 +591,9 @@ switch_rates = st.sampled_from([0.0, 1e-3, 0.05, 0.5, 0.95])
 @settings(max_examples=150, deadline=None)
 def test_closed_form_arrivals_equal_the_row_construction(count, total, rates, peak, seed, chunk, data):
     params = MmooParams(peak, *rates)
-    scenario = SimScenario(hops=1, capacity_per_slot=1.0, through_count=1, cross_count=0,
-                           source=params, measure_slots=total, warmup_slots=0, base_seed=seed)
+    model = Aggregate(count, MmooTraffic(params)) if count else None  # None: a hop without cross flows
     expected = reference_arrival_curve(reference_on_counts(seed, 0, 1, count, params, total), peak)
-    arrivals = _Arrivals.of_sources(scenario, 0, 1, count, total)
+    arrivals = _Arrivals.of_sources(model, (seed, 0, 1), total)
     row = np.full(total + 1, np.nan)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulator, "_CHUNK", chunk)
@@ -538,7 +603,7 @@ def test_closed_form_arrivals_equal_the_row_construction(count, total, rates, pe
     assert np.array_equal(row, expected)
     # consecutive windows of any length, from a single slot to the run, as
     # each hop reads its cross arrivals a chunk at a time
-    arrivals, start = _Arrivals.of_sources(scenario, 0, 1, count, total), 0
+    arrivals, start = _Arrivals.of_sources(model, (seed, 0, 1), total), 0
     while start <= total:
         stop = data.draw(st.integers(start + 1, total + 1))
         got = arrivals.fill(np.arange(start, stop, dtype=float), np.full(stop - start, np.nan))
@@ -551,9 +616,7 @@ def test_closed_form_takes_a_few_bytes_per_change():
     # sources that switch in 95% of their slots, a group of 3 changes its
     # on-count in nearly every slot, and must keep less than 6 B for each
     # change (x, c and n as 8 B each took 24)
-    scenario = SimScenario(hops=1, capacity_per_slot=20.0, through_count=3, cross_count=3,
-                           source=MmooParams(1.0, 0.95, 0.95), measure_slots=200_000, warmup_slots=0)
-    arrivals = _Arrivals.of_sources(scenario, 0, 1, 3, 200_000)
+    arrivals = _Arrivals.of_sources(Aggregate(3, MmooTraffic(MmooParams(1.0, 0.95, 0.95))), (0, 0, 1), 200_000)
     assert len(arrivals.x) > 190_000
     kept = arrivals.x.nbytes + arrivals.change.nbytes
     assert kept < 6 * len(arrivals.x)
