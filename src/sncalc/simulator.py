@@ -244,7 +244,8 @@ class _Arrivals:
         and the on-count's integer ``change`` at each, from 0 sources on."""
         self.x = x.astype(np.int32 if x[-1] < 2**31 - 1 else np.int64)
         self._top = int(np.iinfo(self.x.dtype).max)
-        self.change = change.astype(np.min_scalar_type(-int(np.abs(change).max())))
+        # from -max - 1, so that the type holds +max too (int8 holds -128, not +128)
+        self.change = change.astype(np.min_scalar_type(-int(np.abs(change).max()) - 1))
         self.peak = peak
         # the next slot, its segment j, n_j and -c_j (c_0 = 0: x_0 = 0)
         self._at, self._j, self._n, self._minus_c = 0, 0, int(change[0]), 0

@@ -622,6 +622,16 @@ def test_closed_form_takes_a_few_bytes_per_change():
     assert kept < 6 * len(arrivals.x)
 
 
+@pytest.mark.parametrize("step", [127, 128, 2**15 - 1, 2**15])
+def test_closed_form_keeps_a_change_at_the_top_of_its_type(step):
+    # int8 holds -128 but not +128, and int16 -32768 but not +32768: a
+    # change of +step must keep its sign, so the curve rises by step per
+    # slot over [5, 10) and then stays flat
+    arrivals = _Arrivals(np.array([0, 5, 10]), np.array([0, step, -step]), 1.0)
+    got = arrivals.fill(np.arange(16.0), np.empty(16))
+    assert np.array_equal(got, step * np.clip(np.arange(16.0) - 5, 0, 5))
+
+
 @given(sim_settings, st.one_of(st.just(0), st.integers(1, 40)), st.integers(1, 3000))
 @settings(max_examples=100, deadline=None)
 def test_streamed_reductions_equal_numpy_over_the_samples(cfg, warmup, k):
