@@ -4,13 +4,14 @@
 Runs each workload of ``perfbench/workloads.py``, its commands for
 ``--seed``, through ``sncalc.cli.main`` in this process: one untimed pass
 for imports and caches, then ``--repeats`` plain passes, each followed by
-one pass with these layers wrapped from outside the package:
+one pass with these layers wrapped from outside the package by the
+benchmark's tracer, ``perfbench/tracing.py``:
 
   envelopes    ``traffic_effective_bandwidth`` and ``service_effective_capacity``
                as the bound engine calls them
   path_eval    ``bounds._log_terms``: one path at one theta, less its envelopes
   search       ``bounds.minimize_over_theta``: the grid scan and golden section
-               around the objective, whose calls count as ``objective_evals``
+               around the objective; ``objective_evals`` counts its calls
   finish       ``bounds._finish``: the bound and its diagnostics at theta*
   sources      ``_Arrivals.of_sources``: every source's on-runs, in closed form
   arrivals     ``_Arrivals.fill``: the ingress and cross arrivals, chunk by chunk
@@ -45,6 +46,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import checks  # noqa: E402
+import tracing  # noqa: E402
 import warm  # noqa: E402
 import workloads  # noqa: E402
 from sncalc import bounds, cli, simulator  # noqa: E402
@@ -65,52 +67,34 @@ LAYERS = {
 SIMULATOR = ("sources", "arrivals", "hop_step", "reductions", "replication")
 
 
-class LayerTimer:
-    """Own time and calls per layer; a layer's time excludes the layers it calls."""
-
-    def __init__(self):
-        self.own, self.calls, self._child = Counter(), Counter(), [0.0]
-
-    def wrap(self, layer, fn):
-        if isinstance(fn, classmethod):
-            return classmethod(self.wrap(layer, fn.__func__))
-        if layer == "search":
-            fn = self._counting_search(fn)
-
-        def timed(*args, **kwargs):
-            self._child.append(0.0)
-            start = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                took = time.perf_counter() - start
-                self.own[layer] += took - self._child.pop()
-                self.calls[layer] += 1
-                self._child[-1] += took
-        return timed
-
-    def _counting_search(self, search):
-        def counted_search(objective, config):
-            def counted(theta):
-                self.calls["objective_evals"] += 1
-                return objective(theta)
-            return search(counted, config)
-        return counted_search
-
-
 @contextlib.contextmanager
-def wrapped(timer):
-    """Every layer's functions wrapped by ``timer``, and restored on exit.
-    Each is looked up on entry, so a name that is gone raises here."""
+def wrapped(tracer):
+    """Every layer's functions wrapped by ``tracer`` in spans named after
+    their layer, and restored on exit; a name that is gone raises here."""
     saved = [(owner, name, layer, vars(owner)[name]) for layer, targets in LAYERS.items()
              for owner, name in targets]
     try:
-        for owner, name, layer, fn in saved:
-            setattr(owner, name, timer.wrap(layer, fn))
+        for owner, name, layer, _ in saved:
+            setattr(owner, name, tracer.wrap(layer, getattr(owner, name)))
         yield
     finally:
         for owner, name, _, fn in saved:
             setattr(owner, name, fn)
+
+
+def fold(spans):
+    """Own time and calls per layer of one wrapped pass's spans; a span's own
+    time is its duration less that of its direct children."""
+    own, calls = Counter(), Counter()
+    for layer, start, end, parent, _ in spans:
+        own[layer] += end - start
+        calls[layer] += 1
+        if parent >= 0:
+            own[spans[parent][0]] -= end - start
+    # the theta objective evaluates the path once per call, and so does
+    # _finish once per bound: both through bounds._log_terms
+    calls["objective_evals"] = calls["path_eval"] - calls["finish"]
+    return own, calls
 
 
 def run_pass(commands, reference):
@@ -129,14 +113,14 @@ def bench(commands, repeats, reference):
         start = time.perf_counter()
         run_pass(commands, reference)
         plain.append(time.perf_counter() - start)
-        timer = LayerTimer()
-        with wrapped(timer):
+        tracer = tracing.Tracer("bench_layers")
+        with wrapped(tracer):
             run_pass(commands, reference)
-        runs.append(timer)
+        runs.append(fold(tracer.spans))
     return {
         "pass_s": statistics.median(plain),
-        "layer_s": {layer: statistics.median(run.own[layer] for run in runs) for layer in LAYERS},
-        "calls": {name: runs[0].calls[name] for name in (*LAYERS, "objective_evals")},
+        "layer_s": {layer: statistics.median(own[layer] for own, _ in runs) for layer in LAYERS},
+        "calls": {name: runs[0][1][name] for name in (*LAYERS, "objective_evals")},
     }
 
 

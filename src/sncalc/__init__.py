@@ -40,7 +40,6 @@ from .envelopes import (
     mmoo_effective_bandwidth,
     service_effective_capacity,
     traffic_effective_bandwidth,
-    traffic_peak_rate,
 )
 from .scenario import (
     CSV_HEADER,

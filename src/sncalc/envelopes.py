@@ -28,7 +28,6 @@ __all__ = [
     "mmoo_effective_bandwidth",
     "traffic_effective_bandwidth",
     "service_effective_capacity",
-    "traffic_peak_rate",
 ]
 
 
@@ -189,11 +188,6 @@ def service_effective_capacity(model: ServiceModel, theta: float) -> float:
     if isinstance(model, Leftover):
         return model.capacity - model.cross_count * _traffic_eb(model.cross, theta)
     raise TypeError(f"unsupported service model: {model!r}")
-
-
-def traffic_peak_rate(model: TrafficModel) -> float:
-    """Worst-case per-slot rate of a traffic model (the theta -> inf limit)."""
-    return _peak_and_burst(model)[0]
 
 
 def _peak_and_burst(model: TrafficModel) -> tuple:

@@ -1,17 +1,31 @@
-"""The README's library example runs, the names it lists exist, and its
-queueing table matches the presets."""
+"""The README's experiment commands and library example run, the names it
+lists exist, and its queueing table matches the presets."""
 
 import math
 import re
+import shlex
 from pathlib import Path
 
 import sncalc
+from sncalc import cli
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
 
 def _library_section() -> str:
     return README.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_experiment_commands_run(tmp_path, capsys):
+    # every `sncalc` line of the experiments' block, with its --out in tmp_path
+    block = README.split("\nThe paper's experiments, one command each", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("sncalc ")]
+    assert commands
+    for argv in commands:
+        out = argv.index("--out") + 1
+        argv[out] = str(tmp_path / argv[out])
+        assert cli.main(argv) == cli.EXIT_OK, (argv, capsys.readouterr().err)
+        assert Path(argv[out]).read_text(encoding="utf-8").startswith("scenario_id,")
 
 
 def test_library_example_runs(capsys):

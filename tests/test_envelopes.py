@@ -13,9 +13,8 @@ from sncalc import (
     mmoo_effective_bandwidth,
     service_effective_capacity,
     traffic_effective_bandwidth,
-    traffic_peak_rate,
 )
-from sncalc.envelopes import _cross_peak_and_burst, _cross_traffic, _on_off_flows
+from sncalc.envelopes import _cross_peak_and_burst, _cross_traffic, _on_off_flows, _peak_and_burst
 from helpers import mc_effective_bandwidth
 
 # voice-flow parameters in per-slot units (64 kbit/s peak, 0.4 s on / 0.6 s
@@ -107,7 +106,7 @@ class TestTrafficDispatch:
         nested = Aggregate(2, Aggregate(3, inner))
         assert traffic_effective_bandwidth(nested, 0.01) == \
             6 * traffic_effective_bandwidth(inner, 0.01)
-        assert traffic_peak_rate(nested) == 6 * 64.0
+        assert _peak_and_burst(nested)[0] == 6 * 64.0
 
     def test_rejects_bad_interval(self):
         # the envelopes do not depend on the interval length, so they take none
@@ -118,7 +117,7 @@ class TestTrafficDispatch:
 
     def test_peak_rate_helper(self):
         agg = Aggregate(3, MmooTraffic(VOICE))
-        assert traffic_peak_rate(agg) == pytest.approx(3 * 64.0)
+        assert _peak_and_burst(agg)[0] == pytest.approx(3 * 64.0)
 
 
 class TestServiceDispatch:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from sncalc import cli, simulator
+from sncalc import bounds, cli, simulator
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -62,24 +62,42 @@ def test_tracer_counts_each_replication_and_its_hops(tmp_path, capsys):
     assert metrics["scenario.parse_calls"] == 1
 
 
-def test_layer_bench_counts_every_layer_and_restores_it(tmp_path, capsys):
+def test_layer_bench_counts_every_layer_and_restores_it(tmp_path, capsys, monkeypatch):
     scenario = tmp_path / "tiny.yaml"
     scenario.write_text(SIM)
     bench = _load("bench_layers", BENCH_LAYERS)
     targets = [(owner, name) for pairs in bench.LAYERS.values() for owner, name in pairs]
     originals = [vars(owner)[name] for owner, name in targets]
-    timer = bench.LayerTimer()
-    with bench.wrapped(timer):  # looks up every target, so a name that is gone raises here
-        for command in ("bound", "validate"):
-            code = cli.main([command, "--scenario", str(scenario), "--jobs", "1"])
-            assert code == cli.EXIT_OK, capsys.readouterr().err
+    tracer = bench.tracing.Tracer("test")
+    evals = []
+
+    def run(command):
+        code = cli.main([command, "--scenario", str(scenario), "--jobs", "1"])
+        assert code == cli.EXIT_OK, capsys.readouterr().err
+
+    with bench.wrapped(tracer):  # looks up every target, so a name that is gone raises here
+        with monkeypatch.context() as patch:  # count the objective's calls directly
+            traced_search = bounds.minimize_over_theta
+
+            def counting_search(objective, config):
+                def counted(theta):
+                    evals.append(theta)
+                    return objective(theta)
+                return traced_search(counted, config)
+
+            patch.setattr(bounds, "minimize_over_theta", counting_search)
+            run("bound")
+        bound_calls = bench.fold(tracer.spans)[1]
+        run("validate")
     assert all(vars(owner)[name] is fn for (owner, name), fn in zip(targets, originals))
+    assert bound_calls["objective_evals"] == len(evals) > 0
+    calls = bench.fold(tracer.spans)[1]
     for name in ("objective_evals", "sources", "arrivals", "hop_step", "reductions", "replication"):
-        assert timer.calls[name] > 0, name
+        assert calls[name] > 0, name
     # one 3-hop replication draws the ingress and each hop's cross arrivals
-    assert timer.calls["replication"] == 3
-    assert timer.calls["sources"] == 3 * 4
-    assert timer.calls["other"] == 2
+    assert calls["replication"] == 3
+    assert calls["sources"] == 3 * 4
+    assert calls["other"] == 2
 
 
 def test_layer_bench_exits_when_an_output_fails_its_check(tmp_path, monkeypatch):
