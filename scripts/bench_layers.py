@@ -7,8 +7,8 @@ for imports and caches, then ``--repeats`` plain passes, each followed by
 one pass with these layers wrapped from outside the package by the
 benchmark's tracer, ``perfbench/tracing.py``:
 
-  envelopes    ``traffic_effective_bandwidth`` and ``service_effective_capacity``
-               as the bound engine calls them
+  envelopes    ``envelopes._PathEnvelopes.at``: alpha and each run's beta at one
+               theta, from envelopes compiled once per path shape
   path_eval    ``bounds._log_terms``: one path at one theta, less its envelopes
   search       ``bounds.minimize_over_theta``: the grid scan and golden section
                around the objective; ``objective_evals`` counts its calls
@@ -49,11 +49,11 @@ import checks  # noqa: E402
 import tracing  # noqa: E402
 import warm  # noqa: E402
 import workloads  # noqa: E402
-from sncalc import bounds, cli, simulator  # noqa: E402
+from sncalc import bounds, cli, envelopes, simulator  # noqa: E402
 
 # each layer and the (owner, name) of every function it wraps
 LAYERS = {
-    "envelopes": ((bounds, "traffic_effective_bandwidth"), (bounds, "service_effective_capacity")),
+    "envelopes": ((envelopes._PathEnvelopes, "at"),),
     "path_eval": ((bounds, "_log_terms"),),
     "search": ((bounds, "minimize_over_theta"),),
     "finish": ((bounds, "_finish"),),

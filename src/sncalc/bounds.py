@@ -22,11 +22,15 @@ theta.  So a homogeneous path's bound is exactly H times the single-hop
 bound, at one theta* for every H.  ``hop_sweep`` uses this for the hop
 sweeps: it searches theta once per path shape (the through model and each
 run of equal hops with its share count/H) and reuses theta* and v* for
-every hop count of that shape; a finite-horizon delay search stays per H.
+every hop count of that shape, at every horizon.  A finite-horizon delay
+needs H v <= horizon, which is v's own sublevel set {v <= horizon / H}; v
+being quasi-convex, the minimum over that set is the unconstrained v*
+whenever the set is not empty, so H v* is checked after the search.
 ``closed_form_*`` are thin wrappers that build the homogeneous
 leftover-service path and call this engine.  It dispatches on no model
-class: it reads alpha(theta), beta(theta), a model's peak rate and burst
-and a hop's cross peak and burst only through :mod:`.envelopes`.
+class: it reads alpha(theta) and beta(theta) through an
+:class:`.envelopes._PathEnvelopes` built once per shape, and a model's peak
+rate and burst and a hop's cross peak and burst through :mod:`.envelopes`.
 
 Conventions
 -----------
@@ -52,14 +56,16 @@ from itertools import groupby
 from typing import Callable, NamedTuple, Optional
 
 from ._record import Record, set_field
-from .envelopes import (
+from .envelopes import (  # noqa: F401 -- perfbench/tracing.py wraps both envelope names here
     Aggregate,
     ConstantRate,
     Leftover,
     MmooParams,
     MmooTraffic,
     TrafficModel,
+    _check_theta,
     _cross_peak_and_burst,
+    _PathEnvelopes,
     _peak_and_burst,
     service_effective_capacity,
     traffic_effective_bandwidth,
@@ -226,25 +232,21 @@ def _hop_runs(path: NetworkPath) -> tuple:
     return tuple((hop, len(list(run))) for hop, run in groupby(path.hops))
 
 
-def _log_terms(through: TrafficModel, runs: tuple, hop_count: int, horizon: float, theta: float) -> tuple:
-    """(L, alpha, betas, logs): the threshold-independent part of the tail at theta.
+def _log_terms(envelopes: _PathEnvelopes, shares: tuple, horizon: float, theta: float) -> tuple:
+    """(L, alpha, betas): the threshold-independent part of the tail at theta.
 
-    ``logs`` holds each run's standard log-sum over the horizon (+inf for a
-    divergent series), ``betas`` each run's effective capacity, and L is
-    their mean per hop, the log of the product of the H-th roots; a single
-    run (a homogeneous path) gives its log-sum exactly.  One capacity call
-    per run of equal hops (see :func:`_hop_runs`), however many hops the
-    path has.
+    ``envelopes`` gives alpha and each run's effective capacity, and L is
+    the mean per hop of each run's standard log-sum over the horizon (+inf
+    for a divergent series) weighted by its share count/H, the log of the
+    product of the H-th roots; a single run (a homogeneous path) gives its
+    log-sum exactly.  One log-sum per run of equal hops (see
+    :func:`_hop_runs`), however many hops the path has.
     """
-    alpha = traffic_effective_bandwidth(through, theta)
-    mean_log, betas, logs = 0.0, (), ()
-    for hop, count in runs:
-        beta = service_effective_capacity(hop, theta)
-        log = _log_run_sum(0.5 * theta * (alpha - beta), horizon)
-        mean_log += count / hop_count * log
-        betas += (beta,)
-        logs += (log,)
-    return mean_log, alpha, betas, logs
+    alpha, betas = envelopes.at(theta)
+    mean_log = 0.0
+    for share, beta in zip(shares, betas):
+        mean_log += share * _log_run_sum(0.5 * theta * (alpha - beta), horizon)
+    return mean_log, alpha, betas
 
 
 def _log_tail(terms: tuple, runs: tuple, hop_count: int, horizon: float,
@@ -257,7 +259,7 @@ def _log_tail(terms: tuple, runs: tuple, hop_count: int, horizon: float,
     standard series over the horizon - x slots left.  A divergent series
     gives 0, the trivial bound 1.
     """
-    mean_log, alpha, betas, logs = terms
+    mean_log, alpha, betas = terms
     if mean_log == math.inf:
         return 0.0
     if not delay:
@@ -267,8 +269,8 @@ def _log_tail(terms: tuple, runs: tuple, hop_count: int, horizon: float,
     last = -0.5 * theta * x * beta_last + _log_run_sum(0.5 * theta * (alpha - beta_last), tail_len)
     counts = [count for _, count in runs]
     counts[-1] -= 1  # the last hop's standard series is replaced by the shifted one
-    for count, log in zip(counts, logs):
-        last += count * log
+    for count, beta in zip(counts, betas):
+        last += count * _log_run_sum(0.5 * theta * (alpha - beta), horizon)
     return last / hop_count
 
 
@@ -313,8 +315,10 @@ def delay_violation_at_theta(path: NetworkPath, d: float, horizon: float, theta:
 
 
 def _violation_at_theta(path: NetworkPath, x: float, horizon: float, theta: float, delay: bool) -> float:
+    _check_theta(theta)
     runs = _hop_runs(path)
-    terms = _log_terms(path.through, runs, path.hop_count, horizon, theta)
+    envelopes = _PathEnvelopes(path.through, [hop for hop, _ in runs])
+    terms = _log_terms(envelopes, tuple(count / path.hop_count for _, count in runs), horizon, theta)
     return _safe_exp(_log_tail(terms, runs, path.hop_count, horizon, theta, x, delay))
 
 
@@ -362,8 +366,9 @@ def minimize_over_theta(objective: Callable[[float], float], config: ThetaSearch
     * theta w(theta) is positive and concave: theta for backlog and
       theta beta(theta) for delay.
     * So {v <= c} = {2 (L - ln eps) <= c theta w} is an interval for every
-      c >= 0, and the thetas with v = +inf (a divergent series, w <= 0, or
-      a delay H v beyond a finite horizon) lie outside one.
+      c >= 0, and the thetas with v = +inf (a divergent series or w <= 0)
+      lie outside one.  A finite-horizon delay's rule H v <= horizon is the
+      sublevel set for c = horizon / H, so it needs no search of its own.
     """
     grid = _log_grid(config.theta_min, config.theta_max, _GRID_POINTS)
     best_idx = len(grid) - 1
@@ -443,18 +448,18 @@ def peak_rate_stable(path: NetworkPath) -> bool:
 # inversion: bound value for a target violation probability
 # ---------------------------------------------------------------------------
 
-def _search(path: NetworkPath, epsilon: float, horizon: float,
+def _search(envelopes: _PathEnvelopes, shares: tuple, epsilon: float, horizon: float,
             config: ThetaSearchConfig, kind: str) -> ThetaSearchResult:
-    """theta*, one hop's share v* = v(theta*) and the boundary flag.
+    """theta*, one hop's share v* = v(theta*) and the boundary flag, of the
+    path shape that ``envelopes`` and ``shares`` describe.
 
     The per-hop share is minimized, so theta* does not depend on H for a
-    homogeneous path.  Raises :class:`StabilityError` when no theta is
-    admissible, or :class:`HorizonError` when only the finite horizon
-    rules the last ones out.
+    homogeneous path, and neither does v* at a finite horizon: the delay
+    rule H v <= horizon is left to the caller (see :func:`hop_sweep`).
+    Raises :class:`StabilityError` when no theta is admissible.
     """
-    through, runs, hop_count = path.through, _hop_runs(path), path.hop_count
+    _check_theta(config.theta_max)  # every theta searched lies in the window
     log_eps, delay = math.log(epsilon), kind == "delay"
-    saw_horizon_failure = False
 
     def objective(theta: float) -> float:
         """v(theta) = 2 (L - ln eps) / (theta w), one hop's share of the threshold.
@@ -462,33 +467,19 @@ def _search(path: NetworkPath, epsilon: float, horizon: float,
         w is 1 for backlog and the last hop's effective capacity for delay:
         the log tail L - theta w x / (2H) reaches ln eps at x = H v, and for
         delay this bounds the last hop by its full-horizon series.  +inf
-        marks an inadmissible theta: a divergent series, w <= 0, or a delay
-        beyond a finite horizon.
+        marks an inadmissible theta: a divergent series or w <= 0.
         """
-        nonlocal saw_horizon_failure
-        mean_log, _, betas, _ = _log_terms(through, runs, hop_count, horizon, theta)
+        mean_log, _, betas = _log_terms(envelopes, shares, horizon, theta)
         w = betas[-1] if delay else 1.0
         if w <= 0.0 or mean_log == math.inf:
             return math.inf
-        v = (2.0 / (theta * w)) * (mean_log - log_eps)
-        if delay and math.isfinite(v) and hop_count * v > horizon:
-            saw_horizon_failure = True
-            return math.inf
-        return v
+        return (2.0 / (theta * w)) * (mean_log - log_eps)
 
-    try:
-        return minimize_over_theta(objective, config)
-    except StabilityError:
-        if saw_horizon_failure:
-            raise HorizonError(
-                f"no delay threshold within the {horizon:g}-slot horizon reaches "
-                f"a violation bound of {epsilon:g}; increase the horizon"
-            ) from None
-        raise
+    return minimize_over_theta(objective, config)
 
 
-def _finish(path: NetworkPath, epsilon: float, horizon: float,
-            res: ThetaSearchResult, kind: str) -> BoundResult:
+def _finish(path: NetworkPath, envelopes: _PathEnvelopes, shares: tuple, epsilon: float,
+            horizon: float, res: ThetaSearchResult, kind: str) -> BoundResult:
     """The bound H v* of ``path`` from a theta search of its shape, with the
     diagnostics at theta* evaluated for this path's H."""
     runs, hop_count = _hop_runs(path), path.hop_count
@@ -496,8 +487,8 @@ def _finish(path: NetworkPath, epsilon: float, horizon: float,
     if (epsilon >= 1.0 and value > 0.0) or value < 0.0:
         # at epsilon = 1 the trivial bound P <= 1 already holds at threshold 0
         value, clamped = 0.0, True
-    terms = _log_terms(path.through, runs, hop_count, horizon, res.theta_star)
-    _, alpha, betas, _ = terms
+    terms = _log_terms(envelopes, shares, horizon, res.theta_star)
+    _, alpha, betas = terms
     log_violation = _log_tail(terms, runs, hop_count, horizon, res.theta_star, value, kind == "delay")
     margins = ()  # beta_i - alpha per hop, expanded only here
     for (_, count), beta in zip(runs, betas):
@@ -529,30 +520,40 @@ def hop_sweep(
     share count/H of the path; it also fixes the default theta window.
     Paths of one shape have bit-identical v(theta), since a single run's
     mean log-sum is 1.0 * log at every H, so they share theta* and v*, and
-    each result equals the per-path call.  A finite-horizon delay search
-    stays per hop count, because its admissibility rule H v <= horizon
-    depends on H.  A path without a bound gets its :class:`StabilityError`
-    or :class:`HorizonError` in place of a result.
+    each result equals the per-path call.  That holds at a finite horizon
+    too: a delay of H hops exists there iff H v* <= horizon, the sublevel
+    set {v <= horizon / H} of the quasi-convex v being empty otherwise, and
+    then its minimum is v* itself.  A path without a bound gets its
+    :class:`StabilityError` or :class:`HorizonError` in place of a result.
     """
     if kind not in ("backlog", "delay"):
         raise ValueError(f"kind must be 'backlog' or 'delay', got {kind!r}")
     _check_epsilon(epsilon)
     _check_horizon(horizon)
-    per_hop_count = kind == "delay" and not math.isinf(horizon)
     searches, results = {}, []
     for path in paths:
-        shape = (path.through, tuple((hop, count / path.hop_count) for hop, count in _hop_runs(path)))
-        if per_hop_count:
-            shape += (path.hop_count,)
-        res = searches.get(shape)
-        if res is None:
+        runs = _hop_runs(path)
+        hops, shares = tuple(hop for hop, _ in runs), tuple(count / path.hop_count for _, count in runs)
+        key = (path.through, hops, shares)
+        search = searches.get(key)
+        if search is None:
             try:
                 config = theta_search or default_theta_search(path)
-                res = _search(path, epsilon, horizon, config, kind)
-            except (StabilityError, HorizonError) as exc:
-                res = exc
-            searches[shape] = res
-        results.append(res if isinstance(res, Exception) else _finish(path, epsilon, horizon, res, kind))
+                envelopes = _PathEnvelopes(path.through, hops)
+                search = envelopes, _search(envelopes, shares, epsilon, horizon, config, kind)
+            except StabilityError as exc:
+                search = exc
+            searches[key] = search
+        if isinstance(search, Exception):
+            results.append(search)
+            continue
+        envelopes, res = search
+        if kind == "delay" and path.hop_count * res.value > horizon:
+            results.append(HorizonError(
+                f"no delay threshold within the {horizon:g}-slot horizon reaches "
+                f"a violation bound of {epsilon:g}; increase the horizon"))
+        else:
+            results.append(_finish(path, envelopes, shares, epsilon, horizon, res, kind))
     return results
 
 
@@ -585,9 +586,10 @@ def delay_bound(
 
     d is in real-valued slots at every horizon.  A finite horizon bounds
     the last hop's series by its full-horizon sum (an upper bound on the
-    horizon - d terms it runs over), and a theta whose d exceeds the
-    horizon is inadmissible; :class:`HorizonError` is raised when that
-    leaves no theta.
+    horizon - d terms it runs over).  d = H v* for the unconstrained
+    minimum v* of one hop's share; :class:`HorizonError` is raised when
+    that exceeds the horizon, as v is quasi-convex and then no theta gives
+    a d within it.
     """
     return _one_path(path, "delay", epsilon, horizon, theta_search)
 

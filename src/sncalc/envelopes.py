@@ -7,6 +7,7 @@ function of frozen model values and is safe to call from any thread.
 The one module that dispatches on the model kinds, and so the one a new kind
 is taught to: the bound engine reads alpha, beta, peak rates, bursts and cross
 loads, and the simulator the on-off flows of a path, only through its functions.
+alpha and beta come from :class:`_PathEnvelopes`, which dispatches once per path.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def mmoo_effective_bandwidth(params: MmooParams, theta: float) -> float:
     return _mmoo_eb(params, theta)
 
 
-# The public functions check theta once; the recursion runs unchecked.
+# The public functions check theta; _PathEnvelopes.at runs unchecked.
 def _mmoo_eb(params: MmooParams, theta: float) -> float:
     # (b + root) / (2 theta): the largest eigenvalue of the on-off
     # generator tilted by theta times the rate, over theta.  The sum loses
@@ -167,26 +168,68 @@ def traffic_effective_bandwidth(model: TrafficModel, theta: float) -> float:
     takes none.
     """
     _check_theta(theta)
-    return _traffic_eb(model, theta)
-
-
-def _traffic_eb(model: TrafficModel, theta: float) -> float:
-    if isinstance(model, ConstantRate):
-        return model.rate
-    if isinstance(model, MmooTraffic):
-        return _mmoo_eb(model.params, theta)
-    if isinstance(model, Aggregate):
-        return model.count * _traffic_eb(model.inner, theta)
-    raise TypeError(f"unsupported traffic model: {model!r}")
+    return _PathEnvelopes(model, ()).at(theta)[0]
 
 
 def service_effective_capacity(model: ServiceModel, theta: float) -> float:
     """Effective capacity beta(theta) of a service model, bits per slot."""
     _check_theta(theta)
+    return _PathEnvelopes(ConstantRate(0.0), (model,)).at(theta)[1][0]
+
+
+class _PathEnvelopes:
+    """alpha(theta) of a through model and beta(theta) of each of some hops,
+    dispatched on the model kinds once, when built: ``at`` evaluates each
+    distinct on-off source once per theta, shared by the through and cross
+    traffic, then does float arithmetic only, in the definitions' order."""
+
+    __slots__ = ("_sources", "_through", "_hops")
+
+    def __init__(self, through: TrafficModel, hops):
+        sources = {}  # each distinct MmooParams -> its index
+        self._through = _rate_term(through, sources)
+        self._hops = tuple(_capacity_term(hop, sources) for hop in hops)
+        self._sources = tuple(sources)
+
+    def at(self, theta: float) -> tuple:
+        """(alpha, [beta per hop]) at a theta the caller has checked."""
+        ebs = []
+        for params in self._sources:
+            ebs.append(_mmoo_eb(params, theta))
+        index, alpha, counts = self._through
+        if index is not None:
+            alpha = ebs[index]
+        for count in counts:
+            alpha = count * alpha
+        betas = []
+        for capacity, cross_count, index, rate, counts in self._hops:
+            if index is not None:
+                rate = ebs[index]
+            for count in counts:
+                rate = count * rate
+            betas.append(capacity if rate is None else capacity - cross_count * rate)
+        return alpha, betas
+
+
+def _rate_term(model: TrafficModel, sources: dict) -> tuple:
+    """(on-off source index or None, constant rate or None, counts innermost
+    first): the rate is the leaf's, times each count in turn."""
+    if isinstance(model, ConstantRate):
+        return None, model.rate, ()
+    if isinstance(model, MmooTraffic):
+        return sources.setdefault(model.params, len(sources)), None, ()
+    if isinstance(model, Aggregate):
+        index, rate, counts = _rate_term(model.inner, sources)
+        return index, rate, counts + (model.count,)
+    raise TypeError(f"unsupported traffic model: {model!r}")
+
+
+def _capacity_term(model: ServiceModel, sources: dict) -> tuple:
+    """(capacity, cross count, *cross rate term); no rate for a constant server."""
     if isinstance(model, ConstantServer):
-        return model.capacity
+        return model.capacity, 0, None, None, ()
     if isinstance(model, Leftover):
-        return model.capacity - model.cross_count * _traffic_eb(model.cross, theta)
+        return (model.capacity, model.cross_count, *_rate_term(model.cross, sources))
     raise TypeError(f"unsupported service model: {model!r}")
 
 

@@ -357,12 +357,13 @@ class TestBacklogBound:
         assert pinned.clamped
 
     def test_per_theta_threshold_never_negative(self):
-        from sncalc.bounds import _hop_runs, _log_terms
+        from sncalc.bounds import _log_terms
+        from sncalc.envelopes import _PathEnvelopes
         # the inner series starts at 1, so the mean log-sum L is >= 0 and
         # even eps = 1 keeps the threshold share v = 2 (L - ln eps) / theta >= 0
         p = unit_path()
         for theta in (0.3, 1.0, 4.0):
-            assert _log_terms(p.through, _hop_runs(p), 1, INF, theta)[0] >= 0.0
+            assert _log_terms(_PathEnvelopes(p.through, p.hops), (1.0,), INF, theta)[0] >= 0.0
 
     def test_unstable_path_raises(self):
         p = NetworkPath(ConstantRate(5.0), (ConstantServer(4.0),))
@@ -575,35 +576,56 @@ class TestQueries:
         res = delay_bound(path, 1e-9, 10**4)
         assert delay_violation_at_theta(path, res.value, 10**4, res.theta_star) <= 1e-9 * (1 + 1e-9)
 
-    def test_objective_cost_is_hop_count_independent(self, monkeypatch):
-        # each theta evaluates every run of equal hops once, so a
-        # homogeneous path costs the same per theta at any hop count
+    @staticmethod
+    def _per_objective_call(monkeypatch, count, path):
+        """The set of ``count()`` increments over each objective call of a
+        delay search of ``path`` at a horizon of 10**4 slots."""
         import sncalc.bounds as bounds
-        calls = [0]
-        real_capacity, real_search = bounds.service_effective_capacity, bounds.minimize_over_theta
-
-        def capacity(*args):
-            calls[0] += 1
-            return real_capacity(*args)
+        real_search, seen = bounds.minimize_over_theta, set()
 
         def search(objective, config):
             def counted(theta):
-                before = calls[0]
+                before = count()
                 value = objective(theta)
-                per_eval.add(calls[0] - before)
+                seen.add(count() - before)
                 return value
             return real_search(counted, config)
 
-        monkeypatch.setattr(bounds, "service_effective_capacity", capacity)
         monkeypatch.setattr(bounds, "minimize_over_theta", search)
+        delay_bound(path, 1e-9, 10**4)
+        return seen
+
+    def test_objective_cost_is_hop_count_independent(self, monkeypatch):
+        # each theta evaluates every run of equal hops once, so a
+        # homogeneous path gets one beta per theta at any hop count
+        from sncalc.envelopes import _PathEnvelopes
+        betas, real_at = [0], _PathEnvelopes.at
+
+        def at(self, theta):
+            alpha, run_betas = real_at(self, theta)
+            betas[0] += len(run_betas)
+            return alpha, run_betas
+
+        monkeypatch.setattr(_PathEnvelopes, "at", at)
         src = MmooTraffic(VOICE)
-        seen = {}
         for hops in (1, 21):
-            per_eval = set()
             path = NetworkPath(Aggregate(781, src), (Leftover(100_000.0, 1953, src),) * hops)
-            delay_bound(path, 1e-9, 10**4)
-            seen[hops] = per_eval
-        assert seen[1] == seen[21] == {1}
+            assert self._per_objective_call(monkeypatch, lambda: betas[0], path) == {1}
+
+    def test_through_and_cross_share_one_on_off_envelope(self, monkeypatch):
+        # the through and cross flows of a voice path are one on-off source,
+        # so each objective call evaluates its envelope once, not once each
+        import sncalc.envelopes as envelopes
+        calls, real_eb = [0], envelopes._mmoo_eb
+
+        def eb(params, theta):
+            calls[0] += 1
+            return real_eb(params, theta)
+
+        monkeypatch.setattr(envelopes, "_mmoo_eb", eb)
+        src = MmooTraffic(VOICE)
+        path = NetworkPath(Aggregate(781, src), (Leftover(100_000.0, 1953, src),) * 3)
+        assert self._per_objective_call(monkeypatch, lambda: calls[0], path) == {1}
 
     def test_paths_accept_list_hops(self):
         p = NetworkPath(ConstantRate(1.0), [ConstantServer(2.0), ConstantServer(3.0)])
@@ -755,13 +777,38 @@ def test_hop_sweep_searches_once_per_shape(monkeypatch):
     src = MmooTraffic(VOICE)
     hop = Leftover(100_000.0, 1953, src)
     paths = [NetworkPath(Aggregate(781, src), (hop,) * h) for h in (1, 5, 2, 5, 21)]
-    for kind, horizon, expected in [("backlog", INF, 1), ("delay", INF, 1),
-                                    ("backlog", 10**4, 1), ("delay", 10**4, 4)]:
+    # one search at every horizon: a finite-horizon delay checks H v* <= horizon after it
+    for kind, horizon in [("backlog", INF), ("delay", INF), ("backlog", 10**4), ("delay", 10**4)]:
         searches.clear()
         hop_sweep(paths, kind, 1e-9, horizon)
-        assert len(searches) == expected, (kind, horizon)
+        assert len(searches) == 1, (kind, horizon)
     with pytest.raises(ValueError):
         hop_sweep(paths, "throughput", 1e-9)
+
+
+@given(name=st.sampled_from(["desk-validation", "voice-fig3"]), hops=st.integers(1, 12),
+       horizon=st.integers(10, 10**5), log_eps=st.floats(-12.0, -1.0))
+@settings(max_examples=200, deadline=None)
+def test_finite_horizon_delay_is_hop_count_times_the_share(name, hops, horizon, log_eps):
+    # v is quasi-convex and the rule H v <= horizon is its sublevel set
+    # {v <= horizon / H}, so an H-hop delay exists iff H v* <= horizon, and
+    # is then H v*, bit for bit, at the one-hop theta*
+    import sncalc.bounds as bounds
+    from sncalc.envelopes import _PathEnvelopes
+    from sncalc.scenario import parse_scenario_file, resolve_scenario_path
+    sc = parse_scenario_file(resolve_scenario_path(name))
+    n, m, eps = sc.traffic.through_flows, sc.traffic.cross_flows, 10.0 ** log_eps
+    one, path = sc.build_path(1, n, m), sc.build_path(hops, n, m)
+    share = bounds._search(_PathEnvelopes(one.through, one.hops), (1.0,), eps, horizon,
+                           default_theta_search(one), "delay")
+    if hops * share.value > horizon:
+        with pytest.raises(HorizonError):
+            delay_bound(path, eps, horizon)
+        return
+    res = delay_bound(path, eps, horizon)
+    assert (res.value, res.theta_star) == (hops * share.value, share.theta_star)
+    assert res.value == hops * delay_bound(one, eps, horizon).value
+    assert delay_violation_at_theta(path, res.value, horizon, res.theta_star) <= eps * (1 + 1e-9)
 
 
 @st.composite
@@ -797,8 +844,8 @@ def scan_paths(draw):
     return [NetworkPath(through, hops * k) for k in hop_counts], draw(st.floats(min_value=1e-12, max_value=1.0))
 
 
-# a finite horizon down to one slot: a short one rules out the small thetas
-# of a delay search, where H v(theta) exceeds it
+# a finite horizon down to one slot: the log-sums are then finite geometric
+# sums, which stay finite where the infinite ones diverge
 @pytest.mark.parametrize("kind", ["backlog", "delay"])
 @pytest.mark.parametrize("horizons", [st.just(INF), st.integers(min_value=1, max_value=10**6)],
                          ids=["infinite", "finite"])

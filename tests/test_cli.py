@@ -114,6 +114,19 @@ class TestBoundCommand:
         assert parse_rows(out)[0]["bound_value"] == "inf"
         assert "no admissible theta" in err
 
+    def test_finite_horizon_delay_admissible_between_grid_points(self, capsys, tmp_path):
+        # at a 3000-slot horizon the H = 2 desk delay, 2997.6 slots, holds
+        # only on a theta interval between two of the search's grid points;
+        # one search per shape, then H v* <= horizon, finds it
+        f = tmp_path / "desk-3000.yaml"
+        f.write_text(resolve_scenario_path("desk-validation").read_text()
+                     .replace("  horizon: inf\n", "  horizon: 3000\n"))
+        assert "  horizon: 3000\n" in f.read_text()
+        code, out, err = run_cli(capsys, "bound", "--scenario", str(f))
+        assert code == EXIT_OK, err
+        delay = {r["H"]: float(r["bound_value"]) for r in parse_rows(out) if r["kind"] == "delay"}
+        assert delay["2"] == 2 * delay["1"]
+
     def test_epsilon_one_gives_zero_delay(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "--scenario", "voice-fig3",
                                "--hops", "1", "--epsilon", "1.0")
@@ -168,9 +181,9 @@ class TestSweepHops:
 
     @pytest.mark.parametrize("argv, searches, row_count", [
         (("sweep-hops", "--scenario", "voice-fig3"), 1, 21),
-        # one backlog search shared by the 4 hop counts; a finite-horizon
-        # delay search stays per hop count
-        (("bound", "--scenario", str(FINITE_HORIZON)), 5, 8),
+        # one backlog and one delay search shared by the 4 hop counts: a
+        # finite-horizon delay checks H v* <= horizon after its search
+        (("bound", "--scenario", str(FINITE_HORIZON)), 2, 8),
     ])
     def test_one_theta_search_per_path_shape(self, capsys, monkeypatch, argv, searches, row_count):
         import sncalc.bounds as bounds

@@ -248,3 +248,47 @@ def test_leftover_nonincreasing_in_theta(params, cross_count):
     values = [service_effective_capacity(model, th) for th in thetas]
     for a, b in zip(values, values[1:]):
         assert b <= a + 1e-9 * abs(a)
+
+
+def _reference_alpha(model, theta):
+    """alpha(theta) by its per-model definition, a recursion over the kinds."""
+    if isinstance(model, ConstantRate):
+        return model.rate
+    if isinstance(model, MmooTraffic):
+        return mmoo_effective_bandwidth(model.params, theta)
+    return model.count * _reference_alpha(model.inner, theta)
+
+
+def _reference_beta(hop, theta):
+    if isinstance(hop, ConstantServer):
+        return hop.capacity
+    return hop.capacity - hop.cross_count * _reference_alpha(hop.cross, theta)
+
+
+_SOURCES = (VOICE, MmooParams(peak_rate=3.0, r_on_off=0.5, r_off_on=0.25))
+
+
+@st.composite
+def _traffic(draw):
+    """An on-off source of two, shared or not, or a constant rate, in 0-3 nested aggregates."""
+    model = draw(st.one_of(st.sampled_from(_SOURCES).map(MmooTraffic),
+                           st.sampled_from([0.0, 1.5, 2]).map(ConstantRate)))
+    for count in draw(st.lists(st.integers(1, 3000), max_size=3)):
+        model = Aggregate(count, model)
+    return model
+
+
+_hops = st.one_of(st.builds(ConstantServer, st.sampled_from([7.0, 1e5, 3])),
+                  st.builds(Leftover, st.sampled_from([7.0, 1e5, 3]), st.integers(0, 3000), _traffic()))
+
+
+@given(_traffic(), st.lists(_hops, min_size=1, max_size=4), st.floats(min_value=1e-9, max_value=5.0))
+@settings(max_examples=300, deadline=None)
+def test_path_envelopes_match_the_per_model_definitions(through, hops, theta):
+    # one evaluation of each distinct source per theta, then the
+    # definitions' operations in their order: the same bits and types
+    from sncalc.envelopes import _PathEnvelopes
+    expected = (_reference_alpha(through, theta), [_reference_beta(hop, theta) for hop in hops])
+    assert repr(_PathEnvelopes(through, hops).at(theta)) == repr(expected)
+    assert repr(traffic_effective_bandwidth(through, theta)) == repr(expected[0])
+    assert [repr(service_effective_capacity(hop, theta)) for hop in hops] == [repr(b) for b in expected[1]]

@@ -91,8 +91,11 @@ def test_layer_bench_counts_every_layer_and_restores_it(tmp_path, capsys, monkey
         run("validate")
     assert all(vars(owner)[name] is fn for (owner, name), fn in zip(targets, originals))
     assert bound_calls["objective_evals"] == len(evals) > 0
+    # each path evaluation reads the envelopes once, compiled once per shape
+    assert bound_calls["envelopes"] == bound_calls["path_eval"]
     calls = bench.fold(tracer.spans)[1]
-    for name in ("objective_evals", "sources", "arrivals", "hop_step", "reductions", "replication"):
+    for name in ("envelopes", "path_eval", "objective_evals", "sources", "arrivals", "hop_step",
+                 "reductions", "replication"):
         assert calls[name] > 0, name
     # one 3-hop replication draws the ingress and each hop's cross arrivals
     assert calls["replication"] == 3
