@@ -8,7 +8,7 @@ one pass with these layers wrapped from outside the package by the
 benchmark's tracer, ``perfbench/tracing.py``:
 
   envelopes    ``envelopes._PathEnvelopes.at``: alpha and each run's beta at one
-               theta, from envelopes compiled once per path shape
+               theta, from envelopes compiled once per theta search
   path_eval    ``bounds._log_terms``: one path at one theta, less its envelopes
   search       ``bounds.minimize_over_theta``: the grid scan and golden section
                around the objective; ``objective_evals`` counts its calls

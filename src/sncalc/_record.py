@@ -18,12 +18,16 @@ set_field = object.__setattr__
 _UNSET = object()
 
 
-def integer_field(record, name: str, least: int, problem: str) -> None:
-    """Store field ``name`` as an int: an int or numpy integer, not a bool, of at least ``least``."""
-    value = getattr(record, name)
+def integer(value, least: int, problem: str) -> int:
+    """``value`` as an int: an int or numpy integer, not a bool, of at least ``least``."""
     if isinstance(value, bool) or not hasattr(value, "__index__") or index(value) < least:
         raise ValueError(f"{problem}, got {value!r}")
-    set_field(record, name, index(value))
+    return index(value)
+
+
+def integer_field(record, name: str, least: int, problem: str) -> None:
+    """Store field ``name`` as an int by :func:`integer`'s rule."""
+    set_field(record, name, integer(getattr(record, name), least, problem))
 
 
 class Record:

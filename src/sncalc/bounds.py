@@ -20,16 +20,17 @@ them.  Inverting for epsilon, the threshold at each theta has the closed
 form H * v(theta), where v is one hop's share, and v is minimized over
 theta.  So a homogeneous path's bound is exactly H times the single-hop
 bound, at one theta* for every H.  ``hop_sweep`` uses this for the hop
-sweeps: it searches theta once per path shape (the through model and each
-run of equal hops with its share count/H) and reuses theta* and v* for
-every hop count of that shape, at every horizon.  A finite-horizon delay
-needs H v <= horizon, which is v's own sublevel set {v <= horizon / H}; v
-being quasi-convex, the minimum over that set is the unconstrained v*
-whenever the set is not empty, so H v* is checked after the search.
-``closed_form_*`` are thin wrappers that build the homogeneous
+sweeps: it takes one path and repeat counts r, searches theta once, and
+gives for each r the bound r H v* of the path with every hop repeated r
+times.  Repeating every hop leaves each run's share count/H unchanged, bit
+for bit, so all the repeats share theta* and v*, at every horizon.  A
+finite-horizon delay needs H v <= horizon, which is v's own sublevel set
+{v <= horizon / H}; v being quasi-convex, the minimum over that set is the
+unconstrained v* whenever the set is not empty, so r H v* is checked after
+the search.  ``closed_form_*`` are thin wrappers that build the homogeneous
 leftover-service path and call this engine.  It dispatches on no model
 class: it reads alpha(theta) and beta(theta) through an
-:class:`.envelopes._PathEnvelopes` built once per shape, and a model's peak
+:class:`.envelopes._PathEnvelopes` built once per search, and a model's peak
 rate and burst and a hop's cross peak and burst through :mod:`.envelopes`.
 
 Conventions
@@ -55,7 +56,7 @@ import math
 from itertools import groupby
 from typing import Callable, NamedTuple, Optional
 
-from ._record import Record, set_field
+from ._record import Record, integer, set_field
 from .envelopes import (  # noqa: F401 -- perfbench/tracing.py wraps both envelope names here
     Aggregate,
     ConstantRate,
@@ -478,11 +479,11 @@ def _search(envelopes: _PathEnvelopes, shares: tuple, epsilon: float, horizon: f
     return minimize_over_theta(objective, config)
 
 
-def _finish(path: NetworkPath, envelopes: _PathEnvelopes, shares: tuple, epsilon: float,
+def _finish(runs: tuple, hop_count: int, envelopes: _PathEnvelopes, shares: tuple, epsilon: float,
             horizon: float, res: ThetaSearchResult, kind: str) -> BoundResult:
-    """The bound H v* of ``path`` from a theta search of its shape, with the
-    diagnostics at theta* evaluated for this path's H."""
-    runs, hop_count = _hop_runs(path), path.hop_count
+    """The bound H v* of the path of ``runs`` ((hop, count) per run of equal
+    hops, :func:`_hop_runs`) and ``hop_count`` H hops, from a theta search of
+    its shares, with the diagnostics at theta* evaluated for this H."""
     value, clamped = hop_count * res.value + 0.0, False  # normalize -0.0
     if (epsilon >= 1.0 and value > 0.0) or value < 0.0:
         # at epsilon = 1 the trivial bound P <= 1 already holds at threshold 0
@@ -507,60 +508,58 @@ def _finish(path: NetworkPath, envelopes: _PathEnvelopes, shares: tuple, epsilon
 
 
 def hop_sweep(
-    paths,
+    path: NetworkPath,
+    repeats,
     kind: str,
     epsilon: float,
     horizon: float = INFINITE_HORIZON,
     theta_search: Optional[ThetaSearchConfig] = None,
 ) -> list:
-    """:func:`backlog_bound` or :func:`delay_bound` (``kind``) of each path,
-    with one theta search per path shape.
+    """For each r of ``repeats``, :func:`backlog_bound` or :func:`delay_bound`
+    (``kind``) of ``path`` with every hop replaced by r consecutive copies of
+    itself, from one theta search.
 
-    The shape is the through model and each run of equal hops with its
-    share count/H of the path; it also fixes the default theta window.
-    Paths of one shape have bit-identical v(theta), since a single run's
-    mean log-sum is 1.0 * log at every H, so they share theta* and v*, and
-    each result equals the per-path call.  That holds at a finite horizon
-    too: a delay of H hops exists there iff H v* <= horizon, the sublevel
-    set {v <= horizon / H} of the quasi-convex v being empty otherwise, and
-    then its minimum is v* itself.  A path without a bound gets its
-    :class:`StabilityError` or :class:`HorizonError` in place of a result.
+    Each repeat is an int (or numpy integer, not a bool) of at least 1, else
+    ``ValueError``.  Repeating every hop r times multiplies each run's count
+    and H by r, so each run's share count/H is bit-identical and so is
+    v(theta): every repeat shares theta* and v*, the default theta window
+    too, and each result equals the per-path call.  That holds at a finite
+    horizon too: a delay of r H hops exists there iff r H v* <= horizon, the
+    sublevel set {v <= horizon / (r H)} of the quasi-convex v being empty
+    otherwise, and then its minimum is v* itself.  A repeat without a bound
+    gets a :class:`HorizonError` in place of a result, and every repeat gets
+    the :class:`StabilityError` of a search without an admissible theta.
     """
     if kind not in ("backlog", "delay"):
         raise ValueError(f"kind must be 'backlog' or 'delay', got {kind!r}")
     _check_epsilon(epsilon)
     _check_horizon(horizon)
-    searches, results = {}, []
-    for path in paths:
-        runs = _hop_runs(path)
-        hops, shares = tuple(hop for hop, _ in runs), tuple(count / path.hop_count for _, count in runs)
-        key = (path.through, hops, shares)
-        search = searches.get(key)
-        if search is None:
-            try:
-                config = theta_search or default_theta_search(path)
-                envelopes = _PathEnvelopes(path.through, hops)
-                search = envelopes, _search(envelopes, shares, epsilon, horizon, config, kind)
-            except StabilityError as exc:
-                search = exc
-            searches[key] = search
-        if isinstance(search, Exception):
-            results.append(search)
-            continue
-        envelopes, res = search
-        if kind == "delay" and path.hop_count * res.value > horizon:
+    repeats = [integer(r, 1, "each repeat must be an int >= 1") for r in repeats]
+    runs = _hop_runs(path)
+    shares = tuple(count / path.hop_count for _, count in runs)
+    config = theta_search or default_theta_search(path)
+    envelopes = _PathEnvelopes(path.through, [hop for hop, _ in runs])
+    try:
+        res = _search(envelopes, shares, epsilon, horizon, config, kind)
+    except StabilityError as exc:
+        return [exc] * len(repeats)
+    results = []
+    for r in repeats:
+        hop_count = r * path.hop_count
+        if kind == "delay" and hop_count * res.value > horizon:
             results.append(HorizonError(
                 f"no delay threshold within the {horizon:g}-slot horizon reaches "
                 f"a violation bound of {epsilon:g}; increase the horizon"))
         else:
-            results.append(_finish(path, envelopes, shares, epsilon, horizon, res, kind))
+            repeated = tuple((hop, count * r) for hop, count in runs)
+            results.append(_finish(repeated, hop_count, envelopes, shares, epsilon, horizon, res, kind))
     return results
 
 
 def _one_path(path: NetworkPath, kind: str, epsilon: float, horizon: float,
               theta_search: Optional[ThetaSearchConfig]) -> BoundResult:
     """:func:`hop_sweep` of one path, raising the error it returns in place of a result."""
-    (result,) = hop_sweep([path], kind, epsilon, horizon, theta_search)
+    (result,) = hop_sweep(path, (1,), kind, epsilon, horizon, theta_search)
     if isinstance(result, Exception):
         raise result
     return result

@@ -37,7 +37,7 @@ import math
 import sys
 from functools import cache, partial
 
-from .bounds import NetworkPath, StabilityError, hop_sweep, peak_rate_stable
+from .bounds import StabilityError, hop_sweep, peak_rate_stable
 # not called here: perfbench/tracing.py patches these names on this module
 from .bounds import backlog_bound, closed_form_backlog, closed_form_delay, delay_bound  # noqa: F401
 from .scenario import (
@@ -136,14 +136,14 @@ def _bound_rows(sc: Scenario, flow_points) -> tuple:
     """One row per (H, (N, M), kind, epsilon), in that nesting order.
 
     Each (N, M) gets one theta window and one :func:`hop_sweep` per kind
-    and epsilon, over every hop count, so paths of one shape share a theta
-    search.  A bound that does not exist (a :class:`StabilityError` or
-    :class:`HorizonError` in place of a result) becomes a flagged row
-    (``stable=false``, ``bound_value=inf``, no ``theta_star``) and its
-    message goes to stderr.  A theta* at an edge of its window is warned
-    about; at the upper edge the warning says when the path is peak-rate
-    stable (:func:`peak_rate_stable`).  Returns the rows and whether any was
-    flagged.
+    and epsilon of its one-hop path, repeated to every hop count, so every
+    hop count shares one theta search.  A bound that does not exist (a
+    :class:`StabilityError` or :class:`HorizonError` in place of a result)
+    becomes a flagged row (``stable=false``, ``bound_value=inf``, no
+    ``theta_star``) and its message goes to stderr.  A theta* at an edge of
+    its window is warned about; at the upper edge the warning says when the
+    path is peak-rate stable (:func:`peak_rate_stable`).  Returns the rows
+    and whether any was flagged.
     """
     if sc.bound is None:
         raise _UsageError("scenario has no bound block and no --epsilon override given")
@@ -153,10 +153,9 @@ def _bound_rows(sc: Scenario, flow_points) -> tuple:
         for n, m in flow_points:
             if (n, m) not in sweeps:  # at the first H, in the order rows are written
                 one = sc.build_path(1, n, m)
-                paths = [NetworkPath(one.through, one.hops * hop_count) for hop_count in hops]
-                search = sc.build_theta_search(paths[0])
+                search = sc.build_theta_search(one)
                 sweeps[n, m] = search, peak_rate_stable(one), {
-                    (kind, eps): hop_sweep(paths, kind, eps, sc.bound.horizon, search)
+                    (kind, eps): hop_sweep(one, hops, kind, eps, sc.bound.horizon, search)
                     for kind in kinds for eps in epsilons}
             search, peak_stable, results = sweeps[n, m]
             for kind in kinds:

@@ -3,7 +3,9 @@
 Scenario documents are YAML trees with four fixed blocks (``units``,
 ``traffic``, ``network`` and the optional ``bound`` / ``sim`` blocks) plus a
 top-level ``id``.  User-facing quantities are expressed in seconds and in the
-declared rate unit; everything is converted to bits and slots on parse.
+declared rate unit, and the blocks keep them so; ``Scenario.mmoo_per_slot``
+and ``capacity_bits_per_slot`` convert them to bits and slots when a path or
+a simulation is built.
 One table, ``_BLOCKS``, gives each key its rule: the parser reads every block
 from it, and ``Scenario.with_flags`` checks each override flag by its field's
 rule, so both reject a value in the same words.  Unknown and repeated keys
@@ -488,12 +490,7 @@ class ResultRow(Record):
                 return "true" if v else "false"
             return repr(v) if isinstance(v, float) else str(v)
 
-        return [
-            self.scenario_id, self.kind, str(self.hops), str(self.through_flows),
-            str(self.cross_flows), fmt(self.epsilon), fmt(self.theta_star),
-            fmt(self.bound_value), self.bound_unit, fmt(self.stable),
-            fmt(self.empirical_frequency), fmt(self.confidence_limit),
-        ]
+        return [fmt(v) for v in self._values(self)]
 
 
 def write_results_csv(rows) -> str:

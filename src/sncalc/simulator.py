@@ -135,19 +135,17 @@ class HopTrace(Record, eq=False):
 class ReplicationTrace(Record, eq=False):
     """One replication's curves and samples.
 
-    ingress           cumulative through arrivals at hop 1; None unless the hops are kept
-    egress            cumulative through departures from hop H; None unless the hops are kept
     delay_samples     int slots, one per measured slot; None when reduced
     backlog_samples   int bits, one per measured slot; None when reduced
     hops              HopTrace per hop when requested, else ()
     reduced           hop count -> result of its reduction
     """
 
-    __slots__ = ("ingress", "egress", "delay_samples", "backlog_samples", "hops", "reduced")
+    __slots__ = ("delay_samples", "backlog_samples", "hops", "reduced")
 
 
 class SimResult(Record, eq=False):
-    __slots__ = ("delay_samples", "backlog_samples", "replication_seeds", "measured_slots")
+    __slots__ = ("delay_samples", "backlog_samples")
 
 
 # ---------------------------------------------------------------------------
@@ -803,7 +801,8 @@ def simulate_replication(scenario: SimScenario, replication: int, keep_hops: boo
     samples.  Without ``reduce`` the trace holds the samples of all
     ``scenario.hops`` hops.  Only closed forms, chunk-sized scratch and what
     the reductions keep live over the whole run; ``keep_hops`` adds each
-    hop's curves, and the ingress and egress with them.
+    hop's curves: the ingress is ``hops[0].arrivals_through`` and the egress
+    ``hops[-1].departures_through``.
     """
     path, key = scenario.path, (scenario.base_seed, replication)
     warmup = scenario.resolved_warmup()
@@ -819,8 +818,6 @@ def simulate_replication(scenario: SimScenario, replication: int, keep_hops: boo
     delays, backlogs = reduced.pop(scenario.hops) if samples else (None, None)
     hop_traces = tuple(hop.trace() for hop in hops) if keep_hops else ()
     return ReplicationTrace(
-        ingress=hop_traces[0].arrivals_through if keep_hops else None,
-        egress=hop_traces[-1].departures_through if keep_hops else None,
         delay_samples=delays,
         backlog_samples=backlogs,
         hops=hop_traces,
@@ -941,13 +938,7 @@ def simulate_tandem(scenario: SimScenario, jobs: int = 1) -> SimResult:
     # filled one replication at a time, so no second copy of the samples is held
     for r, reduced in enumerate(reduce_replications(scenario, {h: Samples}, jobs)):
         delays[r * k:(r + 1) * k], backlogs[r * k:(r + 1) * k] = reduced[h]
-    seeds = tuple((scenario.base_seed, r) for r in range(n))
-    return SimResult(
-        delay_samples=delays,
-        backlog_samples=backlogs,
-        replication_seeds=seeds,
-        measured_slots=n * k,
-    )
+    return SimResult(delay_samples=delays, backlog_samples=backlogs)
 
 
 # ---------------------------------------------------------------------------

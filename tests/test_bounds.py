@@ -708,13 +708,18 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def _assert_sweep_matches_per_path(paths, kind, eps, horizon, search):
+def _repeated(path, r):
+    """``path`` with every hop replaced by ``r`` consecutive copies of itself."""
+    return NetworkPath(path.through, tuple(hop for hop in path.hops for _ in range(r)))
+
+
+def _assert_sweep_matches_per_path(path, repeats, kind, eps, horizon, search):
     bound = backlog_bound if kind == "backlog" else delay_bound
-    swept = hop_sweep(paths, kind, eps, horizon, search)
-    assert len(swept) == len(paths)
-    for path, result in zip(paths, swept):
+    swept = hop_sweep(path, repeats, kind, eps, horizon, search)
+    assert len(swept) == len(repeats)
+    for r, result in zip(repeats, swept):
         got = (type(result), str(result)) if isinstance(result, Exception) else repr(result)
-        assert got == _outcome(bound, path, eps, horizon, search)
+        assert got == _outcome(bound, _repeated(path, r), eps, horizon, search)
 
 
 @st.composite
@@ -725,41 +730,38 @@ def homogeneous_sweeps(draw):
     n = draw(st.integers(min_value=1, max_value=400))
     m = draw(st.integers(min_value=0, max_value=800))
     capacity = (n + m) * 25.6 / draw(st.floats(min_value=0.2, max_value=1.1))
-    hop = Leftover(capacity, m, src)
+    one = NetworkPath(Aggregate(n, src), (Leftover(capacity, m, src),))
     hop_counts = draw(st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=8))
-    paths = [NetworkPath(Aggregate(n, src), (hop,) * h) for h in hop_counts]
     eps = draw(st.sampled_from([1e-9, 1e-6, 1e-3, 1e-2, 1.0]))
     horizon = draw(st.sampled_from([INF, 10**4, 500]))
-    search = draw(st.sampled_from([None, default_theta_search(paths[0])]))
-    return paths, draw(st.sampled_from(["backlog", "delay"])), eps, horizon, search
+    search = draw(st.sampled_from([None, default_theta_search(one)]))
+    return one, hop_counts, draw(st.sampled_from(["backlog", "delay"])), eps, horizon, search
 
 
 @given(homogeneous_sweeps())
 @settings(max_examples=150, deadline=None)
 def test_hop_sweep_equals_per_path_inversion(sweep):
-    # one theta search per shape gives, for every hop count, the result or
-    # the error of the per-path call
+    # one theta search of the one-hop path gives, for every hop count, the
+    # result or the error of the per-path call
     _assert_sweep_matches_per_path(*sweep)
 
 
 @st.composite
 def two_run_sweeps(draw):
-    """Paths of two runs of equal hops, a*k then b*k hops or the reverse:
-    paths with equal a:b and order are one shape (equal run shares
-    count/H), the others are not."""
+    """A path of two runs of equal hops, a then b hops or the reverse, with
+    repeats k: repeating every hop k times gives runs of a*k and b*k hops,
+    whose shares count/H equal the path's own."""
     src = MmooTraffic(VOICE)
     n = draw(st.integers(min_value=1, max_value=300))
     first = ConstantServer(n * 25.6 / draw(st.floats(min_value=0.2, max_value=0.95)))
     m = draw(st.integers(min_value=0, max_value=300))
     second = Leftover(n * 25.6 / 0.9 + m * 25.6 / draw(st.floats(min_value=0.3, max_value=0.95)), m, src)
-    paths = []
-    for _ in range(draw(st.integers(min_value=1, max_value=8))):
-        a, b, k = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
-        hops = (first,) * (a * k) + (second,) * (b * k)
-        paths.append(NetworkPath(Aggregate(n, src), hops[::-1] if draw(st.booleans()) else hops))
+    hops = (first,) * draw(st.integers(1, 3)) + (second,) * draw(st.integers(1, 3))
+    path = NetworkPath(Aggregate(n, src), hops[::-1] if draw(st.booleans()) else hops)
+    repeats = draw(st.lists(st.integers(1, 4), min_size=1, max_size=8))
     eps = draw(st.sampled_from([1e-9, 1e-3, 1.0]))
     horizon = draw(st.sampled_from([INF, 10**4, 500]))
-    return paths, draw(st.sampled_from(["backlog", "delay"])), eps, horizon, None
+    return path, repeats, draw(st.sampled_from(["backlog", "delay"])), eps, horizon, None
 
 
 @given(two_run_sweeps())
@@ -775,15 +777,29 @@ def test_hop_sweep_searches_once_per_shape(monkeypatch):
     monkeypatch.setattr(bounds, "minimize_over_theta",
                         lambda objective, config: searches.append(config) or real(objective, config))
     src = MmooTraffic(VOICE)
-    hop = Leftover(100_000.0, 1953, src)
-    paths = [NetworkPath(Aggregate(781, src), (hop,) * h) for h in (1, 5, 2, 5, 21)]
+    one = NetworkPath(Aggregate(781, src), (Leftover(100_000.0, 1953, src),))
     # one search at every horizon: a finite-horizon delay checks H v* <= horizon after it
     for kind, horizon in [("backlog", INF), ("delay", INF), ("backlog", 10**4), ("delay", 10**4)]:
         searches.clear()
-        hop_sweep(paths, kind, 1e-9, horizon)
+        hop_sweep(one, (1, 5, 2, 5, 21), kind, 1e-9, horizon)
         assert len(searches) == 1, (kind, horizon)
     with pytest.raises(ValueError):
-        hop_sweep(paths, "throughput", 1e-9)
+        hop_sweep(one, (1,), "throughput", 1e-9)
+
+
+@pytest.mark.parametrize("repeat", [0, -1, 2.5, True, "2", None])
+def test_hop_sweep_rejects_a_repeat_that_is_not_a_positive_int(repeat):
+    # the rule of every count: an int or numpy integer of at least 1, never a bool
+    with pytest.raises(ValueError, match="each repeat must be an int >= 1"):
+        hop_sweep(unit_path(), (1, repeat), "backlog", 1e-3)
+
+
+def test_hop_sweep_takes_a_numpy_integer_repeat_as_its_int():
+    # the very result of the int: Python floats throughout, no numpy scalar
+    path = NetworkPath(ConstantRate(1.0), (ConstantServer(2.0), ConstantServer(3.0)))
+    for kind in ("backlog", "delay"):
+        by_numpy, by_int = hop_sweep(path, (np.int64(3), 3), kind, 1e-3)
+        assert repr(by_numpy) == repr(by_int) and type(by_numpy.value) is float
 
 
 @given(name=st.sampled_from(["desk-validation", "voice-fig3"]), hops=st.integers(1, 12),
@@ -865,8 +881,9 @@ def test_scan_matches_the_full_grid_on_bound_objectives(kind, horizons, data):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bounds, "minimize_over_theta", checked)
-        hop_sweep(paths, kind, eps, horizon)
-    assert searches
+        for path in paths:
+            hop_sweep(path, (1,), kind, eps, horizon)
+    assert len(searches) == len(paths)
 
 
 def test_cli_sweep_objective_evaluations(monkeypatch, capsys):

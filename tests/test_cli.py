@@ -204,6 +204,19 @@ class TestSweepHops:
             rows += out.splitlines()[1:]
         assert sweep.splitlines()[1:] == rows
 
+    def test_largest_hop_count_is_its_multiple_of_the_one_hop_bound(self, capsys):
+        # MAX_HOPS, the largest count the parser takes, builds no path of
+        # that many hops: its bound is 10^6 v* at the one-hop theta*, bit for bit
+        from sncalc import delay_bound
+        code, out, _ = run_cli(capsys, "bound", "--scenario", "voice-fig3", "--hops", str(scenario.MAX_HOPS))
+        assert code == EXIT_OK
+        [row] = parse_rows(out)
+        sc = parse_scenario_file(resolve_scenario_path("voice-fig3"))
+        one = delay_bound(sc.build_path(1, sc.traffic.through_flows, sc.traffic.cross_flows), 1e-9)
+        assert (row["H"], row["stable"]) == (str(10**6), "true")
+        assert float(row["bound_value"]) == (10**6 * one.value) * sc.units.slot_length_s
+        assert float(row["theta_star"]) == one.theta_star
+
 
 class TestSweepFlows:
     def test_monotone_and_stable(self, capsys):

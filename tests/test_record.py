@@ -56,8 +56,8 @@ VALUE_RECORDS = [
 ]
 ARRAY_RECORDS = [
     HopTrace(*_arrays(6)),
-    ReplicationTrace(*_arrays(2), None, None, (), {1: 2}),
-    SimResult(*_arrays(2), (11, 12), 8),
+    ReplicationTrace(*_arrays(2), (), {1: 2}),
+    SimResult(*_arrays(2)),
 ]
 ALL_RECORDS = VALUE_RECORDS + ARRAY_RECORDS
 
